@@ -348,7 +348,8 @@ def run_bench(args) -> int:
         lattice = make_lattice(L, args.n, args.offset)
         return circulant.benchmark_determinants(lattice, args.seed, args.repeats)
 
-    data = _parallel_map(point, list(args.L), max(1, args.jobs))
+    # Timed rows run one after another: concurrent rows would time each other's load.
+    data = [point(L) for L in args.L]
     rows = [
         [d["L"], d["n"], d["dense_seconds"], d["reduced_seconds"], d["relative_det_error"]]
         for d in data

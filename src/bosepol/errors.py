@@ -23,10 +23,6 @@ class NotTranslationInvariantError(ValueError):
     """Covariance (or mean) is not cell-circulant within tolerance."""
 
 
-class HomotopyError(NumericalError):
-    """Adaptive branch tracking could not bound per-step phase changes."""
-
-
 class RefinementExhaustedError(NumericalError):
     """Loop refinement hit the sample cap before meeting the phase-jump tolerance."""
 

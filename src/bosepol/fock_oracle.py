@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from .errors import CutoffError
 from .polarization import ShiftSpec
@@ -128,7 +127,8 @@ def _mode_distribution(spec: OracleSpec, j: int) -> np.ndarray:
     """Fock probabilities p_0..p_cutoff of mode ``j`` (kind-dependent)."""
     m = np.arange(spec.cutoff + 1)
     if spec.kind == "coherent":
-        return poisson.pmf(m, np.abs(spec.amplitudes[j]) ** 2)
+        lam = np.abs(spec.amplitudes[j]) ** 2
+        return np.exp(xlogy(m, lam) - gammaln(m + 1) - lam)
     if spec.kind == "thermal":
         nbar = spec.nbar[j]
         q = nbar / (nbar + 1.0)

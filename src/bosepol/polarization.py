@@ -7,10 +7,16 @@ the momentum-shift unitary is evaluated in closed form:
 
 with W = (V - 1)(V + 1)^{-1} U and M = V - 1 + 2 (1 - U)^{-1}, where U is
 diagonal with a complex 2x2 block exp(i theta_{r,s}) * 1_2 per mode. The
-sign ambiguity of the square root is resolved by tracking the phase of
-det(1 - W) continuously along the homotopy theta -> lam * theta from the
-identity operator (<T> = 1 at lam = 0); the path never crosses zero because
-||W(lam)|| < 1 for every positive-definite V.
+square root takes the branch continued from the identity operator along
+theta -> lam * theta (<T> = 1 at lam = 0). That branch is fixed exactly by
+the spectrum of W: ||W(lam)|| <= ||(V - 1)(V + 1)^{-1}|| < 1 for every
+positive-definite V, so every eigenvalue mu_j(lam) stays inside the unit
+disk, each factor 1 - mu_j(lam) stays in the open right half-plane
+Re(1 - mu_j) > 0, and its principal argument never jumps. Hence
+
+    arg det(1 - W) = sum_j Arg(1 - mu_j),   log|det(1 - W)| = sum_j log|1 - mu_j|
+
+from one eigenvalue decomposition of W, with no path to sample.
 
 The polarization is P = Im log <T> / (2 pi) on that branch.
 """
@@ -22,12 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HomotopyError, InvalidStateError, NumericalError
+from .errors import InvalidStateError, NumericalError
 from .states import GaussianState, LatticeSpec
 
 MEAN_SOLVE_RTOL = 1e-8
-BRANCH_TOLERANCE = math.pi / 2
-MAX_BRANCH_EVALS = 4096
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,12 @@ class PolarizationBreakdown:
     ``mean_term`` is s = -1/2 alpha0^T M^{-1} alpha0, and
     ``p_unwrapped = (det_term_phase + Im s) / (2 pi)``; ``p`` is the same
     value reduced to (-1/2, 1/2].
+
+    Diagnostics: ``cayley_norm`` is ||W|| = max_j |(v_j - 1)/(v_j + 1)| over
+    the eigenvalues v_j of V; ``branch_turns`` is the integer k with
+    Im ln det(1 - W) = principal phase + 2 pi k; ``min_abs_one_minus_mu`` is
+    min_j |1 - mu_j| over the eigenvalues of W, the distance of the
+    determinant's closest factor from zero.
     """
 
     abs_T: float
@@ -75,6 +85,9 @@ class PolarizationBreakdown:
     p: float
     w_matrix: np.ndarray
     m_matrix: np.ndarray
+    cayley_norm: float
+    branch_turns: int
+    min_abs_one_minus_mu: float
 
     @property
     def expectation(self) -> complex:
@@ -87,11 +100,6 @@ def principal_polarization(p_unwrapped: float) -> float:
     if r == -0.5:
         r = 0.5
     return r
-
-
-def _wrap_angle(d: float) -> float:
-    """Reduce an angle difference to [-pi, pi)."""
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def cayley_spectrum(state: GaussianState):
@@ -113,109 +121,29 @@ def cayley_spectrum(state: GaussianState):
     return vals, (G + G.T) / 2.0
 
 
-def quadrature_phase_factors(shift: ShiftSpec, scale: float = 1.0) -> np.ndarray:
-    """Diagonal of U (length 2nL): exp(i scale theta_j), one entry per quadrature."""
-    return np.repeat(np.exp(1j * scale * shift.phases), 2)
+def quadrature_phase_factors(shift: ShiftSpec) -> np.ndarray:
+    """Diagonal of U (length 2nL): exp(i theta_j), one entry per quadrature."""
+    return np.repeat(np.exp(1j * shift.phases), 2)
 
 
-def det_one_minus_w(state_or_G, shift: ShiftSpec, scale: float = 1.0):
-    """Principal phase and log-magnitude of det(1 - W) at shift strength ``scale``."""
-    if isinstance(state_or_G, GaussianState):
-        _, G = cayley_spectrum(state_or_G)
-    else:
-        G = state_or_G
-    u = quadrature_phase_factors(shift, scale)
-    sign, logabs = np.linalg.slogdet(np.eye(G.shape[0], dtype=complex) - G * u)
-    if sign == 0:
-        raise NumericalError("det(1 - W) evaluated to zero")
-    return float(np.angle(sign)), float(logabs)
+def branch_phase_eigenvalues(W: np.ndarray) -> tuple[float, float, float]:
+    """Branch phase and log-magnitude of det(1 - W) from the eigenvalues mu_j of W.
 
-
-def tracked_det_branch(
-    G: np.ndarray,
-    shift: ShiftSpec,
-    tolerance: float = BRANCH_TOLERANCE,
-    max_evals: int = MAX_BRANCH_EVALS,
-    cayley_norm: float | None = None,
-):
-    """Unwrapped phase of det(1 - W) tracked along theta -> lam theta, lam in [0, 1].
-
-    Starts from the real positive value at lam = 0. The phase velocity obeys
-    |d arg det / d lam| = |Im Tr[(1 - W)^{-1} dW/dlam]|
-                       <= 2nL * theta_max * ||G|| / (1 - ||G||),
-    so the initial grid is sized to keep the *true* per-step change below
-    ``tolerance``; observed jumps are additionally bisected. Without the a
-    priori bound, sampled phase differences alone could alias by whole turns
-    on states with ||G|| close to 1. Returns the unwrapped phase and
-    log-magnitude at lam = 1.
+    Returns (sum_j Arg(1 - mu_j), sum_j log|1 - mu_j|, min_j |1 - mu_j|).
+    Every mu_j lies inside the unit disk because ||W|| < 1, so each factor
+    1 - mu_j has a positive real part along the whole homotopy from W = 0,
+    and the sum of principal arguments is the continuously tracked phase.
     """
-    cache: dict[float, tuple[float, float]] = {}
-
-    def sample(lam: float) -> tuple[float, float]:
-        if lam not in cache:
-            if len(cache) >= max_evals:
-                raise HomotopyError(
-                    "homotopy failure: branch tracking exceeded "
-                    f"{max_evals} determinant evaluations"
-                )
-            cache[lam] = det_one_minus_w(G, shift, scale=lam)
-        return cache[lam]
-
-    if cayley_norm is None:
-        cayley_norm = float(np.linalg.norm(G, 2))
-    if cayley_norm >= 1.0:
-        raise HomotopyError("||W|| >= 1: branch tracking undefined (invalid state)")
-    rate = (
-        2.0 * shift.lattice.modes * float(np.abs(shift.phases).max())
-        * cayley_norm / (1.0 - cayley_norm)
+    one_minus_mu = 1.0 - np.linalg.eigvals(W)
+    abs_factors = np.abs(one_minus_mu)
+    min_abs = float(abs_factors.min())
+    if min_abs == 0.0:
+        raise NumericalError("det(1 - W) has a zero factor")
+    return (
+        float(np.sum(np.angle(one_minus_mu))),
+        float(np.sum(np.log(abs_factors))),
+        min_abs,
     )
-    n0 = max(9, int(1.25 * rate / tolerance) + 2)
-    if n0 > max_evals:
-        raise HomotopyError(
-            f"homotopy failure: {n0} steps needed to bound per-step phase "
-            f"changes below {tolerance:.3f} (||W|| = {cayley_norm:.6f})"
-        )
-    lams = list(np.linspace(0.0, 1.0, n0))
-    lams[0], lams[-1] = 0.0, 1.0
-    for lam in lams:
-        sample(lam)
-    while True:
-        refined = []
-        changed = False
-        for a, b in zip(lams[:-1], lams[1:]):
-            refined.append(a)
-            if abs(_wrap_angle(sample(b)[0] - sample(a)[0])) >= tolerance:
-                mid = 0.5 * (a + b)
-                if mid <= a or mid >= b:
-                    raise HomotopyError(
-                        "homotopy failure: phase jump not resolvable at "
-                        "floating-point resolution"
-                    )
-                sample(mid)
-                refined.append(mid)
-                changed = True
-        refined.append(lams[-1])
-        lams = refined
-        if not changed:
-            break
-    phases = [sample(lam)[0] for lam in lams]
-    total = 0.0
-    for prev, cur in zip(phases[:-1], phases[1:]):
-        total += _wrap_angle(cur - prev)
-    return total + phases[0], sample(1.0)[1]
-
-
-def branch_phase_eigenvalues(G: np.ndarray, shift: ShiftSpec) -> float:
-    """Homotopy branch phase via eigenvalues: sum of Arg(1 - mu_j) over eig(W).
-
-    Every eigenvalue of W lies strictly inside the unit disk, so each factor
-    1 - mu_j stays in the right half-plane along the homotopy and its
-    principal argument equals the continuously tracked one. Used as an
-    independent cross-check of :func:`tracked_det_branch`.
-    """
-    u = quadrature_phase_factors(shift)
-    mu = np.linalg.eigvals(G * u)
-    return float(np.sum(np.angle(1.0 - mu)))
 
 
 def mean_matrix(state: GaussianState, shift: ShiftSpec) -> np.ndarray:
@@ -247,9 +175,7 @@ def mean_term(state: GaussianState, shift: ShiftSpec | None = None) -> complex:
 
 
 def polarization(
-    state: GaussianState,
-    shift: ShiftSpec | None = None,
-    tolerance: float = BRANCH_TOLERANCE,
+    state: GaussianState, shift: ShiftSpec | None = None
 ) -> PolarizationBreakdown:
     """Full polarization breakdown of a Gaussian state on the homotopy branch."""
     if shift is None:
@@ -258,17 +184,14 @@ def polarization(
         raise ValueError("shift spec and state have different mode counts")
     vals, G = cayley_spectrum(state)
     logdet_vp1 = float(np.sum(np.log1p(vals)))
-    lam_max = float(np.abs((vals - 1.0) / (vals + 1.0)).max())
-    phi_f, logabs_f = tracked_det_branch(
-        G, shift, tolerance=tolerance, cayley_norm=lam_max
-    )
+    W = G * quadrature_phase_factors(shift)
+    phi_f, logabs_f, min_abs = branch_phase_eigenvalues(W)
     M = mean_matrix(state, shift)
     s = _mean_term_from_matrix(M, state.mean)
     nl = state.lattice.modes
     log_abs = nl * math.log(2.0) - 0.5 * logdet_vp1 - 0.5 * logabs_f + s.real
     det_term_phase = -0.5 * phi_f
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
-    u = quadrature_phase_factors(shift)
     return PolarizationBreakdown(
         abs_T=math.exp(log_abs),
         log_abs_T=log_abs,
@@ -276,8 +199,11 @@ def polarization(
         mean_term=s,
         p_unwrapped=p_unwrapped,
         p=principal_polarization(p_unwrapped),
-        w_matrix=G * u,
+        w_matrix=W,
         m_matrix=M,
+        cayley_norm=float(np.abs((vals - 1.0) / (vals + 1.0)).max()),
+        branch_turns=round(phi_f / (2.0 * math.pi)),
+        min_abs_one_minus_mu=min_abs,
     )
 
 

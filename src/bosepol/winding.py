@@ -27,12 +27,12 @@ import numpy as np
 
 from .errors import NonIntegerWindingError, RefinementExhaustedError
 from .polarization import (
+    branch_phase_eigenvalues,
     cayley_spectrum,
     mean_matrix,
     _mean_term_from_matrix,
     quadrature_phase_factors,
     shift_phases,
-    tracked_det_branch,
 )
 from .states import GaussianState
 
@@ -89,6 +89,7 @@ class WindingResult:
 
 
 def _wrap(d: float) -> float:
+    """Reduce an angle difference to [-pi, pi)."""
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
@@ -143,13 +144,17 @@ def _refine_on_phase(
 def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """Sample the loop adaptively and accumulate a continuous polarization.
 
-    Consecutive principal-phase differences of det(1 - W) are reduced to
-    (-pi, pi] and accumulated; the branch is anchored at lambda = 0 by the
-    homotopy tracking of :func:`bosepol.polarization.tracked_det_branch`, so
-    the reported values agree with the pointwise polarization there.
+    Each sample takes the principal phase of det(1 - W) from one slogdet;
+    consecutive differences are reduced to [-pi, pi) and accumulated. The
+    branch is anchored at lambda = 0 by the spectral rule of
+    :func:`bosepol.polarization.branch_phase_eigenvalues`: ||W|| < 1 puts
+    every eigenvalue mu_j of W inside the unit disk, so Re(1 - mu_j) > 0 and
+    sum_j Arg(1 - mu_j) is the phase continued from W = 0. The reported
+    values therefore agree with the pointwise polarization there.
     """
     state0 = loop.sampler(0.0)
     shift = shift_phases(state0.lattice)
+    u = quadrature_phase_factors(shift)
     nl = state0.lattice.modes
     log2 = math.log(2.0)
 
@@ -158,7 +163,6 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
         if state.lattice.modes != nl:
             raise ValueError("loop sampler changed the lattice size")
         vals, G = cayley_spectrum(state)
-        u = quadrature_phase_factors(shift)
         sign, logabs = np.linalg.slogdet(np.eye(2 * nl, dtype=complex) - G * u)
         s = _mean_term_from_matrix(mean_matrix(state, shift), state.mean)
         log_abs_T = nl * log2 - 0.5 * float(np.sum(np.log1p(vals))) - 0.5 * logabs + s.real
@@ -177,7 +181,7 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     log_abs = np.array([rec[2] for rec in records])
 
     _, G0 = cayley_spectrum(state0)
-    phi0, _ = tracked_det_branch(G0, shift)
+    phi0, _, _ = branch_phase_eigenvalues(G0 * u)
     unwrapped = np.empty_like(phases)
     unwrapped[0] = phi0
     for i in range(1, len(phases)):

@@ -109,6 +109,19 @@ def test_bench_csv(tmp_path):
     assert all(float(row[4]) <= 1e-10 for row in rows)
 
 
+def test_bench_rows_run_serially_whatever_jobs(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("bench rows must not be timed in a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "bench.csv"
+    code = cli.main(["bench", "--L", "2,4", "--repeats", "1", "--jobs", "2",
+                     "--output", str(out)])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert [int(row[0]) for row in rows] == [2, 4]
+
+
 def test_chern_pass(capsys):
     code = cli.main(["chern", "--L", "4", "--samples", "16"])
     assert code == 0

@@ -1,17 +1,25 @@
 """Dense closed form for <T> against independent oracles and bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bosepol import (
     GaussianState,
+    RiceMeleParams,
     ShiftSpec,
+    cell_bloch_blocks,
     coherent_state,
     expectation_T,
     make_lattice,
     mean_term,
     polarization,
+    random_circulant_state,
     random_gaussian_state,
+    reduced_determinant,
+    rmm_hopping_matrix,
+    rmm_thermal_state,
     shift_phases,
     squeezed_vacuum_state,
     thermal_state,
@@ -25,7 +33,7 @@ from bosepol.polarization import (
     cayley_spectrum,
     mean_matrix,
     principal_polarization,
-    tracked_det_branch,
+    quadrature_phase_factors,
 )
 
 
@@ -121,15 +129,56 @@ def test_mean_term_is_contractive():
         assert abs(np.exp(s)) < 1.0
 
 
+def homotopy_branch(G: np.ndarray, shift: ShiftSpec) -> float:
+    """Reference branch: unwrapped slogdet phase of det(1 - G U(lam)), lam in [0, 1].
+
+    The grid keeps the true phase change per step below pi/4, from the bound
+    |d arg det / d lam| <= 2nL theta_max ||G|| / (1 - ||G||).
+    """
+    norm = np.linalg.norm(G, 2)
+    rate = 2 * shift.lattice.modes * shift.phases.max() * norm / (1 - norm)
+    eye = np.eye(G.shape[0])
+    phases = [
+        np.angle(np.linalg.slogdet(eye - G * np.repeat(np.exp(1j * lam * shift.phases), 2))[0])
+        for lam in np.linspace(0.0, 1.0, int(rate / (np.pi / 4)) + 16)
+    ]
+    return float(np.unwrap(phases)[-1])
+
+
+def thermal_product(nbar: float, thetas) -> complex:
+    """Exact <T> of independent thermal modes: prod (1 - q) / (1 - q e^{i theta})."""
+    q = nbar / (nbar + 1.0)
+    return complex(np.prod([(1 - q) / (1 - q * np.exp(1j * t)) for t in thetas]))
+
+
+def number_conserving_oracle(h: np.ndarray, beta: float, mu: float, thetas) -> complex:
+    """<T> = 1 / det(1 + N (1 - e^{i Theta})) for a thermal state of hopping h.
+
+    No square root appears, so the value also pins the branch.
+    """
+    eps, vecs = np.linalg.eigh(h)
+    N = (vecs / np.expm1(beta * (eps - mu))) @ vecs.conj().T
+    return complex(1.0 / np.linalg.det(np.eye(len(thetas)) + N * (1.0 - np.exp(1j * thetas))))
+
+
 def test_homotopy_branch_equals_eigenvalue_branch():
+    turns = set()
     for seed in range(8):
         lat = make_lattice(3, 2)
         st = random_gaussian_state(lat, seed, classical=(seed % 2 == 0))
-        sh = shift_phases(lat)
         _, G = cayley_spectrum(st)
-        phi_homotopy, _ = tracked_det_branch(G, sh)
-        phi_eigen = branch_phase_eigenvalues(G, sh)
-        assert phi_homotopy == pytest.approx(phi_eigen, abs=1e-9)
+        # Phases in (pi, 2 pi) push half of these branches a turn away
+        # from the principal phase.
+        rng = np.random.default_rng(seed)
+        for sh in (shift_phases(lat), ShiftSpec(lat, rng.uniform(np.pi, 2 * np.pi, 6))):
+            W = G * quadrature_phase_factors(sh)
+            phi, logabs, _ = branch_phase_eigenvalues(W)
+            assert phi == pytest.approx(homotopy_branch(G, sh), abs=1e-9)
+            sign, want_logabs = np.linalg.slogdet(np.eye(len(W)) - W)
+            assert logabs == pytest.approx(want_logabs, abs=1e-12)
+            assert abs(np.exp(1j * phi) - sign) <= 1e-12
+            turns.add(polarization(st, sh).branch_turns)
+    assert turns == {0, 1}
 
 
 def test_branch_tracking_on_hot_state():
@@ -139,13 +188,75 @@ def test_branch_tracking_on_hot_state():
     nbar = 20.0
     st = GaussianState(lat, (2 * nbar + 1) * np.eye(12), np.zeros(12))
     sh = shift_phases(lat)
-    q = nbar / (nbar + 1)
-    want = np.prod([(1 - q) / (1 - q * np.exp(1j * t)) for t in sh.phases])
-    assert expectation_T(st, sh) == pytest.approx(want, rel=1e-10)
+    assert expectation_T(st, sh) == pytest.approx(thermal_product(nbar, sh.phases), rel=1e-10)
+    b = polarization(st, sh)
     _, G = cayley_spectrum(st)
-    assert tracked_det_branch(G, sh)[0] == pytest.approx(
-        branch_phase_eigenvalues(G, sh), abs=1e-9
+    assert -2.0 * b.det_term_phase == pytest.approx(homotopy_branch(G, sh), abs=1e-9)
+
+
+@pytest.mark.parametrize("nbar", [1e2, 1e3, 1e4])
+def test_near_critical_uniform_thermal(nbar):
+    lat = make_lattice(6, 1)
+    st = thermal_state(np.zeros((6, 6)), 1.0, -math.log1p(1.0 / nbar), lat)
+    b = polarization(st)
+    want = thermal_product(nbar, shift_phases(lat).phases)
+    assert abs(b.expectation - want) <= 1e-10 * abs(want)
+    assert b.cayley_norm == pytest.approx(nbar / (nbar + 1), rel=1e-9)
+
+
+def test_hot_thermal_state_large_lattice():
+    lat = make_lattice(64, 1)
+    nbar = 20.0
+    st = GaussianState(lat, (2 * nbar + 1) * np.eye(128), np.zeros(128))
+    want = thermal_product(nbar, shift_phases(lat).phases)
+    assert abs(expectation_T(st) - want) <= 1e-10 * abs(want)
+
+
+def test_rice_mele_thermal_just_below_band_bottom():
+    w1, w2, delta, beta = 1.0, 0.3, 0.5, 1.0
+    mu = -math.hypot(w1 + w2, delta) - 0.01
+    params = RiceMeleParams(w1, w2, delta)
+    lat = make_lattice(4, 2)
+    b = polarization(rmm_thermal_state(params, lat, beta, mu))
+    want = number_conserving_oracle(
+        rmm_hopping_matrix(params, lat), beta, mu, shift_phases(lat).phases
     )
+    assert abs(b.expectation - want) <= 1e-10 * abs(want)
+    assert 0.0 < b.abs_T <= 1.0
+
+
+def test_near_critical_random_circulant():
+    st = random_circulant_state(make_lattice(32, 2), 1, eig_high=20.0)
+    b = polarization(st)
+    assert 0.0 < b.abs_T <= 1.0
+    _, logabs, _ = branch_phase_eigenvalues(b.w_matrix)
+    reduced = reduced_determinant(cell_bloch_blocks(st))
+    assert logabs == pytest.approx(np.log(abs(reduced)), abs=1e-10 * max(1.0, abs(logabs)))
+
+
+def test_breakdown_diagnostics():
+    lat = make_lattice(4, 2)
+    b = polarization(coherent_state(lat, np.tile([0.6, 0.8j], 4)))
+    assert b.cayley_norm == 0.0
+    assert b.branch_turns == 0
+    assert b.min_abs_one_minus_mu == pytest.approx(1.0, abs=1e-14)
+
+    lat = make_lattice(6, 1)
+    st = thermal_state(np.zeros((6, 6)), 1.0, -math.log1p(1e-4), lat)
+    b = polarization(st)
+    assert b.cayley_norm > 0.999
+    assert 1.0 - b.cayley_norm <= b.min_abs_one_minus_mu * (1 + 1e-9)
+
+    # Two hot modes with phases near 2 pi: each factor 1 - mu_j sits near
+    # the positive imaginary axis, so the branch lies one turn from the
+    # principal phase, and only that branch reproduces the exact product.
+    lat = make_lattice(1, 2)
+    sh = ShiftSpec(lat, [5.5, 6.0])
+    st = GaussianState(lat, 101.0 * np.eye(4), np.zeros(4))
+    b = polarization(st, sh)
+    assert b.branch_turns == 1
+    want = thermal_product(50.0, sh.phases)
+    assert abs(b.expectation - want) <= 1e-10 * abs(want)
 
 
 def test_det_v_plus_one_floor():

@@ -15,7 +15,7 @@ from bosepol.loops import (
     rmm_thermal_loop,
     thermal_chern_family,
 )
-from bosepol.polarization import mean_term, shift_phases
+from bosepol.polarization import mean_term, polarization, shift_phases
 from bosepol.states import thermal_state, vacuum_state
 from bosepol.winding import (
     ParameterLoop,
@@ -51,6 +51,16 @@ def test_thermal_rice_mele_pump_loop():
     # smooth closed trace: endpoints coincide
     assert track.p_unwrapped[0] == pytest.approx(track.p_unwrapped[-1], abs=1e-12)
     assert np.all(track.abs_T > 0)
+
+
+def test_track_follows_pointwise_spectral_branch():
+    # The spectral branch is continuous along any path of valid states, so
+    # the tracked polarization equals the pointwise one at every sample.
+    for loop in (random_classical_loop(make_lattice(3, 2), 3),
+                 random_squeezed_loop(make_lattice(3, 2), 4)):
+        track = track_polarization(loop)
+        pointwise = [polarization(loop.sampler(lam)).p_unwrapped for lam in track.lambdas]
+        assert np.abs(track.p_unwrapped - pointwise).max() <= 1e-10
 
 
 def test_coherent_pump_loop():

@@ -99,17 +99,43 @@ def cell_bloch_blocks(
     return BlochBlocks(lattice=lat, v_blocks=v, d_block=D, m_blocks=m)
 
 
-def reassemble_covariance(blocks: BlochBlocks) -> np.ndarray:
-    """Inverse Fourier transform of the Bloch blocks back to a dense covariance."""
-    lat = blocks.lattice
-    L = lat.cells
+def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
+    """Inverse Fourier transform of Bloch blocks v_k back to a dense real-symmetric matrix."""
+    L, tn, _ = v_blocks.shape
     Finv = np.exp(-2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L) / L
-    C = np.einsum("dk,kab->dab", Finv, blocks.v_blocks)
+    C = np.einsum("dk,kab->dab", Finv, v_blocks)
     idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-    V = C[idx].transpose(0, 2, 1, 3).reshape(lat.dim, lat.dim)
+    V = C[idx].transpose(0, 2, 1, 3).reshape(L * tn, L * tn)
     if np.abs(V.imag).max() > 1e-10 * max(1.0, np.abs(V.real).max()):
         raise ValueError("Bloch blocks violate the realness constraint v_{L-k} = conj(v_k)")
-    return V.real
+    return (V.real + V.real.T) / 2.0
+
+
+def random_bloch_blocks(
+    lattice: LatticeSpec,
+    rng: np.random.Generator,
+    low: float,
+    high: float,
+    k0_high: float | None = None,
+) -> np.ndarray:
+    """Random Hermitian Bloch blocks with eigenvalues in [low, high).
+
+    Blocks are drawn for k = 0 .. L/2 and mirrored as v_{L-k} = conj(v_k),
+    which keeps the assembled matrix real; the self-conjugate momenta get
+    real blocks. ``k0_high`` replaces ``high`` for the k = 0 block.
+    """
+    L, tn = lattice.cells, 2 * lattice.sites_per_cell
+    blocks = np.empty((L, tn, tn), dtype=complex)
+    for k in range(L // 2 + 1):
+        if k == 0 or (L % 2 == 0 and k == L // 2):
+            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)))
+        else:
+            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)) + 1j * rng.normal(size=(tn, tn)))
+        hi = k0_high if k == 0 and k0_high is not None else high
+        B = (Q * rng.uniform(low, hi, size=tn)) @ Q.conj().T
+        blocks[k] = (B + B.conj().T) / 2.0
+        blocks[(L - k) % L] = blocks[k].conj()
+    return blocks
 
 
 def reduced_determinant(blocks: BlochBlocks) -> complex:
@@ -170,37 +196,13 @@ def random_circulant_state(
     state is guaranteed nonclassical (still positive definite).
     """
     rng = np.random.default_rng(seed)
-    L, n = lattice.cells, lattice.sites_per_cell
-    tn = 2 * n
     if eig_low is None:
         eig_low = 1.1 if classical else 0.3
-
-    def random_block(real: bool, lo: float, hi: float) -> np.ndarray:
-        if real:
-            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)))
-        else:
-            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)) + 1j * rng.normal(size=(tn, tn)))
-        eigs = rng.uniform(lo, hi, size=tn)
-        B = (Q * eigs) @ Q.conj().T
-        return (B + B.conj().T) / 2.0
-
-    blocks = np.empty((L, tn, tn), dtype=complex)
-    for k in range(L // 2 + 1):
-        self_conjugate = k == 0 or (L % 2 == 0 and k == L // 2)
-        lo, hi = eig_low, eig_high
-        if not classical and k == 0:
-            lo, hi = eig_low, min(0.9, eig_high)
-        B = random_block(self_conjugate, lo, hi)
-        blocks[k] = B
-        blocks[(L - k) % L] = B.conj()
-    Finv = np.exp(-2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L) / L
-    C = np.einsum("dk,kab->dab", Finv, blocks)
-    idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-    V = C[idx].transpose(0, 2, 1, 3).reshape(lattice.dim, lattice.dim).real
-    V = (V + V.T) / 2.0
+    k0_high = None if classical else min(0.9, eig_high)
+    V = reassemble_covariance(random_bloch_blocks(lattice, rng, eig_low, eig_high, k0_high))
     if mean_scale:
-        cell = mean_scale * rng.normal(size=tn)
-        mean = np.tile(cell, L)
+        cell = mean_scale * rng.normal(size=2 * lattice.sites_per_cell)
+        mean = np.tile(cell, lattice.cells)
     else:
         mean = np.zeros(lattice.dim)
     return GaussianState(lattice, V, mean)

@@ -15,7 +15,7 @@ mismatch.
 
 Options can also be given in a flat ``key = value`` config file via
 ``--config``; command-line flags override file values, unknown keys are
-rejected.
+rejected. ``--config`` and ``--no-color`` go before or after the subcommand.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -70,9 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, **defaults):
         p.add_argument("--output", help="write CSV here instead of stdout")
         p.add_argument("--seed", type=int, default=defaults.get("seed", 0))
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--no-color", action="store_true", help="disable ANSI color")
+        # Repeated after the subcommand; SUPPRESS keeps a value given before it.
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="flat key=value config file; flags override")
+        p.add_argument("--no-color", action="store_true", default=argparse.SUPPRESS,
+                       help="disable ANSI color")
 
     p = sub.add_parser("flux-sweep", help="pump transport versus cycle time")
     p.add_argument("--period-list", type=_float_list, required=True,
@@ -215,14 +216,6 @@ def _status(args, ok: bool, message: str) -> None:
     print(f"{tag} {message}")
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    """Map preserving input order; optional thread pool for sweep points."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_flux_sweep(args) -> int:
     if not args.period_list:
         raise ValueError("period list must be nonempty")
@@ -236,7 +229,7 @@ def run_flux_sweep(args) -> int:
         traj = rice_mele.evolve_pump(protocol, steps=args.steps)
         return [at, rice_mele.integrated_flux(traj, protocol), phi_ad]
 
-    rows = _parallel_map(point, list(args.period_list), args.jobs)
+    rows = [point(at) for at in args.period_list]
     _emit_csv(args, ["AT", "phi", "phi_adiabatic"], rows)
     return EXIT_OK
 
@@ -261,7 +254,7 @@ def run_scaling(args) -> int:
         classical_bound = ((1.0 + lam_min) / 2.0) ** (-args.n * L)
         return [L, breakdown.abs_T, float(np.angle(det)), eps, classical_bound]
 
-    rows = _parallel_map(point, list(args.L), args.jobs)
+    rows = [point(L) for L in args.L]
     violations = [row for row in rows if abs(row[2]) > row[3]]
     _emit_csv(
         args, ["L", "abs_T", "det_term_phase", "epsilon_bound", "classical_bound"], rows
@@ -375,7 +368,7 @@ def run_chern(args) -> int:
         initial_samples=args.samples,
     )
     track = winding.track_polarization(loop)
-    c = winding.chern_via_polarization(family, samples=args.samples)
+    c = winding.polarization_winding(track)
     rows = [
         [lam, 2.0 * math.pi * lam, p]
         for lam, p in zip(track.lambdas, track.p_unwrapped)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circulant import random_circulant_state
+from .circulant import random_bloch_blocks, random_circulant_state, reassemble_covariance
 from .rice_mele import PumpProtocol, evolve_pump, rmm_thermal_state
 from .states import GaussianState, LatticeSpec, coherent_state, thermal_state
 from .winding import ParameterLoop
@@ -82,30 +82,6 @@ def rmm_coherent_loop(
     )
 
 
-def _mirrored_symmetric_circulant(
-    lattice: LatticeSpec, rng: np.random.Generator, norm: float
-) -> np.ndarray:
-    """Random real-symmetric cell-circulant matrix with spectral norm <= norm."""
-    L, tn = lattice.cells, 2 * lattice.sites_per_cell
-    blocks = np.empty((L, tn, tn), dtype=complex)
-    for k in range(L // 2 + 1):
-        real_block = k == 0 or (L % 2 == 0 and k == L // 2)
-        if real_block:
-            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)))
-        else:
-            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)) + 1j * rng.normal(size=(tn, tn)))
-        eigs = rng.uniform(-norm, norm, size=tn)
-        B = (Q * eigs) @ Q.conj().T
-        B = (B + B.conj().T) / 2.0
-        blocks[k] = B
-        blocks[(L - k) % L] = B.conj()
-    Finv = np.exp(-2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L) / L
-    C = np.einsum("dk,kab->dab", Finv, blocks)
-    idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-    X = C[idx].transpose(0, 2, 1, 3).reshape(lattice.dim, lattice.dim).real
-    return (X + X.T) / 2.0
-
-
 def random_classical_loop(
     lattice: LatticeSpec,
     seed: int,
@@ -124,8 +100,8 @@ def random_classical_loop(
         lattice, int(rng.integers(2 ** 31)), classical=True,
         eig_low=1.0 + 2.0 * wobble + 0.1, eig_high=3.5,
     )
-    X = _mirrored_symmetric_circulant(lattice, rng, wobble)
-    Y = _mirrored_symmetric_circulant(lattice, rng, wobble)
+    X = reassemble_covariance(random_bloch_blocks(lattice, rng, -wobble, wobble))
+    Y = reassemble_covariance(random_bloch_blocks(lattice, rng, -wobble, wobble))
     cell = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
     m0, ma, mb = (np.tile(c, lattice.cells) for c in cell)
 

@@ -27,13 +27,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from .errors import (
-    GapClosureError,
-    NonIntegerWindingError,
-    NormDriftError,
-    NumericalError,
-)
+from .errors import GapClosureError, NormDriftError, NumericalError
 from .states import GaussianState, LatticeSpec, thermal_state
+from .winding import _integer_winding
 
 NORM_DRIFT_TOL = 1e-8
 DEFAULT_PUMP_STEPS = 10_000
@@ -171,14 +167,7 @@ def zak_winding(protocol: PumpProtocol, steps: int = 256, samples: int = 64) -> 
             for i in range(steps + 1)
         ]
     )
-    total = float(np.unwrap(phis)[-1] - phis[0])
-    winding = total / (2.0 * math.pi)
-    nearest = round(winding)
-    if abs(winding - nearest) > 1e-3:
-        raise NonIntegerWindingError(
-            f"Zak winding {winding:.6f} not close to an integer; increase steps"
-        )
-    return int(nearest)
+    return _integer_winding(float(np.unwrap(phis)[-1] - phis[0]), "Zak winding")
 
 
 def _k0_matrix(params: RiceMeleParams) -> tuple[float, float]:

@@ -71,7 +71,6 @@ class PolarizationTrack:
     abs_T: np.ndarray
     det_term_phase: np.ndarray
     mean_term: np.ndarray
-    det_phase_principal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,83 +140,98 @@ def _refine_on_phase(
             return lams, [cache[lam] for lam in lams]
 
 
+def _integer_winding(total_phase: float, what: str) -> int:
+    """Nearest integer to total_phase / 2 pi; raise when it is not one.
+
+    The residual must stay within WINDING_RESIDUAL_TOL, otherwise the path
+    was under-sampled or did not close.
+    """
+    turns = total_phase / (2.0 * math.pi)
+    nearest = round(turns)
+    if abs(turns - nearest) > WINDING_RESIDUAL_TOL:
+        raise NonIntegerWindingError(
+            f"{what} {turns:.6f} is not an integer: under-sampled or not closed"
+        )
+    return int(nearest)
+
+
+def _unwrap(start: float, phases: np.ndarray) -> np.ndarray:
+    """start plus the running sum of the wrapped differences of ``phases``."""
+    return np.cumsum(np.concatenate(([start], _wrap(np.diff(phases)))))
+
+
 def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """Sample the loop adaptively and accumulate a continuous polarization.
 
-    Each sample takes the principal phase of det(1 - W) from one slogdet;
-    consecutive differences are reduced to [-pi, pi) and accumulated. The
-    branch is anchored at lambda = 0 by the spectral rule of
-    :func:`bosepol.polarization.branch_phase_eigenvalues`: ||W|| < 1 puts
-    every eigenvalue mu_j of W inside the unit disk, so Re(1 - mu_j) > 0 and
-    sum_j Arg(1 - mu_j) is the phase continued from W = 0. The reported
-    values therefore agree with the pointwise polarization there.
+    Each distinct lambda is sampled once and eigendecomposed once: the
+    lambda = 1 state of the closure check is the last sample, and the
+    lambda = 0 sample also anchors the branch. Each sample takes the
+    principal phase of det(1 - W) from one slogdet; consecutive differences
+    are reduced to [-pi, pi) and summed cumulatively from the anchor. The
+    anchor is the spectral rule of
+    :func:`bosepol.polarization.branch_phase_eigenvalues` on the lambda = 0
+    W: ||W|| < 1 puts every eigenvalue mu_j of W inside the unit disk, so
+    Re(1 - mu_j) > 0 and sum_j Arg(1 - mu_j) is the phase continued from
+    W = 0. The reported values therefore agree with the pointwise
+    polarization there.
     """
     state0 = loop.sampler(0.0)
+    state1 = loop.sampler(1.0)
+    closure = float(np.abs(state1.V - state0.V).max())
+    if closure > CLOSURE_TOL * max(1.0, float(np.abs(state0.V).max())):
+        raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
     shift = shift_phases(state0.lattice)
     u = quadrature_phase_factors(shift)
     nl = state0.lattice.modes
     log2 = math.log(2.0)
 
     def evaluate(lam: float):
-        state = loop.sampler(lam) if lam > 0.0 else state0
+        state = state0 if lam == 0.0 else state1 if lam == 1.0 else loop.sampler(lam)
         if state.lattice.modes != nl:
             raise ValueError("loop sampler changed the lattice size")
         vals, G = cayley_spectrum(state)
-        sign, logabs = np.linalg.slogdet(np.eye(2 * nl, dtype=complex) - G * u)
+        W = G * u
+        sign, logabs = np.linalg.slogdet(np.eye(2 * nl, dtype=complex) - W)
         s = _mean_term_from_matrix(mean_matrix(state, shift), state.mean)
         log_abs_T = nl * log2 - 0.5 * float(np.sum(np.log1p(vals))) - 0.5 * logabs + s.real
-        return float(np.angle(sign)), s, log_abs_T
-
-    state_end = loop.sampler(1.0)
-    closure = float(np.abs(state_end.V - state0.V).max())
-    if closure > CLOSURE_TOL * max(1.0, float(np.abs(state0.V).max())):
-        raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
+        anchor = branch_phase_eigenvalues(W)[0] if lam == 0.0 else None
+        return float(np.angle(sign)), s, log_abs_T, anchor
 
     lams, records = _refine_on_phase(
         evaluate, loop.initial_samples, loop.tolerance, loop.max_samples
     )
-    phases = np.array([rec[0] for rec in records])
-    means = np.array([rec[1] for rec in records], dtype=complex)
-    log_abs = np.array([rec[2] for rec in records])
-
-    _, G0 = cayley_spectrum(state0)
-    phi0, _, _ = branch_phase_eigenvalues(G0 * u)
-    unwrapped = np.empty_like(phases)
-    unwrapped[0] = phi0
-    for i in range(1, len(phases)):
-        unwrapped[i] = unwrapped[i - 1] + _wrap(phases[i] - phases[i - 1])
-
-    det_term = -0.5 * unwrapped
-    p_unwrapped = (det_term + means.imag) / (2.0 * math.pi)
+    phases, means, log_abs, anchors = zip(*records)
+    det_term = -0.5 * _unwrap(anchors[0], np.array(phases))
+    means = np.array(means, dtype=complex)
     return PolarizationTrack(
         lambdas=np.array(lams),
-        p_unwrapped=p_unwrapped,
-        abs_T=np.exp(log_abs),
+        p_unwrapped=(det_term + means.imag) / (2.0 * math.pi),
+        abs_T=np.exp(np.array(log_abs)),
         det_term_phase=det_term,
         mean_term=means,
-        det_phase_principal=phases,
     )
 
 
 def winding_number(track: PolarizationTrack) -> WindingResult:
-    """Delta P over the loop plus the determinant zero count from the same track."""
+    """Delta P over the loop plus the determinant zero count from the same track.
+
+    The zero count is the change of the track's unwrapped determinant phase
+    over the loop, in turns; no sample is evaluated again.
+    """
     delta_p = float(track.p_unwrapped[-1] - track.p_unwrapped[0])
-    total = 0.0
-    for prev, cur in zip(track.det_phase_principal[:-1], track.det_phase_principal[1:]):
-        total += _wrap(cur - prev)
-    m_float = total / (2.0 * math.pi)
-    m = round(m_float)
-    if abs(m_float - m) > WINDING_RESIDUAL_TOL:
-        raise NonIntegerWindingError(
-            f"non-integer winding {m_float:.6f}: loop under-sampled"
-        )
-    nearest = Fraction(round(2.0 * delta_p), 2)
+    det_phase_change = -2.0 * float(track.det_term_phase[-1] - track.det_term_phase[0])
     return WindingResult(
         delta_p=delta_p,
-        nearest_half_integer=nearest,
-        zero_count=int(m),
+        nearest_half_integer=Fraction(round(2.0 * delta_p), 2),
+        zero_count=_integer_winding(det_phase_change, "determinant winding"),
         samples=list(zip(track.lambdas.tolist(), track.p_unwrapped.tolist())),
     )
+
+
+def polarization_winding(track: PolarizationTrack) -> int:
+    """Integer winding Delta P of the tracked polarization over the loop."""
+    delta_p = float(track.p_unwrapped[-1] - track.p_unwrapped[0])
+    return _integer_winding(2.0 * math.pi * delta_p, "polarization winding")
 
 
 def zero_count(loop: ParameterLoop) -> int:
@@ -243,17 +257,9 @@ def winding_of_values(
             raise RefinementExhaustedError("path passes exactly through zero")
         return (math.atan2(z.imag, z.real),)
 
-    lams, records = _refine_on_phase(evaluate, initial_samples, tolerance, max_samples)
-    total = 0.0
-    for (a,), (b,) in zip(records[:-1], records[1:]):
-        total += _wrap(b - a)
-    w_float = total / (2.0 * math.pi)
-    w = round(w_float)
-    if abs(w_float - w) > WINDING_RESIDUAL_TOL:
-        raise NonIntegerWindingError(
-            f"non-integer winding {w_float:.6f}: path under-sampled or not closed"
-        )
-    return int(w)
+    _, records = _refine_on_phase(evaluate, initial_samples, tolerance, max_samples)
+    phases = np.array([phase for phase, in records])
+    return _integer_winding(_unwrap(0.0, phases)[-1], "winding")
 
 
 def trace_zero_count(
@@ -279,7 +285,6 @@ def trace_zero_count(
 def chern_via_polarization(
     family: Callable[[float], GaussianState],
     samples: int = 32,
-    tolerance: float = math.pi / 2,
 ) -> int:
     """Winding of the momentum-resolved polarization over a transverse zone.
 
@@ -288,15 +293,6 @@ def chern_via_polarization(
     the construction; it vanishes for every bosonic Gaussian family.
     """
     loop = ParameterLoop(
-        sampler=lambda lam: family(2.0 * math.pi * lam),
-        initial_samples=samples,
-        tolerance=tolerance,
+        sampler=lambda lam: family(2.0 * math.pi * lam), initial_samples=samples
     )
-    track = track_polarization(loop)
-    delta_p = float(track.p_unwrapped[-1] - track.p_unwrapped[0])
-    c = round(delta_p)
-    if abs(delta_p - c) > WINDING_RESIDUAL_TOL:
-        raise NonIntegerWindingError(
-            f"momentum-resolved polarization winding {delta_p:.6f} is not an integer"
-        )
-    return int(c)
+    return polarization_winding(track_polarization(loop))

@@ -104,7 +104,7 @@ def test_reassembly_roundtrip():
     lat = make_lattice(5, 2)
     st = random_circulant_state(lat, 3, classical=False)
     blocks = cell_bloch_blocks(st)
-    assert np.abs(reassemble_covariance(blocks) - st.V).max() < 1e-10
+    assert np.abs(reassemble_covariance(blocks.v_blocks) - st.V).max() < 1e-10
 
 
 def test_uniform_thermal_scalar_reduction():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bosepol import cli, fock_oracle
+from bosepol import cli, fock_oracle, loops, make_lattice, winding
+from bosepol.polarization import polarization
 
 
 def read_csv(path):
@@ -109,19 +110,6 @@ def test_bench_csv(tmp_path):
     assert all(float(row[4]) <= 1e-10 for row in rows)
 
 
-def test_bench_rows_run_serially_whatever_jobs(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("bench rows must not be timed in a thread pool")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    out = tmp_path / "bench.csv"
-    code = cli.main(["bench", "--L", "2,4", "--repeats", "1", "--jobs", "2",
-                     "--output", str(out)])
-    assert code == 0
-    _, _, rows = read_csv(out)
-    assert [int(row[0]) for row in rows] == [2, 4]
-
-
 def test_chern_pass(capsys):
     code = cli.main(["chern", "--L", "4", "--samples", "16"])
     assert code == 0
@@ -160,13 +148,68 @@ def test_unknown_subcommand_exits_2():
     assert cli.main(["frobnicate"]) == 2
 
 
-def test_jobs_flag_keeps_input_order(tmp_path):
-    serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-    base = ["flux-sweep", "--period-list", "1,2,3,4", "--steps", "1200"]
-    assert cli.main(base + ["--output", str(serial)]) == 0
-    assert cli.main(base + ["--jobs", "4", "--output", str(threaded)]) == 0
-    assert serial.read_text() != ""
-    # identical values and ordering regardless of worker count
-    s_rows = serial.read_text().splitlines()[2:]
-    t_rows = threaded.read_text().splitlines()[2:]
-    assert s_rows == t_rows
+def test_jobs_flag_is_gone():
+    assert cli.main(["flux-sweep", "--period-list", "1", "--jobs", "2"]) == 2
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_no_color_before_or_after_subcommand(tmp_path, before):
+    out = tmp_path / "t.csv"
+    args = ["winding", "--L", "3", "--samples", "8", "--output", str(out)]
+    args = ["--no-color"] + args if before else args + ["--no-color"]
+    assert cli.main(args) == 0
+    comment, _, _ = read_csv(out)
+    assert "no_color=True" in comment.split()
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_config_before_or_after_subcommand(tmp_path, before):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 3\nsamples = 8\n")
+    out = tmp_path / "t.csv"
+    args = ["winding", "--loop", "random-classical", "--output", str(out)]
+    args = ["--config", str(cfg)] + args if before else args + ["--config", str(cfg)]
+    assert cli.main(args) == 0
+    comment, _, _ = read_csv(out)
+    assert {"L=3", "samples=8", "no_color=False"} <= set(comment.split())
+
+
+def test_chern_tracks_its_loop_once(monkeypatch):
+    calls = []
+    real = winding.track_polarization
+
+    def counting(loop):
+        calls.append(loop)
+        return real(loop)
+
+    monkeypatch.setattr(winding, "track_polarization", counting)
+    assert cli.main(["chern", "--L", "4", "--samples", "16"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", loops.LOOP_NAMES)
+def test_winding_csv_matches_pointwise_polarization(tmp_path, name):
+    out = tmp_path / "t.csv"
+    assert cli.main(["winding", "--loop", name, "--L", "4", "--seed", "1",
+                     "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    loop = loops.named_loop(name, make_lattice(4, 2), seed=1)
+    b = polarization(loop.sampler(0.0))
+    expected = [0.0, b.p_unwrapped, b.abs_T, b.det_term_phase, b.mean_term.imag]
+    # the loop closes with no winding, so lambda = 1 repeats lambda = 0
+    for row, lam in ((rows[0], 0.0), (rows[-1], 1.0)):
+        values = [float(x) for x in row]
+        assert values[0] == lam
+        assert np.abs(np.array(values[1:]) - expected[1:]).max() <= 1e-12
+
+
+def test_chern_csv_matches_pointwise_polarization(tmp_path):
+    out = tmp_path / "c.csv"
+    assert cli.main(["chern", "--L", "4", "--samples", "16", "--output", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["lambda", "ky", "P_unwrapped"]
+    family = loops.thermal_chern_family(make_lattice(4, 2), 1.0, 1.0, -6.0)
+    p0 = polarization(family(0.0)).p_unwrapped
+    assert [float(x) for x in rows[0][:2]] == [0.0, 0.0]
+    assert abs(float(rows[0][2]) - p0) <= 1e-12
+    assert abs(float(rows[-1][2]) - p0) <= 1e-12

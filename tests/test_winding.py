@@ -1,9 +1,12 @@
 """Winding detectors: null results on physical loops, planted synthetic windings."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from bosepol import make_lattice
+from bosepol import make_lattice, winding
 from bosepol.errors import RefinementExhaustedError
 from bosepol.loops import (
     band_chern_number,
@@ -15,7 +18,7 @@ from bosepol.loops import (
     rmm_thermal_loop,
     thermal_chern_family,
 )
-from bosepol.polarization import mean_term, polarization, shift_phases
+from bosepol.polarization import cayley_spectrum, mean_term, polarization, shift_phases
 from bosepol.states import thermal_state, vacuum_state
 from bosepol.winding import (
     ParameterLoop,
@@ -61,6 +64,34 @@ def test_track_follows_pointwise_spectral_branch():
         track = track_polarization(loop)
         pointwise = [polarization(loop.sampler(lam)).p_unwrapped for lam in track.lambdas]
         assert np.abs(track.p_unwrapped - pointwise).max() <= 1e-10
+
+
+def test_each_sample_evaluated_once(monkeypatch):
+    sampled, decomposed = [], []
+    loop = random_classical_loop(make_lattice(4, 2), 3)
+
+    def sampler(lam):
+        sampled.append(lam)
+        return loop.sampler(lam)
+
+    def cayley(state):
+        decomposed.append(state)
+        return cayley_spectrum(state)
+
+    monkeypatch.setattr(winding, "cayley_spectrum", cayley)
+    monkeypatch.setattr(sys.modules["bosepol.polarization"], "cayley_spectrum", cayley)
+    track = track_polarization(dataclasses.replace(loop, sampler=sampler))
+    assert len(track.lambdas) == 17
+    assert sorted(sampled) == track.lambdas.tolist()
+    assert len(decomposed) == len(track.lambdas)
+
+
+def test_unwrap_equals_sequential_loop():
+    phases = np.random.default_rng(0).uniform(-4.0, 4.0, size=200)
+    expected = [2.5]
+    for a, b in zip(phases[:-1], phases[1:]):
+        expected.append(expected[-1] + ((b - a + np.pi) % (2.0 * np.pi) - np.pi))
+    assert winding._unwrap(2.5, phases).tolist() == expected
 
 
 def test_coherent_pump_loop():

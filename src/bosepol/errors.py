@@ -35,9 +35,5 @@ class GapClosureError(NumericalError):
     """Band gap closed at a sampled momentum; Zak phase undefined."""
 
 
-class NormDriftError(NumericalError):
-    """Time integration violated norm conservation (step count too small)."""
-
-
 class CutoffError(NumericalError):
     """Fock-space truncation tail exceeds the accuracy budget."""

@@ -23,6 +23,9 @@ from .errors import ChemicalPotentialError, InvalidStateError
 
 # Relative tolerance for the stored-symmetry contract of covariance matrices.
 SYMMETRY_RTOL = 1e-8
+# Rounding margin of the uncertainty relation V + i Omega >= 0, which holds
+# iff every symplectic eigenvalue is >= 1.
+PHYSICAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,8 @@ class ValidationReport:
     classical: bool
     purity: float
     valid: bool
+    min_symplectic_eigenvalue: float
+    physical: bool
 
 
 def coherent_state(lattice: LatticeSpec, amplitudes) -> GaussianState:
@@ -279,26 +284,41 @@ def random_gaussian_state(
 
 
 def validate(state: GaussianState) -> ValidationReport:
-    """Report symmetry defect, spectral floor, classicality and purity of a state."""
-    V = state.V
-    defect = float(np.abs(V - V.T).max())
-    eigs = np.linalg.eigvalsh((V + V.T) / 2.0)
+    """Report symmetry defect, spectral floor, classicality, purity and physicality.
+
+    ``valid`` only asks V > 0. ``physical`` asks the uncertainty relation
+    V + i Omega >= 0, i.e. a smallest symplectic eigenvalue >= 1 (Williamson;
+    Simon, Mukunda and Dutta, PRA 49, 1567 (1994)). The symplectic
+    eigenvalues are the moduli of eig(i Omega V), read here from the similar
+    Hermitian matrix R^T (i Omega) R with V = R R^T.
+    """
+    V = (state.V + state.V.T) / 2.0
+    defect = float(np.abs(state.V - state.V.T).max())
+    eigs = np.linalg.eigvalsh(V)
     lo = float(eigs[0])
     valid = lo > 0.0
     purity = float(np.exp(-0.5 * np.sum(np.log(eigs)))) if valid else float("nan")
+    nu = float("nan")
+    if valid:
+        R = np.linalg.cholesky(V)
+        herm = 1j * (R.T @ symplectic_form(state.modes) @ R)
+        nu = float(np.abs(np.linalg.eigvalsh(herm)).min())
     return ValidationReport(
         symmetry_defect=defect,
         min_eigenvalue=lo,
         classical=bool(lo >= 1.0),
         purity=purity,
         valid=valid,
+        min_symplectic_eigenvalue=nu,
+        physical=bool(nu >= 1.0 - PHYSICAL_TOL),
     )
 
 
 def require_valid(state: GaussianState) -> None:
-    """Raise :class:`InvalidStateError` unless the covariance is positive definite."""
-    report = validate(state)
-    if not report.valid:
-        raise InvalidStateError(
-            f"invalid state: min covariance eigenvalue {report.min_eigenvalue:.6g} <= 0"
-        )
+    """Raise :class:`InvalidStateError` unless the covariance is positive definite.
+
+    Cheaper than :func:`validate`: no symplectic spectrum.
+    """
+    lo = float(np.linalg.eigvalsh((state.V + state.V.T) / 2.0)[0])
+    if not lo > 0.0:
+        raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")

@@ -197,7 +197,7 @@ def test_criterion_7_transport():
         abs(phi100 - ADIABATIC_FLUX) <= 0.01
         and abs(phi400 - ADIABATIC_FLUX) <= 0.003
         and abs(phi_ad - gamma_value) <= 1e-9
-        and sw.seconds < 60.0
+        and sw.seconds < 5.0
     )
     report(7, "transport", ok,
            f"Phi(100)={phi100:.5f}, Phi(400)={phi400:.5f}, quad={phi_ad:.10f} "

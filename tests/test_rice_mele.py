@@ -1,15 +1,19 @@
 """Rice-Mele band data, Zak winding, pump dynamics and particle flux."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 from scipy.special import gamma
 
 from bosepol import make_lattice, polarization, coherent_state
-from bosepol.errors import GapClosureError, NormDriftError
+from bosepol.errors import GapClosureError
 from bosepol.rice_mele import (
     PumpProtocol,
     RiceMeleParams,
+    _bloch_hamiltonians,
     adiabatic_flux,
     band_energies,
     bloch_vector,
@@ -26,6 +30,30 @@ REFERENCE_FLUX = 0.5990701173677961  # frozen from the quadrature below
 
 def reference(AT: float) -> PumpProtocol:
     return PumpProtocol(amplitude=1.0, period=AT)
+
+
+@lru_cache(maxsize=None)
+def dop853_flux(AT: float) -> float:
+    """Flux of the reference pump at A = 1 by adaptive DOP853 at rtol 1e-12.
+
+    Integrates the k = 0 amplitudes together with dPhi/dt from the lower
+    eigenvector at t = 0, independently of :func:`evolve_pump`.
+    """
+
+    def rhs(t, y):
+        x = np.pi * t / AT
+        w2, d = np.sin(x) ** 2, np.sin(2 * x)
+        w = np.cos(x) ** 2 + w2
+        a, b = complex(y[0], y[1]), complex(y[2], y[3])
+        da, db = -1j * (d * a + w * b), -1j * (w * a - d * b)
+        flux = w2 * (1j * (a * b.conjugate() - a.conjugate() * b)).real
+        return [da.real, da.imag, db.real, db.imag, flux]
+
+    _, vecs = np.linalg.eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    y0 = [vecs[0, 0], 0.0, vecs[1, 0], 0.0, 0.0]
+    sol = solve_ivp(rhs, (0.0, AT), y0, method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return float(sol.y[4, -1])
 
 
 def test_bloch_vector_cases():
@@ -89,11 +117,48 @@ def test_norm_conservation_reference_protocol():
     assert np.abs(traj.norm - 1.0).max() < 1e-8
 
 
-def test_norm_drift_error_when_undersampled():
-    with pytest.raises(NormDriftError):
-        evolve_pump(reference(400.0), steps=1000)
+def test_norm_conserved_when_undersampled():
+    # 2.5 time units per step: far from converged, still unitary
+    traj = evolve_pump(reference(400.0), steps=1000)
+    assert np.abs(traj.norm - 1.0).max() < 1e-12
     with pytest.raises(ValueError):
         evolve_pump(reference(10.0), steps=50)
+
+
+def test_trajectory_equals_sequential_magnus_steps():
+    """The doubling scan equals a step-by-step product of expm'd Magnus factors."""
+    protocol, steps = reference(7.0), 101
+    traj = evolve_pump(protocol, steps=steps)
+    h = protocol.period / steps
+    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+
+    def h0(t):
+        p = protocol.params_at(t)
+        return np.array([[p.delta, p.w1 + p.w2], [p.w1 + p.w2, -p.delta]])
+
+    psi = np.array([traj.alpha[0], traj.beta[0]])
+    for i in range(steps):
+        hm, hp = (h0(i * h + c * h) for c in nodes)
+        psi = expm(-1j * h * (a1 * hm + a2 * hp)) @ expm(-1j * h * (a2 * hm + a1 * hp)) @ psi
+        assert np.abs(psi - [traj.alpha[i + 1], traj.beta[i + 1]]).max() < 1e-13
+
+
+def test_flux_fourth_order_convergence():
+    exact = dop853_flux(25.0)
+    errors = [
+        abs(integrated_flux(evolve_pump(reference(25.0), steps=s), reference(25.0)) - exact)
+        for s in (250, 500, 1000, 2000)
+    ]
+    # fourth order: 16x per halving of the step; second order gives 4x
+    assert all(coarse >= 12.0 * fine for coarse, fine in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("AT", [1.0, 25.0, 100.0, 400.0])
+def test_flux_matches_dop853_reference(AT):
+    protocol = reference(AT)
+    phi = integrated_flux(evolve_pump(protocol), protocol)
+    assert abs(phi - dop853_flux(AT)) <= 1e-6
 
 
 def test_adiabatic_following_at_slow_drive():
@@ -157,6 +222,21 @@ def test_hopping_matrix_dimer_limit():
     eigs = np.linalg.eigvalsh(rmm_hopping_matrix(p, lat))
     e = np.sqrt(0.4**2 + 0.9**2)
     assert np.allclose(np.sort(eigs), np.sort([-e] * 4 + [e] * 4))
+
+
+def test_hopping_matrix_eigenvectors_match_bloch():
+    """Fourier components of the real-space lower band are the Bloch lower eigenvectors."""
+    p, L = RiceMeleParams(0.7, 1.3, 0.4), 6
+    _, vecs = np.linalg.eigh(rmm_hopping_matrix(p, make_lattice(L, 2)))
+    lower = vecs[:, :L].reshape(L, 2, L)  # (cell, site, band state)
+    kappas = 2 * np.pi * np.arange(L) / L
+    fourier = np.exp(-1j * np.outer(kappas, np.arange(L))) / np.sqrt(L)
+    u = np.einsum("kr,rsj->ksj", fourier, lower)
+    _, bloch = np.linalg.eigh(_bloch_hamiltonians(p, kappas))
+    # degenerate +-k pairs mix, so compare the lower-band projector at each k
+    got = u @ u.conj().transpose(0, 2, 1)
+    want = bloch[:, :, :1] @ bloch[:, :, :1].conj().transpose(0, 2, 1)
+    assert np.abs(got - want).max() < 1e-10
 
 
 def test_hopping_matrix_gap_closing_point():

@@ -177,9 +177,28 @@ def test_validate_flags_negative_eigenvalue():
     lat = make_lattice(2, 1)
     st = GaussianState(lat, np.diag([1.0, 1.0, 1.0, -0.5]), np.zeros(4))
     report = validate(st)
-    assert not report.valid
+    assert not report.valid and not report.physical
     with pytest.raises(InvalidStateError):
         require_valid(st)
+
+
+def test_validate_reports_min_symplectic_eigenvalue():
+    lat = make_lattice(1, 2)
+    squashed = validate(GaussianState(lat, 0.5 * np.eye(4), np.zeros(4)))
+    # V > 0 but below the vacuum noise: valid as a matrix, not a quantum state
+    assert squashed.valid and not squashed.physical
+    assert squashed.min_symplectic_eigenvalue == pytest.approx(0.5, abs=1e-14)
+    vacuum = validate(vacuum_state(lat))
+    assert vacuum.physical
+    assert vacuum.min_symplectic_eigenvalue == pytest.approx(1.0, abs=1e-14)
+    hop = np.zeros((1, 1))
+    thermal = thermal_state(hop, beta=0.7, mu=-0.2, lattice=make_lattice(1, 1))
+    nbar = bose_occupations(hop, 0.7, -0.2).occupations[0]
+    assert validate(thermal).physical
+    assert validate(thermal).min_symplectic_eigenvalue == pytest.approx(2 * nbar + 1, rel=1e-13)
+    squeezed = validate(squeezed_vacuum_state(lat, [0.9, -0.4]))
+    assert squeezed.physical and not squeezed.classical
+    assert squeezed.min_symplectic_eigenvalue == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_rejects_gross_asymmetry_and_bad_shapes():

@@ -86,8 +86,7 @@ def cell_bloch_blocks(
         check_translation_invariance(state, rtol)
     L, tn = lat.cells, 2 * lat.sites_per_cell
     C = state.V.reshape(L, tn, L, tn)[0].transpose(1, 0, 2)
-    F = np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L)
-    v = np.einsum("kd,dab->kab", F, C)
+    v = np.fft.ifft(C, axis=0) * L
     v = (v + v.conj().transpose(0, 2, 1)) / 2.0
     if np.linalg.eigvalsh(v).min() <= 0.0:
         raise InvalidStateError("a Bloch block v_k is not positive definite")
@@ -102,8 +101,7 @@ def cell_bloch_blocks(
 def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
     """Inverse Fourier transform of Bloch blocks v_k back to a dense real-symmetric matrix."""
     L, tn, _ = v_blocks.shape
-    Finv = np.exp(-2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L) / L
-    C = np.einsum("dk,kab->dab", Finv, v_blocks)
+    C = np.fft.fft(v_blocks, axis=0) / L
     idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
     V = C[idx].transpose(0, 2, 1, 3).reshape(L * tn, L * tn)
     if np.abs(V.imag).max() > 1e-10 * max(1.0, np.abs(V.real).max()):

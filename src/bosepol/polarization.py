@@ -8,15 +8,25 @@ the momentum-shift unitary is evaluated in closed form:
 with W = (V - 1)(V + 1)^{-1} U and M = V - 1 + 2 (1 - U)^{-1}, where U is
 diagonal with a complex 2x2 block exp(i theta_{r,s}) * 1_2 per mode. The
 square root takes the branch continued from the identity operator along
-theta -> lam * theta (<T> = 1 at lam = 0). That branch is fixed exactly by
-the spectrum of W: ||W(lam)|| <= ||(V - 1)(V + 1)^{-1}|| < 1 for every
-positive-definite V, so every eigenvalue mu_j(lam) stays inside the unit
-disk, each factor 1 - mu_j(lam) stays in the open right half-plane
-Re(1 - mu_j) > 0, and its principal argument never jumps. Hence
+theta -> lam * theta (<T> = 1 at lam = 0).
 
-    arg det(1 - W) = sum_j Arg(1 - mu_j),   log|det(1 - W)| = sum_j log|1 - mu_j|
+Since 2 (1 - u)^{-1} - 1 = i cot(theta / 2), the mean matrix is M = V + iK
+with the real K = diag(k_j), k_j = cot(theta_j / 2), and 1 - U = 2 (1 + iK)^{-1}.
+As V +- 1 commute, 1 - W = (V + 1)^{-1} M (1 - U), and det(V + 1) cancels:
 
-from one eigenvalue decomposition of W, with no path to sample.
+    <T> = [det V det(1 + iH) / det(1 + iK)]^{-1/2} exp(s),
+
+where V = Q Lambda Q^T, H = Lambda^{-1/2} Q^T K Q Lambda^{-1/2} = P diag(h) P^T
+is real symmetric, b = P^T Lambda^{-1/2} Q^T alpha0 and s = -1/2 sum_j
+b_j^2 / (1 + i h_j). Every factor 1 + i h_j and 1 + i k_j has real part 1
+for every lam, so its principal argument arctan never jumps, which is the
+no-winding theorem restated. The two sums tend to +-pi/2 per entry as
+lam -> 0+ and cancel there, so
+
+    Im ln det(1 - W) = sum_j arctan h_j - sum_j arctan k_j
+
+is the homotopy branch, from two real symmetric eigendecompositions and no
+path to sample.
 
 The polarization is P = Im log <T> / (2 pi) on that branch.
 """
@@ -66,15 +76,17 @@ class PolarizationBreakdown:
     """Decomposition of <T> into magnitude, determinant phase and mean term.
 
     ``det_term_phase`` is -1/2 Im ln det(1 - W) on the homotopy branch,
-    ``mean_term`` is s = -1/2 alpha0^T M^{-1} alpha0, and
+    sum_j arctan k_j / 2 - sum_j arctan h_j / 2 in the V + iK form of the
+    module docstring; ``mean_term`` is s = -1/2 alpha0^T M^{-1} alpha0, and
     ``p_unwrapped = (det_term_phase + Im s) / (2 pi)``; ``p`` is the same
-    value reduced to (-1/2, 1/2].
+    value reduced to (-1/2, 1/2]. The branch needs no rule of its own: each
+    factor 1 + i h_j has real part 1, so its argument stays in (-pi/2, pi/2).
 
     Diagnostics: ``cayley_norm`` is ||W|| = max_j |(v_j - 1)/(v_j + 1)| over
     the eigenvalues v_j of V; ``branch_turns`` is the integer k with
-    Im ln det(1 - W) = principal phase + 2 pi k; ``min_abs_one_minus_mu`` is
-    min_j |1 - mu_j| over the eigenvalues of W, the distance of the
-    determinant's closest factor from zero.
+    Im ln det(1 - W) = principal phase + 2 pi k; ``max_abs_h`` is max_j |h_j|,
+    the largest eigenvalue magnitude of H = V^{-1/2} K V^{-1/2}, which grows
+    as V nears singularity or a shift phase nears 0 mod 2 pi.
     """
 
     abs_T: float
@@ -83,11 +95,9 @@ class PolarizationBreakdown:
     mean_term: complex
     p_unwrapped: float
     p: float
-    w_matrix: np.ndarray
-    m_matrix: np.ndarray
     cayley_norm: float
     branch_turns: int
-    min_abs_one_minus_mu: float
+    max_abs_h: float
 
     @property
     def expectation(self) -> complex:
@@ -102,57 +112,19 @@ def principal_polarization(p_unwrapped: float) -> float:
     return r
 
 
-def cayley_spectrum(state: GaussianState):
-    """Eigen-decompose V and return (eigenvalues, G) with G = (V-1)(V+1)^{-1}.
-
-    Raises :class:`InvalidStateError` when V is not positive definite; the
-    Cayley transform of a positive-definite V always has spectral norm < 1,
-    which is asserted before any determinant evaluation downstream.
-    """
-    vals, Q = np.linalg.eigh(state.V)
-    if vals[0] <= 0.0:
-        raise InvalidStateError(
-            f"invalid state: min covariance eigenvalue {vals[0]:.6g} <= 0"
-        )
-    cayley = (vals - 1.0) / (vals + 1.0)
-    if np.abs(cayley).max() >= 1.0:
-        raise InvalidStateError("Cayley transform reached unit norm; state invalid")
-    G = (Q * cayley) @ Q.T
-    return vals, (G + G.T) / 2.0
-
-
 def quadrature_phase_factors(shift: ShiftSpec) -> np.ndarray:
     """Diagonal of U (length 2nL): exp(i theta_j), one entry per quadrature."""
     return np.repeat(np.exp(1j * shift.phases), 2)
 
 
-def branch_phase_eigenvalues(W: np.ndarray) -> tuple[float, float, float]:
-    """Branch phase and log-magnitude of det(1 - W) from the eigenvalues mu_j of W.
-
-    Returns (sum_j Arg(1 - mu_j), sum_j log|1 - mu_j|, min_j |1 - mu_j|).
-    Every mu_j lies inside the unit disk because ||W|| < 1, so each factor
-    1 - mu_j has a positive real part along the whole homotopy from W = 0,
-    and the sum of principal arguments is the continuously tracked phase.
-    """
-    one_minus_mu = 1.0 - np.linalg.eigvals(W)
-    abs_factors = np.abs(one_minus_mu)
-    min_abs = float(abs_factors.min())
-    if min_abs == 0.0:
-        raise NumericalError("det(1 - W) has a zero factor")
-    return (
-        float(np.sum(np.angle(one_minus_mu))),
-        float(np.sum(np.log(abs_factors))),
-        min_abs,
-    )
+def quadrature_cotangents(shift: ShiftSpec) -> np.ndarray:
+    """Diagonal of K (length 2nL): cot(theta_j / 2), one entry per quadrature."""
+    return np.repeat(1.0 / np.tan(shift.phases / 2.0), 2)
 
 
 def mean_matrix(state: GaussianState, shift: ShiftSpec) -> np.ndarray:
-    """M = V - 1 + 2 (1 - U)^{-1}; complex symmetric with hermitian part V."""
-    u = quadrature_phase_factors(shift)
-    M = state.V.astype(complex)
-    idx = np.arange(state.lattice.dim)
-    M[idx, idx] += -1.0 + 2.0 / (1.0 - u)
-    return M
+    """M = V - 1 + 2 (1 - U)^{-1} = V + iK; complex symmetric with hermitian part V."""
+    return state.V + 1j * np.diag(quadrature_cotangents(shift))
 
 
 def _mean_term_from_matrix(M: np.ndarray, alpha0: np.ndarray) -> complex:
@@ -169,9 +141,7 @@ def _mean_term_from_matrix(M: np.ndarray, alpha0: np.ndarray) -> complex:
 
 def mean_term(state: GaussianState, shift: ShiftSpec | None = None) -> complex:
     """s = -1/2 alpha0^T M^{-1} alpha0; Re(s) <= 0 since herm(M) = V > 0."""
-    if shift is None:
-        shift = shift_phases(state.lattice)
-    return _mean_term_from_matrix(mean_matrix(state, shift), state.mean)
+    return polarization(state, shift).mean_term
 
 
 def polarization(
@@ -182,15 +152,26 @@ def polarization(
         shift = shift_phases(state.lattice)
     if shift.lattice.modes != state.lattice.modes:
         raise ValueError("shift spec and state have different mode counts")
-    vals, G = cayley_spectrum(state)
-    logdet_vp1 = float(np.sum(np.log1p(vals)))
-    W = G * quadrature_phase_factors(shift)
-    phi_f, logabs_f, min_abs = branch_phase_eigenvalues(W)
-    M = mean_matrix(state, shift)
-    s = _mean_term_from_matrix(M, state.mean)
-    nl = state.lattice.modes
-    log_abs = nl * math.log(2.0) - 0.5 * logdet_vp1 - 0.5 * logabs_f + s.real
-    det_term_phase = -0.5 * phi_f
+    vals, Q = np.linalg.eigh(state.V)
+    if vals[0] <= 0.0:
+        raise InvalidStateError(
+            f"invalid state: min covariance eigenvalue {vals[0]:.6g} <= 0"
+        )
+    k = quadrature_cotangents(shift)
+    A = Q / np.sqrt(vals)
+    h, P = np.linalg.eigh(A.T @ (k[:, None] * A))
+    b = P.T @ (A.T @ state.mean)
+    s = complex(-0.5 * np.sum(b * b / (1.0 + 1j * h)))
+    # Sorted k meets the ascending h term by term, so the vacuum (H = K)
+    # gives a phase and a log-magnitude of exactly 0.
+    k = np.sort(k)
+    phi = float(np.sum(np.arctan(h)) - np.sum(np.arctan(k)))
+    log_abs = float(
+        0.25 * np.sum(np.log1p(k * k))
+        - 0.25 * np.sum(np.log1p(h * h))
+        - 0.5 * np.sum(np.log(vals))
+    ) + s.real
+    det_term_phase = -0.5 * phi
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
     return PolarizationBreakdown(
         abs_T=math.exp(log_abs),
@@ -199,11 +180,9 @@ def polarization(
         mean_term=s,
         p_unwrapped=p_unwrapped,
         p=principal_polarization(p_unwrapped),
-        w_matrix=W,
-        m_matrix=M,
         cayley_norm=float(np.abs((vals - 1.0) / (vals + 1.0)).max()),
-        branch_turns=round(phi_f / (2.0 * math.pi)),
-        min_abs_one_minus_mu=min_abs,
+        branch_turns=round(phi / (2.0 * math.pi)),
+        max_abs_h=float(np.abs(h).max()),
     )
 
 

@@ -25,13 +25,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonIntegerWindingError, RefinementExhaustedError
+from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaustedError
 from .polarization import (
-    branch_phase_eigenvalues,
-    cayley_spectrum,
-    mean_matrix,
     _mean_term_from_matrix,
-    quadrature_phase_factors,
+    mean_matrix,
+    polarization,
+    quadrature_cotangents,
     shift_phases,
 )
 from .states import GaussianState
@@ -163,17 +162,17 @@ def _unwrap(start: float, phases: np.ndarray) -> np.ndarray:
 def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """Sample the loop adaptively and accumulate a continuous polarization.
 
-    Each distinct lambda is sampled once and eigendecomposed once: the
-    lambda = 1 state of the closure check is the last sample, and the
-    lambda = 0 sample also anchors the branch. Each sample takes the
-    principal phase of det(1 - W) from one slogdet; consecutive differences
-    are reduced to [-pi, pi) and summed cumulatively from the anchor. The
-    anchor is the spectral rule of
-    :func:`bosepol.polarization.branch_phase_eigenvalues` on the lambda = 0
-    W: ||W|| < 1 puts every eigenvalue mu_j of W inside the unit disk, so
-    Re(1 - mu_j) > 0 and sum_j Arg(1 - mu_j) is the phase continued from
-    W = 0. The reported values therefore agree with the pointwise
-    polarization there.
+    Each distinct lambda is sampled once: the lambda = 1 state of the closure
+    check is the last sample. The shift is fixed along the loop, so
+    det(1 - W) = det(M) det(1 - U) / det(V + 1) changes its phase only
+    through M = V + iK. Each sample therefore takes the principal phase and
+    the magnitude from one slogdet(M), after a Cholesky factorization of V
+    checks positive definiteness; consecutive phase differences are reduced
+    to [-pi, pi) and summed cumulatively from the anchor. The anchor is the
+    pointwise branch of :func:`bosepol.polarization.polarization` at
+    lambda = 0, where every factor 1 + i h_j has real part 1, so the
+    reported values agree with the pointwise polarization there and the
+    phase unwrapped along the loop is not produced by that branch rule.
     """
     state0 = loop.sampler(0.0)
     state1 = loop.sampler(1.0)
@@ -181,27 +180,31 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     if closure > CLOSURE_TOL * max(1.0, float(np.abs(state0.V).max())):
         raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
     shift = shift_phases(state0.lattice)
-    u = quadrature_phase_factors(shift)
     nl = state0.lattice.modes
-    log2 = math.log(2.0)
+    k = quadrature_cotangents(shift)
+    log_abs_shift = 0.25 * float(np.sum(np.log1p(k * k)))
 
     def evaluate(lam: float):
         state = state0 if lam == 0.0 else state1 if lam == 1.0 else loop.sampler(lam)
         if state.lattice.modes != nl:
             raise ValueError("loop sampler changed the lattice size")
-        vals, G = cayley_spectrum(state)
-        W = G * u
-        sign, logabs = np.linalg.slogdet(np.eye(2 * nl, dtype=complex) - W)
-        s = _mean_term_from_matrix(mean_matrix(state, shift), state.mean)
-        log_abs_T = nl * log2 - 0.5 * float(np.sum(np.log1p(vals))) - 0.5 * logabs + s.real
-        anchor = branch_phase_eigenvalues(W)[0] if lam == 0.0 else None
-        return float(np.angle(sign)), s, log_abs_T, anchor
+        try:
+            np.linalg.cholesky(state.V)
+        except np.linalg.LinAlgError:
+            raise InvalidStateError(
+                f"invalid state at lambda = {lam}: covariance not positive definite"
+            ) from None
+        M = mean_matrix(state, shift)
+        sign, logabs = np.linalg.slogdet(M)
+        s = _mean_term_from_matrix(M, state.mean)
+        return float(np.angle(sign)), s, log_abs_shift - 0.5 * logabs + s.real
 
     lams, records = _refine_on_phase(
         evaluate, loop.initial_samples, loop.tolerance, loop.max_samples
     )
-    phases, means, log_abs, anchors = zip(*records)
-    det_term = -0.5 * _unwrap(anchors[0], np.array(phases))
+    phases, means, log_abs = zip(*records)
+    anchor = -2.0 * polarization(state0, shift).det_term_phase
+    det_term = -0.5 * _unwrap(anchor, np.array(phases))
     means = np.array(means, dtype=complex)
     return PolarizationTrack(
         lambdas=np.array(lams),
@@ -260,26 +263,6 @@ def winding_of_values(
     _, records = _refine_on_phase(evaluate, initial_samples, tolerance, max_samples)
     phases = np.array([phase for phase, in records])
     return _integer_winding(_unwrap(0.0, phases)[-1], "winding")
-
-
-def trace_zero_count(
-    matrix_fn: Callable[[float], np.ndarray],
-    samples: int = 256,
-) -> float:
-    """Contour-integral zero count (1/2 pi i) Tr oint F^{-1} dF on a coarse grid.
-
-    Midpoint quadrature with finite differences of F; retained as a slower
-    cross-check of the accumulated-argument detectors. Returns the raw float
-    (close to an integer when the grid resolves the path).
-    """
-    total = 0.0 + 0.0j
-    grid = np.linspace(0.0, 1.0, samples + 1)
-    for a, b in zip(grid[:-1], grid[1:]):
-        Fa = np.asarray(matrix_fn(a), dtype=complex)
-        Fb = np.asarray(matrix_fn(b), dtype=complex)
-        Fm = np.asarray(matrix_fn(0.5 * (a + b)), dtype=complex)
-        total += np.trace(np.linalg.solve(Fm, Fb - Fa))
-    return float((total / (2.0j * math.pi)).real)
 
 
 def chern_via_polarization(

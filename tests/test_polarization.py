@@ -1,5 +1,7 @@
 """Dense closed form for <T> against independent oracles and bounds."""
 
+import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -28,13 +30,14 @@ from bosepol import (
     validate,
 )
 from bosepol.errors import InvalidStateError
+from bosepol.loops import random_classical_loop
 from bosepol.polarization import (
-    branch_phase_eigenvalues,
-    cayley_spectrum,
     mean_matrix,
     principal_polarization,
+    quadrature_cotangents,
     quadrature_phase_factors,
 )
+from bosepol.winding import track_polarization
 
 
 def thermal_mode_state(nbar: float, theta: float) -> tuple[GaussianState, ShiftSpec]:
@@ -129,6 +132,24 @@ def test_mean_term_is_contractive():
         assert abs(np.exp(s)) < 1.0
 
 
+def cayley_matrix(state: GaussianState) -> np.ndarray:
+    """G = (V - 1)(V + 1)^{-1}, so that W = G U."""
+    eye = np.eye(state.lattice.dim)
+    return np.linalg.solve(state.V + eye, state.V - eye)
+
+
+def branch_phase_eigenvalues(W: np.ndarray) -> tuple[float, float]:
+    """Branch phase and log-magnitude of det(1 - W) from the eigenvalues mu_j of W.
+
+    Returns (sum_j Arg(1 - mu_j), sum_j log|1 - mu_j|). Every mu_j lies
+    inside the unit disk because ||W|| < 1, so each factor 1 - mu_j has a
+    positive real part along the whole homotopy from W = 0, and the sum of
+    principal arguments is the continuously tracked phase.
+    """
+    one_minus_mu = 1.0 - np.linalg.eigvals(W)
+    return float(np.sum(np.angle(one_minus_mu))), float(np.sum(np.log(np.abs(one_minus_mu))))
+
+
 def homotopy_branch(G: np.ndarray, shift: ShiftSpec) -> float:
     """Reference branch: unwrapped slogdet phase of det(1 - G U(lam)), lam in [0, 1].
 
@@ -166,19 +187,81 @@ def test_homotopy_branch_equals_eigenvalue_branch():
     for seed in range(8):
         lat = make_lattice(3, 2)
         st = random_gaussian_state(lat, seed, classical=(seed % 2 == 0))
-        _, G = cayley_spectrum(st)
+        G = cayley_matrix(st)
         # Phases in (pi, 2 pi) push half of these branches a turn away
         # from the principal phase.
         rng = np.random.default_rng(seed)
         for sh in (shift_phases(lat), ShiftSpec(lat, rng.uniform(np.pi, 2 * np.pi, 6))):
             W = G * quadrature_phase_factors(sh)
-            phi, logabs, _ = branch_phase_eigenvalues(W)
+            phi, logabs = branch_phase_eigenvalues(W)
             assert phi == pytest.approx(homotopy_branch(G, sh), abs=1e-9)
             sign, want_logabs = np.linalg.slogdet(np.eye(len(W)) - W)
             assert logabs == pytest.approx(want_logabs, abs=1e-12)
             assert abs(np.exp(1j * phi) - sign) <= 1e-12
-            turns.add(polarization(st, sh).branch_turns)
+            b = polarization(st, sh)
+            assert -2.0 * b.det_term_phase == pytest.approx(phi, abs=1e-12)
+            turns.add(b.branch_turns)
     assert turns == {0, 1}
+
+
+def test_branch_is_periodic_in_the_shift_phases():
+    # U, and with it the homotopy branch, depends on theta only mod 2 pi;
+    # negative and large phases must give the same polarization.
+    lat = make_lattice(3, 2)
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        st = random_gaussian_state(lat, seed, classical=(seed % 2 == 0), mean_scale=0.5)
+        G = cayley_matrix(st)
+        for lo in (0.0, np.pi):
+            theta = rng.uniform(lo, lo + np.pi, 6)
+            base = polarization(st, ShiftSpec(lat, theta))
+            want = branch_phase_eigenvalues(G * np.repeat(np.exp(1j * theta), 2))[0]
+            assert -2.0 * base.det_term_phase == pytest.approx(want, abs=1e-12)
+            for m in ([1, 0, 0, 0, 0, 0], [-1] * 6, [3, -3, 2, -2, 0, -1], [-4] * 6):
+                b = polarization(st, ShiftSpec(lat, theta + 2 * np.pi * np.array(m)))
+                assert b.p_unwrapped == pytest.approx(base.p_unwrapped, abs=1e-12)
+                assert b.branch_turns == base.branch_turns
+                assert -2.0 * b.det_term_phase == pytest.approx(want, abs=1e-12)
+
+
+FACTORIZATIONS = ("eigh", "eigvals", "eigvalsh", "solve", "slogdet", "det", "inv", "cholesky")
+
+
+def count_factorizations(monkeypatch) -> collections.Counter:
+    """Count the np.linalg factorizations made while the patch is active."""
+    calls = collections.Counter()
+    for name in FACTORIZATIONS:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_factorizations_per_evaluation(monkeypatch):
+    lat = make_lattice(4, 2)
+    st = random_gaussian_state(lat, 2, mean_scale=0.7)
+    mean_scales = (0.5, 0.0)
+    loops = [random_classical_loop(lat, 3, mean_scale=m) for m in mean_scales]
+    tracks = [track_polarization(loop) for loop in loops]
+    states = [{lam: loop.sampler(lam) for lam in track.lambdas} for loop, track in zip(loops, tracks)]
+    calls = count_factorizations(monkeypatch)
+
+    polarization(st)
+    assert calls == {"eigh": 2}
+
+    for mean_scale, loop, track, by_lam in zip(mean_scales, loops, tracks, states):
+        calls.clear()
+        again = track_polarization(dataclasses.replace(loop, sampler=by_lam.__getitem__))
+        assert again.lambdas.tolist() == track.lambdas.tolist()
+        samples = len(track.lambdas)
+        # Two eigh for the lambda = 0 anchor, then one Cholesky, one slogdet
+        # and, with a mean, one solve per sample.
+        want = {"eigh": 2, "cholesky": samples, "slogdet": samples}
+        if mean_scale:
+            want["solve"] = samples
+        assert calls == want
 
 
 def test_branch_tracking_on_hot_state():
@@ -190,8 +273,9 @@ def test_branch_tracking_on_hot_state():
     sh = shift_phases(lat)
     assert expectation_T(st, sh) == pytest.approx(thermal_product(nbar, sh.phases), rel=1e-10)
     b = polarization(st, sh)
-    _, G = cayley_spectrum(st)
-    assert -2.0 * b.det_term_phase == pytest.approx(homotopy_branch(G, sh), abs=1e-9)
+    assert -2.0 * b.det_term_phase == pytest.approx(
+        homotopy_branch(cayley_matrix(st), sh), abs=1e-9
+    )
 
 
 @pytest.mark.parametrize("nbar", [1e2, 1e3, 1e4])
@@ -229,7 +313,9 @@ def test_near_critical_random_circulant():
     st = random_circulant_state(make_lattice(32, 2), 1, eig_high=20.0)
     b = polarization(st)
     assert 0.0 < b.abs_T <= 1.0
-    _, logabs, _ = branch_phase_eigenvalues(b.w_matrix)
+    # log|<T>| = nL ln 2 - 1/2 log det(V + 1) - 1/2 log|det(1 - W)| at zero mean
+    _, logdet_vp1 = np.linalg.slogdet(st.V + np.eye(st.lattice.dim))
+    logabs = 2.0 * (st.lattice.modes * np.log(2.0) - b.log_abs_T) - logdet_vp1
     reduced = reduced_determinant(cell_bloch_blocks(st))
     assert logabs == pytest.approx(np.log(abs(reduced)), abs=1e-10 * max(1.0, abs(logabs)))
 
@@ -239,13 +325,12 @@ def test_breakdown_diagnostics():
     b = polarization(coherent_state(lat, np.tile([0.6, 0.8j], 4)))
     assert b.cayley_norm == 0.0
     assert b.branch_turns == 0
-    assert b.min_abs_one_minus_mu == pytest.approx(1.0, abs=1e-14)
+    # V = 1 gives H = K exactly.
+    assert b.max_abs_h == np.abs(1.0 / np.tan(shift_phases(lat).phases / 2.0)).max()
 
     lat = make_lattice(6, 1)
     st = thermal_state(np.zeros((6, 6)), 1.0, -math.log1p(1e-4), lat)
-    b = polarization(st)
-    assert b.cayley_norm > 0.999
-    assert 1.0 - b.cayley_norm <= b.min_abs_one_minus_mu * (1 + 1e-9)
+    assert polarization(st).cayley_norm > 0.999
 
     # Two hot modes with phases near 2 pi: each factor 1 - mu_j sits near
     # the positive imaginary axis, so the branch lies one turn from the
@@ -255,6 +340,8 @@ def test_breakdown_diagnostics():
     st = GaussianState(lat, 101.0 * np.eye(4), np.zeros(4))
     b = polarization(st, sh)
     assert b.branch_turns == 1
+    # V = c 1 gives H = K / c.
+    assert b.max_abs_h == np.abs(quadrature_cotangents(sh)).max() / 101.0
     want = thermal_product(50.0, sh.phases)
     assert abs(b.expectation - want) <= 1e-10 * abs(want)
 
@@ -343,5 +430,4 @@ def test_breakdown_consistency():
     )
     assert b.p == pytest.approx(principal_polarization(b.p_unwrapped))
     assert abs(b.expectation) == pytest.approx(b.abs_T, rel=1e-12)
-    # W matrix stored in the breakdown has operator norm < 1
-    assert np.linalg.norm(b.w_matrix, 2) < 1.0
+    assert 0.0 < b.cayley_norm < 1.0

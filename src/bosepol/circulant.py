@@ -77,9 +77,12 @@ def cell_bloch_blocks(
 
     Convention: v_k = sum_d C_d exp(+2 pi i k d / L) where C_d is the first
     block row of V. Positive definiteness of V is equivalent to positive
-    definiteness of every v_k and is asserted blockwise, along with
-    |eig(m_k)| < 1. ``check=False`` skips the O((nL)^2) translation-invariance
-    scan for callers that validated the state beforehand (benchmark inner loop).
+    definiteness of every v_k and is asserted blockwise. That alone gives
+    |eig(m_k)| < 1, so m_k needs no check of its own: the Cayley factor
+    (v_k - 1)(v_k + 1)^{-1} of a positive definite v_k has norm below 1, and
+    the gauge block D is unitary. ``check=False`` skips the O((nL)^2)
+    translation-invariance scan for callers that validated the state
+    beforehand (benchmark inner loop).
     """
     lat = state.lattice
     if check:
@@ -93,8 +96,6 @@ def cell_bloch_blocks(
     D = gauge_block(lat)
     eye = np.eye(tn)
     m = np.linalg.solve(v + eye, v - eye) @ D
-    if np.abs(np.linalg.eigvals(m)).max() >= 1.0:
-        raise InvalidStateError("|eig(m_k)| reached 1; state invalid")
     return BlochBlocks(lattice=lat, v_blocks=v, d_block=D, m_blocks=m)
 
 

@@ -21,6 +21,7 @@ rejected. ``--config`` and ``--no-color`` go before or after the subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -57,7 +58,9 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and never changed after."""
     parser = argparse.ArgumentParser(
         prog="bosepol",
         description="Polarization experiments on Gaussian bosonic lattice states.",
@@ -137,8 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load ``--config`` key=value pairs as defaults; flags still override."""
+def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Insert ``--config`` key=value pairs as flags right after the subcommand.
+
+    Later flags win in argparse, so flags on the command line override the
+    file. The parser itself is never changed, so it can serve every call.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -158,24 +165,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     sub_actions = [
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    command = next((a for a in argv if a in sub_actions[0].choices), None)
-    if command is None:
+    at = next((i for i, a in enumerate(argv) if a in sub_actions[0].choices), None)
+    if at is None:
         raise ValueError("config file given but no subcommand selected")
-    subparser = sub_actions[0].choices[command]
-    known_actions = {a.dest: a for a in subparser._actions + parser._actions}
-    defaults = {}
+    subparser = sub_actions[0].choices[argv[at]]
+    known_actions = {a.dest: a for a in subparser._actions if a.option_strings}
+    flags = []
     for key, value in entries.items():
         if key not in known_actions:
-            raise ValueError(f"unknown config key {key!r} for subcommand {command!r}")
+            raise ValueError(f"unknown config key {key!r} for subcommand {argv[at]!r}")
         action = known_actions[key]
         if isinstance(action, argparse._StoreTrueAction):
-            defaults[key] = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            defaults[key] = action.type(value)
+            if value.lower() in ("1", "true", "yes", "on"):
+                flags.append(action.option_strings[-1])
         else:
-            defaults[key] = value
-    subparser.set_defaults(**defaults)
-    return argv
+            # --key=value keeps a negative number from reading as a flag.
+            flags.append(f"{action.option_strings[-1]}={value}")
+    return argv[:at + 1] + flags + argv[at + 1:]
 
 
 def _format_value(v) -> str:
@@ -383,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _config_file_flags(parser, argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

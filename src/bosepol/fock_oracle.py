@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import CutoffError
 from .polarization import ShiftSpec
@@ -123,12 +122,19 @@ def closed_form(spec: OracleSpec) -> complex:
     return oracle_tmsv(spec.thetas[0], spec.thetas[1], spec.r[0])
 
 
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    """ln n! elementwise, from math.lgamma."""
+    return np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+
+
 def _mode_distribution(spec: OracleSpec, j: int) -> np.ndarray:
     """Fock probabilities p_0..p_cutoff of mode ``j`` (kind-dependent)."""
     m = np.arange(spec.cutoff + 1)
     if spec.kind == "coherent":
-        lam = np.abs(spec.amplitudes[j]) ** 2
-        return np.exp(xlogy(m, lam) - gammaln(m + 1) - lam)
+        lam = abs(spec.amplitudes[j]) ** 2
+        # m log(lam), whose m = 0 term is 0 also at lam = 0 (all weight on m = 0).
+        m_log_lam = m * math.log(lam) if lam > 0.0 else np.where(m == 0, 0.0, -np.inf)
+        return np.exp(m_log_lam - _log_factorial(m) - lam)
     if spec.kind == "thermal":
         nbar = spec.nbar[j]
         q = nbar / (nbar + 1.0)
@@ -146,8 +152,8 @@ def _mode_distribution(spec: OracleSpec, j: int) -> np.ndarray:
             p[0] = 1.0
             return p
         logp = (
-            gammaln(2 * pairs + 1)
-            - 2.0 * gammaln(pairs + 1)
+            _log_factorial(2 * pairs)
+            - 2.0 * _log_factorial(pairs)
             - pairs * math.log(4.0)
             + 2.0 * pairs * math.log(abs(t))
             - math.log(math.cosh(r))

@@ -42,6 +42,18 @@ from .errors import InvalidStateError, NumericalError
 from .states import GaussianState, LatticeSpec
 
 MEAN_SOLVE_RTOL = 1e-8
+# Rounding margin of the post-condition log|<T>| <= 0: T is unitary, so
+# |<T>| <= 1 in every physical state (V + i Omega >= 0).
+LOG_ABS_T_MARGIN = 1e-9
+
+
+def _check_abs_T(log_abs_T: float, where: str = "") -> None:
+    """Raise :class:`InvalidStateError` if |<T>| = exp(log_abs_T) exceeds 1."""
+    if log_abs_T > LOG_ABS_T_MARGIN:
+        raise InvalidStateError(
+            f"unphysical state{where}: |<T>| = {math.exp(log_abs_T):.6g} > 1, "
+            "so the covariance violates V + i Omega >= 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +159,11 @@ def mean_term(state: GaussianState, shift: ShiftSpec | None = None) -> complex:
 def polarization(
     state: GaussianState, shift: ShiftSpec | None = None
 ) -> PolarizationBreakdown:
-    """Full polarization breakdown of a Gaussian state on the homotopy branch."""
+    """Full polarization breakdown of a Gaussian state on the homotopy branch.
+
+    Raises :class:`InvalidStateError` when V is not positive definite, or
+    when |<T>| exceeds 1, which only a state violating V + i Omega >= 0 gives.
+    """
     if shift is None:
         shift = shift_phases(state.lattice)
     if shift.lattice.modes != state.lattice.modes:
@@ -171,6 +187,7 @@ def polarization(
         - 0.25 * np.sum(np.log1p(h * h))
         - 0.5 * np.sum(np.log(vals))
     ) + s.real
+    _check_abs_T(log_abs)
     det_term_phase = -0.5 * phi
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
     return PolarizationBreakdown(

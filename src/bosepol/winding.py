@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaustedError
 from .polarization import (
+    _check_abs_T,
     _mean_term_from_matrix,
     mean_matrix,
     polarization,
@@ -173,6 +174,8 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     lambda = 0, where every factor 1 + i h_j has real part 1, so the
     reported values agree with the pointwise polarization there and the
     phase unwrapped along the loop is not produced by that branch rule.
+    A sample with |<T>| > 1 violates V + i Omega >= 0 and raises
+    :class:`InvalidStateError`.
     """
     state0 = loop.sampler(0.0)
     state1 = loop.sampler(1.0)
@@ -203,6 +206,8 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
         evaluate, loop.initial_samples, loop.tolerance, loop.max_samples
     )
     phases, means, log_abs = zip(*records)
+    worst = int(np.argmax(log_abs))
+    _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
     anchor = -2.0 * polarization(state0, shift).det_term_phase
     det_term = -0.5 * _unwrap(anchor, np.array(phases))
     means = np.array(means, dtype=complex)

@@ -1,8 +1,14 @@
 """CLI subcommands: exit codes, CSV shape, determinism, error mapping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bosepol
 from bosepol import cli, fock_oracle, loops, make_lattice, winding
 from bosepol.polarization import polarization
 
@@ -142,6 +148,27 @@ def test_config_file_rejects_bad_syntax(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just-a-token\n")
     assert cli.main(["winding", "--config", str(cfg)]) == 2
+
+
+def test_config_file_does_not_leak_into_the_next_call(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 3\nsamples = 8\nmu = -2.5\nno_color = true\n")
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["winding", "--loop", "random-classical"]
+    assert cli.main(["--config", str(cfg)] + args + ["--output", str(first)]) == 0
+    assert cli.main(args + ["--output", str(second)]) == 0
+    assert {"L=3", "samples=8", "mu=-2.5", "no_color=True"} <= set(read_csv(first)[0].split())
+    assert {"L=8", "samples=16", "mu=None", "no_color=False"} <= set(read_csv(second)[0].split())
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(bosepol.__file__).resolve().parents[1]))
+    code = ("import sys, bosepol.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_unknown_subcommand_exits_2():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
+from scipy.stats import poisson
 
 from bosepol.errors import CutoffError
 from bosepol.fock_oracle import (
     OracleSpec,
+    _mode_distribution,
     closed_form,
     default_theta_grid,
     gaussian_equivalent,
@@ -124,3 +127,25 @@ def test_oracle_spec_validation():
         OracleSpec("two_mode_squeezed", (1.0,), r=(0.5,))
     with pytest.raises(ValueError):
         OracleSpec("thermal", (1.0,), nbar=(1.0,), cutoff=0)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-3, 0.6 + 0.8j, 2.7j, 6.0])
+def test_coherent_weights_match_scipy_poisson(amplitude):
+    spec = OracleSpec("coherent", (1.0,), amplitudes=(amplitude,), cutoff=160)
+    p = _mode_distribution(spec, 0)
+    ref = poisson.pmf(np.arange(161), abs(amplitude) ** 2)
+    np.testing.assert_allclose(p, ref, rtol=1e-12, atol=1e-300)
+    if amplitude == 0.0:
+        assert p[0] == 1.0 and not np.any(p[1:])
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.8814, 1.5])
+def test_squeezed_weights_match_scipy_gammaln(r):
+    spec = OracleSpec("squeezed_vacuum", (1.0,), r=(r,), cutoff=160)
+    p = _mode_distribution(spec, 0)
+    k = np.arange(81)
+    logp = (gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - k * np.log(4.0)
+            + xlogy(2 * k, np.tanh(r)))
+    ref = np.zeros(161)
+    ref[0::2] = np.exp(logp - np.log(np.cosh(r)))
+    np.testing.assert_allclose(p, ref, rtol=1e-12, atol=1e-300)

@@ -1,5 +1,6 @@
 """Dense closed form for <T> against independent oracles and bounds."""
 
+import cmath
 import collections
 import dataclasses
 import math
@@ -37,7 +38,7 @@ from bosepol.polarization import (
     quadrature_cotangents,
     quadrature_phase_factors,
 )
-from bosepol.winding import track_polarization
+from bosepol.winding import ParameterLoop, track_polarization
 
 
 def thermal_mode_state(nbar: float, theta: float) -> tuple[GaussianState, ShiftSpec]:
@@ -386,6 +387,46 @@ def test_invalid_state_raises():
     st = GaussianState(lat, np.diag([1.0, 1.0, 1.0, -0.5]), np.zeros(4))
     with pytest.raises(InvalidStateError):
         expectation_T(st)
+
+
+def test_unphysical_positive_definite_state_raises():
+    lat = make_lattice(1, 2)
+    st = GaussianState(lat, 0.5 * np.eye(4), np.zeros(4))  # V > 0, but |<T>| = 1.6
+    contract = r"\|<T>\| = 1\.6 > 1.*V \+ i Omega >= 0"
+    with pytest.raises(InvalidStateError, match=contract):
+        polarization(st)
+    with pytest.raises(InvalidStateError, match="at lambda = .*" + contract):
+        track_polarization(ParameterLoop(sampler=lambda lam: st, initial_samples=8))
+
+
+def displaced_thermal_mode(theta: float, nbar: float, alpha: complex) -> complex:
+    """<T> of one thermal mode of occupation nbar displaced by alpha, in closed form.
+
+    (1-q)/(1-z) exp(i |alpha|^2 sin theta - |b|^2 (1+z) / (2 (1-z))) with
+    q = nbar / (nbar + 1), z = q e^{i theta} and |b|^2 = 2 |alpha|^2 (1 - cos theta).
+    """
+    q = nbar / (nbar + 1.0)
+    z = q * cmath.exp(1j * theta)
+    a2 = abs(alpha) ** 2
+    b2 = 2.0 * a2 * (1.0 - math.cos(theta))
+    return (1.0 - q) / (1.0 - z) * cmath.exp(
+        1j * a2 * math.sin(theta) - b2 * (1.0 + z) / (2.0 * (1.0 - z))
+    )
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+def test_mean_term_against_displaced_thermal_closed_form(modes):
+    rng = np.random.default_rng(modes)
+    lat = make_lattice(1, modes)
+    for _ in range(8):
+        thetas = rng.uniform(0.1, 2 * np.pi - 0.1, size=modes)
+        nbar = rng.uniform(0.0, 3.0, size=modes)
+        alpha = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+        mean = np.column_stack([2.0 * alpha.real, 2.0 * alpha.imag]).reshape(-1)
+        st = GaussianState(lat, np.diag(np.repeat(2.0 * nbar + 1.0, 2)), mean)
+        expected = np.prod([displaced_thermal_mode(*args) for args in zip(thetas, nbar, alpha)])
+        got = expectation_T(st, ShiftSpec(lat, thetas))
+        assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
 def test_shift_phase_roots_of_unity_sum():

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad, simpson, solve_ivp
 from scipy.linalg import expm
 from scipy.special import gamma
 
@@ -14,6 +14,7 @@ from bosepol.rice_mele import (
     PumpProtocol,
     RiceMeleParams,
     _bloch_hamiltonians,
+    _simpson,
     adiabatic_flux,
     band_energies,
     bloch_vector,
@@ -159,6 +160,30 @@ def test_flux_matches_dop853_reference(AT):
     protocol = reference(AT)
     phi = integrated_flux(evolve_pump(protocol), protocol)
     assert abs(phi - dop853_flux(AT)) <= 1e-6
+
+
+# Even counts are the step counts of 300 steps per unit time at AT = 25, 50,
+# 100, 200 and 400; odd counts take the end correction of an odd interval.
+@pytest.mark.parametrize("steps", [100, 101, 7500, 7501, 15000, 16123, 30000, 60000,
+                                   120000, 120001])
+def test_simpson_matches_scipy(steps):
+    h = np.pi / steps
+    times = np.arange(steps + 1) * h
+    for y in (np.cos(times) ** 2 / (1.0 + np.sin(times) ** 2) ** 1.5,
+              np.exp(np.sin(3.0 * times)), times ** 3):
+        ref = simpson(y, x=times)
+        assert abs(_simpson(y, h) - ref) <= 1e-14 * abs(ref)
+        assert abs(_simpson(y, h) - simpson(y, dx=h)) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("steps", [7500, 7501])
+def test_flux_equals_scipy_simpson_on_trajectory(steps):
+    protocol = reference(25.0)
+    traj = evolve_pump(protocol, steps=steps)
+    w2 = protocol.drive(traj.times)[1]
+    cross = (1j * (traj.alpha * traj.beta.conj() - traj.alpha.conj() * traj.beta)).real
+    ref = simpson(w2 * cross, x=traj.times)
+    assert abs(integrated_flux(traj, protocol) - ref) <= 1e-14 * abs(ref)
 
 
 def test_adiabatic_following_at_slow_drive():

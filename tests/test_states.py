@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bosepol import (
     GaussianState,
@@ -17,7 +18,7 @@ from bosepol import (
     validate,
 )
 from bosepol.errors import ChemicalPotentialError, InvalidStateError
-from bosepol.states import require_valid
+from bosepol.states import _expm, require_valid, symplectic_form
 
 SILVER = 1.0 + np.sqrt(2.0)  # exp(r) for sinh(r) = 1
 
@@ -171,6 +172,46 @@ def test_random_state_deterministic():
     assert np.array_equal(a.V, b.V) and np.array_equal(a.mean, b.mean)
     c = random_gaussian_state(lat, 43, classical=True, mean_scale=1.0)
     assert not np.array_equal(a.V, c.V)
+
+
+def symplectic_generator(rng, modes: int, scale: float = 0.3) -> np.ndarray:
+    """Omega G with G drawn as random_gaussian_state draws it."""
+    dim = 2 * modes
+    A = rng.normal(size=(dim, dim))
+    return symplectic_form(modes) @ (scale * (A + A.T) / np.sqrt(2.0 * dim))
+
+
+@pytest.mark.parametrize("modes", [2, 4, 8, 16, 32, 64])
+def test_expm_matches_scipy_on_symplectic_generators(modes):
+    omega = symplectic_form(modes)
+    rng = np.random.default_rng(modes)
+    for _ in range(5):
+        X = symplectic_generator(rng, modes)
+        S = _expm(X)
+        ref = expm(X)
+        assert np.linalg.norm(S - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.abs(S @ omega @ S.T - omega).max() <= 1e-13
+
+
+def test_expm_scaling_and_squaring_identities():
+    X = symplectic_generator(np.random.default_rng(7), 8, scale=3.0)
+    S = _expm(X)
+    assert np.abs(S @ _expm(-X) - np.eye(16)).max() <= 1e-12
+    assert np.linalg.norm(_expm(2.0 * X) - S @ S) <= 1e-12 * np.linalg.norm(S @ S)
+    assert np.array_equal(_expm(np.zeros((4, 4))), np.eye(4))
+
+
+def test_random_state_equals_scipy_expm_construction():
+    """Seeded states changed from scipy's expm to the Taylor one only at rounding level."""
+    for modes, seed in ((2, 0), (8, 1), (32, 2)):
+        lat = make_lattice(modes // 2, 2)
+        st = random_gaussian_state(lat, seed, mean_scale=0.5)
+        rng = np.random.default_rng(seed)
+        S = expm(symplectic_generator(rng, modes))
+        D = np.repeat(2.0 * rng.uniform(0.0, 1.5, size=modes) + 1.0, 2)
+        V = (S * D) @ S.T
+        assert np.abs(st.V - V).max() <= 1e-13 * np.abs(V).max()
+        assert np.array_equal(st.mean, 0.5 * rng.normal(size=2 * modes))
 
 
 def test_validate_flags_negative_eigenvalue():

@@ -191,8 +191,9 @@ def random_circulant_state(
 
     Blocks are drawn per momentum with the mirror constraint
     v_{L-k} = conj(v_k) that keeps the assembled covariance real. With
-    ``classical=False`` the k = 0 block gets eigenvalues below 1 so the
-    state is guaranteed nonclassical (still positive definite).
+    ``classical=False`` the k = 0 block gets eigenvalues below 1: these are
+    math-only draws with V > 0, not physical states, since they violate
+    V + i Omega >= 0 (ROADMAP item 4).
     """
     rng = np.random.default_rng(seed)
     if eig_low is None:

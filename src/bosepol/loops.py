@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .circulant import random_bloch_blocks, random_circulant_state, reassemble_covariance
-from .rice_mele import PumpProtocol, evolve_pump, rmm_thermal_state
+from .rice_mele import PumpProtocol, _ring_hamiltonian, evolve_pump, rmm_thermal_state
 from .states import GaussianState, LatticeSpec, coherent_state, thermal_state
 from .winding import ParameterLoop
 
@@ -176,34 +176,26 @@ _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def two_band_bloch(kx: float, ky: float, mass: float = 1.0) -> np.ndarray:
-    return (
-        math.sin(kx) * _SX
-        + math.sin(ky) * _SY
-        + (mass + math.cos(kx) + math.cos(ky)) * _SZ
-    )
+def two_band_bloch(kx, ky, mass: float = 1.0) -> np.ndarray:
+    """h(kx, ky), broadcast over array momenta: shape (*broadcast shape, 2, 2)."""
+    kx, ky = (np.asarray(k, dtype=float)[..., None, None] for k in (kx, ky))
+    return np.sin(kx) * _SX + np.sin(ky) * _SY + (mass + np.cos(kx) + np.cos(ky)) * _SZ
 
 
 def band_chern_number(mass: float = 1.0, grid: int = 32) -> int:
-    """Lattice (plaquette-flux) Chern number of the lower Bloch band."""
+    """Lattice (plaquette-flux) Chern number of the lower Bloch band.
+
+    Fukui-Hatsugai-Suzuki: the lower-band vectors of the whole grid come
+    from one stacked ``eigh``; U_x, U_y are the links to the next momentum
+    along each axis, and the Berry fluxes Arg(U_x U_y(+x) U_x(+y)* U_y*)
+    sum to 2 pi C.
+    """
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    u = np.empty((grid, grid, 2), dtype=complex)
-    for i, kx in enumerate(ks):
-        for j, ky in enumerate(ks):
-            _, vecs = np.linalg.eigh(two_band_bloch(kx, ky, mass))
-            u[i, j] = vecs[:, 0]
-    total = 0.0
-    for i in range(grid):
-        for j in range(grid):
-            u1 = u[i, j]
-            u2 = u[(i + 1) % grid, j]
-            u3 = u[(i + 1) % grid, (j + 1) % grid]
-            u4 = u[i, (j + 1) % grid]
-            plaquette = (
-                np.vdot(u1, u2) * np.vdot(u2, u3) * np.vdot(u3, u4) * np.vdot(u4, u1)
-            )
-            total += np.angle(plaquette)
-    c = total / (2.0 * math.pi)
+    _, vecs = np.linalg.eigh(two_band_bloch(ks[:, None], ks[None, :], mass))
+    u = vecs[..., 0]  # (kx, ky, component)
+    ux, uy = (np.sum(u.conj() * np.roll(u, -1, axis=a), axis=-1) for a in (0, 1))
+    plaquette = ux * np.roll(uy, -1, axis=0) * np.roll(ux, -1, axis=1).conj() * uy.conj()
+    c = float(np.sum(np.angle(plaquette))) / (2.0 * math.pi)
     rounded = round(c)
     if abs(c - rounded) > 1e-6:
         raise ValueError(f"plaquette Chern sum {c:.6f} did not converge to an integer")
@@ -214,17 +206,8 @@ def chain_hopping_at_ky(ky: float, lattice: LatticeSpec, mass: float = 1.0) -> n
     """1D hopping matrix of the two-band model at fixed transverse momentum."""
     if lattice.sites_per_cell != 2:
         raise ValueError("the two-band chain needs two sites per cell")
-    L = lattice.cells
     onsite = math.sin(ky) * _SY + (mass + math.cos(ky)) * _SZ
-    hop = (_SZ - 1j * _SX) / 2.0
-    h = np.zeros((2 * L, 2 * L), dtype=complex)
-    for r in range(L):
-        sl = slice(2 * r, 2 * r + 2)
-        h[sl, sl] += onsite
-        rn = slice(2 * ((r + 1) % L), 2 * ((r + 1) % L) + 2)
-        h[rn, sl] += hop
-        h[sl, rn] += hop.conj().T
-    return h
+    return _ring_hamiltonian(onsite, (_SZ - 1j * _SX) / 2.0, lattice.cells)
 
 
 def thermal_chern_family(

@@ -21,7 +21,6 @@ its adiabatic value is (1/2) Int_0^pi cos^2 t / (1 + sin^2 t)^{3/2} dt
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import GapClosureError
 from .states import GaussianState, LatticeSpec, thermal_state
-from .winding import _integer_winding
+from .winding import _integer_winding, _unwrap
 
 DEFAULT_PUMP_STEPS = 10_000
 # Fourth-order commutator-free Magnus scheme (Blanes & Moan 2006): the drive
@@ -141,17 +140,37 @@ def band_energies(params: RiceMeleParams, k: int, L: int) -> tuple[float, float]
     return -eps, eps
 
 
-def _bloch_hamiltonians(params: RiceMeleParams, kappas: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 Bloch Hamiltonians Q(kappa) . sigma at momenta ``kappas``."""
-    qx = params.w1 + params.w2 * np.cos(kappas)
-    qy = params.w2 * np.sin(kappas)
-    qz = np.full_like(kappas, params.delta)
-    h = np.empty((len(kappas), 2, 2), dtype=complex)
-    h[:, 0, 0] = qz
-    h[:, 1, 1] = -qz
-    h[:, 0, 1] = qx - 1j * qy
-    h[:, 1, 0] = qx + 1j * qy
+def _bloch_hamiltonians(drive, kappas: np.ndarray) -> np.ndarray:
+    """Bloch Hamiltonians Q(kappa) . sigma at momenta ``kappas``.
+
+    ``drive`` stacks (w1, w2, Delta) along its first axis, as
+    :meth:`PumpProtocol.drive` returns them; the result has shape
+    (*w1.shape, len(kappas), 2, 2).
+    """
+    w1, w2, delta = (np.asarray(c, dtype=float)[..., None] for c in drive)
+    qx = w1 + w2 * np.cos(kappas)
+    qy = w2 * np.sin(kappas)
+    h = np.empty(qx.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = delta
+    h[..., 1, 1] = -delta
+    h[..., 0, 1] = qx - 1j * qy
+    h[..., 1, 0] = qx + 1j * qy
     return h
+
+
+def _zak_phases(drive, band: str = "lower", samples: int = 64) -> np.ndarray:
+    """Wilson-loop Zak phases at each parameter point of the stacked ``drive``."""
+    if samples < 16:
+        raise ValueError("need at least 16 momentum samples")
+    if band not in ("lower", "upper"):
+        raise ValueError("band must be 'lower' or 'upper'")
+    kappas = 2.0 * np.pi * np.arange(samples) / samples
+    vals, vecs = np.linalg.eigh(_bloch_hamiltonians(drive, kappas))
+    if np.abs(vals).min() < 1e-12:
+        raise GapClosureError("gap closure: |Q_k| < 1e-12 at a sampled momentum")
+    u = vecs[..., 0] if band == "lower" else vecs[..., 1]
+    overlaps = np.sum(u.conj() * np.roll(u, -1, axis=-2), axis=-1)
+    return -np.angle(np.prod(overlaps, axis=-1))
 
 
 def zak_phase(params: RiceMeleParams, band: str = "lower", samples: int = 64) -> float:
@@ -160,26 +179,18 @@ def zak_phase(params: RiceMeleParams, band: str = "lower", samples: int = 64) ->
     phi = -Im ln prod_j <u(k_j)|u(k_{j+1})> with k_j increasing across the
     zone and the loop closed periodically; gauge-invariant by construction.
     """
-    if samples < 16:
-        raise ValueError("need at least 16 momentum samples")
-    if band not in ("lower", "upper"):
-        raise ValueError("band must be 'lower' or 'upper'")
-    kappas = 2.0 * np.pi * np.arange(samples) / samples
-    h = _bloch_hamiltonians(params, kappas)
-    vals, vecs = np.linalg.eigh(h)
-    if np.abs(vals).min() < 1e-12:
-        raise GapClosureError("gap closure: |Q_k| < 1e-12 at a sampled momentum")
-    u = vecs[:, :, 0] if band == "lower" else vecs[:, :, 1]
-    overlaps = np.sum(u.conj() * np.roll(u, -1, axis=0), axis=1)
-    return float(-np.angle(np.prod(overlaps)))
+    return float(_zak_phases((params.w1, params.w2, params.delta), band, samples))
 
 
 def zak_winding(protocol: PumpProtocol, steps: int = 256, samples: int = 64) -> int:
-    """Integer winding of the Zak phase over one pump period."""
-    T = protocol.period
-    phis = np.array([zak_phase(protocol.params_at(i * T / steps), samples=samples)
-                     for i in range(steps + 1)])
-    return _integer_winding(float(np.unwrap(phis)[-1] - phis[0]), "Zak winding")
+    """Integer winding of the Zak phase over one pump period.
+
+    The Bloch Hamiltonians of all steps + 1 times are diagonalized in one
+    stacked ``eigh``.
+    """
+    times = protocol.period * np.arange(steps + 1) / steps
+    phis = _zak_phases(protocol.drive(times), samples=samples)
+    return _integer_winding(float(_unwrap(0.0, phis)[-1]), "Zak winding")
 
 
 def lower_eigenvector_k0(params: RiceMeleParams) -> tuple[complex, complex]:
@@ -196,12 +207,10 @@ def _su2_product(later, earlier) -> tuple[np.ndarray, np.ndarray]:
     return p1 * p2 - q1 * q2.conj(), p1 * q2 + q1 * p2.conj()
 
 
-def evolve_pump(
-    protocol: PumpProtocol,
-    initial: tuple[complex, complex] | None = None,
-    steps: int = DEFAULT_PUMP_STEPS,
-) -> PumpTrajectory:
+def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> PumpTrajectory:
     """Integrate i d/dt (alpha, beta) = h_0(t) (alpha, beta) over one period.
+
+    The amplitudes start in the lower band at t = 0, one particle per cell.
 
     Each step of length h = T / steps is the fourth-order commutator-free
     Magnus propagator exp(-ih(a1 H- + a2 H+)) exp(-ih(a2 H- + a1 H+)) with
@@ -213,12 +222,7 @@ def evolve_pump(
     if steps < 100:
         raise ValueError("need at least 100 steps per period")
     h = protocol.period / steps
-    if initial is None:
-        a, b = lower_eigenvector_k0(protocol.params_at(0.0))
-    else:
-        a, b = complex(initial[0]), complex(initial[1])
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValueError("initial amplitudes must be finite")
+    a, b = lower_eigenvector_k0(protocol.params_at(0.0))
 
     times = np.arange(steps + 1) * h
     w1, w2, delta = protocol.drive(times[:-1, None] + h * _GAUSS_NODES)
@@ -269,6 +273,19 @@ def adiabatic_flux(protocol: PumpProtocol) -> float:
     return math.gamma(0.75) ** 2 / math.sqrt(2.0 * math.pi)
 
 
+def _ring_hamiltonian(onsite: np.ndarray, hop: np.ndarray, cells: int) -> np.ndarray:
+    """Periodic chain of ``cells`` cells, cell-major: the block ``onsite`` on
+    each cell, ``hop`` from cell r to r + 1 and its adjoint back."""
+    n = len(onsite)
+    r = np.arange(cells)
+    nxt = np.roll(r, -1)
+    h = np.zeros((cells, n, cells, n), dtype=np.result_type(onsite, hop))
+    np.add.at(h, (r, slice(None), r), onsite)
+    np.add.at(h, (nxt, slice(None), r), hop)
+    np.add.at(h, (r, slice(None), nxt), hop.conj().T)
+    return h.reshape(n * cells, n * cells)
+
+
 def rmm_hopping_matrix(params: RiceMeleParams, lattice: LatticeSpec) -> np.ndarray:
     """Real-space Rice-Mele hopping matrix with periodic boundary conditions.
 
@@ -278,12 +295,9 @@ def rmm_hopping_matrix(params: RiceMeleParams, lattice: LatticeSpec) -> np.ndarr
     """
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele model needs two sites per cell")
-    L = lattice.cells
-    b = 2 * np.arange(L) + 1  # second site of each cell; b + 1 is the next cell's first
-    hop = np.zeros((2 * L, 2 * L))
-    np.add.at(hop, (b - 1, b), params.w1)
-    np.add.at(hop, ((b + 1) % (2 * L), b), params.w2)
-    return hop + hop.T + np.diag(np.tile([params.delta, -params.delta], L))
+    w1, w2, d = params.w1, params.w2, params.delta
+    return _ring_hamiltonian(np.array([[d, w1], [w1, -d]]), np.array([[0.0, w2], [0.0, 0.0]]),
+                             lattice.cells)
 
 
 def rmm_thermal_state(

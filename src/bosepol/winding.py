@@ -19,8 +19,7 @@ planted windings, so the null result on physical states is not an artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaust
 from .polarization import (
     _check_abs_T,
     _mean_term_from_matrix,
-    mean_matrix,
     polarization,
     quadrature_cotangents,
     shift_phases,
@@ -38,6 +36,10 @@ from .states import GaussianState
 
 CLOSURE_TOL = 1e-12
 WINDING_RESIDUAL_TOL = 1e-3
+# A segment is bisected while its endpoint phases jump by at least
+# PHASE_STEP_TOL; refinement gives up beyond MAX_SAMPLES samples.
+PHASE_STEP_TOL = math.pi / 2
+MAX_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -45,21 +47,17 @@ class ParameterLoop:
     """Closed path of Gaussian states, sampled by ``sampler(lambda)``.
 
     ``sampler`` must be defined on [0, 1] with state(1) = state(0) (the
-    covariance closure is checked to 1e-12). ``tolerance`` is the largest
-    accepted per-step phase jump of det(1 - W) before a segment is bisected.
+    covariance closure is checked to 1e-12). ``initial_samples`` uniform
+    segments are bisected until no phase step reaches PHASE_STEP_TOL.
     """
 
     sampler: Callable[[float], GaussianState]
     initial_samples: int = 16
-    tolerance: float = math.pi / 2
-    max_samples: int = 2 ** 20
     label: str = ""
 
     def __post_init__(self):
         if self.initial_samples < 8:
             raise ValueError("initial sample count must be >= 8")
-        if not (0.0 < self.tolerance <= math.pi):
-            raise ValueError("tolerance must lie in (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,7 @@ class WindingResult:
     """Loop invariants: polarization change and determinant zero count."""
 
     delta_p: float
-    nearest_half_integer: Fraction
     zero_count: int
-    samples: list[tuple[float, float]] = field(repr=False)
-
-    @property
-    def half_integer_residual(self) -> float:
-        return abs(self.delta_p - float(self.nearest_half_integer))
 
 
 def _wrap(d: float) -> float:
@@ -92,52 +84,36 @@ def _wrap(d: float) -> float:
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_on_phase(
-    evaluate: Callable[[float], tuple],
-    initial_samples: int,
-    tolerance: float,
-    max_samples: int,
-):
-    """Sample [0, 1] until adjacent principal-phase jumps are below tolerance.
+def _refine_on_phase(evaluate: Callable[[float], tuple], initial_samples: int):
+    """Sample [0, 1] until adjacent principal-phase jumps are below PHASE_STEP_TOL.
 
     ``evaluate`` returns a record whose first element is the principal phase.
-    Returns the ordered sample positions and records.
+    The uniform grid is evaluated in increasing lambda; then a segment is
+    bisected, left to right, iff its own endpoints jump by PHASE_STEP_TOL or
+    more. Returns the ordered sample positions and records.
     """
-    cache: dict[float, tuple] = {}
-
-    def sample(lam: float):
-        if lam not in cache:
-            if len(cache) >= max_samples:
-                raise RefinementExhaustedError(
-                    f"refinement exhausted: {max_samples} samples without "
-                    f"meeting the phase-jump tolerance {tolerance:.3f}"
-                )
-            cache[lam] = evaluate(lam)
-        return cache[lam]
-
-    lams = list(np.linspace(0.0, 1.0, initial_samples + 1))
-    lams[0], lams[-1] = 0.0, 1.0
-    for lam in lams:
-        sample(lam)
-    while True:
-        refined = []
-        changed = False
-        for a, b in zip(lams[:-1], lams[1:]):
-            refined.append(a)
-            if abs(_wrap(sample(b)[0] - sample(a)[0])) >= tolerance:
-                mid = 0.5 * (a + b)
-                if mid <= a or mid >= b:
-                    raise RefinementExhaustedError(
-                        "refinement exhausted: phase jump persists at "
-                        "floating-point resolution (|det| may be vanishing)"
-                    )
-                sample(mid)
-                refined.append(mid)
-                changed = True
-        refined.append(lams[-1])
-        lams = refined
-        if not changed:
-            return lams, [cache[lam] for lam in lams]
+    grid = np.linspace(0.0, 1.0, initial_samples + 1).tolist()
+    todo = [(lam, evaluate(lam)) for lam in grid][::-1]  # stack: next sample on top
+    done = [todo.pop()]
+    while todo:
+        (a, ra), (b, rb) = done[-1], todo[-1]
+        if abs(_wrap(rb[0] - ra[0])) < PHASE_STEP_TOL:
+            done.append(todo.pop())
+            continue
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            raise RefinementExhaustedError(
+                "refinement exhausted: phase jump persists at "
+                "floating-point resolution (|det| may be vanishing)"
+            )
+        if len(done) + len(todo) >= MAX_SAMPLES:
+            raise RefinementExhaustedError(
+                f"refinement exhausted: {MAX_SAMPLES} samples without "
+                f"meeting the phase-jump tolerance {PHASE_STEP_TOL:.3f}"
+            )
+        todo.append((mid, evaluate(mid)))
+    lams, records = zip(*done)
+    return list(lams), list(records)
 
 
 def _integer_winding(total_phase: float, what: str) -> int:
@@ -185,6 +161,7 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     shift = shift_phases(state0.lattice)
     nl = state0.lattice.modes
     k = quadrature_cotangents(shift)
+    ik = 1j * np.diag(k)
     log_abs_shift = 0.25 * float(np.sum(np.log1p(k * k)))
 
     def evaluate(lam: float):
@@ -197,14 +174,12 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
             raise InvalidStateError(
                 f"invalid state at lambda = {lam}: covariance not positive definite"
             ) from None
-        M = mean_matrix(state, shift)
+        M = state.V + ik
         sign, logabs = np.linalg.slogdet(M)
         s = _mean_term_from_matrix(M, state.mean)
         return float(np.angle(sign)), s, log_abs_shift - 0.5 * logabs + s.real
 
-    lams, records = _refine_on_phase(
-        evaluate, loop.initial_samples, loop.tolerance, loop.max_samples
-    )
+    lams, records = _refine_on_phase(evaluate, loop.initial_samples)
     phases, means, log_abs = zip(*records)
     worst = int(np.argmax(log_abs))
     _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
@@ -230,9 +205,7 @@ def winding_number(track: PolarizationTrack) -> WindingResult:
     det_phase_change = -2.0 * float(track.det_term_phase[-1] - track.det_term_phase[0])
     return WindingResult(
         delta_p=delta_p,
-        nearest_half_integer=Fraction(round(2.0 * delta_p), 2),
         zero_count=_integer_winding(det_phase_change, "determinant winding"),
-        samples=list(zip(track.lambdas.tolist(), track.p_unwrapped.tolist())),
     )
 
 
@@ -247,12 +220,7 @@ def zero_count(loop: ParameterLoop) -> int:
     return winding_number(track_polarization(loop)).zero_count
 
 
-def winding_of_values(
-    fn: Callable[[float], complex],
-    initial_samples: int = 16,
-    tolerance: float = math.pi / 2,
-    max_samples: int = 2 ** 20,
-) -> int:
+def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16) -> int:
     """Winding number of a closed complex-valued path fn(lambda), lambda in [0, 1].
 
     Synthetic-detector entry point: used to validate the zero-count machinery
@@ -265,7 +233,7 @@ def winding_of_values(
             raise RefinementExhaustedError("path passes exactly through zero")
         return (math.atan2(z.imag, z.real),)
 
-    _, records = _refine_on_phase(evaluate, initial_samples, tolerance, max_samples)
+    _, records = _refine_on_phase(evaluate, initial_samples)
     phases = np.array([phase for phase, in records])
     return _integer_winding(_unwrap(0.0, phases)[-1], "winding")
 

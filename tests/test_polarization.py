@@ -10,6 +10,7 @@ import pytest
 
 from bosepol import (
     GaussianState,
+    PumpProtocol,
     RiceMeleParams,
     ShiftSpec,
     cell_bloch_blocks,
@@ -29,9 +30,10 @@ from bosepol import (
     two_mode_squeezed_state,
     vacuum_state,
     validate,
+    zak_winding,
 )
 from bosepol.errors import InvalidStateError
-from bosepol.loops import random_classical_loop
+from bosepol.loops import band_chern_number, random_classical_loop
 from bosepol.polarization import (
     mean_matrix,
     principal_polarization,
@@ -263,6 +265,16 @@ def test_factorizations_per_evaluation(monkeypatch):
         if mean_scale:
             want["solve"] = samples
         assert calls == want
+
+
+def test_one_eigh_per_band_invariant(monkeypatch):
+    """zak_winding and band_chern_number each diagonalize their whole grid at once."""
+    calls = count_factorizations(monkeypatch)
+    assert zak_winding(PumpProtocol(1.0, 50.0)) == 1
+    assert calls == {"eigh": 1}
+    calls.clear()
+    assert band_chern_number(1.0, 24) == 1
+    assert calls == {"eigh": 1}
 
 
 def test_branch_tracking_on_hot_state():

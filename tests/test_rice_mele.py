@@ -10,11 +10,13 @@ from scipy.special import gamma
 
 from bosepol import make_lattice, polarization, coherent_state
 from bosepol.errors import GapClosureError
+from bosepol.loops import chain_hopping_at_ky
 from bosepol.rice_mele import (
     PumpProtocol,
     RiceMeleParams,
     _bloch_hamiltonians,
     _simpson,
+    _zak_phases,
     adiabatic_flux,
     band_energies,
     bloch_vector,
@@ -104,6 +106,23 @@ def test_zak_winding_non_encircling_loop():
 
 def test_zak_winding_constant_protocol():
     assert zak_winding(PumpProtocol(1.0, 10.0, lambda x: (0.8, 0.3, 0.5))) == 0
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        reference(50.0),
+        PumpProtocol(1.0, 50.0, lambda x: (
+            np.cos(np.pi * x) ** 2, np.sin(np.pi * x) ** 2, np.sin(2 * np.pi * x) + 10.0)),
+        PumpProtocol(1.0, 10.0, lambda x: (0.8, 0.3, 0.5)),
+    ],
+)
+def test_stacked_zak_phases_match_pointwise(protocol):
+    """The one-eigh phases of zak_winding equal zak_phase step by step."""
+    times = protocol.period * np.arange(257) / 256
+    stacked = _zak_phases(protocol.drive(times))
+    pointwise = np.array([zak_phase(protocol.params_at(t)) for t in times])
+    assert np.abs(stacked - pointwise).max() <= 1e-12
 
 
 def test_constant_protocol_is_stationary():
@@ -257,7 +276,7 @@ def test_hopping_matrix_eigenvectors_match_bloch():
     kappas = 2 * np.pi * np.arange(L) / L
     fourier = np.exp(-1j * np.outer(kappas, np.arange(L))) / np.sqrt(L)
     u = np.einsum("kr,rsj->ksj", fourier, lower)
-    _, bloch = np.linalg.eigh(_bloch_hamiltonians(p, kappas))
+    _, bloch = np.linalg.eigh(_bloch_hamiltonians((p.w1, p.w2, p.delta), kappas))
     # degenerate +-k pairs mix, so compare the lower-band projector at each k
     got = u @ u.conj().transpose(0, 2, 1)
     want = bloch[:, :, :1] @ bloch[:, :, :1].conj().transpose(0, 2, 1)
@@ -291,3 +310,31 @@ def test_pump_polarization_constant_zero():
         assert abs(b.p) < 1e-12
         occ = abs(traj.alpha[i]) ** 2 + abs(traj.beta[i]) ** 2
         assert b.abs_T == pytest.approx(np.exp(-4.0 * occ), rel=1e-10)
+
+
+def per_cell_ring(onsite, hop, L):
+    """Periodic chain assembled one cell at a time."""
+    n = len(onsite)
+    h = np.zeros((n * L, n * L), dtype=complex)
+    for r in range(L):
+        sl, rn = slice(n * r, n * r + n), slice(n * ((r + 1) % L), n * ((r + 1) % L) + n)
+        h[sl, sl] += onsite
+        h[rn, sl] += hop
+        h[sl, rn] += hop.conj().T
+    return h
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8])
+def test_ring_builders_match_per_cell_loop(L):
+    lat = make_lattice(L, 2)
+    w1, w2, d = 0.7, 1.3, 0.4
+    rmm = rmm_hopping_matrix(RiceMeleParams(w1, w2, d), lat)
+    assert rmm.dtype == float
+    want = per_cell_ring(np.array([[d, w1], [w1, -d]]), np.array([[0.0, w2], [0.0, 0.0]]), L)
+    assert np.array_equal(rmm, want)
+
+    sx, sy, sz = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])
+    ky, mass = 1.3, 0.8
+    onsite = np.sin(ky) * sy + (mass + np.cos(ky)) * sz
+    want = per_cell_ring(onsite, (sz - 1j * sx) / 2.0, L)
+    assert np.array_equal(chain_hopping_at_ky(ky, lat, mass), want)

@@ -18,8 +18,8 @@ from bosepol.loops import (
     rmm_thermal_loop,
     thermal_chern_family,
 )
-from bosepol.polarization import mean_term, polarization, shift_phases
-from bosepol.states import thermal_state, vacuum_state
+from bosepol.polarization import mean_matrix, mean_term, polarization, shift_phases
+from bosepol.states import GaussianState, thermal_state, vacuum_state
 from bosepol.winding import (
     ParameterLoop,
     chern_via_polarization,
@@ -58,7 +58,6 @@ def test_constant_loop():
     result = winding_number(track)
     assert result.delta_p == 0.0
     assert result.zero_count == 0
-    assert result.nearest_half_integer == 0
 
 
 def test_thermal_rice_mele_pump_loop():
@@ -220,8 +219,6 @@ def test_loop_validation():
     state = vacuum_state(lat)
     with pytest.raises(ValueError):
         ParameterLoop(sampler=lambda lam: state, initial_samples=4)
-    with pytest.raises(ValueError):
-        ParameterLoop(sampler=lambda lam: state, tolerance=0.0)
     # a sampler that does not close
     from bosepol.states import GaussianState
 
@@ -278,3 +275,97 @@ def test_chern_family_hopping_is_hermitian_and_gapped():
         h = chain_hopping_at_ky(ky, lat)
         assert np.abs(h - h.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(h).min() > -6.0
+
+
+def breadth_first_refinement(evaluate, initial_samples, tolerance=math.pi / 2):
+    """Sample positions of the breadth-first refinement, kept as an oracle.
+
+    Each pass bisects every adjacent pair whose principal phases jump by at
+    least ``tolerance``; passes repeat until none does.
+    """
+    cache = {}
+
+    def phase(lam):
+        if lam not in cache:
+            cache[lam] = evaluate(lam)[0]
+        return cache[lam]
+
+    lams = list(np.linspace(0.0, 1.0, initial_samples + 1))
+    while True:
+        refined = []
+        for a, b in zip(lams[:-1], lams[1:]):
+            refined.append(a)
+            if abs(winding._wrap(phase(b) - phase(a))) >= tolerance:
+                refined.append(0.5 * (a + b))
+        refined.append(lams[-1])
+        if len(refined) == len(lams):
+            return lams
+        lams = refined
+
+
+def path_phase(fn):
+    return lambda lam: (math.atan2(complex(fn(lam)).imag, complex(fn(lam)).real),)
+
+
+@pytest.mark.parametrize(
+    "fn, turns",
+    [
+        (lambda lam: 1 - 2 * np.exp(2j * np.pi * lam), 1),
+        (lambda lam: 1 - 2 * np.exp(-2j * np.pi * lam), -1),
+        (lambda lam: 1 - 4 * np.exp(4j * np.pi * lam), 2),
+        (lambda lam: 0.3 + np.exp(6j * np.pi * lam), 3),
+        # pass within 1e-9 of zero at the non-dyadic lambda = 1/3, where the
+        # phase turns by pi within ~1e-10 and forces ~30 levels of bisection
+        (lambda lam: 1 - (1 - 1e-9) * np.exp(2j * np.pi * (lam - 1 / 3)), 0),
+        (lambda lam: 1 - (1 + 1e-9) * np.exp(2j * np.pi * (lam - 1 / 3)), 1),
+    ],
+)
+def test_refinement_matches_breadth_first(fn, turns):
+    evaluate = path_phase(fn)
+    lams, _ = winding._refine_on_phase(evaluate, 16)
+    assert lams == breadth_first_refinement(evaluate, 16)
+    assert winding_of_values(fn) == turns
+
+
+def test_refinement_matches_breadth_first_on_physical_loop():
+    # Thermal occupations from 0 to 1e4 and back; the determinant phase
+    # moves fast enough near lambda = 0 and 1 to force bisection.
+    lat = make_lattice(4, 1, 0.1)
+    eye = np.eye(lat.dim)
+    loop = ParameterLoop(
+        sampler=lambda lam: GaussianState(
+            lat, (1.0 + 1e4 * math.sin(math.pi * lam) ** 2) * eye, np.zeros(lat.dim)
+        ),
+        initial_samples=8,
+    )
+    shift = shift_phases(lat)
+
+    def evaluate(lam):
+        sign, _ = np.linalg.slogdet(mean_matrix(loop.sampler(lam), shift))
+        return (float(np.angle(sign)),)
+
+    track = track_polarization(loop)
+    want = breadth_first_refinement(evaluate, loop.initial_samples)
+    assert len(want) > loop.initial_samples + 1
+    assert track.lambdas.tolist() == want
+
+
+def test_refinement_exhausted_at_floating_point_resolution():
+    sign_flip = lambda lam: 1.0 if lam < 1 / 3 or lam > 2 / 3 else -1.0
+    with pytest.raises(RefinementExhaustedError, match="floating-point resolution"):
+        winding_of_values(sign_flip)
+
+
+def test_refinement_exhausted_at_sample_cap(monkeypatch):
+    monkeypatch.setattr(winding, "MAX_SAMPLES", 64)
+    with pytest.raises(RefinementExhaustedError, match="64 samples"):
+        winding_of_values(lambda lam: np.exp(80j * np.pi * lam))
+
+
+@pytest.mark.parametrize(
+    "mass, chern",
+    [(0.6, 1), (1.0, 1), (1.4, 1), (-0.6, -1), (-1.0, -1), (-1.4, -1),
+     (2.5, 0), (3.5, 0), (-2.5, 0), (-3.5, 0)],
+)
+def test_band_chern_sign(mass, chern):
+    assert band_chern_number(mass, 24) == chern

@@ -140,15 +140,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
+    """Parser that reads only ``--config`` (prefixes included), built once."""
+    probe = argparse.ArgumentParser(add_help=False)
+    probe.add_argument("--config")
+    return probe
+
+
 def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Insert ``--config`` key=value pairs as flags right after the subcommand.
 
     Later flags win in argparse, so flags on the command line override the
     file. The parser itself is never changed, so it can serve every call.
     """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    known, _ = _config_probe().parse_known_args(argv)
     if not known.config:
         return argv
     entries: dict[str, str] = {}

@@ -132,14 +132,15 @@ def random_squeezed_loop(
     mean_b = mean_scale * rng.normal(size=lattice.dim)
 
     def sampler(lam: float) -> GaussianState:
-        V = np.zeros((lattice.dim, lattice.dim))
+        # R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T on every mode's (x, p) = (2j, 2j + 1).
         r = r0 + rho * math.sin(2.0 * math.pi * lam)
         phi = phi0 + math.pi * lam
-        for j in range(nl):
-            c, s = math.cos(phi[j]), math.sin(phi[j])
-            R = np.array([[c, -s], [s, c]])
-            block = R @ np.diag([math.exp(2.0 * r[j]), math.exp(-2.0 * r[j])]) @ R.T
-            V[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (block + block.T) / 2.0
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+        x = 2 * np.arange(nl)
+        V = np.zeros((lattice.dim, lattice.dim))
+        V[x, x] = ch + sh * np.cos(2.0 * phi)
+        V[x + 1, x + 1] = ch - sh * np.cos(2.0 * phi)
+        V[x, x + 1] = V[x + 1, x] = sh * np.sin(2.0 * phi)
         c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
         return GaussianState(lattice, V, c * mean_a + s * mean_b)
 

@@ -139,16 +139,24 @@ def mean_matrix(state: GaussianState, shift: ShiftSpec) -> np.ndarray:
     return state.V + 1j * np.diag(quadrature_cotangents(shift))
 
 
-def _mean_term_from_matrix(M: np.ndarray, alpha0: np.ndarray) -> complex:
-    if not np.any(alpha0):
-        return 0.0 + 0.0j
-    y = np.linalg.solve(M, alpha0.astype(complex))
-    residual = np.linalg.norm(M @ y - alpha0) / np.linalg.norm(alpha0)
-    if residual > MEAN_SOLVE_RTOL:
-        raise NumericalError(
-            f"mean-term linear solve residual {residual:.3e} exceeds {MEAN_SOLVE_RTOL}"
-        )
-    return complex(-0.5 * (alpha0 @ y))
+def _mean_terms(M: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
+    """s = -1/2 alpha0^T M^{-1} alpha0 for each matrix of the stack M, 0 for a zero mean.
+
+    One solve covers the nonzero means; each residual must stay within MEAN_SOLVE_RTOL.
+    """
+    s = np.zeros(len(M), dtype=complex)
+    has_mean = np.any(alpha0, axis=1)
+    if has_mean.any():
+        M, b = M[has_mean], alpha0[has_mean, :, None]
+        y = np.linalg.solve(M, b)
+        residual = np.linalg.norm(M @ y - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
+        bad = residual[residual > MEAN_SOLVE_RTOL]
+        if bad.size:
+            raise NumericalError(
+                f"mean-term linear solve residual {bad[0]:.3e} exceeds {MEAN_SOLVE_RTOL}"
+            )
+        s[has_mean] = -0.5 * (b.transpose(0, 2, 1) @ y)[:, 0, 0]
+    return s
 
 
 def mean_term(state: GaussianState, shift: ShiftSpec | None = None) -> complex:

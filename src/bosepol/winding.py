@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaustedError
 from .polarization import (
     _check_abs_T,
-    _mean_term_from_matrix,
+    _mean_terms,
     polarization,
     quadrature_cotangents,
     shift_phases,
@@ -84,16 +84,16 @@ def _wrap(d: float) -> float:
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_on_phase(evaluate: Callable[[float], tuple], initial_samples: int):
+def _refine_on_phase(evaluate: Callable[[list[float]], list[tuple]], initial_samples: int):
     """Sample [0, 1] until adjacent principal-phase jumps are below PHASE_STEP_TOL.
 
-    ``evaluate`` returns a record whose first element is the principal phase.
-    The uniform grid is evaluated in increasing lambda; then a segment is
-    bisected, left to right, iff its own endpoints jump by PHASE_STEP_TOL or
-    more. Returns the ordered sample positions and records.
+    ``evaluate`` maps a list of lambdas to records whose first element is the
+    principal phase. It gets the uniform grid in one call, then, one at a
+    time, the midpoint of each segment, left to right, whose own endpoints
+    jump by PHASE_STEP_TOL or more. Returns the sample positions and records.
     """
     grid = np.linspace(0.0, 1.0, initial_samples + 1).tolist()
-    todo = [(lam, evaluate(lam)) for lam in grid][::-1]  # stack: next sample on top
+    todo = list(zip(grid, evaluate(grid)))[::-1]  # stack: next sample on top
     done = [todo.pop()]
     while todo:
         (a, ra), (b, rb) = done[-1], todo[-1]
@@ -111,7 +111,7 @@ def _refine_on_phase(evaluate: Callable[[float], tuple], initial_samples: int):
                 f"refinement exhausted: {MAX_SAMPLES} samples without "
                 f"meeting the phase-jump tolerance {PHASE_STEP_TOL:.3f}"
             )
-        todo.append((mid, evaluate(mid)))
+        todo.append((mid, evaluate([mid])[0]))
     lams, records = zip(*done)
     return list(lams), list(records)
 
@@ -142,9 +142,11 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     Each distinct lambda is sampled once: the lambda = 1 state of the closure
     check is the last sample. The shift is fixed along the loop, so
     det(1 - W) = det(M) det(1 - U) / det(V + 1) changes its phase only
-    through M = V + iK. Each sample therefore takes the principal phase and
-    the magnitude from one slogdet(M), after a Cholesky factorization of V
-    checks positive definiteness; consecutive phase differences are reduced
+    through M = V + iK. The uniform grid is evaluated in one stacked pass,
+    and each bisection midpoint alone: a Cholesky factorization of the
+    stacked V checks positive definiteness, one slogdet of the stacked M
+    gives the principal phases and magnitudes, and one residual-checked
+    solve the mean terms. Consecutive phase differences are reduced
     to [-pi, pi) and summed cumulatively from the anchor. The anchor is the
     pointwise branch of :func:`bosepol.polarization.polarization` at
     lambda = 0, where every factor 1 + i h_j has real part 1, so the
@@ -164,20 +166,28 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     ik = 1j * np.diag(k)
     log_abs_shift = 0.25 * float(np.sum(np.log1p(k * k)))
 
-    def evaluate(lam: float):
-        state = state0 if lam == 0.0 else state1 if lam == 1.0 else loop.sampler(lam)
-        if state.lattice.modes != nl:
+    endpoints = {0.0: state0, 1.0: state1}
+
+    def evaluate(lams: list[float]) -> list[tuple]:
+        states = [endpoints[lam] if lam in endpoints else loop.sampler(lam) for lam in lams]
+        if any(state.lattice.modes != nl for state in states):
             raise ValueError("loop sampler changed the lattice size")
+        V = np.stack([state.V for state in states])
         try:
-            np.linalg.cholesky(state.V)
+            np.linalg.cholesky(V)
         except np.linalg.LinAlgError:
-            raise InvalidStateError(
-                f"invalid state at lambda = {lam}: covariance not positive definite"
-            ) from None
-        M = state.V + ik
+            for lam, v in zip(lams, V):  # name the first failing sample
+                try:
+                    np.linalg.cholesky(v)
+                except np.linalg.LinAlgError:
+                    raise InvalidStateError(
+                        f"invalid state at lambda = {lam}: covariance not positive definite"
+                    ) from None
+        M = V + ik
         sign, logabs = np.linalg.slogdet(M)
-        s = _mean_term_from_matrix(M, state.mean)
-        return float(np.angle(sign)), s, log_abs_shift - 0.5 * logabs + s.real
+        s = _mean_terms(M, np.stack([state.mean for state in states]))
+        log_abs = log_abs_shift - 0.5 * logabs + s.real
+        return list(zip(np.angle(sign).tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)
     phases, means, log_abs = zip(*records)
@@ -227,11 +237,11 @@ def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16)
     on functions with planted windings.
     """
 
-    def evaluate(lam: float):
-        z = complex(fn(lam))
-        if z == 0:
+    def evaluate(lams: list[float]) -> list[tuple]:
+        zs = [complex(fn(lam)) for lam in lams]
+        if 0 in zs:
             raise RefinementExhaustedError("path passes exactly through zero")
-        return (math.atan2(z.imag, z.real),)
+        return [(math.atan2(z.imag, z.real),) for z in zs]
 
     _, records = _refine_on_phase(evaluate, initial_samples)
     phases = np.array([phase for phase, in records])

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, CSV shape, determinism, error mapping."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -199,6 +200,27 @@ def test_config_before_or_after_subcommand(tmp_path, before):
     assert cli.main(args) == 0
     comment, _, _ = read_csv(out)
     assert {"L=3", "samples=8", "no_color=False"} <= set(comment.split())
+
+
+def test_second_call_builds_no_parser(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 3\nsamples = 8\n")
+    out = tmp_path / "t.csv"
+    # --conf is a prefix of --config and must keep working.
+    args = ["--conf", str(cfg), "winding", "--loop", "random-classical", "--output", str(out)]
+    assert cli.main(args) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *a, **kw):
+        built.append(self)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(args) == 0
+    assert built == []
+    comment, _, _ = read_csv(out)
+    assert {"L=3", "samples=8"} <= set(comment.split())
 
 
 def test_chern_tracks_its_loop_once(monkeypatch):

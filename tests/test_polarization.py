@@ -230,12 +230,18 @@ def test_branch_is_periodic_in_the_shift_phases():
 FACTORIZATIONS = ("eigh", "eigvals", "eigvalsh", "solve", "slogdet", "det", "inv", "cholesky")
 
 
-def count_factorizations(monkeypatch) -> collections.Counter:
-    """Count the np.linalg factorizations made while the patch is active."""
+def count_factorizations(monkeypatch, matrices=None) -> collections.Counter:
+    """Count the np.linalg factorization calls made while the patch is active.
+
+    A ``matrices`` counter, if given, counts the matrices they factorize, so
+    one call on a stack of 17 counts 17 there.
+    """
     calls = collections.Counter()
     for name in FACTORIZATIONS:
         def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
+            if matrices is not None:
+                matrices[_name] += math.prod(np.shape(args[0])[:-2])
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -249,22 +255,26 @@ def test_factorizations_per_evaluation(monkeypatch):
     loops = [random_classical_loop(lat, 3, mean_scale=m) for m in mean_scales]
     tracks = [track_polarization(loop) for loop in loops]
     states = [{lam: loop.sampler(lam) for lam in track.lambdas} for loop, track in zip(loops, tracks)]
-    calls = count_factorizations(monkeypatch)
+    matrices = collections.Counter()
+    calls = count_factorizations(monkeypatch, matrices)
 
     polarization(st)
-    assert calls == {"eigh": 2}
+    assert calls == matrices == {"eigh": 2}
 
     for mean_scale, loop, track, by_lam in zip(mean_scales, loops, tracks, states):
         calls.clear()
+        matrices.clear()
         again = track_polarization(dataclasses.replace(loop, sampler=by_lam.__getitem__))
         assert again.lambdas.tolist() == track.lambdas.tolist()
         samples = len(track.lambdas)
+        assert samples == loop.initial_samples + 1  # no bisection
         # Two eigh for the lambda = 0 anchor, then one Cholesky, one slogdet
-        # and, with a mean, one solve per sample.
+        # and, with a mean, one solve per sample, each in one call per grid.
         want = {"eigh": 2, "cholesky": samples, "slogdet": samples}
         if mean_scale:
             want["solve"] = samples
-        assert calls == want
+        assert matrices == want
+        assert calls == {name: 2 if name == "eigh" else 1 for name in want}
 
 
 def test_one_eigh_per_band_invariant(monkeypatch):

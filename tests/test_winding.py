@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from bosepol import make_lattice, winding
-from bosepol.errors import RefinementExhaustedError
+from bosepol.errors import InvalidStateError, RefinementExhaustedError
 from bosepol.loops import (
+    LOOP_NAMES,
     band_chern_number,
     chain_hopping_at_ky,
     named_loop,
@@ -18,8 +19,14 @@ from bosepol.loops import (
     rmm_thermal_loop,
     thermal_chern_family,
 )
-from bosepol.polarization import mean_matrix, mean_term, polarization, shift_phases
-from bosepol.states import GaussianState, thermal_state, vacuum_state
+from bosepol.polarization import (
+    mean_matrix,
+    mean_term,
+    polarization,
+    quadrature_cotangents,
+    shift_phases,
+)
+from bosepol.states import GaussianState, thermal_state, vacuum_state, validate
 from bosepol.winding import (
     ParameterLoop,
     chern_via_polarization,
@@ -82,7 +89,7 @@ def test_track_follows_pointwise_spectral_branch():
 
 
 def test_each_sample_evaluated_once(monkeypatch):
-    sampled, determinants = [], []
+    sampled, determinants, calls = [], [], []
     loop = random_classical_loop(make_lattice(4, 2), 3)
     slogdet = np.linalg.slogdet
 
@@ -91,7 +98,8 @@ def test_each_sample_evaluated_once(monkeypatch):
         return loop.sampler(lam)
 
     def counted_slogdet(M):
-        determinants.append(M)
+        calls.append(M)
+        determinants.extend(M if M.ndim == 3 else [M])
         return slogdet(M)
 
     monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
@@ -99,6 +107,125 @@ def test_each_sample_evaluated_once(monkeypatch):
     assert len(track.lambdas) == 17
     assert sorted(sampled) == track.lambdas.tolist()
     assert len(determinants) == len(track.lambdas)
+    assert len(calls) == 1  # the whole grid in one stacked call
+
+
+def per_sample_track(loop):
+    """The track evaluated one sample at a time, kept as an oracle for the stacked pass.
+
+    Each sample makes its own Cholesky check, slogdet and mean-term solve.
+    Returns the lambdas, P_unwrapped, |<T>|, det_term_phase and mean_term.
+    """
+    state0, state1 = loop.sampler(0.0), loop.sampler(1.0)
+    shift = shift_phases(state0.lattice)
+    k = quadrature_cotangents(shift)
+    log_abs_shift = 0.25 * np.sum(np.log1p(k * k))
+
+    def evaluate(lam):
+        state = state0 if lam == 0.0 else state1 if lam == 1.0 else loop.sampler(lam)
+        try:
+            np.linalg.cholesky(state.V)
+        except np.linalg.LinAlgError:
+            raise InvalidStateError(
+                f"invalid state at lambda = {lam}: covariance not positive definite"
+            ) from None
+        M = state.V + 1j * np.diag(k)
+        sign, logabs = np.linalg.slogdet(M)
+        s = 0.0j
+        if np.any(state.mean):
+            y = np.linalg.solve(M, state.mean.astype(complex))
+            assert np.linalg.norm(M @ y - state.mean) <= 1e-8 * np.linalg.norm(state.mean)
+            s = complex(-0.5 * (state.mean @ y))
+        return float(np.angle(sign)), s, log_abs_shift - 0.5 * logabs + s.real
+
+    lams, records = winding._refine_on_phase(
+        lambda lams: [evaluate(lam) for lam in lams], loop.initial_samples
+    )
+    phases, means, log_abs = (np.array(x) for x in zip(*records))
+    det_term = -0.5 * winding._unwrap(-2.0 * polarization(state0, shift).det_term_phase, phases)
+    return lams, (det_term + means.imag) / (2.0 * math.pi), np.exp(log_abs), det_term, means
+
+
+def bisecting_thermal_loop():
+    """Thermal occupations from 0 to 1e4 and back: bisects near lambda = 0 and 1."""
+    lat = make_lattice(4, 1, 0.1)
+    eye = np.eye(lat.dim)
+    return ParameterLoop(
+        sampler=lambda lam: GaussianState(
+            lat, (1.0 + 1e4 * math.sin(math.pi * lam) ** 2) * eye, np.zeros(lat.dim)
+        ),
+        initial_samples=8,
+    )
+
+
+def equivalence_loop(name):
+    """A named loop at L = 4, a loop without a mean, or the bisecting thermal loop."""
+    if name == "classical-no-mean":
+        return random_classical_loop(make_lattice(3, 2), 2, mean_scale=0.0)
+    if name == "squeezed-no-mean":
+        return random_squeezed_loop(make_lattice(3, 2), 2, mean_scale=0.0)
+    if name == "bisecting-thermal":
+        return bisecting_thermal_loop()
+    return named_loop(name, make_lattice(4, 2), seed=1)
+
+
+@pytest.mark.parametrize(
+    "name", [*LOOP_NAMES, "classical-no-mean", "squeezed-no-mean", "bisecting-thermal"]
+)
+def test_stacked_track_equals_per_sample_track(name):
+    loop = equivalence_loop(name)
+    track = track_polarization(loop)
+    lams, p_unwrapped, abs_T, det_term, means = per_sample_track(loop)
+    assert track.lambdas.tolist() == lams
+    for got, want in ((track.p_unwrapped, p_unwrapped), (track.abs_T, abs_T),
+                      (track.det_term_phase, det_term), (track.mean_term, means)):
+        assert np.abs(got - want).max() <= 1e-12
+    if name == "bisecting-thermal":
+        assert len(lams) > loop.initial_samples + 1
+
+
+def test_stacked_track_names_first_invalid_lambda():
+    # V = (1 - 1.5 sin^2(pi lambda)) 1 stops being positive definite past
+    # lambda = 0.304; the first grid sample there is 5/16 = 0.3125.
+    lat = make_lattice(3, 1)
+    loop = ParameterLoop(
+        sampler=lambda lam: GaussianState(
+            lat, (1.0 - 1.5 * math.sin(math.pi * lam) ** 2) * np.eye(lat.dim), np.zeros(lat.dim)
+        ),
+    )
+    for track in (track_polarization, per_sample_track):
+        with pytest.raises(InvalidStateError, match=r"at lambda = 0\.3125: covariance not"):
+            track(loop)
+
+
+def per_mode_squeezed_covariance(lattice, seed, lam):
+    """V of random_squeezed_loop built one 2x2 rotation block per mode."""
+    rng = np.random.default_rng(seed)
+    nl = lattice.modes
+    r0 = rng.uniform(0.2, 0.8, size=nl)
+    rho = rng.uniform(0.0, 0.25, size=nl)
+    phi0 = rng.uniform(0.0, math.pi, size=nl)
+    r = r0 + rho * math.sin(2.0 * math.pi * lam)
+    phi = phi0 + math.pi * lam
+    V = np.zeros((lattice.dim, lattice.dim))
+    for j in range(nl):
+        c, s = math.cos(phi[j]), math.sin(phi[j])
+        R = np.array([[c, -s], [s, c]])
+        block = R @ np.diag([math.exp(2.0 * r[j]), math.exp(-2.0 * r[j])]) @ R.T
+        V[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (block + block.T) / 2.0
+    return V
+
+
+@pytest.mark.parametrize("L", [1, 3, 4])
+def test_squeezed_sampler_matches_per_mode_blocks(L):
+    lat = make_lattice(L, 2)
+    for seed in range(3):
+        loop = random_squeezed_loop(lat, seed)
+        for lam in np.linspace(0.0, 1.0, 33):
+            state = loop.sampler(lam)
+            want = per_mode_squeezed_covariance(lat, seed, lam)
+            assert np.abs(state.V - want).max() <= 1e-15 * np.abs(want).max()
+            assert validate(state).physical
 
 
 def test_unwrap_equals_sequential_loop():
@@ -322,7 +449,7 @@ def path_phase(fn):
 )
 def test_refinement_matches_breadth_first(fn, turns):
     evaluate = path_phase(fn)
-    lams, _ = winding._refine_on_phase(evaluate, 16)
+    lams, _ = winding._refine_on_phase(lambda lams: [evaluate(lam) for lam in lams], 16)
     assert lams == breadth_first_refinement(evaluate, 16)
     assert winding_of_values(fn) == turns
 

@@ -31,29 +31,28 @@ CIRCULANT_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class BlochBlocks:
-    """Fourier data of a cell-circulant covariance: v_k, gauge block D, m_k."""
+    """Fourier data of a cell-circulant covariance: v_k and m_k."""
 
     lattice: LatticeSpec
     v_blocks: np.ndarray
-    d_block: np.ndarray
     m_blocks: np.ndarray
 
 
-def check_translation_invariance(state: GaussianState, rtol: float = CIRCULANT_RTOL) -> None:
+def check_translation_invariance(state: GaussianState) -> None:
     """Raise unless V commutes with cell translation and the mean is cell-periodic."""
     lat = state.lattice
     L, tn = lat.cells, 2 * lat.sites_per_cell
     Vr = state.V.reshape(L, tn, L, tn)
     scale = max(1.0, float(np.abs(state.V).max()))
     defect = float(np.abs(Vr - np.roll(Vr, (1, 1), axis=(0, 2))).max())
-    if defect > rtol * scale:
+    if defect > CIRCULANT_RTOL * scale:
         raise NotTranslationInvariantError(
             f"not translation invariant: circulant defect {defect:.3e} "
-            f"exceeds {rtol:.0e} * ||V||"
+            f"exceeds {CIRCULANT_RTOL:.0e} * ||V||"
         )
     mean = state.mean.reshape(L, tn)
     mean_defect = float(np.abs(mean - mean[0]).max())
-    if mean_defect > rtol * max(1.0, float(np.abs(state.mean).max())):
+    if mean_defect > CIRCULANT_RTOL * max(1.0, float(np.abs(state.mean).max())):
         raise NotTranslationInvariantError(
             f"not translation invariant: mean is not cell-periodic "
             f"(defect {mean_defect:.3e})"
@@ -61,22 +60,16 @@ def check_translation_invariance(state: GaussianState, rtol: float = CIRCULANT_R
 
 
 def gauge_block(lattice: LatticeSpec) -> np.ndarray:
-    """Intra-cell phase block D = diag_s(exp(i theta_{0,s}) 1_2)."""
-    theta0 = 2.0 * np.pi * (np.arange(lattice.sites_per_cell) + lattice.gauge_offset) / (
-        lattice.sites_per_cell * lattice.cells
-    )
-    return np.diag(np.repeat(np.exp(1j * theta0), 2))
+    """Diagonal of the intra-cell phase block D: the first 2n quadrature phase factors."""
+    return quadrature_phase_factors(shift_phases(lattice))[: 2 * lattice.sites_per_cell]
 
 
-def cell_bloch_blocks(
-    state: GaussianState,
-    rtol: float = CIRCULANT_RTOL,
-    check: bool = True,
-) -> BlochBlocks:
+def cell_bloch_blocks(state: GaussianState, check: bool = True) -> BlochBlocks:
     """Fourier-transform a translation-invariant covariance into Bloch blocks.
 
     Convention: v_k = sum_d C_d exp(+2 pi i k d / L) where C_d is the first
-    block row of V. Positive definiteness of V is equivalent to positive
+    block row of V, and m_k = (v_k - 1)(v_k + 1)^{-1} D with D from
+    :func:`gauge_block`. Positive definiteness of V is equivalent to positive
     definiteness of every v_k and is asserted blockwise. That alone gives
     |eig(m_k)| < 1, so m_k needs no check of its own: the Cayley factor
     (v_k - 1)(v_k + 1)^{-1} of a positive definite v_k has norm below 1, and
@@ -86,17 +79,16 @@ def cell_bloch_blocks(
     """
     lat = state.lattice
     if check:
-        check_translation_invariance(state, rtol)
+        check_translation_invariance(state)
     L, tn = lat.cells, 2 * lat.sites_per_cell
     C = state.V.reshape(L, tn, L, tn)[0].transpose(1, 0, 2)
     v = np.fft.ifft(C, axis=0) * L
     v = (v + v.conj().transpose(0, 2, 1)) / 2.0
     if np.linalg.eigvalsh(v).min() <= 0.0:
         raise InvalidStateError("a Bloch block v_k is not positive definite")
-    D = gauge_block(lat)
     eye = np.eye(tn)
-    m = np.linalg.solve(v + eye, v - eye) @ D
-    return BlochBlocks(lattice=lat, v_blocks=v, d_block=D, m_blocks=m)
+    m = np.linalg.solve(v + eye, v - eye) * gauge_block(lat)
+    return BlochBlocks(lattice=lat, v_blocks=v, m_blocks=m)
 
 
 def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from . import circulant, fock_oracle, loops, rice_mele, winding
 from .errors import NumericalError
 from .polarization import expectation_T, polarization, shift_phases
-from .states import make_lattice, validate
+from .states import make_lattice
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -262,7 +262,7 @@ def run_scaling(args) -> int:
         # far below the rounding floor of a dense LU factorization.
         det = circulant.reduced_determinant(circulant.cell_bloch_blocks(state))
         eps = circulant.decay_bound(state)
-        lam_min = validate(state).min_eigenvalue
+        lam_min = np.linalg.eigvalsh(state.V)[0]
         classical_bound = ((1.0 + lam_min) / 2.0) ** (-args.n * L)
         return [L, breakdown.abs_T, float(np.angle(det)), eps, classical_bound]
 

@@ -51,25 +51,27 @@ def rmm_thermal_loop(
         params = protocol.params_at(lam * protocol.period)
         return rmm_thermal_state(params, lattice, beta, mu)
 
-    return ParameterLoop(
-        sampler=sampler, initial_samples=initial_samples, label="rmm-thermal"
-    )
+    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
 
 
 def rmm_coherent_loop(
     lattice: LatticeSpec,
     protocol: PumpProtocol | None = None,
-    steps: int = 2 ** 14,
     initial_samples: int = 16,
 ) -> ParameterLoop:
     """Evolved coherent state of the pump; covariance stays the identity.
 
-    The trajectory is integrated once; loop samples pick the nearest grid
-    point, which is exact for the dyadic lambdas produced by bisection.
+    The trajectory is integrated once, on the first initial_samples * 2^j
+    steps that reach 2^14 (2^14 itself for a power-of-two sample count).
+    Loop samples pick the nearest step, which is exact for the grid
+    k / initial_samples and for its first j levels of bisection.
     """
     protocol = protocol or reference_protocol()
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele loops need two sites per cell")
+    steps = initial_samples
+    while steps < 2 ** 14:
+        steps *= 2
     traj = evolve_pump(protocol, steps=steps)
 
     def sampler(lam: float) -> GaussianState:
@@ -77,31 +79,27 @@ def rmm_coherent_loop(
         cell = np.array([traj.alpha[i], traj.beta[i]])
         return coherent_state(lattice, np.tile(cell, lattice.cells))
 
-    return ParameterLoop(
-        sampler=sampler, initial_samples=initial_samples, label="rmm-coherent"
-    )
+    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
 
 
 def random_classical_loop(
     lattice: LatticeSpec,
     seed: int,
-    wobble: float = 0.25,
     mean_scale: float = 0.5,
     initial_samples: int = 16,
 ) -> ParameterLoop:
     """Smooth closed loop of classical circulant states with a driven mean.
 
     V(lambda) = Vbar + cos(2 pi lambda) X + sin(2 pi lambda) Y with
-    ||X||, ||Y|| <= wobble and min eig(Vbar) >= 1 + 2 wobble, so the state
-    stays classical on the whole loop.
+    ||X||, ||Y|| <= 0.25 and min eig(Vbar) >= 1.6, so the state stays
+    classical on the whole loop.
     """
     rng = np.random.default_rng(seed)
     base = random_circulant_state(
-        lattice, int(rng.integers(2 ** 31)), classical=True,
-        eig_low=1.0 + 2.0 * wobble + 0.1, eig_high=3.5,
+        lattice, int(rng.integers(2 ** 31)), classical=True, eig_low=1.6, eig_high=3.5,
     )
-    X = reassemble_covariance(random_bloch_blocks(lattice, rng, -wobble, wobble))
-    Y = reassemble_covariance(random_bloch_blocks(lattice, rng, -wobble, wobble))
+    X = reassemble_covariance(random_bloch_blocks(lattice, rng, -0.25, 0.25))
+    Y = reassemble_covariance(random_bloch_blocks(lattice, rng, -0.25, 0.25))
     cell = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
     m0, ma, mb = (np.tile(c, lattice.cells) for c in cell)
 
@@ -109,24 +107,24 @@ def random_classical_loop(
         c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
         return GaussianState(lattice, base.V + c * X + s * Y, m0 + c * ma + s * mb)
 
-    return ParameterLoop(
-        sampler=sampler, initial_samples=initial_samples, label="random-classical"
-    )
+    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
 
 
 def random_squeezed_loop(
     lattice: LatticeSpec,
     seed: int,
-    r_base: tuple[float, float] = (0.2, 0.8),
-    r_wobble: float = 0.25,
     mean_scale: float = 0.3,
     initial_samples: int = 16,
 ) -> ParameterLoop:
-    """Nonclassical loop: per-mode squeezing axes rotate by pi over one cycle."""
+    """Nonclassical loop: per-mode squeezing axes rotate by pi over one cycle.
+
+    Mode j is squeezed by r_j(lambda) = r0_j + rho_j sin(2 pi lambda), with
+    r0_j drawn from [0.2, 0.8) and rho_j from [0, 0.25).
+    """
     rng = np.random.default_rng(seed)
     nl = lattice.modes
-    r0 = rng.uniform(*r_base, size=nl)
-    rho = rng.uniform(0.0, r_wobble, size=nl)
+    r0 = rng.uniform(0.2, 0.8, size=nl)
+    rho = rng.uniform(0.0, 0.25, size=nl)
     phi0 = rng.uniform(0.0, math.pi, size=nl)
     mean_a = mean_scale * rng.normal(size=lattice.dim)
     mean_b = mean_scale * rng.normal(size=lattice.dim)
@@ -144,9 +142,7 @@ def random_squeezed_loop(
         c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
         return GaussianState(lattice, V, c * mean_a + s * mean_b)
 
-    return ParameterLoop(
-        sampler=sampler, initial_samples=initial_samples, label="random-squeezed"
-    )
+    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
 
 
 def named_loop(

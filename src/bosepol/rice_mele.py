@@ -108,14 +108,13 @@ class PumpProtocol:
 class PumpTrajectory:
     """k = 0 coherent amplitudes along one pump cycle.
 
-    ``alpha``/``beta`` are the per-cell amplitudes on the two sublattices;
-    ``energies`` holds the instantaneous gap scale eps_0(t) = |Q_0(t)|.
+    ``alpha``/``beta`` are the per-cell amplitudes on the two sublattices
+    at ``times``.
     """
 
     times: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    energies: np.ndarray
 
     @property
     def norm(self) -> np.ndarray:
@@ -182,14 +181,15 @@ def zak_phase(params: RiceMeleParams, band: str = "lower", samples: int = 64) ->
     return float(_zak_phases((params.w1, params.w2, params.delta), band, samples))
 
 
-def zak_winding(protocol: PumpProtocol, steps: int = 256, samples: int = 64) -> int:
+def zak_winding(protocol: PumpProtocol) -> int:
     """Integer winding of the Zak phase over one pump period.
 
-    The Bloch Hamiltonians of all steps + 1 times are diagonalized in one
-    stacked ``eigh``.
+    The lower-band Zak phase is taken at 257 equally spaced times of the
+    period, each from 64 momenta; all Bloch Hamiltonians are diagonalized in
+    one stacked ``eigh``.
     """
-    times = protocol.period * np.arange(steps + 1) / steps
-    phis = _zak_phases(protocol.drive(times), samples=samples)
+    times = protocol.period * np.arange(257) / 256
+    phis = _zak_phases(protocol.drive(times))
     return _integer_winding(float(_unwrap(0.0, phis)[-1]), "Zak winding")
 
 
@@ -239,8 +239,7 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
 
     alpha = np.concatenate(([a], p * a + q * b))
     beta = np.concatenate(([b], p.conj() * b - q.conj() * a))
-    g1, g2, gd = protocol.drive(times)
-    return PumpTrajectory(times=times, alpha=alpha, beta=beta, energies=np.hypot(g1 + g2, gd))
+    return PumpTrajectory(times=times, alpha=alpha, beta=beta)
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:

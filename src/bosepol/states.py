@@ -133,7 +133,8 @@ class ModeOccupation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    symmetry_defect: float
+    """Spectral floor, classicality, purity and physicality of V, from :func:`validate`."""
+
     min_eigenvalue: float
     classical: bool
     purity: float
@@ -230,20 +231,16 @@ def squeezed_vacuum_state(lattice: LatticeSpec, r) -> GaussianState:
     return GaussianState(lattice, np.diag(diag), np.zeros(lattice.dim))
 
 
-def two_mode_squeezed_state(r: float, lattice: LatticeSpec | None = None) -> GaussianState:
+def two_mode_squeezed_state(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with correlated quadratures.
 
-    V = [[cosh(2r) 1, sinh(2r) Z], [sinh(2r) Z, cosh(2r) 1]], Z = diag(1, -1).
-    Defaults to a two-cell, one-site lattice (the state is cell-circulant there).
+    V = [[cosh(2r) 1, sinh(2r) Z], [sinh(2r) Z, cosh(2r) 1]], Z = diag(1, -1),
+    on a two-cell, one-site lattice (the state is cell-circulant there).
     """
-    if lattice is None:
-        lattice = make_lattice(2, 1)
-    if lattice.modes != 2:
-        raise ValueError("two_mode_squeezed_state needs a two-mode lattice")
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
     Z = np.diag([1.0, -1.0])
     V = np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
-    return GaussianState(lattice, V, np.zeros(4))
+    return GaussianState(make_lattice(2, 1), V, np.zeros(4))
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -281,23 +278,22 @@ def random_gaussian_state(
     lattice: LatticeSpec,
     seed: int,
     classical: bool = False,
-    generator_scale: float = 0.3,
-    nbar_max: float = 1.5,
     mean_scale: float = 0.0,
 ) -> GaussianState:
     """Seeded random Gaussian state ``V = S D S^T`` with S symplectic.
 
-    S is the exponential of a random symmetric generator contracted with the
-    symplectic form; D carries random thermal occupations. With
+    S is the exponential of Omega G, G a random symmetric generator with
+    entries of scale 0.3 / sqrt(dim); D carries thermal occupations drawn
+    uniformly from [0, 1.5). With
     ``classical=True`` the covariance is rescaled so its smallest eigenvalue
     is >= 1. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     dim = lattice.dim
     A = rng.normal(size=(dim, dim))
-    G = generator_scale * (A + A.T) / np.sqrt(2.0 * dim)
+    G = 0.3 * (A + A.T) / np.sqrt(2.0 * dim)
     S = _expm(symplectic_form(lattice.modes) @ G)
-    nbar = rng.uniform(0.0, nbar_max, size=lattice.modes)
+    nbar = rng.uniform(0.0, 1.5, size=lattice.modes)
     D = np.repeat(2.0 * nbar + 1.0, 2)
     V = (S * D) @ S.T
     V = (V + V.T) / 2.0
@@ -310,27 +306,25 @@ def random_gaussian_state(
 
 
 def validate(state: GaussianState) -> ValidationReport:
-    """Report symmetry defect, spectral floor, classicality, purity and physicality.
+    """Report spectral floor, classicality, purity and physicality.
 
     ``valid`` only asks V > 0. ``physical`` asks the uncertainty relation
     V + i Omega >= 0, i.e. a smallest symplectic eigenvalue >= 1 (Williamson;
     Simon, Mukunda and Dutta, PRA 49, 1567 (1994)). The symplectic
     eigenvalues are the moduli of eig(i Omega V), read here from the similar
-    Hermitian matrix R^T (i Omega) R with V = R R^T.
+    Hermitian matrix R^T (i Omega) R with V = R R^T. ``GaussianState``
+    stores V exactly symmetric, so there is no symmetry defect to report.
     """
-    V = (state.V + state.V.T) / 2.0
-    defect = float(np.abs(state.V - state.V.T).max())
-    eigs = np.linalg.eigvalsh(V)
+    eigs = np.linalg.eigvalsh(state.V)
     lo = float(eigs[0])
     valid = lo > 0.0
     purity = float(np.exp(-0.5 * np.sum(np.log(eigs)))) if valid else float("nan")
     nu = float("nan")
     if valid:
-        R = np.linalg.cholesky(V)
+        R = np.linalg.cholesky(state.V)
         herm = 1j * (R.T @ symplectic_form(state.modes) @ R)
         nu = float(np.abs(np.linalg.eigvalsh(herm)).min())
     return ValidationReport(
-        symmetry_defect=defect,
         min_eigenvalue=lo,
         classical=bool(lo >= 1.0),
         purity=purity,
@@ -345,6 +339,6 @@ def require_valid(state: GaussianState) -> None:
 
     Cheaper than :func:`validate`: no symplectic spectrum.
     """
-    lo = float(np.linalg.eigvalsh((state.V + state.V.T) / 2.0)[0])
+    lo = float(np.linalg.eigvalsh(state.V)[0])
     if not lo > 0.0:
         raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")

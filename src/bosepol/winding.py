@@ -53,7 +53,6 @@ class ParameterLoop:
 
     sampler: Callable[[float], GaussianState]
     initial_samples: int = 16
-    label: str = ""
 
     def __post_init__(self):
         if self.initial_samples < 8:

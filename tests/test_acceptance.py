@@ -38,11 +38,13 @@ from bosepol.loops import (
     rmm_thermal_loop,
     thermal_chern_family,
 )
-from bosepol.polarization import mean_term
+from bosepol.polarization import mean_term, shift_phases
 from bosepol.rice_mele import (
+    RiceMeleParams,
     adiabatic_flux,
     evolve_pump,
     integrated_flux,
+    rmm_hopping_matrix,
     rmm_thermal_state,
     zak_winding,
 )
@@ -63,6 +65,21 @@ class Stopwatch:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self.t0
+
+
+def fermionic_T(params, lattice, beta: float) -> complex:
+    """<T>_F = det(1 - C(1 - e^{i Theta})) of the half-filled fermionic Rice-Mele chain.
+
+    The number-conserving thermal state at mu = 0 has the one-body correlation
+    matrix C = U f U^dag with Fermi occupations f = 1/(e^{beta eps} + 1);
+    Theta holds the momentum-shift phases theta_{r,s} (Bardyn et al., PRX 8,
+    011035 (2018)). It is the fermionic counterpart of the bosonic
+    1/det(1 + N(1 - e^{i Theta})).
+    """
+    eps, U = np.linalg.eigh(rmm_hopping_matrix(params, lattice))
+    C = (U / (np.exp(beta * eps) + 1.0)) @ U.conj().T
+    theta = shift_phases(lattice).phases
+    return complex(np.linalg.det(np.eye(lattice.modes) - C * (1.0 - np.exp(1j * theta))))
 
 
 def report(number: int, name: str, ok: bool, details: str) -> None:
@@ -240,3 +257,44 @@ def test_criterion_9_chern_null():
     report(9, "Chern null", ok,
            f"single-particle band Chern {band_c}, ensemble Chern {c} "
            f"in {sw.seconds:.1f}s")
+
+
+def test_criterion_10_fermions_wind_bosons_do_not():
+    """The fermionic ensemble phase winds once around the pump; the bosonic one never."""
+    protocol = reference_protocol()
+    rows = []
+    with Stopwatch() as sw:
+        for L in (8, 16, 32):
+            lat = make_lattice(L, 2)
+            for beta in (0.5, 2.0, 10.0):
+                fermion = winding_of_values(lambda lam: fermionic_T(
+                    protocol.params_at(lam * protocol.period), lat, beta))
+                boson = winding_number(track_polarization(
+                    rmm_thermal_loop(lat, protocol, beta))).zero_count
+                rows.append((L, beta, fermion, boson))
+    ok = all(fermion == 1 and boson == 0 for _, _, fermion, boson in rows)
+    detail = ", ".join(f"L={L} beta={b:g}: {f}/{m}" for L, b, f, m in rows)
+    report(10, "fermion/boson contrast", ok,
+           f"fermion/boson windings {detail} in {sw.seconds:.1f}s")
+
+
+def test_fermionic_T_matches_fock_trace():
+    """The helper of criterion 10 against Tr[rho T] in the 2^4-dimensional Fock space."""
+    lat, beta = make_lattice(2, 2), 1.3
+    params = RiceMeleParams(0.7, 0.4, 0.3)
+    h = rmm_hopping_matrix(params, lat)
+    n, occ = lat.modes, np.arange(2 ** lat.modes)[:, None] >> np.arange(lat.modes) & 1
+
+    def annihilate(j):  # Jordan-Wigner c_j on occupation bit strings
+        a = np.zeros((2 ** n, 2 ** n))
+        for s in np.flatnonzero(occ[:, j]):
+            a[s ^ (1 << j), s] = (-1) ** occ[s, :j].sum()
+        return a
+
+    c = [annihilate(j) for j in range(n)]
+    H = sum(h[i, j] * c[i].T @ c[j] for i in range(n) for j in range(n))
+    w, v = np.linalg.eigh(H)
+    rho = (v * np.exp(-beta * (w - w[0]))) @ v.conj().T
+    shift = np.exp(1j * occ @ shift_phases(lat).phases)
+    want = np.sum(np.diag(rho) * shift) / np.trace(rho)
+    assert abs(fermionic_T(params, lat, beta) - want) <= 1e-12 * abs(want)

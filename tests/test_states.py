@@ -278,4 +278,4 @@ def test_constructor_outputs_pass_validation():
     for st in states:
         report = validate(st)
         assert report.valid
-        assert report.symmetry_defect <= 1e-12 * max(1.0, np.abs(st.V).max())
+        assert np.array_equal(st.V, st.V.T)

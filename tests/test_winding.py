@@ -15,6 +15,7 @@ from bosepol.loops import (
     named_loop,
     random_classical_loop,
     random_squeezed_loop,
+    reference_protocol,
     rmm_coherent_loop,
     rmm_thermal_loop,
     thermal_chern_family,
@@ -26,7 +27,8 @@ from bosepol.polarization import (
     quadrature_cotangents,
     shift_phases,
 )
-from bosepol.states import GaussianState, thermal_state, vacuum_state, validate
+from bosepol.rice_mele import evolve_pump
+from bosepol.states import GaussianState, coherent_state, thermal_state, vacuum_state, validate
 from bosepol.winding import (
     ParameterLoop,
     chern_via_polarization,
@@ -243,6 +245,17 @@ def test_coherent_pump_loop():
     assert result.zero_count == 0
 
 
+def test_coherent_loop_samples_grid_off_powers_of_two():
+    """On a 12-point grid every lambda = k/12 lands on a step of the trajectory."""
+    lat = make_lattice(3, 2)
+    loop = rmm_coherent_loop(lat, initial_samples=12)
+    traj = evolve_pump(reference_protocol(), steps=12 * 1024)
+    for k in range(13):
+        cell = [traj.alpha[1024 * k], traj.beta[1024 * k]]
+        want = coherent_state(lat, np.tile(cell, lat.cells)).mean
+        assert np.abs(loop.sampler(k / 12).mean - want).max() <= 1e-9, k
+
+
 def test_random_classical_loops():
     lat = make_lattice(4, 2)
     for seed in range(10):
@@ -361,9 +374,18 @@ def test_loop_validation():
 
 def test_named_loop_dispatch():
     lat = make_lattice(4, 2)
-    for name in ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed"):
-        loop = named_loop(name, lat, seed=1)
-        assert loop.label == name
+    builders = {
+        "rmm-thermal": lambda: rmm_thermal_loop(lat),
+        "rmm-coherent": lambda: rmm_coherent_loop(lat),
+        "random-classical": lambda: random_classical_loop(lat, 1),
+        "random-squeezed": lambda: random_squeezed_loop(lat, 1),
+    }
+    assert tuple(builders) == LOOP_NAMES
+    for name, build in builders.items():
+        got, want = named_loop(name, lat, seed=1).sampler, build().sampler
+        for lam in (0.0, 0.125, 0.3, 0.75):
+            a, b = got(lam), want(lam)
+            assert np.array_equal(a.V, b.V) and np.array_equal(a.mean, b.mean), (name, lam)
     with pytest.raises(ValueError):
         named_loop("bogus", lat)
 

@@ -213,6 +213,8 @@ def benchmark_determinants(
     and evaluates many parameter points. Returns a row with best-of-
     ``repeats`` timings and the relative error between the two values.
     """
+    if repeats < 1:
+        raise ValueError(f"need at least one timing repeat, got {repeats}")
     state = random_circulant_state(lattice, seed, classical=True)
     require_valid(state)
     check_translation_invariance(state)

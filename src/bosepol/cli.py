@@ -69,9 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-color", action="store_true", help="disable ANSI color")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, **defaults):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--output", help="write CSV here instead of stdout")
-        p.add_argument("--seed", type=int, default=defaults.get("seed", 0))
         # Repeated after the subcommand; SUPPRESS keeps a value given before it.
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="flat key=value config file; flags override")
@@ -113,6 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=16, help="initial loop samples")
     p.add_argument("--zak", action="store_true",
                    help="also report the Zak winding of the drive")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random loops")
     common(p)
     p.set_defaults(func=run_winding)
 
@@ -126,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--offset", type=float, default=0.5)
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random state")
     common(p)
     p.set_defaults(func=run_bench)
 
@@ -229,10 +230,6 @@ def _status(args, ok: bool, message: str) -> None:
 
 
 def run_flux_sweep(args) -> int:
-    if not args.period_list:
-        raise ValueError("period list must be nonempty")
-    if any(at <= 0 for at in args.period_list):
-        raise ValueError("AT values must be positive")
     protocol0 = loops.reference_protocol(args.amplitude, 1.0)
     phi_ad = rice_mele.adiabatic_flux(protocol0)
 

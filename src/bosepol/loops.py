@@ -7,7 +7,7 @@ Built-ins exposed to the CLI:
 * ``random-classical`` seeded circulant interpolations with min eig(V) >= 1;
 * ``random-squeezed``  seeded nonclassical loops with a rotating squeezing axis.
 
-Also provides the two-band thermal family with a topologically non-trivial
+Also provides the two-band chain with a topologically non-trivial
 single-particle band structure used for the Chern-number null test.
 """
 
@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .circulant import random_bloch_blocks, random_circulant_state, reassemble_covariance
-from .rice_mele import PumpProtocol, _ring_hamiltonian, evolve_pump, rmm_thermal_state
+from .rice_mele import PumpProtocol, evolve_pump, rmm_thermal_state
+from .rice_mele import _bloch_hamiltonians, _ring_hamiltonian
 from .states import GaussianState, LatticeSpec, coherent_state, thermal_state
 from .winding import ParameterLoop
 
@@ -168,27 +169,33 @@ def named_loop(
 
 # Two-band model with a chiral pair of Bloch bands carrying Chern number +-1:
 # h(kx, ky) = sin kx sigma_x + sin ky sigma_y + (mass + cos kx + cos ky) sigma_z.
+# At fixed ky it is a chain with the cell blocks of chern_cell_blocks, whose
+# Bloch Hamiltonian at chain momentum kappa is h(-kappa, ky): the chain's
+# hop e^{-i kappa} + hop^dagger e^{i kappa} is cos kappa sigma_z - sin kappa sigma_x.
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def two_band_bloch(kx, ky, mass: float = 1.0) -> np.ndarray:
-    """h(kx, ky), broadcast over array momenta: shape (*broadcast shape, 2, 2)."""
-    kx, ky = (np.asarray(k, dtype=float)[..., None, None] for k in (kx, ky))
-    return np.sin(kx) * _SX + np.sin(ky) * _SY + (mass + np.cos(kx) + np.cos(ky)) * _SZ
+def chern_cell_blocks(ky, mass: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """On-site block sin ky sigma_y + (mass + cos ky) sigma_z and hop block
+    (sigma_z - i sigma_x) / 2 from cell r to r + 1, each (*ky.shape, 2, 2)."""
+    ky = np.asarray(ky, dtype=float)[..., None, None]
+    onsite = np.sin(ky) * _SY + (mass + np.cos(ky)) * _SZ
+    return onsite, np.broadcast_to((_SZ - 1j * _SX) / 2.0, onsite.shape)
 
 
 def band_chern_number(mass: float = 1.0, grid: int = 32) -> int:
     """Lattice (plaquette-flux) Chern number of the lower Bloch band.
 
     Fukui-Hatsugai-Suzuki: the lower-band vectors of the whole grid come
-    from one stacked ``eigh``; U_x, U_y are the links to the next momentum
-    along each axis, and the Berry fluxes Arg(U_x U_y(+x) U_x(+y)* U_y*)
-    sum to 2 pi C.
+    from one stacked ``eigh`` of the chain's Bloch Hamiltonians at
+    kappa = -kx; U_x, U_y are the links to the next momentum along each
+    axis, and the Berry fluxes Arg(U_x U_y(+x) U_x(+y)* U_y*) sum to 2 pi C.
     """
     ks = 2.0 * np.pi * np.arange(grid) / grid
-    _, vecs = np.linalg.eigh(two_band_bloch(ks[:, None], ks[None, :], mass))
+    h = _bloch_hamiltonians(*chern_cell_blocks(ks, mass), -ks)  # (ky, kx, 2, 2)
+    _, vecs = np.linalg.eigh(h.swapaxes(0, 1))
     u = vecs[..., 0]  # (kx, ky, component)
     ux, uy = (np.sum(u.conj() * np.roll(u, -1, axis=a), axis=-1) for a in (0, 1))
     plaquette = ux * np.roll(uy, -1, axis=0) * np.roll(ux, -1, axis=1).conj() * uy.conj()
@@ -203,8 +210,7 @@ def chain_hopping_at_ky(ky: float, lattice: LatticeSpec, mass: float = 1.0) -> n
     """1D hopping matrix of the two-band model at fixed transverse momentum."""
     if lattice.sites_per_cell != 2:
         raise ValueError("the two-band chain needs two sites per cell")
-    onsite = math.sin(ky) * _SY + (mass + math.cos(ky)) * _SZ
-    return _ring_hamiltonian(onsite, (_SZ - 1j * _SX) / 2.0, lattice.cells)
+    return _ring_hamiltonian(*chern_cell_blocks(ky, mass), lattice.cells)
 
 
 def thermal_chern_family(

@@ -1,14 +1,18 @@
 """Bosonic Rice-Mele model: Bloch data, Zak phase, pump dynamics and flux.
 
 The model has two sites per unit cell with on-site energies +/- Delta and
-alternating hoppings w1 (intra-cell) and w2 (inter-cell). In momentum space
-the single-particle Hamiltonian is h_k = Q_k . sigma with
+alternating hoppings w1 (intra-cell) and w2 (inter-cell), written once as
+the cell blocks of :func:`rmm_cell_blocks`. Everything else reads them:
+:func:`_ring_hamiltonian` builds the real-space hopping matrix, and
+:func:`_bloch_hamiltonians` the Bloch Hamiltonian h(kappa) = Q(kappa) . sigma
+with
 
-    Q_k = (w1 + w2 cos(2 pi k / L), w2 sin(2 pi k / L), Delta),
+    Q(kappa) = (w1 + w2 cos kappa, w2 sin kappa, Delta)
 
-the Fourier transform of the real-space hopping matrix with +w1, +w2 bonds.
-A translation-invariant coherent state populates only the k = 0 mode, so the
-pump dynamics reduces to a driven two-level problem for the per-cell
+that gives the Zak phase and the pump's start vector.
+
+A translation-invariant coherent state populates only the k = 0 mode, so
+the pump dynamics reduces to a driven two-level problem for the per-cell
 amplitudes (alpha, beta), propagated with exact SU(2) steps of a
 fourth-order commutator-free Magnus scheme. The integrated particle flux
 over one cycle is geometric but not quantized; for the reference protocol
@@ -22,7 +26,7 @@ its adiabatic value is (1/2) Int_0^pi cos^2 t / (1 + sin^2 t)^{3/2} dt
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -84,8 +88,8 @@ class PumpProtocol:
     shape: Callable = reference_shape
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.period <= 0:
-            raise ValueError("amplitude and period must be positive")
+        if not all(0 < v < math.inf for v in (self.amplitude, self.period)):
+            raise ValueError("amplitude and period must be finite and positive")
         ends = _shape_values(self.shape, [0.0, 1.0])
         if np.abs(ends[:, 0] - ends[:, 1]).max() > 1e-9:
             raise ValueError("protocol is not periodic: shape(0) != shape(1)")
@@ -121,40 +125,40 @@ class PumpTrajectory:
         return np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2
 
 
-def bloch_vector(params: RiceMeleParams, k: int, L: int) -> np.ndarray:
-    """Effective magnetic field Q_k of the two-band Bloch Hamiltonian."""
-    kappa = 2.0 * math.pi * k / L
-    return np.array(
-        [
-            params.w1 + params.w2 * math.cos(kappa),
-            params.w2 * math.sin(kappa),
-            params.delta,
-        ]
-    )
+def rmm_cell_blocks(drive) -> tuple[np.ndarray, np.ndarray]:
+    """On-site block w1 sigma_x + Delta sigma_z and hop block [[0, w2], [0, 0]]
+    from cell r to r + 1, each (*w1.shape, 2, 2) for (w1, w2, Delta) stacked
+    along the first axis of ``drive``, as :meth:`PumpProtocol.drive` returns them."""
+    w1, w2, delta = np.broadcast_arrays(*(np.asarray(c, dtype=float)[..., None, None]
+                                          for c in drive))
+    onsite = w1 * np.array([[0.0, 1.0], [1.0, 0.0]]) + delta * np.array([[1.0, 0.0], [0.0, -1.0]])
+    return onsite, w2 * np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
-def band_energies(params: RiceMeleParams, k: int, L: int) -> tuple[float, float]:
-    """(eps_-, eps_+) = -/+ |Q_k|."""
-    eps = float(np.linalg.norm(bloch_vector(params, k, L)))
-    return -eps, eps
+def _ring_hamiltonian(onsite: np.ndarray, hop: np.ndarray, cells: int) -> np.ndarray:
+    """Periodic chain of ``cells`` cells, cell-major: the block ``onsite`` on
+    each cell, ``hop`` from cell r to r + 1 and its adjoint back."""
+    n = len(onsite)
+    r = np.arange(cells)
+    nxt = np.roll(r, -1)
+    h = np.zeros((cells, n, cells, n), dtype=np.result_type(onsite, hop))
+    np.add.at(h, (r, slice(None), r), onsite)
+    np.add.at(h, (nxt, slice(None), r), hop)
+    np.add.at(h, (r, slice(None), nxt), hop.conj().T)
+    return h.reshape(n * cells, n * cells)
 
 
-def _bloch_hamiltonians(drive, kappas: np.ndarray) -> np.ndarray:
-    """Bloch Hamiltonians Q(kappa) . sigma at momenta ``kappas``.
+def _bloch_hamiltonians(onsite, hop, kappas) -> np.ndarray:
+    """h(kappa) = onsite + hop e^{-i kappa} + hop^dagger e^{i kappa} at momenta ``kappas``.
 
-    ``drive`` stacks (w1, w2, Delta) along its first axis, as
-    :meth:`PumpProtocol.drive` returns them; the result has shape
-    (*w1.shape, len(kappas), 2, 2).
+    This is sum_d H[0, d] e^{i kappa d} of :func:`_ring_hamiltonian`, the
+    convention of :func:`bosepol.circulant.cell_bloch_blocks`. Blocks
+    stacked as (..., n, n) give shape (..., len(kappas), n, n).
     """
-    w1, w2, delta = (np.asarray(c, dtype=float)[..., None] for c in drive)
-    qx = w1 + w2 * np.cos(kappas)
-    qy = w2 * np.sin(kappas)
-    h = np.empty(qx.shape + (2, 2), dtype=complex)
-    h[..., 0, 0] = delta
-    h[..., 1, 1] = -delta
-    h[..., 0, 1] = qx - 1j * qy
-    h[..., 1, 0] = qx + 1j * qy
-    return h
+    kappas = np.asarray(kappas, dtype=float)[:, None, None]
+    phase = np.cos(kappas) - 1j * np.sin(kappas)
+    onsite, hop = (np.asarray(b)[..., None, :, :] for b in (onsite, hop))
+    return onsite + hop * phase + hop.conj().swapaxes(-1, -2) * phase.conj()
 
 
 def _zak_phases(drive, band: str = "lower", samples: int = 64) -> np.ndarray:
@@ -164,7 +168,7 @@ def _zak_phases(drive, band: str = "lower", samples: int = 64) -> np.ndarray:
     if band not in ("lower", "upper"):
         raise ValueError("band must be 'lower' or 'upper'")
     kappas = 2.0 * np.pi * np.arange(samples) / samples
-    vals, vecs = np.linalg.eigh(_bloch_hamiltonians(drive, kappas))
+    vals, vecs = np.linalg.eigh(_bloch_hamiltonians(*rmm_cell_blocks(drive), kappas))
     if np.abs(vals).min() < 1e-12:
         raise GapClosureError("gap closure: |Q_k| < 1e-12 at a sampled momentum")
     u = vecs[..., 0] if band == "lower" else vecs[..., 1]
@@ -178,7 +182,7 @@ def zak_phase(params: RiceMeleParams, band: str = "lower", samples: int = 64) ->
     phi = -Im ln prod_j <u(k_j)|u(k_{j+1})> with k_j increasing across the
     zone and the loop closed periodically; gauge-invariant by construction.
     """
-    return float(_zak_phases((params.w1, params.w2, params.delta), band, samples))
+    return float(_zak_phases(astuple(params), band, samples))
 
 
 def zak_winding(protocol: PumpProtocol) -> int:
@@ -191,14 +195,6 @@ def zak_winding(protocol: PumpProtocol) -> int:
     times = protocol.period * np.arange(257) / 256
     phis = _zak_phases(protocol.drive(times))
     return _integer_winding(float(_unwrap(0.0, phis)[-1]), "Zak winding")
-
-
-def lower_eigenvector_k0(params: RiceMeleParams) -> tuple[complex, complex]:
-    """Lower-band eigenvector of h_0 = Q_0 . sigma, normalized to unit cell occupancy."""
-    w, d = params.w1 + params.w2, params.delta
-    h = np.array([[d, w], [w, -d]])
-    _, vecs = np.linalg.eigh(h)
-    return complex(vecs[0, 0]), complex(vecs[1, 0])
 
 
 def _su2_product(later, earlier) -> tuple[np.ndarray, np.ndarray]:
@@ -222,11 +218,14 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
     if steps < 100:
         raise ValueError("need at least 100 steps per period")
     h = protocol.period / steps
-    a, b = lower_eigenvector_k0(protocol.params_at(0.0))
+    h0 = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(0.0)), [0.0])[0].real
+    a, b = np.linalg.eigh(h0)[1][:, 0].astype(complex)
 
     times = np.arange(steps + 1) * h
     w1, w2, delta = protocol.drive(times[:-1, None] + h * _GAUSS_NODES)
-    # exp(-i(x sigma_x + z sigma_z)) for the earlier and the later factor (columns)
+    # exp(-i(x sigma_x + z sigma_z)) for the earlier and the later factor (columns).
+    # (x, z) = (w1 + w2, Delta) is Q(kappa = 0) of rmm_cell_blocks, kept as two
+    # scalars per node: 2x2 Bloch matrices at every node cost time and memory.
     x, z = h * (w1 + w2) @ _CF4_WEIGHTS, h * delta @ _CF4_WEIGHTS
     r = np.hypot(x, z)
     sinc = np.sinc(r / np.pi)  # sin(r) / r, finite at r = 0
@@ -272,31 +271,17 @@ def adiabatic_flux(protocol: PumpProtocol) -> float:
     return math.gamma(0.75) ** 2 / math.sqrt(2.0 * math.pi)
 
 
-def _ring_hamiltonian(onsite: np.ndarray, hop: np.ndarray, cells: int) -> np.ndarray:
-    """Periodic chain of ``cells`` cells, cell-major: the block ``onsite`` on
-    each cell, ``hop`` from cell r to r + 1 and its adjoint back."""
-    n = len(onsite)
-    r = np.arange(cells)
-    nxt = np.roll(r, -1)
-    h = np.zeros((cells, n, cells, n), dtype=np.result_type(onsite, hop))
-    np.add.at(h, (r, slice(None), r), onsite)
-    np.add.at(h, (nxt, slice(None), r), hop)
-    np.add.at(h, (r, slice(None), nxt), hop.conj().T)
-    return h.reshape(n * cells, n * cells)
-
-
 def rmm_hopping_matrix(params: RiceMeleParams, lattice: LatticeSpec) -> np.ndarray:
     """Real-space Rice-Mele hopping matrix with periodic boundary conditions.
 
-    Basis ordering matches the lattice (cell-major, site-next). Bonds carry
-    +w1 and +w2, so the lattice Fourier transform gives h_k = Q_k . sigma of
-    :func:`bloch_vector`, and eigenvalues come in +/- eps_k pairs.
+    Basis ordering matches the lattice (cell-major, site-next): the blocks
+    of :func:`rmm_cell_blocks` on a ring of ``lattice.cells`` cells. Its
+    Bloch blocks are those of :func:`_bloch_hamiltonians`, with eigenvalues
+    in +/- eps_k pairs.
     """
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele model needs two sites per cell")
-    w1, w2, d = params.w1, params.w2, params.delta
-    return _ring_hamiltonian(np.array([[d, w1], [w1, -d]]), np.array([[0.0, w2], [0.0, 0.0]]),
-                             lattice.cells)
+    return _ring_hamiltonian(*rmm_cell_blocks(astuple(params)), lattice.cells)
 
 
 def rmm_thermal_state(

@@ -171,17 +171,16 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
         raise ValueError("hopping matrix must be square")
     if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, np.abs(h).max()):
         raise ValueError("hopping matrix must be hermitian")
-    if beta <= 0:
-        raise ValueError("inverse temperature beta must be positive")
+    if not beta > 0:
+        raise ValueError(f"inverse temperature beta must be positive, got {beta}")
     energies, vectors = np.linalg.eigh(h)
     gap = energies - mu
-    if np.any(gap <= 0):
+    if not np.all(gap > 0):
         raise ChemicalPotentialError(
-            f"chemical potential above band minimum: min(eps - mu) = {gap.min():.6g}"
+            f"chemical potential not below the band minimum: min(eps - mu) = {gap.min():.6g}"
         )
     with np.errstate(over="ignore"):
         occ = 1.0 / np.expm1(beta * gap)
-    occ = np.where(np.isfinite(occ), occ, 0.0)
     return ModeOccupation(energies=energies, occupations=occ, eigenvectors=vectors)
 
 

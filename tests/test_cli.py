@@ -42,6 +42,26 @@ def test_flux_sweep_rejects_empty_list():
     assert cli.main(["flux-sweep", "--period-list", "-3"]) == 2
 
 
+def test_nonfinite_inputs_exit_config():
+    assert cli.main(["flux-sweep", "--period-list", "inf"]) == 2
+    assert cli.main(["winding", "--L", "3", "--mu", "nan"]) == 2
+    assert cli.main(["scaling", "--beta", "nan"]) == 2
+    assert cli.main(["chern", "--L", "4", "--samples", "16", "--mu", "nan"]) == 2
+
+
+def test_bench_needs_a_repeat():
+    assert cli.main(["bench", "--repeats", "0"]) == 2
+
+
+def test_seed_only_where_read():
+    assert cli.main(["flux-sweep", "--period-list", "5", "--seed", "1"]) == 2
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seeded = {name for name, p in sub.choices.items()
+              if any("--seed" in a.option_strings for a in p._actions)}
+    assert seeded == {"winding", "bench"}
+
+
 def test_flux_sweep_deterministic(tmp_path):
     args = ["flux-sweep", "--period-list", "2,4", "--steps", "1500"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

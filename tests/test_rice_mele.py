@@ -1,5 +1,6 @@
 """Rice-Mele band data, Zak winding, pump dynamics and particle flux."""
 
+from dataclasses import astuple
 from functools import lru_cache
 
 import numpy as np
@@ -10,19 +11,18 @@ from scipy.special import gamma
 
 from bosepol import make_lattice, polarization, coherent_state
 from bosepol.errors import GapClosureError
-from bosepol.loops import chain_hopping_at_ky
+from bosepol.loops import chain_hopping_at_ky, chern_cell_blocks
 from bosepol.rice_mele import (
     PumpProtocol,
     RiceMeleParams,
     _bloch_hamiltonians,
+    _ring_hamiltonian,
     _simpson,
     _zak_phases,
     adiabatic_flux,
-    band_energies,
-    bloch_vector,
     evolve_pump,
     integrated_flux,
-    lower_eigenvector_k0,
+    rmm_cell_blocks,
     rmm_hopping_matrix,
     zak_phase,
     zak_winding,
@@ -59,6 +59,20 @@ def dop853_flux(AT: float) -> float:
     return float(sol.y[4, -1])
 
 
+def rmm_bloch(params, k, L):
+    """Rice-Mele Bloch Hamiltonian at kappa = 2 pi k / L."""
+    return _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), [2 * np.pi * k / L])[0]
+
+
+def bloch_vector(params, k, L):
+    """Q with h = Q . sigma, read off by the Pauli traces of the Bloch Hamiltonian."""
+    h = rmm_bloch(params, k, L)
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    q = np.einsum("ij,aji->a", h, paulis) / 2.0
+    assert np.abs(q.imag).max() == 0.0 and np.trace(h) == 0.0
+    return q.real
+
+
 def test_bloch_vector_cases():
     assert np.allclose(bloch_vector(RiceMeleParams(1, 0, 0), 3, 8), [1, 0, 0])
     assert np.allclose(bloch_vector(RiceMeleParams(1, 1, 0), 4, 8), [0, 0, 0])
@@ -67,11 +81,11 @@ def test_bloch_vector_cases():
 
 def test_band_energies():
     p = RiceMeleParams(0.7, 0.5, 0.3)
-    lo, hi = band_energies(p, 0, 8)
+    lo, hi = np.linalg.eigvalsh(rmm_bloch(p, 0, 8))
     assert hi == pytest.approx(np.sqrt(0.3**2 + 1.2**2)) and lo == -hi
-    lo, hi = band_energies(RiceMeleParams(1, 1, 0), 4, 8)
+    lo, hi = np.linalg.eigvalsh(rmm_bloch(RiceMeleParams(1, 1, 0), 4, 8))
     assert hi == pytest.approx(0.0, abs=1e-12)  # gap closes
-    assert band_energies(RiceMeleParams(0, 0, 0.4), 1, 8) == (
+    assert tuple(np.linalg.eigvalsh(rmm_bloch(RiceMeleParams(0, 0, 0.4), 1, 8))) == (
         pytest.approx(-0.4), pytest.approx(0.4)
     )
 
@@ -154,8 +168,9 @@ def test_trajectory_equals_sequential_magnus_steps():
     a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
     def h0(t):
-        p = protocol.params_at(t)
-        return np.array([[p.delta, p.w1 + p.w2], [p.w1 + p.w2, -p.delta]])
+        h = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(t)), [0.0])[0]
+        assert not h.imag.any()
+        return h.real
 
     psi = np.array([traj.alpha[0], traj.beta[0]])
     for i in range(steps):
@@ -208,8 +223,8 @@ def test_flux_equals_scipy_simpson_on_trajectory(steps):
 def test_adiabatic_following_at_slow_drive():
     protocol = reference(200.0)
     traj = evolve_pump(protocol, steps=40_000)
-    a, b = lower_eigenvector_k0(protocol.params_at(protocol.period))
-    target = np.array([a, b])
+    end = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(protocol.period)), [0.0])[0]
+    target = np.linalg.eigh(end.real)[1][:, 0]
     psi = np.array([traj.alpha[-1], traj.beta[-1]])
     fidelity = abs(np.vdot(target, psi)) ** 2 / (np.vdot(psi, psi).real)
     assert fidelity > 0.999
@@ -256,7 +271,7 @@ def test_hopping_matrix_spectrum_matches_bands():
     for L in (3, 6):
         lat = make_lattice(L, 2)
         got = np.sort(np.linalg.eigvalsh(rmm_hopping_matrix(p, lat)))
-        want = np.sort([e for k in range(L) for e in band_energies(p, k, L)])
+        want = np.sort([e for k in range(L) for e in np.linalg.eigvalsh(rmm_bloch(p, k, L))])
         assert np.abs(got - want).max() < 1e-10
 
 
@@ -268,19 +283,17 @@ def test_hopping_matrix_dimer_limit():
     assert np.allclose(np.sort(eigs), np.sort([-e] * 4 + [e] * 4))
 
 
-def test_hopping_matrix_eigenvectors_match_bloch():
-    """Fourier components of the real-space lower band are the Bloch lower eigenvectors."""
-    p, L = RiceMeleParams(0.7, 1.3, 0.4), 6
-    _, vecs = np.linalg.eigh(rmm_hopping_matrix(p, make_lattice(L, 2)))
-    lower = vecs[:, :L].reshape(L, 2, L)  # (cell, site, band state)
+@pytest.mark.parametrize("L", [1, 2, 3, 8])
+@pytest.mark.parametrize("blocks", [rmm_cell_blocks((0.7, 1.3, 0.4)), chern_cell_blocks(1.3, 0.8)],
+                         ids=["rice-mele", "chern-chain"])
+def test_bloch_hamiltonians_are_ring_fourier_sums(blocks, L):
+    """h(kappa) = sum_d H[0, d] e^{i kappa d} of the ring, as cell_bloch_blocks reads V."""
+    onsite, hop = blocks
+    n = len(onsite)
+    first_row = _ring_hamiltonian(onsite, hop, L).reshape(L, n, L, n)[0].transpose(1, 0, 2)
     kappas = 2 * np.pi * np.arange(L) / L
-    fourier = np.exp(-1j * np.outer(kappas, np.arange(L))) / np.sqrt(L)
-    u = np.einsum("kr,rsj->ksj", fourier, lower)
-    _, bloch = np.linalg.eigh(_bloch_hamiltonians((p.w1, p.w2, p.delta), kappas))
-    # degenerate +-k pairs mix, so compare the lower-band projector at each k
-    got = u @ u.conj().transpose(0, 2, 1)
-    want = bloch[:, :, :1] @ bloch[:, :, :1].conj().transpose(0, 2, 1)
-    assert np.abs(got - want).max() < 1e-10
+    want = np.einsum("kd,dij->kij", np.exp(1j * np.outer(kappas, np.arange(L))), first_row)
+    assert np.abs(_bloch_hamiltonians(onsite, hop, kappas) - want).max() <= 1e-14
 
 
 def test_hopping_matrix_gap_closing_point():
@@ -294,6 +307,9 @@ def test_protocol_validation():
         PumpProtocol(0.0, 10.0)
     with pytest.raises(ValueError):
         PumpProtocol(1.0, -1.0)
+    for amplitude, period in ((1.0, np.inf), (1.0, np.nan), (np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            PumpProtocol(amplitude, period)
     with pytest.raises(ValueError):
         PumpProtocol(1.0, 10.0, lambda x: (x, 0.0, 0.0))  # not periodic
 

@@ -265,6 +265,19 @@ def test_bose_occupations_structure():
     assert np.abs(U.conj().T @ U - np.eye(4)).max() < 1e-10
 
 
+def test_bose_occupations_reject_nan():
+    h = np.diag([0.0, 1.0])
+    with pytest.raises(ValueError, match="beta"):
+        bose_occupations(h, beta=np.nan, mu=-1.0)
+    with pytest.raises(ChemicalPotentialError):
+        bose_occupations(h, beta=1.0, mu=np.nan)
+
+
+def test_bose_occupations_infinite_beta_is_vacuum():
+    modes = bose_occupations(np.diag([0.0, 1.0]), beta=np.inf, mu=-1.0)
+    assert np.array_equal(modes.occupations, [0.0, 0.0])
+
+
 def test_constructor_outputs_pass_validation():
     lat = make_lattice(2, 2)
     states = [

@@ -92,40 +92,68 @@ def cell_bloch_blocks(state: GaussianState, check: bool = True) -> BlochBlocks:
 
 
 def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
-    """Inverse Fourier transform of Bloch blocks v_k back to a dense real-symmetric matrix."""
-    L, tn, _ = v_blocks.shape
-    C = np.fft.fft(v_blocks, axis=0) / L
+    """Inverse Fourier transform of Bloch blocks v_k back to dense real-symmetric matrices.
+
+    Blocks (..., L, 2n, 2n) give matrices (..., 2nL, 2nL), one per leading index.
+    """
+    *stack, L, tn, _ = v_blocks.shape
+    C = np.fft.fft(v_blocks, axis=-3) / L
     idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-    V = C[idx].transpose(0, 2, 1, 3).reshape(L * tn, L * tn)
-    if np.abs(V.imag).max() > 1e-10 * max(1.0, np.abs(V.real).max()):
+    V = C[..., idx, :, :].swapaxes(-3, -2).reshape(*stack, L * tn, L * tn)
+    scale = np.maximum(1.0, np.abs(V.real).max(axis=(-2, -1)))
+    if (np.abs(V.imag).max(axis=(-2, -1)) > 1e-10 * scale).any():
         raise ValueError("Bloch blocks violate the realness constraint v_{L-k} = conj(v_k)")
-    return (V.real + V.real.T) / 2.0
+    return (V.real + V.real.swapaxes(-1, -2)) / 2.0
 
 
-def random_bloch_blocks(
+def _self_conjugate(k: int, cells: int) -> bool:
+    """Whether momentum k equals -k modulo the cell count, so its Bloch block is real."""
+    return 2 * k % cells == 0
+
+
+def bloch_draws(
     lattice: LatticeSpec,
     rng: np.random.Generator,
     low: float,
     high: float,
     k0_high: float | None = None,
-) -> np.ndarray:
-    """Random Hermitian Bloch blocks with eigenvalues in [low, high).
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The random draws behind one set of :func:`random_bloch_blocks`, in a fixed order.
 
-    Blocks are drawn for k = 0 .. L/2 and mirrored as v_{L-k} = conj(v_k),
-    which keeps the assembled matrix real; the self-conjugate momenta get
-    real blocks. ``k0_high`` replaces ``high`` for the k = 0 block.
+    For each k = 0 .. L/2: a Gaussian matrix, real at the self-conjugate
+    momenta and complex elsewhere, then 2n eigenvalues from [low, high).
+    ``k0_high`` replaces ``high`` for the k = 0 block.
     """
     L, tn = lattice.cells, 2 * lattice.sites_per_cell
-    blocks = np.empty((L, tn, tn), dtype=complex)
+    draws = []
     for k in range(L // 2 + 1):
-        if k == 0 or (L % 2 == 0 and k == L // 2):
-            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)))
-        else:
-            Q, _ = np.linalg.qr(rng.normal(size=(tn, tn)) + 1j * rng.normal(size=(tn, tn)))
+        g = rng.normal(size=(tn, tn))
+        if not _self_conjugate(k, L):
+            g = g + 1j * rng.normal(size=(tn, tn))
         hi = k0_high if k == 0 and k0_high is not None else high
-        B = (Q * rng.uniform(low, hi, size=tn)) @ Q.conj().T
-        blocks[k] = (B + B.conj().T) / 2.0
-        blocks[(L - k) % L] = blocks[k].conj()
+        draws.append((g, rng.uniform(low, hi, size=tn)))
+    return draws
+
+
+def random_bloch_blocks(lattice: LatticeSpec, *draw_sets) -> np.ndarray:
+    """Random Hermitian Bloch blocks, (len(draw_sets), L, 2n, 2n), from :func:`bloch_draws`.
+
+    The block at k = 0 .. L/2 is Q diag(eigenvalues) Q^dagger, with Q from the
+    QR factorization of that k's Gaussian matrix; it is mirrored as
+    v_{L-k} = conj(v_k), which keeps the assembled matrix real. All sets
+    take two batched QRs, one for the real blocks and one for the complex.
+    """
+    L, tn = lattice.cells, 2 * lattice.sites_per_cell
+    ks = range(L // 2 + 1)
+    blocks = np.empty((len(draw_sets), L, tn, tn), dtype=complex)
+    for real in (True, False):
+        group = [(i, k) for i in range(len(draw_sets)) for k in ks if _self_conjugate(k, L) == real]
+        if group:
+            Q, _ = np.linalg.qr(np.array([draw_sets[i][k][0] for i, k in group]))
+            eigs = np.array([draw_sets[i][k][1] for i, k in group])
+            B = (Q * eigs[:, None, :]) @ Q.conj().swapaxes(-1, -2)
+            blocks[tuple(zip(*group))] = (B + B.conj().swapaxes(-1, -2)) / 2.0
+    blocks[:, [(L - k) % L for k in ks]] = blocks[:, list(ks)].conj()
     return blocks
 
 
@@ -191,7 +219,8 @@ def random_circulant_state(
     if eig_low is None:
         eig_low = 1.1 if classical else 0.3
     k0_high = None if classical else min(0.9, eig_high)
-    V = reassemble_covariance(random_bloch_blocks(lattice, rng, eig_low, eig_high, k0_high))
+    draws = bloch_draws(lattice, rng, eig_low, eig_high, k0_high)
+    V = reassemble_covariance(random_bloch_blocks(lattice, draws)[0])
     if mean_scale:
         cell = mean_scale * rng.normal(size=2 * lattice.sites_per_cell)
         mean = np.tile(cell, lattice.cells)

@@ -258,8 +258,9 @@ def run_scaling(args) -> int:
         # Im ln det(1 - W) from the circulant reduction: it resolves phases
         # far below the rounding floor of a dense LU factorization.
         det = circulant.reduced_determinant(circulant.cell_bloch_blocks(state))
-        eps = circulant.decay_bound(state)
-        lam_min = np.linalg.eigvalsh(state.V)[0]
+        # circulant.decay_bound, from the eigenvalues polarization already has.
+        eps = 4.0 * breakdown.cayley_norm ** L
+        lam_min = breakdown.min_covariance_eigenvalue
         classical_bound = ((1.0 + lam_min) / 2.0) ** (-args.n * L)
         return [L, breakdown.abs_T, float(np.angle(det)), eps, classical_bound]
 
@@ -289,13 +290,10 @@ def run_winding(args) -> int:
     )
     track = winding.track_polarization(loop)
     result = winding.winding_number(track)
-    rows = [
-        [lam, p, a, d, s.imag]
-        for lam, p, a, d, s in zip(
-            track.lambdas, track.p_unwrapped, track.abs_T,
-            track.det_term_phase, track.mean_term,
-        )
-    ]
+    rows = np.column_stack((
+        track.lambdas, track.p_unwrapped, track.abs_T,
+        track.det_term_phase, track.mean_term.imag,
+    )).tolist()
     _emit_csv(
         args,
         ["lambda", "P_unwrapped", "abs_T", "det_term_phase", "mean_term_im"],
@@ -372,16 +370,14 @@ def run_chern(args) -> int:
     lattice = make_lattice(args.L, 2)
     band_c = loops.band_chern_number(args.mass)
     family = loops.thermal_chern_family(lattice, args.mass, args.beta, args.mu)
-    loop = winding.ParameterLoop(
-        sampler=lambda lam: family(2.0 * math.pi * lam),
-        initial_samples=args.samples,
+    loop = winding.loop_of_states(
+        lattice, lambda lam: family(2.0 * math.pi * lam), args.samples
     )
     track = winding.track_polarization(loop)
     c = winding.polarization_winding(track)
-    rows = [
-        [lam, 2.0 * math.pi * lam, p]
-        for lam, p in zip(track.lambdas, track.p_unwrapped)
-    ]
+    rows = np.column_stack(
+        (track.lambdas, 2.0 * math.pi * track.lambdas, track.p_unwrapped)
+    ).tolist()
     _emit_csv(args, ["lambda", "ky", "P_unwrapped"], rows)
     ok = c == 0
     _status(args, ok, f"band_chern={band_c} family_chern={c}")

@@ -18,11 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .circulant import random_bloch_blocks, random_circulant_state, reassemble_covariance
+from .circulant import bloch_draws, random_bloch_blocks, reassemble_covariance
 from .rice_mele import PumpProtocol, evolve_pump, rmm_thermal_state
 from .rice_mele import _bloch_hamiltonians, _ring_hamiltonian
-from .states import GaussianState, LatticeSpec, coherent_state, thermal_state
-from .winding import ParameterLoop
+from .states import GaussianState, LatticeSpec, thermal_state
+from .winding import ParameterLoop, loop_of_states
 
 LOOP_NAMES = ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed")
 
@@ -48,11 +48,10 @@ def rmm_thermal_loop(
     if mu is None:
         mu = -3.0 * protocol.amplitude
 
-    def sampler(lam: float) -> GaussianState:
-        params = protocol.params_at(lam * protocol.period)
-        return rmm_thermal_state(params, lattice, beta, mu)
+    def state(lam: float) -> GaussianState:
+        return rmm_thermal_state(protocol.params_at(lam * protocol.period), lattice, beta, mu)
 
-    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
+    return loop_of_states(lattice, state, initial_samples)
 
 
 def rmm_coherent_loop(
@@ -74,13 +73,18 @@ def rmm_coherent_loop(
     while steps < 2 ** 14:
         steps *= 2
     traj = evolve_pump(protocol, steps=steps)
+    eye = np.eye(lattice.dim)
 
-    def sampler(lam: float) -> GaussianState:
-        i = int(round(lam * steps))
-        cell = np.array([traj.alpha[i], traj.beta[i]])
-        return coherent_state(lattice, np.tile(cell, lattice.cells))
+    def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # np.rint rounds half to even, as round() does.
+        i = np.rint(lams * steps).astype(int)
+        amps = np.tile(np.stack([traj.alpha[i], traj.beta[i]], axis=-1), lattice.cells)
+        mean = np.empty((len(lams), lattice.dim))
+        mean[:, 0::2] = 2.0 * amps.real
+        mean[:, 1::2] = 2.0 * amps.imag
+        return np.broadcast_to(eye, (len(lams), *eye.shape)), mean
 
-    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
+    return ParameterLoop(lattice, sampler, initial_samples)
 
 
 def random_classical_loop(
@@ -96,19 +100,21 @@ def random_classical_loop(
     classical on the whole loop.
     """
     rng = np.random.default_rng(seed)
-    base = random_circulant_state(
-        lattice, int(rng.integers(2 ** 31)), classical=True, eig_low=1.6, eig_high=3.5,
-    )
-    X = reassemble_covariance(random_bloch_blocks(lattice, rng, -0.25, 0.25))
-    Y = reassemble_covariance(random_bloch_blocks(lattice, rng, -0.25, 0.25))
+    # Vbar is random_circulant_state(lattice, <seed drawn here>, eig_low=1.6,
+    # eig_high=3.5); it is built with X and Y in one pass.
+    base_rng = np.random.default_rng(int(rng.integers(2 ** 31)))
+    draws = [bloch_draws(lattice, base_rng, 1.6, 3.5)]
+    draws += [bloch_draws(lattice, rng, -0.25, 0.25) for _ in range(2)]
+    Vbar, X, Y = reassemble_covariance(random_bloch_blocks(lattice, *draws))
     cell = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
     m0, ma, mb = (np.tile(c, lattice.cells) for c in cell)
 
-    def sampler(lam: float) -> GaussianState:
-        c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
-        return GaussianState(lattice, base.V + c * X + s * Y, m0 + c * ma + s * mb)
+    def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, s = np.cos(2.0 * np.pi * lams)[:, None], np.sin(2.0 * np.pi * lams)[:, None]
+        V = Vbar + c[..., None] * X + s[..., None] * Y
+        return V, m0 + c * ma + s * mb
 
-    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
+    return ParameterLoop(lattice, sampler, initial_samples)
 
 
 def random_squeezed_loop(
@@ -130,20 +136,22 @@ def random_squeezed_loop(
     mean_a = mean_scale * rng.normal(size=lattice.dim)
     mean_b = mean_scale * rng.normal(size=lattice.dim)
 
-    def sampler(lam: float) -> GaussianState:
-        # R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T on every mode's (x, p) = (2j, 2j + 1).
-        r = r0 + rho * math.sin(2.0 * math.pi * lam)
-        phi = phi0 + math.pi * lam
-        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-        x = 2 * np.arange(nl)
-        V = np.zeros((lattice.dim, lattice.dim))
-        V[x, x] = ch + sh * np.cos(2.0 * phi)
-        V[x + 1, x + 1] = ch - sh * np.cos(2.0 * phi)
-        V[x, x + 1] = V[x + 1, x] = sh * np.sin(2.0 * phi)
-        c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
-        return GaussianState(lattice, V, c * mean_a + s * mean_b)
+    x = 2 * np.arange(nl)
 
-    return ParameterLoop(sampler=sampler, initial_samples=initial_samples)
+    def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # R(phi) diag(e^{2r}, e^{-2r}) R(phi)^T on every mode's (x, p) = (2j, 2j + 1),
+        # filled over (lambda, mode).
+        c, s = np.cos(2.0 * np.pi * lams)[:, None], np.sin(2.0 * np.pi * lams)[:, None]
+        r = r0 + rho * s
+        phi = phi0 + np.pi * lams[:, None]
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+        V = np.zeros((len(lams), lattice.dim, lattice.dim))
+        V[:, x, x] = ch + sh * np.cos(2.0 * phi)
+        V[:, x + 1, x + 1] = ch - sh * np.cos(2.0 * phi)
+        V[:, x, x + 1] = V[:, x + 1, x] = sh * np.sin(2.0 * phi)
+        return V, c * mean_a + s * mean_b
+
+    return ParameterLoop(lattice, sampler, initial_samples)
 
 
 def named_loop(
@@ -180,6 +188,8 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def chern_cell_blocks(ky, mass: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """On-site block sin ky sigma_y + (mass + cos ky) sigma_z and hop block
     (sigma_z - i sigma_x) / 2 from cell r to r + 1, each (*ky.shape, 2, 2)."""
+    if not math.isfinite(mass):
+        raise ValueError(f"Chern chain mass must be finite, got {mass}")
     ky = np.asarray(ky, dtype=float)[..., None, None]
     onsite = np.sin(ky) * _SY + (mass + np.cos(ky)) * _SZ
     return onsite, np.broadcast_to((_SZ - 1j * _SX) / 2.0, onsite.shape)

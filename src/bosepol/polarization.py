@@ -98,7 +98,8 @@ class PolarizationBreakdown:
     the eigenvalues v_j of V; ``branch_turns`` is the integer k with
     Im ln det(1 - W) = principal phase + 2 pi k; ``max_abs_h`` is max_j |h_j|,
     the largest eigenvalue magnitude of H = V^{-1/2} K V^{-1/2}, which grows
-    as V nears singularity or a shift phase nears 0 mod 2 pi.
+    as V nears singularity or a shift phase nears 0 mod 2 pi;
+    ``min_covariance_eigenvalue`` is the smallest eigenvalue of V.
     """
 
     abs_T: float
@@ -110,6 +111,7 @@ class PolarizationBreakdown:
     cayley_norm: float
     branch_turns: int
     max_abs_h: float
+    min_covariance_eigenvalue: float
 
     @property
     def expectation(self) -> complex:
@@ -208,6 +210,7 @@ def polarization(
         cayley_norm=float(np.abs((vals - 1.0) / (vals + 1.0)).max()),
         branch_turns=round(phi / (2.0 * math.pi)),
         max_abs_h=float(np.abs(h).max()),
+        min_covariance_eigenvalue=float(vals[0]),
     )
 
 

@@ -79,6 +79,34 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def checked_moments(
+    dim: int, V, mean, stack: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariances of shape (*stack, dim, dim) and means of shape (*stack, dim), checked.
+
+    Both must be finite, and each covariance symmetric within SYMMETRY_RTOL
+    of max(1, max |V|). Returns the exactly symmetrized covariances and the
+    means as float arrays. :class:`GaussianState` checks one state here
+    (``stack = ()``), :func:`bosepol.winding.track_polarization` a loop's
+    whole sample stack.
+    """
+    V = np.asarray(V, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    if V.shape != (*stack, dim, dim):
+        raise ValueError(f"covariance must be {dim}x{dim}, got {V.shape}")
+    if mean.shape != (*stack, dim):
+        raise ValueError(f"mean must have length {dim}, got {mean.shape}")
+    scale = np.abs(V).max(axis=(-2, -1))  # nan or inf unless V is finite
+    if not (np.isfinite(scale).all() and np.isfinite(mean).all()):
+        raise ValueError("covariance and mean must be finite")
+    VT = V.swapaxes(-1, -2)
+    defect = np.abs(V - VT).max(axis=(-2, -1))
+    bad = (defect > SYMMETRY_RTOL) & (defect > SYMMETRY_RTOL * scale)  # > rtol max(1, scale)
+    if bad.any():
+        raise ValueError(f"covariance asymmetry {defect[bad].flat[0]:.3e} exceeds tolerance")
+    return (V + VT) / 2.0, mean
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Gaussian bosonic state: covariance ``V`` and mean ``alpha0`` over 2nL quadratures.
@@ -93,20 +121,8 @@ class GaussianState:
     mean: np.ndarray
 
     def __post_init__(self):
-        dim = self.lattice.dim
-        V = np.asarray(self.V, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        if V.shape != (dim, dim):
-            raise ValueError(f"covariance must be {dim}x{dim}, got {V.shape}")
-        if mean.shape != (dim,):
-            raise ValueError(f"mean must have length {dim}, got {mean.shape}")
-        if not np.all(np.isfinite(V)) or not np.all(np.isfinite(mean)):
-            raise ValueError("covariance and mean must be finite")
-        defect = np.abs(V - V.T).max()
-        scale = max(1.0, np.abs(V).max())
-        if defect > SYMMETRY_RTOL * scale:
-            raise ValueError(f"covariance asymmetry {defect:.3e} exceeds tolerance")
-        object.__setattr__(self, "V", _as_readonly((V + V.T) / 2.0))
+        V, mean = checked_moments(self.lattice.dim, self.V, self.mean)
+        object.__setattr__(self, "V", _as_readonly(V))
         object.__setattr__(self, "mean", _as_readonly(mean))
 
     @property

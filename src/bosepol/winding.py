@@ -32,7 +32,7 @@ from .polarization import (
     quadrature_cotangents,
     shift_phases,
 )
-from .states import GaussianState
+from .states import GaussianState, LatticeSpec, checked_moments
 
 CLOSURE_TOL = 1e-12
 WINDING_RESIDUAL_TOL = 1e-3
@@ -44,19 +44,38 @@ MAX_SAMPLES = 2 ** 20
 
 @dataclass(frozen=True)
 class ParameterLoop:
-    """Closed path of Gaussian states, sampled by ``sampler(lambda)``.
+    """Closed path of Gaussian states on ``lattice``, sampled a lambda array at a time.
 
-    ``sampler`` must be defined on [0, 1] with state(1) = state(0) (the
-    covariance closure is checked to 1e-12). ``initial_samples`` uniform
-    segments are bisected until no phase step reaches PHASE_STEP_TOL.
+    ``sampler(lams)`` takes a 1-D float array of lambdas in [0, 1] and
+    returns the covariances and means of those states, shaped
+    (len(lams), 2nL, 2nL) and (len(lams), 2nL). The path must close,
+    state(1) = state(0) (the covariance closure is checked to 1e-12).
+    ``initial_samples`` uniform segments, sampled in one call, are bisected
+    until no phase step reaches PHASE_STEP_TOL; each midpoint is one more
+    call. :func:`loop_of_states` adapts a one-state-per-lambda family.
     """
 
-    sampler: Callable[[float], GaussianState]
+    lattice: LatticeSpec
+    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     initial_samples: int = 16
 
     def __post_init__(self):
         if self.initial_samples < 8:
             raise ValueError("initial sample count must be >= 8")
+
+
+def loop_of_states(
+    lattice: LatticeSpec,
+    fn: Callable[[float], GaussianState],
+    initial_samples: int = 16,
+) -> ParameterLoop:
+    """The loop lambda -> fn(lambda) of a family that builds one state per lambda."""
+
+    def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        states = [fn(lam) for lam in lams.tolist()]
+        return np.array([s.V for s in states]), np.array([s.mean for s in states])
+
+    return ParameterLoop(lattice, sampler, initial_samples)
 
 
 @dataclass(frozen=True)
@@ -138,40 +157,40 @@ def _unwrap(start: float, phases: np.ndarray) -> np.ndarray:
 def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """Sample the loop adaptively and accumulate a continuous polarization.
 
-    Each distinct lambda is sampled once: the lambda = 1 state of the closure
-    check is the last sample. The shift is fixed along the loop, so
+    The uniform grid is one sampler call and each bisection midpoint one
+    more, so no lambda is sampled twice. Every call's stack is checked as
+    :class:`GaussianState` checks one state (shape, finite, symmetric). The
+    grid holds lambda = 0 and 1, whose covariances give the closure check
+    before anything is factorized. The shift is fixed along the loop, so
     det(1 - W) = det(M) det(1 - U) / det(V + 1) changes its phase only
-    through M = V + iK. The uniform grid is evaluated in one stacked pass,
-    and each bisection midpoint alone: a Cholesky factorization of the
-    stacked V checks positive definiteness, one slogdet of the stacked M
-    gives the principal phases and magnitudes, and one residual-checked
-    solve the mean terms. Consecutive phase differences are reduced
-    to [-pi, pi) and summed cumulatively from the anchor. The anchor is the
-    pointwise branch of :func:`bosepol.polarization.polarization` at
-    lambda = 0, where every factor 1 + i h_j has real part 1, so the
-    reported values agree with the pointwise polarization there and the
-    phase unwrapped along the loop is not produced by that branch rule.
-    A sample with |<T>| > 1 violates V + i Omega >= 0 and raises
-    :class:`InvalidStateError`.
+    through M = V + iK. Each call's stack is evaluated in one pass: a
+    Cholesky factorization of the stacked V checks positive definiteness,
+    one slogdet of the stacked M gives the principal phases and magnitudes,
+    and one residual-checked solve the mean terms. Consecutive phase
+    differences are reduced to [-pi, pi) and summed cumulatively from the
+    anchor. The anchor is the pointwise branch of
+    :func:`bosepol.polarization.polarization` at lambda = 0, where every
+    factor 1 + i h_j has real part 1, so the reported values agree with the
+    pointwise polarization there and the phase unwrapped along the loop is
+    not produced by that branch rule. A sample with |<T>| > 1 violates
+    V + i Omega >= 0 and raises :class:`InvalidStateError`.
     """
-    state0 = loop.sampler(0.0)
-    state1 = loop.sampler(1.0)
-    closure = float(np.abs(state1.V - state0.V).max())
-    if closure > CLOSURE_TOL * max(1.0, float(np.abs(state0.V).max())):
-        raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
-    shift = shift_phases(state0.lattice)
-    nl = state0.lattice.modes
+    lattice = loop.lattice
+    shift = shift_phases(lattice)
     k = quadrature_cotangents(shift)
     ik = 1j * np.diag(k)
     log_abs_shift = 0.25 * float(np.sum(np.log1p(k * k)))
-
-    endpoints = {0.0: state0, 1.0: state1}
+    first = []  # covariance and mean at lambda = 0, for the anchor
 
     def evaluate(lams: list[float]) -> list[tuple]:
-        states = [endpoints[lam] if lam in endpoints else loop.sampler(lam) for lam in lams]
-        if any(state.lattice.modes != nl for state in states):
-            raise ValueError("loop sampler changed the lattice size")
-        V = np.stack([state.V for state in states])
+        V, mean = checked_moments(
+            lattice.dim, *loop.sampler(np.array(lams, dtype=float)), (len(lams),)
+        )
+        if not first:  # the uniform grid, from lambda = 0 to 1
+            closure = float(np.abs(V[-1] - V[0]).max())
+            if closure > CLOSURE_TOL * max(1.0, float(np.abs(V[0]).max())):
+                raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
+            first.extend((V[0], mean[0]))
         try:
             np.linalg.cholesky(V)
         except np.linalg.LinAlgError:
@@ -184,7 +203,7 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                     ) from None
         M = V + ik
         sign, logabs = np.linalg.slogdet(M)
-        s = _mean_terms(M, np.stack([state.mean for state in states]))
+        s = _mean_terms(M, mean)
         log_abs = log_abs_shift - 0.5 * logabs + s.real
         return list(zip(np.angle(sign).tolist(), s.tolist(), log_abs.tolist()))
 
@@ -192,7 +211,7 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     phases, means, log_abs = zip(*records)
     worst = int(np.argmax(log_abs))
     _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
-    anchor = -2.0 * polarization(state0, shift).det_term_phase
+    anchor = -2.0 * polarization(GaussianState(lattice, *first), shift).det_term_phase
     det_term = -0.5 * _unwrap(anchor, np.array(phases))
     means = np.array(means, dtype=complex)
     return PolarizationTrack(
@@ -248,16 +267,16 @@ def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16)
 
 
 def chern_via_polarization(
+    lattice: LatticeSpec,
     family: Callable[[float], GaussianState],
     samples: int = 32,
 ) -> int:
     """Winding of the momentum-resolved polarization over a transverse zone.
 
     ``family`` maps k_y in [0, 2 pi] to a translation-invariant 1D Gaussian
-    state (periodic in k_y). The winding of P(k_y) is the Chern number of
-    the construction; it vanishes for every bosonic Gaussian family.
+    state on ``lattice`` (periodic in k_y). The winding of P(k_y) is the
+    Chern number of the construction; it vanishes for every bosonic
+    Gaussian family.
     """
-    loop = ParameterLoop(
-        sampler=lambda lam: family(2.0 * math.pi * lam), initial_samples=samples
-    )
+    loop = loop_of_states(lattice, lambda lam: family(2.0 * math.pi * lam), samples)
     return polarization_winding(track_polarization(loop))

@@ -251,8 +251,9 @@ def test_criterion_8_amplitude_bounds():
 def test_criterion_9_chern_null():
     with Stopwatch() as sw:
         band_c = band_chern_number(1.0, 32)
-        family = thermal_chern_family(make_lattice(8, 2), mass=1.0, beta=1.0, mu=-6.0)
-        c = chern_via_polarization(family, samples=32)
+        lat = make_lattice(8, 2)
+        family = thermal_chern_family(lat, mass=1.0, beta=1.0, mu=-6.0)
+        c = chern_via_polarization(lat, family, samples=32)
     ok = band_c != 0 and c == 0 and sw.seconds < 60.0
     report(9, "Chern null", ok,
            f"single-particle band Chern {band_c}, ensemble Chern {c} "

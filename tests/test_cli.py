@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bosepol
-from bosepol import cli, fock_oracle, loops, make_lattice, winding
+from bosepol import GaussianState, cli, fock_oracle, loops, make_lattice, rice_mele, winding
 from bosepol.polarization import polarization
 
 
@@ -49,6 +49,12 @@ def test_nonfinite_inputs_exit_config():
     assert cli.main(["chern", "--L", "4", "--samples", "16", "--mu", "nan"]) == 2
 
 
+@pytest.mark.parametrize("mass", ["nan", "inf", "-inf"])
+def test_nonfinite_chern_mass_names_the_contract(capsys, mass):
+    assert cli.main(["chern", "--L", "4", "--samples", "16", f"--mass={mass}"]) == 2
+    assert "error: Chern chain mass must be finite" in capsys.readouterr().err
+
+
 def test_bench_needs_a_repeat():
     assert cli.main(["bench", "--repeats", "0"]) == 2
 
@@ -82,6 +88,21 @@ def test_scaling_bound_columns(tmp_path):
         assert 0.0 < float(row[1]) < float(row[4])
     amplitudes = [float(row[1]) for row in rows]
     assert amplitudes == sorted(amplitudes, reverse=True)  # localization decays with L
+
+
+def test_scaling_bounds_match_the_dense_eigenvalues(tmp_path):
+    """epsilon_bound and classical_bound come from polarization's eigenvalues of V."""
+    out = tmp_path / "scaling.csv"
+    assert cli.main(["scaling", "--L", "4,6,8", "--output", str(out)]) == 0
+    params = loops.reference_protocol(1.0, 1.0).params_at(0.125)
+    for row in read_csv(out)[2]:
+        L = int(row[0])
+        state = rice_mele.rmm_thermal_state(params, make_lattice(L, 2), 1.0, -3.0)
+        eps = bosepol.decay_bound(state)
+        assert abs(float(row[3]) - eps) <= 1e-12 * eps
+        lam_min = np.linalg.eigvalsh(state.V)[0]
+        bound = ((1.0 + lam_min) / 2.0) ** (-2 * L)
+        assert abs(float(row[4]) - bound) <= 1e-12 * bound
 
 
 def test_scaling_needs_three_sizes():
@@ -263,7 +284,8 @@ def test_winding_csv_matches_pointwise_polarization(tmp_path, name):
                      "--output", str(out)]) == 0
     _, _, rows = read_csv(out)
     loop = loops.named_loop(name, make_lattice(4, 2), seed=1)
-    b = polarization(loop.sampler(0.0))
+    V, mean = loop.sampler(np.array([0.0]))
+    b = polarization(GaussianState(loop.lattice, V[0], mean[0]))
     expected = [0.0, b.p_unwrapped, b.abs_T, b.det_term_phase, b.mean_term.imag]
     # the loop closes with no winding, so lambda = 1 repeats lambda = 0
     for row, lam in ((rows[0], 0.0), (rows[-1], 1.0)):

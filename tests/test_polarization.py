@@ -2,7 +2,6 @@
 
 import cmath
 import collections
-import dataclasses
 import math
 
 import numpy as np
@@ -40,7 +39,7 @@ from bosepol.polarization import (
     quadrature_cotangents,
     quadrature_phase_factors,
 )
-from bosepol.winding import ParameterLoop, track_polarization
+from bosepol.winding import loop_of_states, track_polarization
 
 
 def thermal_mode_state(nbar: float, theta: float) -> tuple[GaussianState, ShiftSpec]:
@@ -254,17 +253,17 @@ def test_factorizations_per_evaluation(monkeypatch):
     mean_scales = (0.5, 0.0)
     loops = [random_classical_loop(lat, 3, mean_scale=m) for m in mean_scales]
     tracks = [track_polarization(loop) for loop in loops]
-    states = [{lam: loop.sampler(lam) for lam in track.lambdas} for loop, track in zip(loops, tracks)]
     matrices = collections.Counter()
     calls = count_factorizations(monkeypatch, matrices)
 
     polarization(st)
     assert calls == matrices == {"eigh": 2}
 
-    for mean_scale, loop, track, by_lam in zip(mean_scales, loops, tracks, states):
+    for mean_scale, loop, track in zip(mean_scales, loops, tracks):
         calls.clear()
         matrices.clear()
-        again = track_polarization(dataclasses.replace(loop, sampler=by_lam.__getitem__))
+        # The stacked sampler itself factorizes nothing.
+        again = track_polarization(loop)
         assert again.lambdas.tolist() == track.lambdas.tolist()
         samples = len(track.lambdas)
         assert samples == loop.initial_samples + 1  # no bisection
@@ -418,7 +417,7 @@ def test_unphysical_positive_definite_state_raises():
     with pytest.raises(InvalidStateError, match=contract):
         polarization(st)
     with pytest.raises(InvalidStateError, match="at lambda = .*" + contract):
-        track_polarization(ParameterLoop(sampler=lambda lam: st, initial_samples=8))
+        track_polarization(loop_of_states(lat, lambda lam: st, 8))
 
 
 def displaced_thermal_mode(theta: float, nbar: float, alpha: complex) -> complex:

@@ -27,11 +27,18 @@ from bosepol.polarization import (
     quadrature_cotangents,
     shift_phases,
 )
-from bosepol.rice_mele import evolve_pump
+from bosepol.circulant import (
+    bloch_draws,
+    random_bloch_blocks,
+    random_circulant_state,
+    reassemble_covariance,
+)
+from bosepol.rice_mele import evolve_pump, rmm_thermal_state
 from bosepol.states import GaussianState, coherent_state, thermal_state, vacuum_state, validate
 from bosepol.winding import (
     ParameterLoop,
     chern_via_polarization,
+    loop_of_states,
     track_polarization,
     winding_number,
     winding_of_values,
@@ -39,6 +46,12 @@ from bosepol.winding import (
 )
 
 WINDING_TOL = 1e-6
+
+
+def state_at(loop, lam):
+    """The loop's state at one lambda, from a one-element sampler call."""
+    V, mean = loop.sampler(np.array([lam]))
+    return GaussianState(loop.lattice, V[0], mean[0])
 
 
 def trace_zero_count(matrix_fn, samples: int = 256) -> float:
@@ -61,7 +74,7 @@ def trace_zero_count(matrix_fn, samples: int = 256) -> float:
 def test_constant_loop():
     lat = make_lattice(3, 2)
     state = vacuum_state(lat)
-    loop = ParameterLoop(sampler=lambda lam: state, initial_samples=8)
+    loop = loop_of_states(lat, lambda lam: state, 8)
     track = track_polarization(loop)
     assert np.ptp(track.p_unwrapped) == 0.0
     result = winding_number(track)
@@ -86,7 +99,9 @@ def test_track_follows_pointwise_spectral_branch():
     for loop in (random_classical_loop(make_lattice(3, 2), 3),
                  random_squeezed_loop(make_lattice(3, 2), 4)):
         track = track_polarization(loop)
-        pointwise = [polarization(loop.sampler(lam)).p_unwrapped for lam in track.lambdas]
+        V, mean = loop.sampler(track.lambdas)
+        pointwise = [polarization(GaussianState(loop.lattice, v, m)).p_unwrapped
+                     for v, m in zip(V, mean)]
         assert np.abs(track.p_unwrapped - pointwise).max() <= 1e-10
 
 
@@ -95,9 +110,9 @@ def test_each_sample_evaluated_once(monkeypatch):
     loop = random_classical_loop(make_lattice(4, 2), 3)
     slogdet = np.linalg.slogdet
 
-    def sampler(lam):
-        sampled.append(lam)
-        return loop.sampler(lam)
+    def sampler(lams):
+        sampled.append(lams.tolist())
+        return loop.sampler(lams)
 
     def counted_slogdet(M):
         calls.append(M)
@@ -107,7 +122,7 @@ def test_each_sample_evaluated_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
     track = track_polarization(dataclasses.replace(loop, sampler=sampler))
     assert len(track.lambdas) == 17
-    assert sorted(sampled) == track.lambdas.tolist()
+    assert sampled == [track.lambdas.tolist()]  # the whole grid in one sampler call
     assert len(determinants) == len(track.lambdas)
     assert len(calls) == 1  # the whole grid in one stacked call
 
@@ -118,13 +133,13 @@ def per_sample_track(loop):
     Each sample makes its own Cholesky check, slogdet and mean-term solve.
     Returns the lambdas, P_unwrapped, |<T>|, det_term_phase and mean_term.
     """
-    state0, state1 = loop.sampler(0.0), loop.sampler(1.0)
+    state0, state1 = state_at(loop, 0.0), state_at(loop, 1.0)
     shift = shift_phases(state0.lattice)
     k = quadrature_cotangents(shift)
     log_abs_shift = 0.25 * np.sum(np.log1p(k * k))
 
     def evaluate(lam):
-        state = state0 if lam == 0.0 else state1 if lam == 1.0 else loop.sampler(lam)
+        state = state0 if lam == 0.0 else state1 if lam == 1.0 else state_at(loop, lam)
         try:
             np.linalg.cholesky(state.V)
         except np.linalg.LinAlgError:
@@ -152,11 +167,12 @@ def bisecting_thermal_loop():
     """Thermal occupations from 0 to 1e4 and back: bisects near lambda = 0 and 1."""
     lat = make_lattice(4, 1, 0.1)
     eye = np.eye(lat.dim)
-    return ParameterLoop(
-        sampler=lambda lam: GaussianState(
+    return loop_of_states(
+        lat,
+        lambda lam: GaussianState(
             lat, (1.0 + 1e4 * math.sin(math.pi * lam) ** 2) * eye, np.zeros(lat.dim)
         ),
-        initial_samples=8,
+        8,
     )
 
 
@@ -190,8 +206,9 @@ def test_stacked_track_names_first_invalid_lambda():
     # V = (1 - 1.5 sin^2(pi lambda)) 1 stops being positive definite past
     # lambda = 0.304; the first grid sample there is 5/16 = 0.3125.
     lat = make_lattice(3, 1)
-    loop = ParameterLoop(
-        sampler=lambda lam: GaussianState(
+    loop = loop_of_states(
+        lat,
+        lambda lam: GaussianState(
             lat, (1.0 - 1.5 * math.sin(math.pi * lam) ** 2) * np.eye(lat.dim), np.zeros(lat.dim)
         ),
     )
@@ -223,11 +240,147 @@ def test_squeezed_sampler_matches_per_mode_blocks(L):
     lat = make_lattice(L, 2)
     for seed in range(3):
         loop = random_squeezed_loop(lat, seed)
-        for lam in np.linspace(0.0, 1.0, 33):
-            state = loop.sampler(lam)
+        lams = np.linspace(0.0, 1.0, 33)
+        for lam, V, mean in zip(lams, *loop.sampler(lams)):
             want = per_mode_squeezed_covariance(lat, seed, lam)
-            assert np.abs(state.V - want).max() <= 1e-15 * np.abs(want).max()
-            assert validate(state).physical
+            assert np.abs(V - want).max() <= 1e-15 * np.abs(want).max()
+            assert validate(GaussianState(lat, V, mean)).physical
+
+
+def per_lambda_state(name, lattice, seed):
+    """lambda -> GaussianState of a named loop, one state per call, from the loop's own
+    draws: the reference for its stacked sampler."""
+    if name == "rmm-thermal":
+        protocol = reference_protocol()
+        return lambda lam: rmm_thermal_state(
+            protocol.params_at(lam * protocol.period), lattice, 1.0, -3.0
+        )
+    if name == "rmm-coherent":
+        steps = 2 ** 14
+        traj = evolve_pump(reference_protocol(), steps=steps)
+
+        def coherent(lam):
+            i = int(round(lam * steps))
+            return coherent_state(lattice, np.tile([traj.alpha[i], traj.beta[i]], lattice.cells))
+
+        return coherent
+    rng = np.random.default_rng(seed)
+    if name == "random-classical":
+        base = random_circulant_state(
+            lattice, int(rng.integers(2 ** 31)), classical=True, eig_low=1.6, eig_high=3.5,
+        )
+        X, Y = (reassemble_covariance(random_bloch_blocks(lattice, bloch_draws(
+            lattice, rng, -0.25, 0.25))[0]) for _ in range(2))
+        m0, ma, mb = (np.tile(c, lattice.cells)
+                      for c in 0.5 * rng.normal(size=(3, 2 * lattice.sites_per_cell)))
+
+        def classical(lam):
+            c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
+            return GaussianState(lattice, base.V + c * X + s * Y, m0 + c * ma + s * mb)
+
+        return classical
+    rng.uniform(size=3 * lattice.modes)  # r0, rho and phi0 of per_mode_squeezed_covariance
+    mean_a, mean_b = 0.3 * rng.normal(size=(2, lattice.dim))
+
+    def squeezed(lam):
+        c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
+        V = per_mode_squeezed_covariance(lattice, seed, lam)
+        return GaussianState(lattice, V, c * mean_a + s * mean_b)
+
+    return squeezed
+
+
+@pytest.mark.parametrize("name", LOOP_NAMES)
+def test_stacked_sampler_equals_per_lambda_states(name):
+    lat = make_lattice(4, 2)
+    # k / 32, two off-grid points and three coherent-step midpoints, which
+    # round half to even.
+    lams = np.concatenate(
+        (np.linspace(0.0, 1.0, 33), [0.3, 1 / 3], np.array([0.5, 1.5, 2.5]) / 2 ** 14)
+    )
+    V, mean = named_loop(name, lat, seed=1).sampler(lams)
+    assert V.shape == (len(lams), lat.dim, lat.dim) and mean.shape == (len(lams), lat.dim)
+    state = per_lambda_state(name, lat, 1)
+    for lam, v, m in zip(lams, V, mean):
+        want = state(lam)
+        assert np.abs(v - want.V).max() <= 1e-15 * np.abs(want.V).max(), (name, lam)
+        assert np.abs(m - want.mean).max() <= 1e-15 * max(1.0, np.abs(want.mean).max()), lam
+
+
+def spoiled_vacuum_loop(spoil):
+    """Vacuum loop on 3 one-site cells whose sampler returns ``spoil(V, mean)``."""
+    lat = make_lattice(3, 1)
+
+    def sampler(lams):
+        V = np.tile(np.eye(lat.dim), (len(lams), 1, 1))
+        return spoil(V, np.zeros((len(lams), lat.dim)))
+
+    return ParameterLoop(lat, sampler, 8)
+
+
+def _set(a, index, value):
+    """a with a[index] = value, for the spoil lambdas below."""
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda V, m: (_set(V, (3, 0, 0), np.nan), m), "covariance and mean must be finite"),
+        (lambda V, m: (V, _set(m, (2, 1), np.inf)), "covariance and mean must be finite"),
+        (lambda V, m: (_set(V, (5, 0, 1), 1e-3), m), "covariance asymmetry 1.000e-03 exceeds"),
+        (lambda V, m: (V[:, :4, :4], m), r"covariance must be 6x6, got \("),
+        (lambda V, m: (V, m[:, :5]), r"mean must have length 6, got \("),
+    ],
+)
+def test_bad_sample_stacks_raise_the_state_messages(spoil, message):
+    loop = spoiled_vacuum_loop(spoil)
+    with pytest.raises(ValueError, match=message):
+        track_polarization(loop)
+    V, mean = loop.sampler(np.linspace(0.0, 1.0, 9))
+    with pytest.raises(ValueError, match=message):  # each bad sample alone
+        for v, m in zip(V, mean):
+            GaussianState(loop.lattice, v, m)
+
+
+def test_stack_checks_then_closure_then_factorization():
+    """A loop that does not close reports that before a non-positive sample, but
+    after a non-finite one."""
+    lat = make_lattice(3, 1)
+
+    def covariance(lam):  # 1 + lambda at the ends, 0 at lambda = 1/2
+        return (1.0 + lam - 1.5 * math.sin(math.pi * lam) ** 2) * np.eye(lat.dim)
+
+    not_positive = loop_of_states(
+        lat, lambda lam: GaussianState(lat, covariance(lam), np.zeros(lat.dim)), 8
+    )
+    with pytest.raises(ValueError, match="loop does not close"):
+        track_polarization(not_positive)
+    non_finite = ParameterLoop(
+        lat,
+        lambda lams: (np.array([covariance(lam) * (np.nan if lam == 0.5 else 1.0)
+                                for lam in lams]), np.zeros((len(lams), lat.dim))),
+        8,
+    )
+    with pytest.raises(ValueError, match="must be finite"):
+        track_polarization(non_finite)
+
+
+def test_replaced_sampler_sees_grid_and_each_midpoint():
+    """dataclasses.replace(loop, sampler=wrapper) routes every sample through the
+    wrapper: the grid in one call, then one call per bisection midpoint."""
+    loop = bisecting_thermal_loop()
+    calls = []
+
+    def sampler(lams):
+        calls.append(lams.tolist())
+        return loop.sampler(lams)
+
+    track = track_polarization(dataclasses.replace(loop, sampler=sampler))
+    assert calls[0] == np.linspace(0.0, 1.0, loop.initial_samples + 1).tolist()
+    assert len(calls) > 1 and all(len(call) == 1 for call in calls[1:])
+    assert sorted(sum(calls, [])) == track.lambdas.tolist()
 
 
 def test_unwrap_equals_sequential_loop():
@@ -250,10 +403,11 @@ def test_coherent_loop_samples_grid_off_powers_of_two():
     lat = make_lattice(3, 2)
     loop = rmm_coherent_loop(lat, initial_samples=12)
     traj = evolve_pump(reference_protocol(), steps=12 * 1024)
+    _, means = loop.sampler(np.arange(13) / 12)
     for k in range(13):
         cell = [traj.alpha[1024 * k], traj.beta[1024 * k]]
         want = coherent_state(lat, np.tile(cell, lat.cells)).mean
-        assert np.abs(loop.sampler(k / 12).mean - want).max() <= 1e-9, k
+        assert np.abs(means[k] - want).max() <= 1e-9, k
 
 
 def test_random_classical_loops():
@@ -316,7 +470,7 @@ def test_trace_quadrature_cross_check():
     u = np.repeat(np.exp(1j * shift.phases), 2)
 
     def one_minus_w(lam):
-        state = loop.sampler(lam)
+        state = state_at(loop, lam)
         eye = np.eye(lat.dim)
         G = np.linalg.solve(state.V + eye, state.V - eye)
         return eye - G * u
@@ -330,7 +484,7 @@ def test_mean_term_single_valued_around_loops():
     for seed in (0, 1, 2):
         loop = random_classical_loop(lat, seed, mean_scale=1.0)
         shift = shift_phases(lat)
-        fn = lambda lam: np.exp(mean_term(loop.sampler(lam), shift))
+        fn = lambda lam: np.exp(mean_term(state_at(loop, lam), shift))
         assert winding_of_values(fn, initial_samples=32) == 0
 
 
@@ -358,17 +512,12 @@ def test_loop_validation():
     lat = make_lattice(2, 2)
     state = vacuum_state(lat)
     with pytest.raises(ValueError):
-        ParameterLoop(sampler=lambda lam: state, initial_samples=4)
+        loop_of_states(lat, lambda lam: state, 4)
     # a sampler that does not close
-    from bosepol.states import GaussianState
-
-    open_loop = ParameterLoop(
-        sampler=lambda lam: GaussianState(
-            lat, (1.0 + lam) * np.eye(lat.dim), np.zeros(lat.dim)
-        ),
-        initial_samples=8,
+    open_loop = loop_of_states(
+        lat, lambda lam: GaussianState(lat, (1.0 + lam) * np.eye(lat.dim), np.zeros(lat.dim)), 8
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop does not close"):
         track_polarization(open_loop)
 
 
@@ -383,9 +532,9 @@ def test_named_loop_dispatch():
     assert tuple(builders) == LOOP_NAMES
     for name, build in builders.items():
         got, want = named_loop(name, lat, seed=1).sampler, build().sampler
-        for lam in (0.0, 0.125, 0.3, 0.75):
-            a, b = got(lam), want(lam)
-            assert np.array_equal(a.V, b.V) and np.array_equal(a.mean, b.mean), (name, lam)
+        lams = np.array([0.0, 0.125, 0.3, 0.75])
+        (a_V, a_mean), (b_V, b_mean) = got(lams), want(lams)
+        assert np.array_equal(a_V, b_V) and np.array_equal(a_mean, b_mean), name
     with pytest.raises(ValueError):
         named_loop("bogus", lat)
 
@@ -394,16 +543,14 @@ def test_chern_constant_family_is_zero():
     lat = make_lattice(4, 2)
     state = thermal_state(np.diag([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
                           1.0, -1.0, lat)
-    assert chern_via_polarization(lambda ky: state, samples=16) == 0
+    assert chern_via_polarization(lat, lambda ky: state, samples=16) == 0
 
 
 def test_chern_vacuum_family():
     lat = make_lattice(4, 2)
     family = lambda ky: vacuum_state(lat)
-    assert chern_via_polarization(family, samples=16) == 0
-    track = track_polarization(
-        ParameterLoop(sampler=lambda lam: family(lam), initial_samples=16)
-    )
+    assert chern_via_polarization(lat, family, samples=16) == 0
+    track = track_polarization(loop_of_states(lat, family, 16))
     assert np.abs(track.p_unwrapped).max() == 0.0
 
 
@@ -411,7 +558,16 @@ def test_chern_null_on_topological_band_family():
     assert band_chern_number(1.0, 24) != 0
     lat = make_lattice(6, 2)
     family = thermal_chern_family(lat, mass=1.0, beta=1.0, mu=-6.0)
-    assert chern_via_polarization(family, samples=24) == 0
+    assert chern_via_polarization(lat, family, samples=24) == 0
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf])
+def test_nonfinite_chern_mass_rejected(mass):
+    with pytest.raises(ValueError, match="Chern chain mass must be finite"):
+        band_chern_number(mass)
+    family = thermal_chern_family(make_lattice(4, 2), mass=mass)
+    with pytest.raises(ValueError, match="Chern chain mass must be finite"):
+        family(0.0)
 
 
 def test_band_chern_trivial_mass():
@@ -479,18 +635,11 @@ def test_refinement_matches_breadth_first(fn, turns):
 def test_refinement_matches_breadth_first_on_physical_loop():
     # Thermal occupations from 0 to 1e4 and back; the determinant phase
     # moves fast enough near lambda = 0 and 1 to force bisection.
-    lat = make_lattice(4, 1, 0.1)
-    eye = np.eye(lat.dim)
-    loop = ParameterLoop(
-        sampler=lambda lam: GaussianState(
-            lat, (1.0 + 1e4 * math.sin(math.pi * lam) ** 2) * eye, np.zeros(lat.dim)
-        ),
-        initial_samples=8,
-    )
-    shift = shift_phases(lat)
+    loop = bisecting_thermal_loop()
+    shift = shift_phases(loop.lattice)
 
     def evaluate(lam):
-        sign, _ = np.linalg.slogdet(mean_matrix(loop.sampler(lam), shift))
+        sign, _ = np.linalg.slogdet(mean_matrix(state_at(loop, lam), shift))
         return (float(np.angle(sign)),)
 
     track = track_polarization(loop)

@@ -186,11 +186,7 @@ def _dense_det_kernel(V: np.ndarray, u: np.ndarray) -> complex:
 
 def lambda_max(state: GaussianState) -> float:
     """Largest |eigenvalue| of the Cayley transform (V-1)(V+1)^{-1}; always < 1."""
-    vals = np.linalg.eigvalsh(state.V)
-    if vals[0] <= 0.0:
-        raise InvalidStateError(
-            f"invalid state: min covariance eigenvalue {vals[0]:.6g} <= 0"
-        )
+    vals = require_valid(state)
     return float(np.abs((vals - 1.0) / (vals + 1.0)).max())
 
 

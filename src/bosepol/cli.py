@@ -24,6 +24,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -56,6 +57,11 @@ def _float_list(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return values
+
+
+# Tokens argparse must read as values, not options: -1e-3, -inf, -nan, -1,-2.
+# Its own pattern takes only plain decimals; no option name starts this way.
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 @functools.cache
@@ -138,6 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=-6.0)
     common(p)
     p.set_defaults(func=run_chern)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 
@@ -370,8 +378,8 @@ def run_chern(args) -> int:
     lattice = make_lattice(args.L, 2)
     band_c = loops.band_chern_number(args.mass)
     family = loops.thermal_chern_family(lattice, args.mass, args.beta, args.mu)
-    loop = winding.loop_of_states(
-        lattice, lambda lam: family(2.0 * math.pi * lam), args.samples
+    loop = winding.ParameterLoop(
+        lattice, lambda lams: family(2.0 * math.pi * lams), args.samples
     )
     track = winding.track_polarization(loop)
     c = winding.polarization_winding(track)

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .circulant import bloch_draws, random_bloch_blocks, reassemble_covariance
-from .rice_mele import PumpProtocol, evolve_pump, rmm_thermal_state
+from .rice_mele import PumpProtocol, evolve_pump, rmm_cell_blocks
 from .rice_mele import _bloch_hamiltonians, _ring_hamiltonian
-from .states import GaussianState, LatticeSpec, thermal_state
-from .winding import ParameterLoop, loop_of_states
+from .states import LatticeSpec, thermal_covariances
+from .winding import ParameterLoop
 
 LOOP_NAMES = ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed")
 
@@ -42,16 +42,20 @@ def rmm_thermal_loop(
 
     The chemical potential defaults to -3A, safely below the band minimum
     -sqrt(2) A reached along the reference protocol, so the Bose occupations
-    stay finite on the whole loop.
+    stay finite on the whole loop. Each sampler call builds its lambdas in one stack.
     """
     protocol = protocol or reference_protocol()
     if mu is None:
         mu = -3.0 * protocol.amplitude
+    if lattice.sites_per_cell != 2:
+        raise ValueError("Rice-Mele model needs two sites per cell")
 
-    def state(lam: float) -> GaussianState:
-        return rmm_thermal_state(protocol.params_at(lam * protocol.period), lattice, beta, mu)
+    def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        blocks = rmm_cell_blocks(protocol.drive(lams * protocol.period))
+        V = thermal_covariances(_ring_hamiltonian(*blocks, lattice.cells), beta, mu)
+        return V, np.zeros((len(lams), lattice.dim))
 
-    return loop_of_states(lattice, state, initial_samples)
+    return ParameterLoop(lattice, sampler, initial_samples)
 
 
 def rmm_coherent_loop(
@@ -216,8 +220,9 @@ def band_chern_number(mass: float = 1.0, grid: int = 32) -> int:
     return int(rounded)
 
 
-def chain_hopping_at_ky(ky: float, lattice: LatticeSpec, mass: float = 1.0) -> np.ndarray:
-    """1D hopping matrix of the two-band model at fixed transverse momentum."""
+def chain_hopping_at_ky(ky, lattice: LatticeSpec, mass: float = 1.0) -> np.ndarray:
+    """1D hopping matrices (*ky.shape, 2L, 2L) of the two-band model at fixed
+    transverse momenta ``ky``."""
     if lattice.sites_per_cell != 2:
         raise ValueError("the two-band chain needs two sites per cell")
     return _ring_hamiltonian(*chern_cell_blocks(ky, mass), lattice.cells)
@@ -228,10 +233,13 @@ def thermal_chern_family(
     mass: float = 1.0,
     beta: float = 1.0,
     mu: float = -6.0,
-) -> Callable[[float], GaussianState]:
-    """k_y -> thermal 1D Gaussian state of the two-band chain (periodic in k_y)."""
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``family(kys) -> (V, mean)``: thermal 1D Gaussian states of the two-band chain
+    at transverse momenta ``kys`` (periodic in k_y), built in one stack as
+    covariances (len(kys), 2nL, 2nL) and zero means (len(kys), 2nL)."""
 
-    def family(ky: float) -> GaussianState:
-        return thermal_state(chain_hopping_at_ky(ky, lattice, mass), beta, mu, lattice)
+    def family(kys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        V = thermal_covariances(chain_hopping_at_ky(kys, lattice, mass), beta, mu)
+        return V, np.zeros(V.shape[:-1])
 
     return family

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
-from .states import GaussianState, LatticeSpec
+from .states import GaussianState, LatticeSpec, check_min_eigenvalue
 
 MEAN_SOLVE_RTOL = 1e-8
 # Rounding margin of the post-condition log|<T>| <= 0: T is unitary, so
@@ -179,10 +179,7 @@ def polarization(
     if shift.lattice.modes != state.lattice.modes:
         raise ValueError("shift spec and state have different mode counts")
     vals, Q = np.linalg.eigh(state.V)
-    if vals[0] <= 0.0:
-        raise InvalidStateError(
-            f"invalid state: min covariance eigenvalue {vals[0]:.6g} <= 0"
-        )
+    check_min_eigenvalue(float(vals[0]))
     k = quadrature_cotangents(shift)
     A = Q / np.sqrt(vals)
     h, P = np.linalg.eigh(A.T @ (k[:, None] * A))

@@ -137,15 +137,17 @@ def rmm_cell_blocks(drive) -> tuple[np.ndarray, np.ndarray]:
 
 def _ring_hamiltonian(onsite: np.ndarray, hop: np.ndarray, cells: int) -> np.ndarray:
     """Periodic chain of ``cells`` cells, cell-major: the block ``onsite`` on
-    each cell, ``hop`` from cell r to r + 1 and its adjoint back."""
-    n = len(onsite)
+    each cell, ``hop`` from cell r to r + 1 and its adjoint back. Blocks
+    stacked as (..., n, n) give one chain per leading index, (..., nL, nL)."""
+    *stack, n, _ = np.shape(onsite)
     r = np.arange(cells)
     nxt = np.roll(r, -1)
-    h = np.zeros((cells, n, cells, n), dtype=np.result_type(onsite, hop))
-    np.add.at(h, (r, slice(None), r), onsite)
-    np.add.at(h, (nxt, slice(None), r), hop)
-    np.add.at(h, (r, slice(None), nxt), hop.conj().T)
-    return h.reshape(n * cells, n * cells)
+    h = np.zeros((*stack, cells, n, cells, n), dtype=np.result_type(onsite, hop))
+    # Each term's cell pairs are distinct, so += adds each block once, in this order.
+    h[..., r, :, r, :] += onsite
+    h[..., nxt, :, r, :] += hop
+    h[..., r, :, nxt, :] += np.conj(hop).swapaxes(-1, -2)
+    return h.reshape(*stack, n * cells, n * cells)
 
 
 def _bloch_hamiltonians(onsite, hop, kappas) -> np.ndarray:

@@ -132,7 +132,7 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class ModeOccupation:
-    """Eigenmode data of a number-conserving hopping matrix at thermal equilibrium."""
+    """Eigenmode data of stacked hopping matrices (..., N, N) at thermal equilibrium."""
 
     energies: np.ndarray
     occupations: np.ndarray
@@ -142,7 +142,7 @@ class ModeOccupation:
         if np.any(self.occupations < 0):
             raise ValueError("occupations must be nonnegative")
         U = self.eigenvectors
-        defect = np.abs(U.conj().T @ U - np.eye(U.shape[1])).max()
+        defect = np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(U.shape[-1])).max()
         if defect > 1e-10:
             raise ValueError(f"eigenvector matrix not unitary (defect {defect:.3e})")
 
@@ -177,15 +177,14 @@ def vacuum_state(lattice: LatticeSpec) -> GaussianState:
 
 
 def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupation:
-    """Diagonalize a hermitian hopping matrix and attach Bose-Einstein occupations.
-
-    Requires every eigenvalue to satisfy ``eps - mu > 0``; otherwise the
-    grand-canonical occupation is undefined.
-    """
+    """Diagonalize hermitian hopping matrices (..., N, N) in one stacked ``eigh`` and
+    attach Bose-Einstein occupations. Every eigenvalue of every matrix must satisfy
+    ``eps - mu > 0``; otherwise the grand-canonical occupation is undefined."""
     h = np.asarray(hopping, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("hopping matrix must be square")
-    if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, np.abs(h).max()):
+    defect = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    if np.any(defect > 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
         raise ValueError("hopping matrix must be hermitian")
     if not beta > 0:
         raise ValueError(f"inverse temperature beta must be positive, got {beta}")
@@ -200,38 +199,33 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
     return ModeOccupation(energies=energies, occupations=occ, eigenvectors=vectors)
 
 
-# 2x2 blocks used to embed a complex one-body correlation matrix into the
-# real quadrature representation.
-_J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def covariance_from_correlations(N: np.ndarray, dim: int) -> np.ndarray:
-    """Quadrature covariance of a number-conserving state with correlation matrix N.
-
-    Blocks: V[q_i q_j] = V[p_i p_j] = delta_ij + 2 Re N_ij and
-    V[q_i p_j] = 2 Im N_ij (transpose partner -2 Im N_ij).
-    """
-    V = np.eye(dim)
-    V += 2.0 * np.kron(N.real, np.eye(2)) + 2.0 * np.kron(N.imag, _J2)
-    return (V + V.T) / 2.0
+def thermal_covariances(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """Covariances (..., 2N, 2N) of the grand-canonical thermal states of hopping
+    matrices (..., N, N): with N = sum_j nbar_j v_j v_j^dag in the site basis and
+    nbar_j = 1/(exp(beta (eps_j - mu)) - 1), V[q_i q_j] = V[p_i p_j] = delta_ij +
+    2 Re N_ij and V[q_i p_j] = -V[p_i q_j] = 2 Im N_ij. Strictly classical
+    (V > 1) at any finite temperature."""
+    modes = bose_occupations(hopping, beta, mu)
+    U = modes.eigenvectors
+    N = (U * modes.occupations[..., None, :]) @ U.conj().swapaxes(-1, -2)
+    dim = 2 * N.shape[-1]
+    V = np.empty((*N.shape[:-2], dim, dim))
+    V[..., 0::2, 0::2] = V[..., 1::2, 1::2] = 2.0 * N.real
+    V[..., 0::2, 1::2] = 2.0 * N.imag
+    V[..., 1::2, 0::2] = -2.0 * N.imag
+    V += np.eye(dim)
+    return (V + V.swapaxes(-1, -2)) / 2.0
 
 
 def thermal_state(hopping: np.ndarray, beta: float, mu: float, lattice: LatticeSpec) -> GaussianState:
-    """Grand-canonical thermal state of a number-conserving hopping Hamiltonian.
-
-    The correlation matrix is ``N = sum_j nbar_j v_j v_j^dag`` in the site
-    basis, with ``nbar_j = 1/(exp(beta (eps_j - mu)) - 1)``. The resulting
-    covariance is strictly classical (``V > 1``) at any finite temperature.
-    """
-    modes = bose_occupations(hopping, beta, mu)
-    if modes.energies.shape[0] != lattice.modes:
+    """Grand-canonical thermal state of one hopping matrix: :func:`thermal_covariances`
+    with zero mean."""
+    V = thermal_covariances(hopping, beta, mu)
+    if V.shape[-1] != lattice.dim:
         raise ValueError(
-            f"hopping matrix is {modes.energies.shape[0]}-dimensional, "
+            f"hopping matrix is {V.shape[-1] // 2}-dimensional, "
             f"lattice has {lattice.modes} modes"
         )
-    U = modes.eigenvectors
-    N = (U * modes.occupations) @ U.conj().T
-    V = covariance_from_correlations(N, lattice.dim)
     return GaussianState(lattice, V, np.zeros(lattice.dim))
 
 
@@ -260,7 +254,7 @@ def two_mode_squeezed_state(r: float) -> GaussianState:
 
 def symplectic_form(modes: int) -> np.ndarray:
     """Block-diagonal symplectic form for the (q, p)-innermost ordering."""
-    return np.kron(np.eye(modes), _J2)
+    return np.kron(np.eye(modes), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 # Taylor degree of the scaled exponential: with ||X||_1 <= 1/2 the remainder
@@ -349,11 +343,17 @@ def validate(state: GaussianState) -> ValidationReport:
     )
 
 
-def require_valid(state: GaussianState) -> None:
-    """Raise :class:`InvalidStateError` unless the covariance is positive definite.
+def check_min_eigenvalue(lo: float) -> None:
+    """Raise :class:`InvalidStateError` unless the smallest covariance eigenvalue is > 0."""
+    if not lo > 0.0:
+        raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")
+
+
+def require_valid(state: GaussianState) -> np.ndarray:
+    """V's ascending eigenvalues, after :func:`check_min_eigenvalue`.
 
     Cheaper than :func:`validate`: no symplectic spectrum.
     """
-    lo = float(np.linalg.eigvalsh(state.V)[0])
-    if not lo > 0.0:
-        raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")
+    vals = np.linalg.eigvalsh(state.V)
+    check_min_eigenvalue(float(vals[0]))
+    return vals

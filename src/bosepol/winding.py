@@ -52,7 +52,8 @@ class ParameterLoop:
     state(1) = state(0) (the covariance closure is checked to 1e-12).
     ``initial_samples`` uniform segments, sampled in one call, are bisected
     until no phase step reaches PHASE_STEP_TOL; each midpoint is one more
-    call. :func:`loop_of_states` adapts a one-state-per-lambda family.
+    call. This is the one loop contract: every built-in loop, and the k_y
+    family of :func:`chern_via_polarization`, samples its lambdas as a stack.
     """
 
     lattice: LatticeSpec
@@ -62,20 +63,6 @@ class ParameterLoop:
     def __post_init__(self):
         if self.initial_samples < 8:
             raise ValueError("initial sample count must be >= 8")
-
-
-def loop_of_states(
-    lattice: LatticeSpec,
-    fn: Callable[[float], GaussianState],
-    initial_samples: int = 16,
-) -> ParameterLoop:
-    """The loop lambda -> fn(lambda) of a family that builds one state per lambda."""
-
-    def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        states = [fn(lam) for lam in lams.tolist()]
-        return np.array([s.V for s in states]), np.array([s.mean for s in states])
-
-    return ParameterLoop(lattice, sampler, initial_samples)
 
 
 @dataclass(frozen=True)
@@ -268,15 +255,16 @@ def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16)
 
 def chern_via_polarization(
     lattice: LatticeSpec,
-    family: Callable[[float], GaussianState],
+    family: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     samples: int = 32,
 ) -> int:
     """Winding of the momentum-resolved polarization over a transverse zone.
 
-    ``family`` maps k_y in [0, 2 pi] to a translation-invariant 1D Gaussian
-    state on ``lattice`` (periodic in k_y). The winding of P(k_y) is the
-    Chern number of the construction; it vanishes for every bosonic
-    Gaussian family.
+    ``family(kys)`` maps an array of k_y in [0, 2 pi] to the covariances
+    (len(kys), 2nL, 2nL) and means (len(kys), 2nL) of translation-invariant
+    1D Gaussian states on ``lattice`` (periodic in k_y); it is sampled as the
+    loop lambda -> 2 pi lambda. The winding of P(k_y) is the Chern number of
+    the construction; it vanishes for every bosonic Gaussian family.
     """
-    loop = loop_of_states(lattice, lambda lam: family(2.0 * math.pi * lam), samples)
+    loop = ParameterLoop(lattice, lambda lams: family(2.0 * math.pi * lams), samples)
     return polarization_winding(track_polarization(loop))

@@ -55,6 +55,61 @@ def test_nonfinite_chern_mass_names_the_contract(capsys, mass):
     assert "error: Chern chain mass must be finite" in capsys.readouterr().err
 
 
+FLOAT_OPTIONS = [
+    ("flux-sweep", "--period-list"), ("flux-sweep", "--amplitude"),
+    ("scaling", "--offset"), ("scaling", "--amplitude"), ("scaling", "--beta"),
+    ("scaling", "--mu"), ("scaling", "--cycle-fraction"),
+    ("winding", "--offset"), ("winding", "--amplitude"), ("winding", "--period"),
+    ("winding", "--beta"), ("winding", "--mu"),
+    ("chern", "--mass"), ("chern", "--beta"), ("chern", "--mu"), ("bench", "--offset"),
+]
+NEGATIVE_VALUES = ["-1e-3", "-3E+0", "-inf", "-nan", "-2.5"]
+
+
+def test_float_options_cover_the_parser():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    typed = {(name, a.option_strings[-1]) for name, sub in subparsers.choices.items()
+             for a in sub._actions if a.type in (float, cli._float_list)}
+    assert typed == set(FLOAT_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [(*opt, value) for opt in FLOAT_OPTIONS for value in NEGATIVE_VALUES]
+    + [("flux-sweep", "--period-list", "-1e-3,-inf,2")],
+)
+def test_negative_float_value_as_separate_token(command, option, value):
+    required = []
+    if command == "flux-sweep" and option != "--period-list":
+        required = ["--period-list", "1"]
+    parser = cli._build_parser()
+    spaced = parser.parse_args([command, *required, option, value])
+    joined = parser.parse_args([command, *required, f"{option}={value}"])
+    assert repr(spaced) == repr(joined)
+
+
+@pytest.mark.parametrize("argv, contract", [
+    (["winding", "--L", "3", "--mu", "-1e-3"], "chemical potential not below the band minimum"),
+    (["chern", "--L", "4", "--samples", "16", "--mass", "-inf"], "Chern chain mass must be finite"),
+])
+def test_negative_values_reach_their_contract(capsys, argv, contract):
+    assert cli.main(argv) == 2
+    spaced = capsys.readouterr().err
+    assert cli.main([*argv[:-2], f"{argv[-2]}={argv[-1]}"]) == 2
+    assert capsys.readouterr().err == spaced
+    assert spaced.startswith(f"error: {contract}")
+
+
+def test_chemical_potential_error_names_the_grid_minimum(capsys):
+    # mu = -0.5 lies above the band minimum -sqrt(2) A of the reference pump;
+    # at L = 3 the lowest sampled level is 0.414 below mu.
+    assert cli.main(["winding", "--L", "3", "--mu", "-0.5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: chemical potential not below the band minimum: min(eps - mu) = -0.914214\n"
+    )
+
+
 def test_bench_needs_a_repeat():
     assert cli.main(["bench", "--repeats", "0"]) == 2
 
@@ -300,7 +355,8 @@ def test_chern_csv_matches_pointwise_polarization(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["lambda", "ky", "P_unwrapped"]
     family = loops.thermal_chern_family(make_lattice(4, 2), 1.0, 1.0, -6.0)
-    p0 = polarization(family(0.0)).p_unwrapped
+    V, mean = family(np.array([0.0]))
+    p0 = polarization(GaussianState(make_lattice(4, 2), V[0], mean[0])).p_unwrapped
     assert [float(x) for x in rows[0][:2]] == [0.0, 0.0]
     assert abs(float(rows[0][2]) - p0) <= 1e-12
     assert abs(float(rows[-1][2]) - p0) <= 1e-12

@@ -39,7 +39,7 @@ from bosepol.polarization import (
     quadrature_cotangents,
     quadrature_phase_factors,
 )
-from bosepol.winding import loop_of_states, track_polarization
+from bosepol.winding import ParameterLoop, track_polarization
 
 
 def thermal_mode_state(nbar: float, theta: float) -> tuple[GaussianState, ShiftSpec]:
@@ -417,7 +417,9 @@ def test_unphysical_positive_definite_state_raises():
     with pytest.raises(InvalidStateError, match=contract):
         polarization(st)
     with pytest.raises(InvalidStateError, match="at lambda = .*" + contract):
-        track_polarization(loop_of_states(lat, lambda lam: st, 8))
+        track_polarization(ParameterLoop(
+            lat, lambda lams: (np.array([st.V] * len(lams)), np.zeros((len(lams), 4))), 8
+        ))
 
 
 def displaced_thermal_mode(theta: float, nbar: float, alpha: complex) -> complex:

@@ -354,3 +354,16 @@ def test_ring_builders_match_per_cell_loop(L):
     onsite = np.sin(ky) * sy + (mass + np.cos(ky)) * sz
     want = per_cell_ring(onsite, (sz - 1j * sx) / 2.0, L)
     assert np.array_equal(chain_hopping_at_ky(ky, lat, mass), want)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 8])
+def test_stacked_ring_equals_per_block_rings(L):
+    """A (3, 4) stack of cell blocks gives the ring of each block, exactly."""
+    drive = np.random.default_rng(L).normal(size=(3, 3, 4))
+    kys = np.linspace(0.0, 2.0 * np.pi, 12).reshape(3, 4)
+    for onsite, hop in (rmm_cell_blocks(drive), chern_cell_blocks(kys, 0.7)):
+        rings = _ring_hamiltonian(onsite, hop, L)
+        assert rings.shape == (3, 4, 2 * L, 2 * L)
+        for i in np.ndindex(3, 4):
+            assert np.array_equal(rings[i], _ring_hamiltonian(onsite[i], hop[i], L)), i
+            assert np.array_equal(rings[i], per_cell_ring(onsite[i], hop[i], L)), i

@@ -18,7 +18,7 @@ from bosepol import (
     validate,
 )
 from bosepol.errors import ChemicalPotentialError, InvalidStateError
-from bosepol.states import _expm, require_valid, symplectic_form
+from bosepol.states import _expm, require_valid, symplectic_form, thermal_covariances
 
 SILVER = 1.0 + np.sqrt(2.0)  # exp(r) for sinh(r) = 1
 
@@ -263,6 +263,43 @@ def test_bose_occupations_structure():
     assert np.all(modes.occupations > 0)
     U = modes.eigenvectors
     assert np.abs(U.conj().T @ U - np.eye(4)).max() < 1e-10
+
+
+def random_hoppings(seed, stack, n):
+    """Hermitian complex hopping matrices of shape (*stack, n, n)."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(*stack, n, n)) + 1j * rng.normal(size=(*stack, n, n))
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
+
+
+def kron_covariance(hopping, beta, mu):
+    """Covariance of one thermal state, embedded with two Kronecker products."""
+    eps, U = np.linalg.eigh(hopping)
+    N = (U / np.expm1(beta * (eps - mu))) @ U.conj().T
+    V = np.eye(2 * len(N))
+    V += 2.0 * np.kron(N.real, np.eye(2)) + 2.0 * np.kron(N.imag, [[0.0, 1.0], [-1.0, 0.0]])
+    return (V + V.T) / 2.0
+
+
+@pytest.mark.parametrize("stack", [(5,), (2, 3)])
+def test_stacked_thermal_covariances_equal_per_matrix_states(stack):
+    h = random_hoppings(3, stack, 6)
+    V = thermal_covariances(h, 0.8, -10.0)
+    assert V.shape == (*stack, 12, 12)
+    for i in np.ndindex(*stack):
+        assert np.array_equal(V[i], thermal_state(h[i], 0.8, -10.0, make_lattice(3, 2)).V), i
+        assert np.array_equal(V[i], kron_covariance(h[i], 0.8, -10.0)), i
+
+
+def test_stack_with_one_bad_entry_raises():
+    h = random_hoppings(4, (4,), 3)
+    h[2] -= 10.0 * np.eye(3)  # band minimum below mu = -4 in this entry only
+    with pytest.raises(ChemicalPotentialError, match="min\\(eps - mu\\) = -"):
+        thermal_covariances(h, 1.0, -4.0)
+    h = random_hoppings(4, (4,), 3)
+    h[1, 0, 2] += 1e-3
+    with pytest.raises(ValueError, match="hopping matrix must be hermitian"):
+        thermal_covariances(h, 1.0, -10.0)
 
 
 def test_bose_occupations_reject_nan():

@@ -38,7 +38,6 @@ from bosepol.states import GaussianState, coherent_state, thermal_state, vacuum_
 from bosepol.winding import (
     ParameterLoop,
     chern_via_polarization,
-    loop_of_states,
     track_polarization,
     winding_number,
     winding_of_values,
@@ -52,6 +51,22 @@ def state_at(loop, lam):
     """The loop's state at one lambda, from a one-element sampler call."""
     V, mean = loop.sampler(np.array([lam]))
     return GaussianState(loop.lattice, V[0], mean[0])
+
+
+def constant_sampler(state):
+    """A stacked sampler that returns ``state`` at every lambda."""
+    return lambda lams: (np.broadcast_to(state.V, (len(lams), *state.V.shape)),
+                         np.broadcast_to(state.mean, (len(lams), *state.mean.shape)))
+
+
+def scaled_vacuum_loop(lattice, scale, initial_samples=16):
+    """The loop V(lambda) = scale(lambda) 1 with zero mean; ``scale`` maps a lambda array."""
+    eye = np.eye(lattice.dim)
+    return ParameterLoop(
+        lattice,
+        lambda lams: (scale(lams)[:, None, None] * eye, np.zeros((len(lams), lattice.dim))),
+        initial_samples,
+    )
 
 
 def trace_zero_count(matrix_fn, samples: int = 256) -> float:
@@ -73,8 +88,7 @@ def trace_zero_count(matrix_fn, samples: int = 256) -> float:
 
 def test_constant_loop():
     lat = make_lattice(3, 2)
-    state = vacuum_state(lat)
-    loop = loop_of_states(lat, lambda lam: state, 8)
+    loop = ParameterLoop(lat, constant_sampler(vacuum_state(lat)), 8)
     track = track_polarization(loop)
     assert np.ptp(track.p_unwrapped) == 0.0
     result = winding_number(track)
@@ -165,14 +179,8 @@ def per_sample_track(loop):
 
 def bisecting_thermal_loop():
     """Thermal occupations from 0 to 1e4 and back: bisects near lambda = 0 and 1."""
-    lat = make_lattice(4, 1, 0.1)
-    eye = np.eye(lat.dim)
-    return loop_of_states(
-        lat,
-        lambda lam: GaussianState(
-            lat, (1.0 + 1e4 * math.sin(math.pi * lam) ** 2) * eye, np.zeros(lat.dim)
-        ),
-        8,
+    return scaled_vacuum_loop(
+        make_lattice(4, 1, 0.1), lambda lams: 1.0 + 1e4 * np.sin(np.pi * lams) ** 2, 8
     )
 
 
@@ -205,12 +213,8 @@ def test_stacked_track_equals_per_sample_track(name):
 def test_stacked_track_names_first_invalid_lambda():
     # V = (1 - 1.5 sin^2(pi lambda)) 1 stops being positive definite past
     # lambda = 0.304; the first grid sample there is 5/16 = 0.3125.
-    lat = make_lattice(3, 1)
-    loop = loop_of_states(
-        lat,
-        lambda lam: GaussianState(
-            lat, (1.0 - 1.5 * math.sin(math.pi * lam) ** 2) * np.eye(lat.dim), np.zeros(lat.dim)
-        ),
+    loop = scaled_vacuum_loop(
+        make_lattice(3, 1), lambda lams: 1.0 - 1.5 * np.sin(np.pi * lams) ** 2
     )
     for track in (track_polarization, per_sample_track):
         with pytest.raises(InvalidStateError, match=r"at lambda = 0\.3125: covariance not"):
@@ -307,6 +311,18 @@ def test_stacked_sampler_equals_per_lambda_states(name):
         assert np.abs(m - want.mean).max() <= 1e-15 * max(1.0, np.abs(want.mean).max()), lam
 
 
+@pytest.mark.parametrize("mass", [1.0, -1.0, 0.7])
+def test_chern_family_equals_per_ky_states(mass):
+    lat = make_lattice(4, 2)
+    kys = np.array([0.0, 0.4, np.pi / 2, np.pi, 4.0, 2.0 * np.pi])
+    V, mean = thermal_chern_family(lat, mass, beta=1.0, mu=-6.0)(kys)
+    assert V.shape == (len(kys), lat.dim, lat.dim) and mean.shape == (len(kys), lat.dim)
+    assert not mean.any()
+    for ky, v in zip(kys, V):
+        want = thermal_state(chain_hopping_at_ky(ky, lat, mass), 1.0, -6.0, lat)
+        assert np.abs(v - want.V).max() <= 1e-15 * np.abs(want.V).max(), ky
+
+
 def spoiled_vacuum_loop(spoil):
     """Vacuum loop on 3 one-site cells whose sampler returns ``spoil(V, mean)``."""
     lat = make_lattice(3, 1)
@@ -349,19 +365,14 @@ def test_stack_checks_then_closure_then_factorization():
     after a non-finite one."""
     lat = make_lattice(3, 1)
 
-    def covariance(lam):  # 1 + lambda at the ends, 0 at lambda = 1/2
-        return (1.0 + lam - 1.5 * math.sin(math.pi * lam) ** 2) * np.eye(lat.dim)
+    def scale(lams):  # 1 + lambda at the ends, 0 at lambda = 1/2
+        return 1.0 + lams - 1.5 * np.sin(np.pi * lams) ** 2
 
-    not_positive = loop_of_states(
-        lat, lambda lam: GaussianState(lat, covariance(lam), np.zeros(lat.dim)), 8
-    )
+    not_positive = scaled_vacuum_loop(lat, scale, 8)
     with pytest.raises(ValueError, match="loop does not close"):
         track_polarization(not_positive)
-    non_finite = ParameterLoop(
-        lat,
-        lambda lams: (np.array([covariance(lam) * (np.nan if lam == 0.5 else 1.0)
-                                for lam in lams]), np.zeros((len(lams), lat.dim))),
-        8,
+    non_finite = scaled_vacuum_loop(
+        lat, lambda lams: np.where(lams == 0.5, np.nan, scale(lams)), 8
     )
     with pytest.raises(ValueError, match="must be finite"):
         track_polarization(non_finite)
@@ -510,13 +521,10 @@ def test_sampling_robustness():
 
 def test_loop_validation():
     lat = make_lattice(2, 2)
-    state = vacuum_state(lat)
     with pytest.raises(ValueError):
-        loop_of_states(lat, lambda lam: state, 4)
+        ParameterLoop(lat, constant_sampler(vacuum_state(lat)), 4)
     # a sampler that does not close
-    open_loop = loop_of_states(
-        lat, lambda lam: GaussianState(lat, (1.0 + lam) * np.eye(lat.dim), np.zeros(lat.dim)), 8
-    )
+    open_loop = scaled_vacuum_loop(lat, lambda lams: 1.0 + lams, 8)
     with pytest.raises(ValueError, match="loop does not close"):
         track_polarization(open_loop)
 
@@ -543,14 +551,14 @@ def test_chern_constant_family_is_zero():
     lat = make_lattice(4, 2)
     state = thermal_state(np.diag([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
                           1.0, -1.0, lat)
-    assert chern_via_polarization(lat, lambda ky: state, samples=16) == 0
+    assert chern_via_polarization(lat, constant_sampler(state), samples=16) == 0
 
 
 def test_chern_vacuum_family():
     lat = make_lattice(4, 2)
-    family = lambda ky: vacuum_state(lat)
+    family = constant_sampler(vacuum_state(lat))
     assert chern_via_polarization(lat, family, samples=16) == 0
-    track = track_polarization(loop_of_states(lat, family, 16))
+    track = track_polarization(ParameterLoop(lat, family, 16))
     assert np.abs(track.p_unwrapped).max() == 0.0
 
 
@@ -567,7 +575,7 @@ def test_nonfinite_chern_mass_rejected(mass):
         band_chern_number(mass)
     family = thermal_chern_family(make_lattice(4, 2), mass=mass)
     with pytest.raises(ValueError, match="Chern chain mass must be finite"):
-        family(0.0)
+        family(np.array([0.0]))
 
 
 def test_band_chern_trivial_mass():

@@ -106,54 +106,35 @@ def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
     return (V.real + V.real.swapaxes(-1, -2)) / 2.0
 
 
-def _self_conjugate(k: int, cells: int) -> bool:
-    """Whether momentum k equals -k modulo the cell count, so its Bloch block is real."""
-    return 2 * k % cells == 0
-
-
-def bloch_draws(
+def random_bloch_blocks(
     lattice: LatticeSpec,
     rng: np.random.Generator,
     low: float,
     high: float,
     k0_high: float | None = None,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The random draws behind one set of :func:`random_bloch_blocks`, in a fixed order.
+) -> np.ndarray:
+    """Random Hermitian Bloch blocks v_k, (L, 2n, 2n), whose assembled matrix is real.
 
-    For each k = 0 .. L/2: a Gaussian matrix, real at the self-conjugate
-    momenta and complex elsewhere, then 2n eigenvalues from [low, high).
-    ``k0_high`` replaces ``high`` for the k = 0 block.
+    Every momentum is drawn at once: a complex Gaussian matrix per k, with
+    zero imaginary part at the self-conjugate momenta 2k = 0 mod L, then 2n
+    eigenvalues per k from [low, high), from [low, k0_high) at k = 0 when
+    ``k0_high`` is given. Block k is Q diag(eigenvalues) Q^dagger, with Q
+    from one batched QR of the Gaussian matrices, so it has exactly its drawn
+    eigenvalues, and it is real at the self-conjugate momenta. The blocks at
+    k > L/2 are then replaced by the mirror v_{L-k} = conj(v_k).
     """
     L, tn = lattice.cells, 2 * lattice.sites_per_cell
-    draws = []
-    for k in range(L // 2 + 1):
-        g = rng.normal(size=(tn, tn))
-        if not _self_conjugate(k, L):
-            g = g + 1j * rng.normal(size=(tn, tn))
-        hi = k0_high if k == 0 and k0_high is not None else high
-        draws.append((g, rng.uniform(low, hi, size=tn)))
-    return draws
-
-
-def random_bloch_blocks(lattice: LatticeSpec, *draw_sets) -> np.ndarray:
-    """Random Hermitian Bloch blocks, (len(draw_sets), L, 2n, 2n), from :func:`bloch_draws`.
-
-    The block at k = 0 .. L/2 is Q diag(eigenvalues) Q^dagger, with Q from the
-    QR factorization of that k's Gaussian matrix; it is mirrored as
-    v_{L-k} = conj(v_k), which keeps the assembled matrix real. All sets
-    take two batched QRs, one for the real blocks and one for the complex.
-    """
-    L, tn = lattice.cells, 2 * lattice.sites_per_cell
-    ks = range(L // 2 + 1)
-    blocks = np.empty((len(draw_sets), L, tn, tn), dtype=complex)
-    for real in (True, False):
-        group = [(i, k) for i in range(len(draw_sets)) for k in ks if _self_conjugate(k, L) == real]
-        if group:
-            Q, _ = np.linalg.qr(np.array([draw_sets[i][k][0] for i, k in group]))
-            eigs = np.array([draw_sets[i][k][1] for i, k in group])
-            B = (Q * eigs[:, None, :]) @ Q.conj().swapaxes(-1, -2)
-            blocks[tuple(zip(*group))] = (B + B.conj().swapaxes(-1, -2)) / 2.0
-    blocks[:, [(L - k) % L for k in ks]] = blocks[:, list(ks)].conj()
+    real, imag = rng.normal(size=(2, L, tn, tn))
+    self_conjugate = (2 * np.arange(L) % L == 0)[:, None, None]
+    Q, _ = np.linalg.qr(real + 1j * np.where(self_conjugate, 0.0, imag))
+    highs = np.full((L, 1), float(high))
+    if k0_high is not None:
+        highs[0] = k0_high
+    eigs = rng.uniform(low, highs, size=(L, tn))
+    B = (Q * eigs[:, None, :]) @ Q.conj().swapaxes(-1, -2)
+    blocks = (B + B.conj().swapaxes(-1, -2)) / 2.0
+    k = np.arange(L // 2 + 1, L)
+    blocks[k] = blocks[L - k].conj()
     return blocks
 
 
@@ -205,18 +186,16 @@ def random_circulant_state(
 ) -> GaussianState:
     """Seeded random translation-invariant state built from Bloch blocks.
 
-    Blocks are drawn per momentum with the mirror constraint
-    v_{L-k} = conj(v_k) that keeps the assembled covariance real. With
-    ``classical=False`` the k = 0 block gets eigenvalues below 1: these are
-    math-only draws with V > 0, not physical states, since they violate
-    V + i Omega >= 0 (ROADMAP item 4).
+    The blocks come from :func:`random_bloch_blocks` with eigenvalues in
+    [eig_low, eig_high). With ``classical=False`` the k = 0 block gets
+    eigenvalues below 1: these are math-only draws with V > 0, not physical
+    states, since they violate V + i Omega >= 0 (ROADMAP item 5).
     """
     rng = np.random.default_rng(seed)
     if eig_low is None:
         eig_low = 1.1 if classical else 0.3
     k0_high = None if classical else min(0.9, eig_high)
-    draws = bloch_draws(lattice, rng, eig_low, eig_high, k0_high)
-    V = reassemble_covariance(random_bloch_blocks(lattice, draws)[0])
+    V = reassemble_covariance(random_bloch_blocks(lattice, rng, eig_low, eig_high, k0_high))
     if mean_scale:
         cell = mean_scale * rng.normal(size=2 * lattice.sites_per_cell)
         mean = np.tile(cell, lattice.cells)

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scaling", help="size scaling of the determinant phase")
     p.add_argument("--L", type=_int_list, default=[4, 8, 16, 32],
-                   help="comma-separated cell counts (need >= 3)")
+                   help="comma-separated cell counts, at least three of them")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--offset", type=float, default=0.5)
     p.add_argument("--amplitude", type=float, default=1.0)

@@ -16,7 +16,7 @@ class InvalidStateError(NumericalError):
 
 
 class ChemicalPotentialError(ValueError):
-    """Chemical potential at or above the band minimum: Bose occupations undefined."""
+    """Chemical potential NaN, or at or above the band minimum: Bose occupations undefined."""
 
 
 class NotTranslationInvariantError(ValueError):

@@ -18,11 +18,10 @@ from typing import Callable
 
 import numpy as np
 
-from .circulant import bloch_draws, random_bloch_blocks, reassemble_covariance
-from .rice_mele import PumpProtocol, evolve_pump, rmm_cell_blocks
-from .rice_mele import _bloch_hamiltonians, _ring_hamiltonian
+from .circulant import random_bloch_blocks, reassemble_covariance
+from .rice_mele import PumpProtocol, _ring_hamiltonian, _zak_phases, evolve_pump, rmm_cell_blocks
 from .states import LatticeSpec, thermal_covariances
-from .winding import ParameterLoop
+from .winding import ParameterLoop, _integer_winding, _unwrap
 
 LOOP_NAMES = ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed")
 
@@ -101,15 +100,14 @@ def random_classical_loop(
 
     V(lambda) = Vbar + cos(2 pi lambda) X + sin(2 pi lambda) Y with
     ||X||, ||Y|| <= 0.25 and min eig(Vbar) >= 1.6, so the state stays
-    classical on the whole loop.
+    classical on the whole loop. Vbar, X and Y are drawn in this order from
+    one generator by :func:`random_bloch_blocks`, with Bloch eigenvalues in
+    [1.6, 3.5), [-0.25, 0.25) and [-0.25, 0.25), and assembled in one call.
     """
     rng = np.random.default_rng(seed)
-    # Vbar is random_circulant_state(lattice, <seed drawn here>, eig_low=1.6,
-    # eig_high=3.5); it is built with X and Y in one pass.
-    base_rng = np.random.default_rng(int(rng.integers(2 ** 31)))
-    draws = [bloch_draws(lattice, base_rng, 1.6, 3.5)]
-    draws += [bloch_draws(lattice, rng, -0.25, 0.25) for _ in range(2)]
-    Vbar, X, Y = reassemble_covariance(random_bloch_blocks(lattice, *draws))
+    blocks = [random_bloch_blocks(lattice, rng, lo, hi)
+              for lo, hi in ((1.6, 3.5), (-0.25, 0.25), (-0.25, 0.25))]
+    Vbar, X, Y = reassemble_covariance(np.array(blocks))
     cell = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
     m0, ma, mb = (np.tile(c, lattice.cells) for c in cell)
 
@@ -200,24 +198,16 @@ def chern_cell_blocks(ky, mass: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def band_chern_number(mass: float = 1.0, grid: int = 32) -> int:
-    """Lattice (plaquette-flux) Chern number of the lower Bloch band.
+    """Chern number of the lower Bloch band, as the k_y winding of a Zak phase.
 
-    Fukui-Hatsugai-Suzuki: the lower-band vectors of the whole grid come
-    from one stacked ``eigh`` of the chain's Bloch Hamiltonians at
-    kappa = -kx; U_x, U_y are the links to the next momentum along each
-    axis, and the Berry fluxes Arg(U_x U_y(+x) U_x(+y)* U_y*) sum to 2 pi C.
+    The chain's lower-band Zak phase at k_y = 2 pi j / grid, j = 0 .. grid,
+    each from ``grid`` chain momenta (one stacked ``eigh`` for all of them),
+    winds by -C: the chain momentum is kappa = -kx. Raises
+    :class:`GapClosureError` where the gap closes on the grid.
     """
-    ks = 2.0 * np.pi * np.arange(grid) / grid
-    h = _bloch_hamiltonians(*chern_cell_blocks(ks, mass), -ks)  # (ky, kx, 2, 2)
-    _, vecs = np.linalg.eigh(h.swapaxes(0, 1))
-    u = vecs[..., 0]  # (kx, ky, component)
-    ux, uy = (np.sum(u.conj() * np.roll(u, -1, axis=a), axis=-1) for a in (0, 1))
-    plaquette = ux * np.roll(uy, -1, axis=0) * np.roll(ux, -1, axis=1).conj() * uy.conj()
-    c = float(np.sum(np.angle(plaquette))) / (2.0 * math.pi)
-    rounded = round(c)
-    if abs(c - rounded) > 1e-6:
-        raise ValueError(f"plaquette Chern sum {c:.6f} did not converge to an integer")
-    return int(rounded)
+    kys = 2.0 * np.pi * np.arange(grid + 1) / grid
+    phis = _zak_phases(*chern_cell_blocks(kys, mass), samples=grid)
+    return -_integer_winding(float(_unwrap(0.0, phis)[-1]), "band Chern number")
 
 
 def chain_hopping_at_ky(ky, lattice: LatticeSpec, mass: float = 1.0) -> np.ndarray:

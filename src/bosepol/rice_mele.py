@@ -163,16 +163,16 @@ def _bloch_hamiltonians(onsite, hop, kappas) -> np.ndarray:
     return onsite + hop * phase + hop.conj().swapaxes(-1, -2) * phase.conj()
 
 
-def _zak_phases(drive, band: str = "lower", samples: int = 64) -> np.ndarray:
-    """Wilson-loop Zak phases at each parameter point of the stacked ``drive``."""
+def _zak_phases(onsite, hop, band: str = "lower", samples: int = 64) -> np.ndarray:
+    """Wilson-loop Zak phases of two-band chains with stacked cell blocks (..., 2, 2)."""
     if samples < 16:
         raise ValueError("need at least 16 momentum samples")
     if band not in ("lower", "upper"):
         raise ValueError("band must be 'lower' or 'upper'")
     kappas = 2.0 * np.pi * np.arange(samples) / samples
-    vals, vecs = np.linalg.eigh(_bloch_hamiltonians(*rmm_cell_blocks(drive), kappas))
-    if np.abs(vals).min() < 1e-12:
-        raise GapClosureError("gap closure: |Q_k| < 1e-12 at a sampled momentum")
+    vals, vecs = np.linalg.eigh(_bloch_hamiltonians(onsite, hop, kappas))
+    if (vals[..., 1] - vals[..., 0]).min() < 2e-12:
+        raise GapClosureError("gap closure: band gap < 2e-12 at a sampled momentum")
     u = vecs[..., 0] if band == "lower" else vecs[..., 1]
     overlaps = np.sum(u.conj() * np.roll(u, -1, axis=-2), axis=-1)
     return -np.angle(np.prod(overlaps, axis=-1))
@@ -184,7 +184,7 @@ def zak_phase(params: RiceMeleParams, band: str = "lower", samples: int = 64) ->
     phi = -Im ln prod_j <u(k_j)|u(k_{j+1})> with k_j increasing across the
     zone and the loop closed periodically; gauge-invariant by construction.
     """
-    return float(_zak_phases(astuple(params), band, samples))
+    return float(_zak_phases(*rmm_cell_blocks(astuple(params)), band, samples))
 
 
 def zak_winding(protocol: PumpProtocol) -> int:
@@ -195,7 +195,7 @@ def zak_winding(protocol: PumpProtocol) -> int:
     one stacked ``eigh``.
     """
     times = protocol.period * np.arange(257) / 256
-    phis = _zak_phases(protocol.drive(times))
+    phis = _zak_phases(*rmm_cell_blocks(protocol.drive(times)))
     return _integer_winding(float(_unwrap(0.0, phis)[-1]), "Zak winding")
 
 

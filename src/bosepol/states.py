@@ -188,6 +188,8 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
         raise ValueError("hopping matrix must be hermitian")
     if not beta > 0:
         raise ValueError(f"inverse temperature beta must be positive, got {beta}")
+    if math.isnan(mu):
+        raise ChemicalPotentialError(f"chemical potential mu must be a number, got {mu}")
     energies, vectors = np.linalg.eigh(h)
     gap = energies - mu
     if not np.all(gap > 0):
@@ -257,32 +259,6 @@ def symplectic_form(modes: int) -> np.ndarray:
     return np.kron(np.eye(modes), [[0.0, 1.0], [-1.0, 0.0]])
 
 
-# Taylor degree of the scaled exponential: with ||X||_1 <= 1/2 the remainder
-# is below e^0.5 0.5^17 / 17! ~ 4e-20, far under double rounding.
-_EXPM_DEGREE = 16
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Taylor scaling and squaring.
-
-    A is scaled by 2^-s so that ||A / 2^s||_1 <= 1/2, the Taylor polynomial
-    of the scaled matrix is summed, and the sum is squared s times
-    (the scaling step follows Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005), with a Taylor polynomial in place of the Pade approximant).
-    """
-    norm = float(np.abs(A).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.0 else 0
-    X = A / 2.0**s
-    term = np.eye(A.shape[0])
-    E = term.copy()
-    for k in range(1, _EXPM_DEGREE + 1):
-        term = term @ X / k
-        E += term
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
 def random_gaussian_state(
     lattice: LatticeSpec,
     seed: int,
@@ -291,17 +267,20 @@ def random_gaussian_state(
 ) -> GaussianState:
     """Seeded random Gaussian state ``V = S D S^T`` with S symplectic.
 
-    S is the exponential of Omega G, G a random symmetric generator with
-    entries of scale 0.3 / sqrt(dim); D carries thermal occupations drawn
-    uniformly from [0, 1.5). With
+    S is the Cayley transform (1 - X/2)^{-1} (1 + X/2) of the Hamiltonian
+    generator X = Omega G, G a random symmetric matrix with entries of scale
+    0.3 / sqrt(dim). The Cayley transform of a Hamiltonian matrix is exactly
+    symplectic, so V is physical with symplectic eigenvalues 2 nbar + 1, the
+    thermal occupations nbar drawn uniformly from [0, 1.5). With
     ``classical=True`` the covariance is rescaled so its smallest eigenvalue
     is >= 1. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     dim = lattice.dim
     A = rng.normal(size=(dim, dim))
-    G = 0.3 * (A + A.T) / np.sqrt(2.0 * dim)
-    S = _expm(symplectic_form(lattice.modes) @ G)
+    X = symplectic_form(lattice.modes) @ (0.3 * (A + A.T) / np.sqrt(2.0 * dim))
+    eye = np.eye(dim)
+    S = np.linalg.solve(eye - X / 2.0, eye + X / 2.0)
     nbar = rng.uniform(0.0, 1.5, size=lattice.modes)
     D = np.repeat(2.0 * nbar + 1.0, 2)
     V = (S * D) @ S.T

@@ -21,6 +21,7 @@ from bosepol.circulant import (
     benchmark_determinants,
     check_translation_invariance,
     gauge_block,
+    random_bloch_blocks,
     reassemble_covariance,
 )
 from bosepol.errors import NotTranslationInvariantError
@@ -105,6 +106,35 @@ def test_reassembly_roundtrip():
     st = random_circulant_state(lat, 3, classical=False)
     blocks = cell_bloch_blocks(st)
     assert np.abs(reassemble_covariance(blocks.v_blocks) - st.V).max() < 1e-10
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 8, 16])
+def test_random_bloch_blocks_spectra_mirror_and_realness(L):
+    lat = make_lattice(L, 2)
+    blocks = random_bloch_blocks(lat, np.random.default_rng(L), 0.3, 4.0, k0_high=0.9)
+    assert blocks.shape == (L, 4, 4)
+    rng = np.random.default_rng(L)
+    rng.normal(size=(2, L, 4, 4))  # real and imaginary parts of the Gaussian matrices
+    highs = np.array([0.9] + [4.0] * (L - 1))[:, None]
+    eigs = rng.uniform(0.3, highs, size=(L, 4))
+    assert (eigs >= 0.3).all() and (eigs < highs).all()
+    # Blocks k > L/2 mirror L - k, so they carry its eigenvalues.
+    drawn = np.sort([eigs[min(k, L - k)] for k in range(L)], axis=-1)
+    for k, v in enumerate(blocks):
+        assert np.array_equal(v, v.conj().T)
+        assert np.array_equal(blocks[(L - k) % L], v.conj()), k
+        if 2 * k % L == 0:
+            assert not v.imag.any(), k
+        assert np.abs(np.linalg.eigvalsh(v) - drawn[k]).max() <= 1e-13, k
+    V = reassemble_covariance(blocks)
+    assert np.abs(np.linalg.eigvalsh(V) - np.sort(drawn, axis=None)).max() <= 1e-12
+
+
+def test_classical_circulant_draws_keep_eig_low():
+    for L, seed in ((3, 0), (4, 1), (8, 2)):
+        st = random_circulant_state(make_lattice(L, 2), seed, eig_low=1.2, eig_high=3.0)
+        vals = np.linalg.eigvalsh(st.V)
+        assert vals[0] >= 1.2 - 1e-12 and vals[-1] < 3.0 + 1e-12
 
 
 def test_uniform_thermal_scalar_reduction():

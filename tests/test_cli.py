@@ -55,6 +55,20 @@ def test_nonfinite_chern_mass_names_the_contract(capsys, mass):
     assert "error: Chern chain mass must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["winding", "--L", "3"], ["chern", "--L", "4", "--samples", "16"], ["scaling", "--L", "3,4,5"],
+])
+def test_nan_mu_names_the_contract(capsys, argv):
+    assert cli.main(argv + ["--mu", "nan"]) == 2
+    assert "error: chemical potential mu must be a number, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", ["0", "2", "-2"])
+def test_chern_gap_closing_mass_is_a_numerical_failure(capsys, mass):
+    assert cli.main(["chern", "--L", "4", "--samples", "16", "--mass", mass]) == 3
+    assert "numerical failure: gap closure" in capsys.readouterr().err
+
+
 FLOAT_OPTIONS = [
     ("flux-sweep", "--period-list"), ("flux-sweep", "--amplitude"),
     ("scaling", "--offset"), ("scaling", "--amplitude"), ("scaling", "--beta"),

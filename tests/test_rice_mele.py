@@ -105,6 +105,17 @@ def test_zak_phase_gap_closure():
         zak_phase(RiceMeleParams(1.0, 0.5, 0.0), samples=8)
 
 
+def test_zak_phases_gap_rule_ignores_an_energy_offset():
+    """The gap test reads the band gap, not |E| of traceless blocks: an on-site
+    offset leaves the phases and the gap-closure verdict unchanged."""
+    onsite, hop = rmm_cell_blocks(np.array([[1.0, 1.0], [0.5, 1.0], [0.3, 0.0]]))
+    shifted = onsite + 5.0 * np.eye(2)
+    gapped = _zak_phases(onsite[:1], hop[:1])
+    assert np.abs(_zak_phases(shifted[:1], hop[:1]) - gapped).max() < 1e-12
+    with pytest.raises(GapClosureError):
+        _zak_phases(shifted[1:], hop[1:])
+
+
 def test_zak_winding_reference_loop():
     assert zak_winding(reference(50.0)) == 1
 
@@ -134,7 +145,7 @@ def test_zak_winding_constant_protocol():
 def test_stacked_zak_phases_match_pointwise(protocol):
     """The one-eigh phases of zak_winding equal zak_phase step by step."""
     times = protocol.period * np.arange(257) / 256
-    stacked = _zak_phases(protocol.drive(times))
+    stacked = _zak_phases(*rmm_cell_blocks(protocol.drive(times)))
     pointwise = np.array([zak_phase(protocol.params_at(t)) for t in times])
     assert np.abs(stacked - pointwise).max() <= 1e-12
 

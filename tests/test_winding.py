@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bosepol import make_lattice, winding
-from bosepol.errors import InvalidStateError, RefinementExhaustedError
+from bosepol.errors import GapClosureError, InvalidStateError, RefinementExhaustedError
 from bosepol.loops import (
     LOOP_NAMES,
     band_chern_number,
@@ -27,12 +27,7 @@ from bosepol.polarization import (
     quadrature_cotangents,
     shift_phases,
 )
-from bosepol.circulant import (
-    bloch_draws,
-    random_bloch_blocks,
-    random_circulant_state,
-    reassemble_covariance,
-)
+from bosepol.circulant import random_bloch_blocks, reassemble_covariance
 from bosepol.rice_mele import evolve_pump, rmm_thermal_state
 from bosepol.states import GaussianState, coherent_state, thermal_state, vacuum_state, validate
 from bosepol.winding import (
@@ -270,17 +265,14 @@ def per_lambda_state(name, lattice, seed):
         return coherent
     rng = np.random.default_rng(seed)
     if name == "random-classical":
-        base = random_circulant_state(
-            lattice, int(rng.integers(2 ** 31)), classical=True, eig_low=1.6, eig_high=3.5,
-        )
-        X, Y = (reassemble_covariance(random_bloch_blocks(lattice, bloch_draws(
-            lattice, rng, -0.25, 0.25))[0]) for _ in range(2))
+        Vbar, X, Y = (reassemble_covariance(random_bloch_blocks(lattice, rng, lo, hi))
+                      for lo, hi in ((1.6, 3.5), (-0.25, 0.25), (-0.25, 0.25)))
         m0, ma, mb = (np.tile(c, lattice.cells)
                       for c in 0.5 * rng.normal(size=(3, 2 * lattice.sites_per_cell)))
 
         def classical(lam):
             c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
-            return GaussianState(lattice, base.V + c * X + s * Y, m0 + c * ma + s * mb)
+            return GaussianState(lattice, Vbar + c * X + s * Y, m0 + c * ma + s * mb)
 
         return classical
     rng.uniform(size=3 * lattice.modes)  # r0, rho and phi0 of per_mode_squeezed_covariance
@@ -580,6 +572,35 @@ def test_nonfinite_chern_mass_rejected(mass):
 
 def test_band_chern_trivial_mass():
     assert band_chern_number(3.5, 24) == 0
+
+
+def plaquette_chern_number(mass: float, grid: int) -> float:
+    """Fukui-Hatsugai-Suzuki lattice Chern number of the lower band of
+    sin kx sigma_x + sin ky sigma_y + (mass + cos kx + cos ky) sigma_z."""
+    k = 2.0 * np.pi * np.arange(grid) / grid
+    kx, ky = (c[..., None, None] for c in np.meshgrid(k, k, indexing="ij"))
+    h = (np.sin(kx) * np.array([[0, 1], [1, 0]]) + np.sin(ky) * np.array([[0, -1j], [1j, 0]])
+         + (mass + np.cos(kx) + np.cos(ky)) * np.diag([1.0, -1.0]))
+    u = np.linalg.eigh(h)[1][..., 0]
+    ux, uy = (np.sum(u.conj() * np.roll(u, -1, axis=a), axis=-1) for a in (0, 1))
+    flux = np.angle(ux * np.roll(uy, -1, axis=0) * np.roll(ux, -1, axis=1).conj() * uy.conj())
+    return float(flux.sum()) / (2.0 * np.pi)
+
+
+@pytest.mark.parametrize("grid", [16, 24, 32])
+def test_band_chern_matches_plaquette_oracle(grid):
+    masses = np.concatenate((np.linspace(-3.9, 3.9, 40), [t + d for t in (-2.0, 0.0, 2.0)
+                                                          for d in (-1e-7, 1e-7)]))
+    for mass in masses:
+        want = plaquette_chern_number(mass, grid)
+        assert abs(want - round(want)) < 1e-9, mass
+        assert band_chern_number(mass, grid) == round(want), mass
+
+
+@pytest.mark.parametrize("mass", [0.0, 2.0, -2.0])
+def test_band_chern_raises_where_the_gap_closes(mass):
+    with pytest.raises(GapClosureError, match="gap closure"):
+        band_chern_number(mass)
 
 
 def test_chern_family_hopping_is_hermitian_and_gapped():

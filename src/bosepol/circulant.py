@@ -225,19 +225,18 @@ def benchmark_determinants(
     shift = shift_phases(lattice)
     u = quadrature_phase_factors(shift)
 
-    dense_val = None
-    dense_t = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        dense_val = _dense_det_kernel(state.V, u)
-        dense_t = min(dense_t, time.perf_counter() - t0)
+    def best_of(evaluate):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            value = evaluate()
+            best = min(best, time.perf_counter() - t0)
+        return value, best
 
-    reduced_val = None
-    reduced_t = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        reduced_val = reduced_determinant(cell_bloch_blocks(state, check=False))
-        reduced_t = min(reduced_t, time.perf_counter() - t0)
+    dense_val, dense_t = best_of(lambda: _dense_det_kernel(state.V, u))
+    reduced_val, reduced_t = best_of(
+        lambda: reduced_determinant(cell_bloch_blocks(state, check=False))
+    )
 
     rel_err = abs(dense_val - reduced_val) / abs(dense_val)
     return {

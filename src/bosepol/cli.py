@@ -162,8 +162,9 @@ def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
     Later flags win in argparse, so flags on the command line override the
     file. The parser itself is never changed, so it can serve every call.
+    The lookup skips ``--config`` and its value: a file may share a subcommand's name.
     """
-    known, _ = _config_probe().parse_known_args(argv)
+    known, rest = _config_probe().parse_known_args(argv)
     if not known.config:
         return argv
     entries: dict[str, str] = {}
@@ -177,18 +178,17 @@ def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list
             key, value = (part.strip() for part in line.split("=", 1))
             entries[key.replace("-", "_")] = value
     # Resolve against the subcommand actually being invoked.
-    sub_actions = [
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    at = next((i for i, a in enumerate(argv) if a in sub_actions[0].choices), None)
-    if at is None:
+    choices = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    command = next((a for a in rest if a in choices), None)
+    if command is None:
         raise ValueError("config file given but no subcommand selected")
-    subparser = sub_actions[0].choices[argv[at]]
-    known_actions = {a.dest: a for a in subparser._actions if a.option_strings}
+    known_actions = {a.dest: a for a in choices[command]._actions if a.option_strings}
     flags = []
     for key, value in entries.items():
         if key not in known_actions:
-            raise ValueError(f"unknown config key {key!r} for subcommand {argv[at]!r}")
+            raise ValueError(f"unknown config key {key!r} for subcommand {command!r}")
         action = known_actions[key]
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() in ("1", "true", "yes", "on"):
@@ -196,7 +196,8 @@ def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list
         else:
             # --key=value keeps a negative number from reading as a flag.
             flags.append(f"{action.option_strings[-1]}={value}")
-    return argv[:at + 1] + flags + argv[at + 1:]
+    at = rest.index(command) + 1
+    return rest[:at] + flags + rest[at:]
 
 
 def _format_value(v) -> str:
@@ -324,28 +325,21 @@ def run_oracle_check(args) -> int:
     cases = fock_oracle.standard_cases(cutoff=args.cutoff)
     worst = 0.0
     rows = []
-    for spec in cases:
-        closed = fock_oracle.closed_form(spec)
-        truncated = fock_oracle.oracle_fock_truncated(spec).value
-        state, shift = fock_oracle.gaussian_equivalent(spec)
-        gauss = expectation_T(state, shift)
-        dev_closed = abs(gauss - closed) / abs(closed)
+    for case in cases:
+        state = case.state
+        truncated = fock_oracle.oracle_fock_truncated(case)
+        gauss = expectation_T(state, case.shift)
+        dev_closed = abs(gauss - case.closed) / abs(case.closed)
         dev_trunc = abs(gauss - truncated) / abs(truncated)
         dev_circ = 0.0
-        if spec.kind == "two_mode_squeezed":
-            natural = shift_phases(state.lattice)
-            dense = circulant.dense_determinant(state, natural)
+        if state.lattice.cells > 1:  # the circulant reduction applies
+            dense = circulant.dense_determinant(state, shift_phases(state.lattice))
             reduced = circulant.reduced_determinant(circulant.cell_bloch_blocks(state))
             dev_circ = abs(dense - reduced) / abs(dense)
         worst = max(worst, dev_closed, dev_trunc, dev_circ)
-        rows.append(
-            [spec.kind, list(spec.thetas)[0], dev_closed, dev_trunc, dev_circ]
-        )
-    _emit_csv(
-        args,
-        ["kind", "theta0", "dev_closed_form", "dev_truncated", "dev_circulant"],
-        rows,
-    )
+        rows.append([case.kind, case.shift.phases[0], dev_closed, dev_trunc, dev_circ])
+    header = ["kind", "theta0", "dev_closed_form", "dev_truncated", "dev_circulant"]
+    _emit_csv(args, header, rows)
     ok = worst <= ORACLE_TOL
     _status(args, ok, f"max_relative_deviation={worst:.3e} cases={len(cases)}")
     return EXIT_OK if ok else EXIT_ORACLE

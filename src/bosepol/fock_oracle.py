@@ -1,15 +1,18 @@
 """Independent Fock-space oracles for the momentum-shift expectation value.
 
-The shift operator is diagonal in the number basis, acting as exp(i theta m)
-per mode, so for states with known Fock expansions the expectation reduces
-to explicit sums. These closed forms and their truncated-basis versions
-certify the Gaussian closed form on one and two modes before it is trusted
-at scale:
+The shift acts on each independent photon-number variable m of a
+number-diagonal state as e^{i theta m}, so <T> = prod_f sum_m p_f(m)
+e^{i theta_f m}. An :class:`OracleCase` carries a Gaussian state, its shift,
+the closed form of <T> and one (theta_f, p_f(0..cutoff)) factor per
+variable; :func:`oracle_fock_truncated` takes the product in the truncated
+basis. The four builders certify the Gaussian closed form on one and two
+modes before it is trusted at scale. Their weights and closed forms:
 
-    coherent:   exp(sum_j (e^{i theta_j} - 1) |alpha_j|^2)
-    thermal:    (1 - q) / (1 - q e^{i theta}),   q = nbar / (nbar + 1)
-    squeezed:   1 / sqrt(cosh^2 r - e^{2 i theta} sinh^2 r)
-    TMSV:       (1 - t^2) / (1 - t^2 e^{i (theta_1 + theta_2)}),  t = tanh r
+    coherent:  Poisson, mean |alpha|^2;  exp(sum_j (e^{i theta_j} - 1) |alpha_j|^2)
+    thermal:   (1 - q) q^m, q = nbar / (nbar + 1);  (1 - q) / (1 - q e^{i theta})
+    squeezed:  even m only;  1 / sqrt(cosh^2 r - e^{2 i theta} sinh^2 r)
+    TMSV:      (1 - t^2) t^{2m}, t = tanh r, for the locked pair count m at
+               phase theta_1 + theta_2;  (1 - t^2) / (1 - t^2 e^{i (theta_1 + theta_2)})
 """
 
 from __future__ import annotations
@@ -31,47 +34,17 @@ from .states import (
 
 TAIL_BUDGET = 1e-9
 
-KINDS = ("coherent", "thermal", "squeezed_vacuum", "two_mode_squeezed")
-
 
 @dataclass(frozen=True)
-class OracleSpec:
-    """One oracle case: state kind, per-mode parameters, shift phases, cutoff."""
+class OracleCase:
+    """One oracle case: Gaussian state and shift, closed form of <T>, and one
+    (phase, p_0..p_cutoff) factor per independent photon-number variable."""
 
     kind: str
-    thetas: tuple[float, ...]
-    amplitudes: tuple[complex, ...] = ()
-    nbar: tuple[float, ...] = ()
-    r: tuple[float, ...] = ()
-    cutoff: int = 64
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(self, "amplitudes", tuple(complex(a) for a in self.amplitudes))
-        object.__setattr__(self, "nbar", tuple(float(x) for x in self.nbar))
-        object.__setattr__(self, "r", tuple(float(x) for x in self.r))
-        if self.kind == "two_mode_squeezed":
-            if len(self.thetas) != 2 or len(self.r) != 1:
-                raise ValueError("two_mode_squeezed needs two phases and one r")
-        elif self.kind == "coherent":
-            if len(self.amplitudes) != len(self.thetas):
-                raise ValueError("need one amplitude per phase")
-        elif self.kind == "thermal":
-            if len(self.nbar) != len(self.thetas):
-                raise ValueError("need one occupation per phase")
-        elif self.kind == "squeezed_vacuum":
-            if len(self.r) != len(self.thetas):
-                raise ValueError("need one squeezing parameter per phase")
-
-
-@dataclass(frozen=True)
-class TruncatedFockResult:
-    value: complex
-    tail_mass: float
+    state: GaussianState
+    shift: ShiftSpec
+    closed: complex
+    factors: tuple[tuple[float, np.ndarray], ...]
 
 
 def oracle_coherent(thetas, amplitudes) -> complex:
@@ -105,21 +78,11 @@ def oracle_tmsv(theta1: float, theta2: float, r: float) -> complex:
     return complex((1.0 - t2) / (1.0 - t2 * np.exp(1j * (theta1 + theta2))))
 
 
-def closed_form(spec: OracleSpec) -> complex:
-    """Dispatch to the closed-form oracle for ``spec``."""
-    if spec.kind == "coherent":
-        return oracle_coherent(spec.thetas, spec.amplitudes)
-    if spec.kind == "thermal":
-        val = 1.0 + 0.0j
-        for theta, nbar in zip(spec.thetas, spec.nbar):
-            val *= oracle_thermal_mode(theta, nbar)
-        return val
-    if spec.kind == "squeezed_vacuum":
-        val = 1.0 + 0.0j
-        for theta, r in zip(spec.thetas, spec.r):
-            val *= oracle_squeezed(theta, r)
-        return val
-    return oracle_tmsv(spec.thetas[0], spec.thetas[1], spec.r[0])
+def _number_grid(cutoff: int) -> np.ndarray:
+    """Photon numbers 0..cutoff of the truncated basis."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return np.arange(cutoff + 1)
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
@@ -127,87 +90,96 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in n.tolist()])
 
 
-def _mode_distribution(spec: OracleSpec, j: int) -> np.ndarray:
-    """Fock probabilities p_0..p_cutoff of mode ``j`` (kind-dependent)."""
-    m = np.arange(spec.cutoff + 1)
-    if spec.kind == "coherent":
-        lam = abs(spec.amplitudes[j]) ** 2
-        # m log(lam), whose m = 0 term is 0 also at lam = 0 (all weight on m = 0).
-        m_log_lam = m * math.log(lam) if lam > 0.0 else np.where(m == 0, 0.0, -np.inf)
-        return np.exp(m_log_lam - _log_factorial(m) - lam)
-    if spec.kind == "thermal":
-        nbar = spec.nbar[j]
-        q = nbar / (nbar + 1.0)
-        if q == 0.0:
-            p = np.zeros(spec.cutoff + 1)
-            p[0] = 1.0
-            return p
-        return (1.0 - q) * q ** m.astype(float)
-    if spec.kind == "squeezed_vacuum":
-        r = spec.r[j]
-        p = np.zeros(spec.cutoff + 1)
-        pairs = np.arange((spec.cutoff) // 2 + 1)
-        t = np.tanh(r)
-        if t == 0.0:
-            p[0] = 1.0
-            return p
-        logp = (
-            _log_factorial(2 * pairs)
-            - 2.0 * _log_factorial(pairs)
-            - pairs * math.log(4.0)
-            + 2.0 * pairs * math.log(abs(t))
-            - math.log(math.cosh(r))
-        )
-        p[2 * pairs] = np.exp(logp)
-        return p
-    raise ValueError(spec.kind)
+def _poisson(lam: float, m: np.ndarray) -> np.ndarray:
+    """Poisson weights of mean ``lam`` at photon numbers ``m``."""
+    # m log(lam), whose m = 0 term is 0 also at lam = 0 (all weight on m = 0).
+    m_log_lam = m * math.log(lam) if lam > 0.0 else np.where(m == 0, 0.0, -np.inf)
+    return np.exp(m_log_lam - _log_factorial(m) - lam)
 
 
-def oracle_fock_truncated(spec: OracleSpec) -> TruncatedFockResult:
-    """Tr[rho diag(e^{i theta m})] in the truncated number basis.
+def _geometric(q: float, m: np.ndarray) -> np.ndarray:
+    """Weights (1 - q) q^m, all on m = 0 when q = 0."""
+    return (1.0 - q) * q ** m.astype(float) if q > 0.0 else (m == 0).astype(float)
 
-    All supported states are diagonal in the (joint) number basis, so the
-    trace is a weighted phase sum. The reported tail mass is the exact
-    probability weight above the cutoff; exceeding the 1e-9 budget raises
-    :class:`CutoffError`.
+
+def _squeezed_weights(r: float, m: np.ndarray) -> np.ndarray:
+    """p_{2k} = (2k)! tanh^{2k} r / (4^k k!^2 cosh r); odd photon numbers are empty."""
+    t = np.tanh(r)
+    if t == 0.0:
+        return (m == 0).astype(float)
+    pairs = m[::2] // 2
+    p = np.zeros(len(m))
+    p[::2] = np.exp(
+        _log_factorial(m[::2]) - 2.0 * _log_factorial(pairs) - pairs * math.log(4.0)
+        + 2.0 * pairs * math.log(abs(t)) - math.log(math.cosh(r))
+    )
+    return p
+
+
+def _modes_case(kind, state: GaussianState, thetas, closed, weights) -> OracleCase:
+    """A case of independent modes: one factor per mode, at the mode's phase."""
+    shift = ShiftSpec(state.lattice, thetas)  # one phase per mode
+    phases = shift.phases.tolist()
+    return OracleCase(kind, state, shift, closed, tuple(zip(phases, weights)))
+
+
+def coherent_case(thetas, amplitudes, cutoff: int) -> OracleCase:
+    """Product of coherent states, one per phase: Poisson photon numbers."""
+    m = _number_grid(cutoff)
+    amps = tuple(complex(a) for a in amplitudes)
+    state = coherent_state(make_lattice(1, len(amps)), np.asarray(amps))
+    weights = [_poisson(abs(a) ** 2, m) for a in amps]
+    return _modes_case("coherent", state, thetas, oracle_coherent(thetas, amps), weights)
+
+
+def thermal_case(thetas, nbar, cutoff: int) -> OracleCase:
+    """Product of thermal modes, one per phase: geometric photon numbers."""
+    m = _number_grid(cutoff)
+    closed = math.prod(map(oracle_thermal_mode, thetas, nbar))  # rejects nbar < 0
+    lattice = make_lattice(1, len(nbar))
+    V = np.diag(np.repeat(2.0 * np.asarray(nbar, dtype=float) + 1.0, 2))
+    state = GaussianState(lattice, V, np.zeros(lattice.dim))
+    weights = [_geometric(x / (x + 1.0), m) for x in nbar]
+    return _modes_case("thermal", state, thetas, closed, weights)
+
+
+def squeezed_case(thetas, r, cutoff: int) -> OracleCase:
+    """Product of squeezed vacua, one per phase: even photon numbers only."""
+    m = _number_grid(cutoff)
+    closed = math.prod(map(oracle_squeezed, thetas, r))
+    state = squeezed_vacuum_state(make_lattice(1, len(r)), np.asarray(r, dtype=float))
+    weights = [_squeezed_weights(x, m) for x in r]
+    return _modes_case("squeezed_vacuum", state, thetas, closed, weights)
+
+
+def tmsv_case(thetas, r: float, cutoff: int) -> OracleCase:
+    """Two-mode squeezed vacuum on two one-site cells. Both modes hold the same
+    photon number, so its one factor has phase theta_1 + theta_2."""
+    m = _number_grid(cutoff)
+    state = two_mode_squeezed_state(r)
+    shift = ShiftSpec(state.lattice, thetas)  # two phases
+    theta1, theta2 = shift.phases.tolist()
+    return OracleCase(
+        "two_mode_squeezed", state, shift, oracle_tmsv(theta1, theta2, r),
+        ((theta1 + theta2, _geometric(math.tanh(r) ** 2, m)),),
+    )
+
+
+def oracle_fock_truncated(case: OracleCase) -> complex:
+    """prod_f sum_{m <= cutoff} p_f(m) e^{i theta_f m} in the truncated basis.
+
+    The probability weight above the cutoff, summed over the factors, must
+    stay within TAIL_BUDGET; otherwise :class:`CutoffError` is raised.
     """
-    if spec.kind == "two_mode_squeezed":
-        t2 = math.tanh(spec.r[0]) ** 2
-        m = np.arange(spec.cutoff + 1)
-        p = (1.0 - t2) * t2 ** m.astype(float) if t2 > 0 else np.eye(1, spec.cutoff + 1)[0]
-        tail = 1.0 - p.sum()
-        value = complex(np.sum(p * np.exp(1j * (spec.thetas[0] + spec.thetas[1]) * m)))
-    else:
-        value = 1.0 + 0.0j
-        tail = 0.0
-        m = np.arange(spec.cutoff + 1)
-        for j, theta in enumerate(spec.thetas):
-            p = _mode_distribution(spec, j)
-            tail += max(0.0, 1.0 - p.sum())
-            value *= np.sum(p * np.exp(1j * theta * m))
-        value = complex(value)
+    tail = sum(max(0.0, 1.0 - p.sum()) for _, p in case.factors)
     if tail > TAIL_BUDGET:
         raise CutoffError(
             f"cutoff too small: truncation tail {tail:.3e} exceeds {TAIL_BUDGET}"
         )
-    return TruncatedFockResult(value=value, tail_mass=float(tail))
-
-
-def gaussian_equivalent(spec: OracleSpec) -> tuple[GaussianState, ShiftSpec]:
-    """Gaussian state and shift spec matching an oracle case."""
-    modes = len(spec.thetas)
-    if spec.kind == "two_mode_squeezed":
-        state = two_mode_squeezed_state(spec.r[0])
-        return state, ShiftSpec(state.lattice, np.asarray(spec.thetas))
-    lattice = make_lattice(1, modes)
-    if spec.kind == "coherent":
-        state = coherent_state(lattice, np.asarray(spec.amplitudes))
-    elif spec.kind == "thermal":
-        diag = np.repeat(2.0 * np.asarray(spec.nbar) + 1.0, 2)
-        state = GaussianState(lattice, np.diag(diag), np.zeros(lattice.dim))
-    else:
-        state = squeezed_vacuum_state(lattice, np.asarray(spec.r))
-    return state, ShiftSpec(lattice, np.asarray(spec.thetas))
+    value = 1.0 + 0.0j
+    for theta, p in case.factors:
+        value *= np.sum(p * np.exp(1j * theta * np.arange(len(p))))
+    return complex(value)
 
 
 def default_theta_grid(points: int = 16) -> np.ndarray:
@@ -215,21 +187,14 @@ def default_theta_grid(points: int = 16) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(points) + 0.5) / points
 
 
-def standard_cases(cutoff: int = 160, points: int = 16) -> list[OracleSpec]:
-    """The oracle matrix: every supported state kind across a theta grid."""
-    grid = default_theta_grid(points)
-    cases: list[OracleSpec] = []
+def standard_cases(cutoff: int = 160, points: int = 16) -> list[OracleCase]:
+    """The oracle matrix: every builder across a theta grid (112 cases at 16 points)."""
+    grid = default_theta_grid(points).tolist()
+    cases: list[OracleCase] = []
     for theta in grid:
-        cases.append(
-            OracleSpec("coherent", (theta,), amplitudes=(0.6 + 0.8j,), cutoff=cutoff)
-        )
-        for nbar in (0.1, 1.0, 5.0):
-            cases.append(OracleSpec("thermal", (theta,), nbar=(nbar,), cutoff=cutoff))
-        for r in (0.3, 0.8814):
-            cases.append(OracleSpec("squeezed_vacuum", (theta,), r=(r,), cutoff=cutoff))
+        cases.append(coherent_case((theta,), (0.6 + 0.8j,), cutoff))
+        cases += [thermal_case((theta,), (nbar,), cutoff) for nbar in (0.1, 1.0, 5.0)]
+        cases += [squeezed_case((theta,), (r,), cutoff) for r in (0.3, 0.8814)]
     for i, theta in enumerate(grid):
-        theta2 = grid[(i + 5) % points]
-        cases.append(
-            OracleSpec("two_mode_squeezed", (theta, theta2), r=(0.55,), cutoff=cutoff)
-        )
+        cases.append(tmsv_case((theta, grid[(i + 5) % points]), 0.55, cutoff))
     return cases

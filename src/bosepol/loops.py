@@ -21,7 +21,7 @@ import numpy as np
 from .circulant import random_bloch_blocks, reassemble_covariance
 from .rice_mele import PumpProtocol, _ring_hamiltonian, _zak_phases, evolve_pump, rmm_cell_blocks
 from .states import LatticeSpec, thermal_covariances
-from .winding import ParameterLoop, _integer_winding, _unwrap
+from .winding import ParameterLoop, _integer_winding, _unwrap, check_initial_samples
 
 LOOP_NAMES = ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed")
 
@@ -72,6 +72,7 @@ def rmm_coherent_loop(
     protocol = protocol or reference_protocol()
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele loops need two sites per cell")
+    check_initial_samples(initial_samples)  # before the trajectory is sized from it
     steps = initial_samples
     while steps < 2 ** 14:
         steps *= 2

@@ -183,8 +183,11 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
     h = np.asarray(hopping, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("hopping matrix must be square")
+    scale = np.abs(h).max(axis=(-2, -1))  # nan or inf unless h is finite
+    if not np.isfinite(scale).all():
+        raise ValueError("hopping matrix must be finite")
     defect = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    if np.any(defect > 1e-10 * np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))):
+    if np.any(defect > 1e-10 * np.maximum(1.0, scale)):
         raise ValueError("hopping matrix must be hermitian")
     if not beta > 0:
         raise ValueError(f"inverse temperature beta must be positive, got {beta}")

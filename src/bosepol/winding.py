@@ -42,6 +42,13 @@ PHASE_STEP_TOL = math.pi / 2
 MAX_SAMPLES = 2 ** 20
 
 
+def check_initial_samples(initial_samples: int) -> None:
+    """Require at least 8 uniform segments, their points within MAX_SAMPLES."""
+    if not 8 <= initial_samples < MAX_SAMPLES:
+        raise ValueError(f"initial sample count must be in [8, {MAX_SAMPLES - 1}], "
+                         f"got {initial_samples}")
+
+
 @dataclass(frozen=True)
 class ParameterLoop:
     """Closed path of Gaussian states on ``lattice``, sampled a lambda array at a time.
@@ -61,8 +68,7 @@ class ParameterLoop:
     initial_samples: int = 16
 
     def __post_init__(self):
-        if self.initial_samples < 8:
-            raise ValueError("initial sample count must be >= 8")
+        check_initial_samples(self.initial_samples)
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,7 @@ def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16)
             raise RefinementExhaustedError("path passes exactly through zero")
         return [(math.atan2(z.imag, z.real),) for z in zs]
 
+    check_initial_samples(initial_samples)
     _, records = _refine_on_phase(evaluate, initial_samples)
     phases = np.array([phase for phase, in records])
     return _integer_winding(_unwrap(0.0, phases)[-1], "winding")

@@ -24,12 +24,7 @@ from bosepol import (
     validate,
 )
 from bosepol.circulant import benchmark_determinants, decay_bound
-from bosepol.fock_oracle import (
-    closed_form,
-    gaussian_equivalent,
-    oracle_fock_truncated,
-    standard_cases,
-)
+from bosepol.fock_oracle import oracle_fock_truncated, standard_cases
 from bosepol.loops import (
     band_chern_number,
     random_classical_loop,
@@ -92,14 +87,12 @@ def test_criterion_1_oracle_gate():
     with Stopwatch() as sw:
         worst = 0.0
         cases = standard_cases(cutoff=160, points=16)
-        for spec in cases:
-            state, shift = gaussian_equivalent(spec)
-            gauss = expectation_T(state, shift)
-            closed = closed_form(spec)
-            trunc = oracle_fock_truncated(spec).value
+        for case in cases:
+            gauss = expectation_T(case.state, case.shift)
+            trunc = oracle_fock_truncated(case)
             worst = max(
                 worst,
-                abs(gauss - closed) / abs(closed),
+                abs(gauss - case.closed) / abs(case.closed),
                 abs(gauss - trunc) / abs(trunc),
             )
     ok = worst <= 1e-8 and sw.seconds < 10.0

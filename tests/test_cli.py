@@ -218,6 +218,14 @@ def test_oracle_check_detects_corruption(monkeypatch):
     assert cli.main(["oracle-check", "--cutoff", "160"]) == 5
 
 
+def test_oracle_check_detects_reduction_mismatch(monkeypatch):
+    """The dense-versus-reduced column runs on the multi-cell (two-mode) cases."""
+    real = cli.circulant.reduced_determinant
+    monkeypatch.setattr(cli.circulant, "reduced_determinant",
+                        lambda blocks: real(blocks) * (1.0 + 1e-6))
+    assert cli.main(["oracle-check", "--cutoff", "160"]) == 5
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "bench.csv"
     code = cli.main(["bench", "--L", "2,4,8", "--repeats", "1", "--output", str(out)])
@@ -310,6 +318,22 @@ def test_config_before_or_after_subcommand(tmp_path, before):
     assert cli.main(args) == 0
     comment, _, _ = read_csv(out)
     assert {"L=3", "samples=8", "no_color=False"} <= set(comment.split())
+
+
+def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch, capsys):
+    (tmp_path / "bench").write_text("L = 4,6,8\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--config", "bench", "scaling"]) == 0
+    assert "L=[4, 6, 8]" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_winding_sample_count_above_the_cap_exits_before_sampling(monkeypatch, capsys):
+    def never(loop):
+        pytest.fail("the loop was tracked before its sample count was checked")
+
+    monkeypatch.setattr(winding, "track_polarization", never)
+    assert cli.main(["winding", "--L", "3", "--samples", "1048577"]) == 2
+    assert "initial sample count must be in [8, 1048575]" in capsys.readouterr().err
 
 
 def test_second_call_builds_no_parser(tmp_path, monkeypatch):

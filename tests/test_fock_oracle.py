@@ -7,17 +7,17 @@ from scipy.stats import poisson
 
 from bosepol.errors import CutoffError
 from bosepol.fock_oracle import (
-    OracleSpec,
-    _mode_distribution,
-    closed_form,
+    coherent_case,
     default_theta_grid,
-    gaussian_equivalent,
     oracle_coherent,
     oracle_fock_truncated,
     oracle_squeezed,
     oracle_thermal_mode,
     oracle_tmsv,
+    squeezed_case,
     standard_cases,
+    thermal_case,
+    tmsv_case,
 )
 
 
@@ -61,41 +61,31 @@ def test_tmsv_oracle():
 
 
 def test_truncated_matches_closed_forms():
-    spec = OracleSpec("coherent", (1.1,), amplitudes=(1.0,), cutoff=40)
-    res = oracle_fock_truncated(spec)
-    assert res.value == pytest.approx(closed_form(spec), abs=1e-10)
-    assert res.tail_mass < 1e-9
+    case = coherent_case((1.1,), (1.0,), cutoff=40)
+    assert oracle_fock_truncated(case) == pytest.approx(case.closed, abs=1e-10)
+    assert sum(1.0 - p.sum() for _, p in case.factors) < 1e-9
 
-    spec = OracleSpec("thermal", (np.pi,), nbar=(2.0,), cutoff=200)
-    res = oracle_fock_truncated(spec)
+    case = thermal_case((np.pi,), (2.0,), cutoff=200)
     q = 2.0 / 3.0
-    assert res.value == pytest.approx((1 - q) / (1 + q), abs=1e-9)
+    assert oracle_fock_truncated(case) == pytest.approx((1 - q) / (1 + q), abs=1e-9)
 
-    spec = OracleSpec("squeezed_vacuum", (2.2,), r=(0.8,), cutoff=160)
-    assert oracle_fock_truncated(spec).value == pytest.approx(
-        closed_form(spec), abs=1e-10
-    )
+    case = squeezed_case((2.2,), (0.8,), cutoff=160)
+    assert oracle_fock_truncated(case) == pytest.approx(case.closed, abs=1e-10)
 
-    spec = OracleSpec("two_mode_squeezed", (0.9, 2.0), r=(0.7,), cutoff=120)
-    assert oracle_fock_truncated(spec).value == pytest.approx(
-        closed_form(spec), abs=1e-10
-    )
+    case = tmsv_case((0.9, 2.0), 0.7, cutoff=120)
+    assert oracle_fock_truncated(case) == pytest.approx(case.closed, abs=1e-10)
 
 
 def test_truncated_cutoff_too_small():
-    spec = OracleSpec("thermal", (np.pi,), nbar=(5.0,), cutoff=2)
+    case = thermal_case((np.pi,), (5.0,), cutoff=2)
     with pytest.raises(CutoffError):
-        oracle_fock_truncated(spec)
+        oracle_fock_truncated(case)
 
 
 def test_truncated_converged_under_cutoff_doubling():
-    for spec in standard_cases(cutoff=160, points=4):
-        a = oracle_fock_truncated(spec).value
-        b = oracle_fock_truncated(
-            OracleSpec(spec.kind, spec.thetas, spec.amplitudes, spec.nbar,
-                       spec.r, cutoff=2 * spec.cutoff)
-        ).value
-        assert abs(a - b) < 1e-10
+    pairs = zip(standard_cases(cutoff=160, points=4), standard_cases(cutoff=320, points=4))
+    for a, b in pairs:
+        assert abs(oracle_fock_truncated(a) - oracle_fock_truncated(b)) < 1e-10
 
 
 def test_all_oracles_contractive():
@@ -107,32 +97,33 @@ def test_all_oracles_contractive():
 
 
 def test_gaussian_equivalent_shapes():
-    spec = OracleSpec("thermal", (1.0, 2.0), nbar=(0.5, 1.5))
-    state, shift = gaussian_equivalent(spec)
-    assert state.lattice.modes == 2
-    assert np.allclose(shift.phases, [1.0, 2.0])
-    assert np.allclose(np.diag(state.V), [2.0, 2.0, 4.0, 4.0])
+    case = thermal_case((1.0, 2.0), (0.5, 1.5), cutoff=64)
+    assert case.state.lattice.modes == 2
+    assert np.allclose(case.shift.phases, [1.0, 2.0])
+    assert np.allclose(np.diag(case.state.V), [2.0, 2.0, 4.0, 4.0])
 
-    spec = OracleSpec("two_mode_squeezed", (1.0, 2.0), r=(0.5,))
-    state, shift = gaussian_equivalent(spec)
-    assert state.lattice.cells == 2
+    case = tmsv_case((1.0, 2.0), 0.5, cutoff=64)
+    assert case.state.lattice.cells == 2
+    # Locked photon numbers: one factor, at the summed phase.
+    assert [theta for theta, _ in case.factors] == [3.0]
 
 
-def test_oracle_spec_validation():
+def test_oracle_case_validation():
     with pytest.raises(ValueError):
-        OracleSpec("bogus", (1.0,))
+        coherent_case((1.0, 2.0), (1.0,), cutoff=64)
     with pytest.raises(ValueError):
-        OracleSpec("coherent", (1.0, 2.0), amplitudes=(1.0,))
+        thermal_case((1.0,), (1.0, 2.0), cutoff=64)
     with pytest.raises(ValueError):
-        OracleSpec("two_mode_squeezed", (1.0,), r=(0.5,))
+        squeezed_case((1.0, 2.0), (0.5,), cutoff=64)
     with pytest.raises(ValueError):
-        OracleSpec("thermal", (1.0,), nbar=(1.0,), cutoff=0)
+        tmsv_case((1.0,), 0.5, cutoff=64)
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        thermal_case((1.0,), (1.0,), cutoff=0)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 1e-3, 0.6 + 0.8j, 2.7j, 6.0])
 def test_coherent_weights_match_scipy_poisson(amplitude):
-    spec = OracleSpec("coherent", (1.0,), amplitudes=(amplitude,), cutoff=160)
-    p = _mode_distribution(spec, 0)
+    (_, p), = coherent_case((1.0,), (amplitude,), cutoff=160).factors
     ref = poisson.pmf(np.arange(161), abs(amplitude) ** 2)
     np.testing.assert_allclose(p, ref, rtol=1e-12, atol=1e-300)
     if amplitude == 0.0:
@@ -141,8 +132,7 @@ def test_coherent_weights_match_scipy_poisson(amplitude):
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.8814, 1.5])
 def test_squeezed_weights_match_scipy_gammaln(r):
-    spec = OracleSpec("squeezed_vacuum", (1.0,), r=(r,), cutoff=160)
-    p = _mode_distribution(spec, 0)
+    (_, p), = squeezed_case((1.0,), (r,), cutoff=160).factors
     k = np.arange(81)
     logp = (gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - k * np.log(4.0)
             + xlogy(2 * k, np.tanh(r)))

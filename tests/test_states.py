@@ -1,5 +1,7 @@
 """Lattice and Gaussian-state constructors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,15 @@ def test_bose_occupations_reject_nan():
         bose_occupations(h, beta=np.nan, mu=-1.0)
     with pytest.raises(ChemicalPotentialError, match="chemical potential mu must be a number"):
         bose_occupations(h, beta=1.0, mu=np.nan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_hopping_names_the_contract(bad):
+    h = np.full((2, 2), bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hopping matrix must be finite"):
+            thermal_state(h, 1.0, -1.0, make_lattice(1, 2))
 
 
 def test_bose_occupations_infinite_beta_is_vacuum():

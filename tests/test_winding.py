@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bosepol import make_lattice, winding
+from bosepol import loops, make_lattice, winding
 from bosepol.errors import GapClosureError, InvalidStateError, RefinementExhaustedError
 from bosepol.loops import (
     LOOP_NAMES,
@@ -687,6 +687,35 @@ def test_refinement_exhausted_at_sample_cap(monkeypatch):
     monkeypatch.setattr(winding, "MAX_SAMPLES", 64)
     with pytest.raises(RefinementExhaustedError, match="64 samples"):
         winding_of_values(lambda lam: np.exp(80j * np.pi * lam))
+
+
+def test_winding_of_values_rejects_a_grid_below_eight_samples():
+    # With one segment the planted winding of 1 would read 0.
+    with pytest.raises(ValueError, match=r"initial sample count must be in \[8, "):
+        winding_of_values(lambda lam: 1 - 2 * np.exp(2j * np.pi * lam), 1)
+
+
+def test_initial_samples_must_fit_the_sample_cap(monkeypatch):
+    lat = make_lattice(2, 1)
+    sampler = lambda lams: pytest.fail("a loop with a bad sample count was sampled")
+    with pytest.raises(ValueError, match=f"in \\[8, {winding.MAX_SAMPLES - 1}\\]"):
+        ParameterLoop(lat, sampler, winding.MAX_SAMPLES)
+    with pytest.raises(ValueError, match="initial sample count"):
+        winding_of_values(lambda lam: 2.0 + 0j, winding.MAX_SAMPLES + 7)
+    monkeypatch.setattr(winding, "MAX_SAMPLES", 64)  # read at call time
+    with pytest.raises(ValueError, match=r"in \[8, 63\]"):
+        ParameterLoop(lat, sampler, 64)
+
+
+def test_coherent_loop_checks_its_sample_count_before_integrating(monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("the pump was integrated before the sample count was checked")
+
+    monkeypatch.setattr(loops, "evolve_pump", never)
+    lat = make_lattice(3, 2)
+    for samples in (winding.MAX_SAMPLES, 0):
+        with pytest.raises(ValueError, match="initial sample count"):
+            rmm_coherent_loop(lat, initial_samples=samples)
 
 
 @pytest.mark.parametrize(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NotTranslationInvariantError
-from .polarization import ShiftSpec, quadrature_phase_factors, shift_phases
-from .states import GaussianState, LatticeSpec, require_valid
+from .polarization import ShiftSpec, ordered_product, quadrature_phase_factors, shift_phases
+from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
 
@@ -64,46 +64,33 @@ def gauge_block(lattice: LatticeSpec) -> np.ndarray:
     return quadrature_phase_factors(shift_phases(lattice))[: 2 * lattice.sites_per_cell]
 
 
-def cell_bloch_blocks(state: GaussianState, check: bool = True) -> BlochBlocks:
-    """Fourier-transform a translation-invariant covariance into Bloch blocks.
+def cell_bloch_blocks(state: GaussianState | BlochState) -> BlochBlocks:
+    """Bloch blocks v_k and m_k of a translation-invariant state.
 
-    Convention: v_k = sum_d C_d exp(+2 pi i k d / L) where C_d is the first
-    block row of V, and m_k = (v_k - 1)(v_k + 1)^{-1} D with D from
-    :func:`gauge_block`. Positive definiteness of V is equivalent to positive
-    definiteness of every v_k and is asserted blockwise. That alone gives
-    |eig(m_k)| < 1, so m_k needs no check of its own: the Cayley factor
-    (v_k - 1)(v_k + 1)^{-1} of a positive definite v_k has norm below 1, and
-    the gauge block D is unitary. ``check=False`` skips the O((nL)^2)
-    translation-invariance scan for callers that validated the state
-    beforehand (benchmark inner loop).
+    A :class:`BlochState` gives its own blocks. A dense state is checked for
+    translation invariance, then Fourier-transformed in the convention
+    v_k = sum_d C_d exp(+2 pi i k d / L), C_d the first block row of V.
+    m_k = (v_k - 1)(v_k + 1)^{-1} D with D from :func:`gauge_block`.
+    Positive definiteness of V is equivalent to positive definiteness of
+    every v_k and is asserted blockwise. That alone gives |eig(m_k)| < 1, so
+    m_k needs no check of its own: the Cayley factor (v_k - 1)(v_k + 1)^{-1}
+    of a positive definite v_k has norm below 1, and the gauge block D is
+    unitary.
     """
     lat = state.lattice
-    if check:
-        check_translation_invariance(state)
     L, tn = lat.cells, 2 * lat.sites_per_cell
-    C = state.V.reshape(L, tn, L, tn)[0].transpose(1, 0, 2)
-    v = np.fft.ifft(C, axis=0) * L
-    v = (v + v.conj().transpose(0, 2, 1)) / 2.0
+    if isinstance(state, BlochState):
+        v = state.v_blocks
+    else:
+        check_translation_invariance(state)
+        C = state.V.reshape(L, tn, L, tn)[0].transpose(1, 0, 2)
+        v = np.fft.ifft(C, axis=0) * L
+        v = (v + v.conj().transpose(0, 2, 1)) / 2.0
     if np.linalg.eigvalsh(v).min() <= 0.0:
         raise InvalidStateError("a Bloch block v_k is not positive definite")
     eye = np.eye(tn)
     m = np.linalg.solve(v + eye, v - eye) * gauge_block(lat)
     return BlochBlocks(lattice=lat, v_blocks=v, m_blocks=m)
-
-
-def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
-    """Inverse Fourier transform of Bloch blocks v_k back to dense real-symmetric matrices.
-
-    Blocks (..., L, 2n, 2n) give matrices (..., 2nL, 2nL), one per leading index.
-    """
-    *stack, L, tn, _ = v_blocks.shape
-    C = np.fft.fft(v_blocks, axis=-3) / L
-    idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
-    V = C[..., idx, :, :].swapaxes(-3, -2).reshape(*stack, L * tn, L * tn)
-    scale = np.maximum(1.0, np.abs(V.real).max(axis=(-2, -1)))
-    if (np.abs(V.imag).max(axis=(-2, -1)) > 1e-10 * scale).any():
-        raise ValueError("Bloch blocks violate the realness constraint v_{L-k} = conj(v_k)")
-    return (V.real + V.real.swapaxes(-1, -2)) / 2.0
 
 
 def random_bloch_blocks(
@@ -140,14 +127,11 @@ def random_bloch_blocks(
 
 def reduced_determinant(blocks: BlochBlocks) -> complex:
     """det(1_{2n} - m_{L-1} ... m_1 m_0), equal to the dense det(1 - W)."""
-    tn = 2 * blocks.lattice.sites_per_cell
-    prod = np.eye(tn, dtype=complex)
-    for mk in blocks.m_blocks:
-        prod = mk @ prod
-    return complex(np.linalg.det(np.eye(tn, dtype=complex) - prod))
+    prod = ordered_product(blocks.m_blocks)
+    return complex(np.linalg.det(np.eye(len(prod)) - prod))
 
 
-def dense_determinant(state: GaussianState, shift: ShiftSpec | None = None) -> complex:
+def dense_determinant(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
     """Dense det(1 - W) evaluated directly on the 2nL-dimensional matrix."""
     require_valid(state)
     if shift is None:
@@ -165,13 +149,13 @@ def _dense_det_kernel(V: np.ndarray, u: np.ndarray) -> complex:
     return complex(sign * np.exp(logabs))
 
 
-def lambda_max(state: GaussianState) -> float:
+def lambda_max(state: GaussianState | BlochState) -> float:
     """Largest |eigenvalue| of the Cayley transform (V-1)(V+1)^{-1}; always < 1."""
     vals = require_valid(state)
     return float(np.abs((vals - 1.0) / (vals + 1.0)).max())
 
 
-def decay_bound(state: GaussianState) -> float:
+def decay_bound(state: GaussianState | BlochState) -> float:
     """eps = 4 lambda_max^L: bound on |Im ln det(1 - W)| up to O(eps^2)."""
     return 4.0 * lambda_max(state) ** state.lattice.cells
 
@@ -183,8 +167,8 @@ def random_circulant_state(
     eig_low: float | None = None,
     eig_high: float = 4.0,
     mean_scale: float = 0.0,
-) -> GaussianState:
-    """Seeded random translation-invariant state built from Bloch blocks.
+) -> BlochState:
+    """Seeded random translation-invariant state, held as its Bloch blocks.
 
     The blocks come from :func:`random_bloch_blocks` with eigenvalues in
     [eig_low, eig_high). With ``classical=False`` the k = 0 block gets
@@ -195,13 +179,10 @@ def random_circulant_state(
     if eig_low is None:
         eig_low = 1.1 if classical else 0.3
     k0_high = None if classical else min(0.9, eig_high)
-    V = reassemble_covariance(random_bloch_blocks(lattice, rng, eig_low, eig_high, k0_high))
-    if mean_scale:
-        cell = mean_scale * rng.normal(size=2 * lattice.sites_per_cell)
-        mean = np.tile(cell, lattice.cells)
-    else:
-        mean = np.zeros(lattice.dim)
-    return GaussianState(lattice, V, mean)
+    blocks = random_bloch_blocks(lattice, rng, eig_low, eig_high, k0_high)
+    tn = 2 * lattice.sites_per_cell
+    cell = mean_scale * rng.normal(size=tn) if mean_scale else np.zeros(tn)
+    return BlochState(lattice, blocks, cell)
 
 
 def benchmark_determinants(
@@ -212,18 +193,18 @@ def benchmark_determinants(
     """Time the dense versus reduced determinant on one random circulant state.
 
     Both timers cover determinant evaluation only: the state is validated
-    (positive definite, translation invariant) once outside the timed
+    (positive definite) and its dense V assembled once outside the timed
     regions, mirroring a production sweep that validates a family up front
-    and evaluates many parameter points. Returns a row with best-of-
-    ``repeats`` timings and the relative error between the two values.
+    and evaluates many parameter points. The reduced timer starts from the
+    state's own Bloch blocks. Returns a row with best-of-``repeats`` timings
+    and the relative error between the two values.
     """
     if repeats < 1:
         raise ValueError(f"need at least one timing repeat, got {repeats}")
     state = random_circulant_state(lattice, seed, classical=True)
     require_valid(state)
-    check_translation_invariance(state)
-    shift = shift_phases(lattice)
-    u = quadrature_phase_factors(shift)
+    V = state.V
+    u = quadrature_phase_factors(shift_phases(lattice))
 
     def best_of(evaluate):
         best = float("inf")
@@ -233,10 +214,8 @@ def benchmark_determinants(
             best = min(best, time.perf_counter() - t0)
         return value, best
 
-    dense_val, dense_t = best_of(lambda: _dense_det_kernel(state.V, u))
-    reduced_val, reduced_t = best_of(
-        lambda: reduced_determinant(cell_bloch_blocks(state, check=False))
-    )
+    dense_val, dense_t = best_of(lambda: _dense_det_kernel(V, u))
+    reduced_val, reduced_t = best_of(lambda: reduced_determinant(cell_bloch_blocks(state)))
 
     rel_err = abs(dense_val - reduced_val) / abs(dense_val)
     return {

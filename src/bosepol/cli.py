@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _config_probe() -> argparse.ArgumentParser:
     """Parser that reads only ``--config`` (prefixes included), built once."""
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(prog="bosepol", add_help=False)
     probe.add_argument("--config")
     return probe
 
@@ -263,21 +263,21 @@ def run_scaling(args) -> int:
     def point(L: int) -> list:
         lattice = make_lattice(L, args.n, args.offset)
         state = rice_mele.rmm_thermal_state(params, lattice, args.beta, mu)
+        # The Bloch path: Im ln det(1 - W) = -2 det_term_phase comes from the
+        # 2n x 2n reduced product, which resolves phases far below the
+        # rounding floor of a dense factorization.
         breakdown = polarization(state)
-        # Im ln det(1 - W) from the circulant reduction: it resolves phases
-        # far below the rounding floor of a dense LU factorization.
-        det = circulant.reduced_determinant(circulant.cell_bloch_blocks(state))
         # circulant.decay_bound, from the eigenvalues polarization already has.
         eps = 4.0 * breakdown.cayley_norm ** L
         lam_min = breakdown.min_covariance_eigenvalue
         classical_bound = ((1.0 + lam_min) / 2.0) ** (-args.n * L)
-        return [L, breakdown.abs_T, float(np.angle(det)), eps, classical_bound]
+        return [L, breakdown.abs_T, -2.0 * breakdown.det_term_phase, eps, classical_bound,
+                breakdown.log_abs_T]
 
     rows = [point(L) for L in args.L]
     violations = [row for row in rows if abs(row[2]) > row[3]]
-    _emit_csv(
-        args, ["L", "abs_T", "det_term_phase", "epsilon_bound", "classical_bound"], rows
-    )
+    header = ["L", "abs_T", "det_term_phase", "epsilon_bound", "classical_bound", "log_abs_T"]
+    _emit_csv(args, header, rows)
     if violations:
         raise NumericalError(
             f"decay bound violated at L={[int(r[0]) for r in violations]}"
@@ -390,9 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _config_file_flags(parser, argv)
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_config_file_flags(parser, argv))
         except SystemExit as exc:
             return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
         return args.func(args)

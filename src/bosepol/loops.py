@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .circulant import random_bloch_blocks, reassemble_covariance
+from .circulant import random_bloch_blocks
 from .rice_mele import PumpProtocol, _ring_hamiltonian, _zak_phases, evolve_pump, rmm_cell_blocks
-from .states import LatticeSpec, thermal_covariances
+from .states import LatticeSpec, reassemble_covariance, thermal_covariances
 from .winding import ParameterLoop, _integer_winding, _unwrap, check_initial_samples
 
 LOOP_NAMES = ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed")

@@ -1,4 +1,4 @@
-"""Momentum-shift expectation value and many-body polarization (dense path).
+"""Momentum-shift expectation value and many-body polarization.
 
 For a Gaussian state with covariance V and mean alpha0, the expectation of
 the momentum-shift unitary is evaluated in closed form:
@@ -29,6 +29,22 @@ is the homotopy branch, from two real symmetric eigendecompositions and no
 path to sample.
 
 The polarization is P = Im log <T> / (2 pi) on that branch.
+
+A translation-invariant state held as Bloch blocks v_k (a
+:class:`~bosepol.states.BlochState`) under its lattice's own shift takes a
+reduced path in O(L n^3) that forms no 2nL-dimensional matrix. The shift
+moves momentum k to k + 1 and multiplies by the intra-cell phases D, so with
+G_k = (v_k - 1)(v_k + 1)^{-1}, A_k = D G_k and P = A_{L-1} ... A_0,
+
+    det(1 - W) = det(1_{2n} - P),    log det(V + 1) = sum_k log det(v_k + 1).
+
+Both ||W|| and ||P|| are below 1, so the homotopy branch is the sum of
+Arg(1 - w) over the eigenvalues w of W, and it equals sum_j Arg(1 - nu_j)
+over the 2n eigenvalues nu_j of P: scaling G -> t G gives
+det(1 - t W) = det(1 - t^L P), and both sums are continuous logarithms of
+it that start from 0 at t = 0. A cell-periodic mean a gives
+s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
+R = A_{L-1} ... A_1.
 """
 
 from __future__ import annotations
@@ -39,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
-from .states import GaussianState, LatticeSpec, check_min_eigenvalue
+from .states import BlochState, GaussianState, LatticeSpec, check_min_eigenvalue
 
 MEAN_SOLVE_RTOL = 1e-8
 # Rounding margin of the post-condition log|<T>| <= 0: T is unitary, so
@@ -96,10 +112,10 @@ class PolarizationBreakdown:
 
     Diagnostics: ``cayley_norm`` is ||W|| = max_j |(v_j - 1)/(v_j + 1)| over
     the eigenvalues v_j of V; ``branch_turns`` is the integer k with
-    Im ln det(1 - W) = principal phase + 2 pi k; ``max_abs_h`` is max_j |h_j|,
-    the largest eigenvalue magnitude of H = V^{-1/2} K V^{-1/2}, which grows
-    as V nears singularity or a shift phase nears 0 mod 2 pi;
-    ``min_covariance_eigenvalue`` is the smallest eigenvalue of V.
+    Im ln det(1 - W) = principal phase + 2 pi k;
+    ``min_covariance_eigenvalue`` is the smallest eigenvalue of V; ``path``
+    names the evaluation, ``"dense"`` on the 2nL-dimensional V or
+    ``"bloch"`` on the Bloch blocks of a translation-invariant state.
     """
 
     abs_T: float
@@ -110,8 +126,8 @@ class PolarizationBreakdown:
     p: float
     cayley_norm: float
     branch_turns: int
-    max_abs_h: float
     min_covariance_eigenvalue: float
+    path: str
 
     @property
     def expectation(self) -> complex:
@@ -161,25 +177,95 @@ def _mean_terms(M: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
     return s
 
 
-def mean_term(state: GaussianState, shift: ShiftSpec | None = None) -> complex:
+def mean_term(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
     """s = -1/2 alpha0^T M^{-1} alpha0; Re(s) <= 0 since herm(M) = V > 0."""
     return polarization(state, shift).mean_term
 
 
+def ordered_product(mats: np.ndarray) -> np.ndarray:
+    """m_{L-1} ... m_1 m_0 of a stack (L, d, d), the identity for L = 0.
+
+    Adjacent pairs are multiplied in one stacked matmul per level, so the
+    product takes log2 L levels.
+    """
+    if len(mats) == 0:
+        return np.eye(mats.shape[-1])
+    while len(mats) > 1:
+        even = len(mats) - len(mats) % 2
+        mats = np.concatenate((mats[1:even:2] @ mats[0:even:2], mats[even:]))
+    return mats[0]
+
+
+def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, lo: float, path: str
+               ) -> PolarizationBreakdown:
+    """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the eigenvalues of V
+    and their minimum."""
+    _check_abs_T(log_abs)
+    det_term_phase = -0.5 * phi
+    p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
+    return PolarizationBreakdown(
+        abs_T=math.exp(log_abs),
+        log_abs_T=log_abs,
+        det_term_phase=det_term_phase,
+        mean_term=s,
+        p_unwrapped=p_unwrapped,
+        p=principal_polarization(p_unwrapped),
+        cayley_norm=float(np.abs((vals - 1.0) / (vals + 1.0)).max()),
+        branch_turns=round(phi / (2.0 * math.pi)),
+        min_covariance_eigenvalue=lo,
+        path=path,
+    )
+
+
+def _bloch_polarization(state: BlochState, shift: ShiftSpec) -> PolarizationBreakdown:
+    """The reduced path of the module docstring: one stacked ``eigh`` of the
+    2n x 2n blocks, one ``eigvals`` of P and, with a mean, one 2n x 2n solve."""
+    L, tn = state.lattice.cells, 2 * state.lattice.sites_per_cell
+    vals, Q = np.linalg.eigh(state.v_blocks)
+    lo = float(vals.min())
+    check_min_eigenvalue(lo)
+    d = quadrature_phase_factors(shift)[:tn]
+    G = (Q * ((vals - 1.0) / (vals + 1.0))[:, None, :]) @ Q.conj().swapaxes(-1, -2)
+    A = d[:, None] * G
+    R = ordered_product(A[1:])
+    P = R @ A[0]
+    log_det = np.log(1.0 - np.linalg.eigvals(P))
+    s = 0j
+    a = state.cell_mean
+    if a.any():
+        y0 = np.linalg.solve(np.eye(tn) - P, a - R @ (d * a))
+        c = (Q[0] / (vals[0] + 1.0)) @ (Q[0].conj().T @ a)  # (v_0 + 1)^{-1} a
+        s = complex(-0.5 * L * (c @ y0))
+    # nL ln 2 - 1/2 log det(V + 1), summed as -1/2 sum log((1 + v_j) / 2) over
+    # all 2nL eigenvalues, so the vacuum gives exactly 0.
+    log_abs = float(
+        -0.5 * np.sum(np.log1p((vals - 1.0) / 2.0)) - 0.5 * np.sum(log_det.real)
+    ) + s.real
+    return _breakdown(log_abs, float(np.sum(log_det.imag)), s, vals, lo, "bloch")
+
+
 def polarization(
-    state: GaussianState, shift: ShiftSpec | None = None
+    state: GaussianState | BlochState, shift: ShiftSpec | None = None
 ) -> PolarizationBreakdown:
     """Full polarization breakdown of a Gaussian state on the homotopy branch.
 
+    A :class:`BlochState` under its lattice's own shift takes the reduced
+    path of the module docstring; every other state or shift the dense one.
     Raises :class:`InvalidStateError` when V is not positive definite, or
     when |<T>| exceeds 1, which only a state violating V + i Omega >= 0 gives.
     """
+    bloch = isinstance(state, BlochState)
     if shift is None:
         shift = shift_phases(state.lattice)
+    elif bloch:
+        bloch = np.array_equal(shift.phases, shift_phases(state.lattice).phases)
     if shift.lattice.modes != state.lattice.modes:
         raise ValueError("shift spec and state have different mode counts")
+    if bloch:
+        return _bloch_polarization(state, shift)
     vals, Q = np.linalg.eigh(state.V)
-    check_min_eigenvalue(float(vals[0]))
+    lo = float(vals[0])
+    check_min_eigenvalue(lo)
     k = quadrature_cotangents(shift)
     A = Q / np.sqrt(vals)
     h, P = np.linalg.eigh(A.T @ (k[:, None] * A))
@@ -194,23 +280,9 @@ def polarization(
         - 0.25 * np.sum(np.log1p(h * h))
         - 0.5 * np.sum(np.log(vals))
     ) + s.real
-    _check_abs_T(log_abs)
-    det_term_phase = -0.5 * phi
-    p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
-    return PolarizationBreakdown(
-        abs_T=math.exp(log_abs),
-        log_abs_T=log_abs,
-        det_term_phase=det_term_phase,
-        mean_term=s,
-        p_unwrapped=p_unwrapped,
-        p=principal_polarization(p_unwrapped),
-        cayley_norm=float(np.abs((vals - 1.0) / (vals + 1.0)).max()),
-        branch_turns=round(phi / (2.0 * math.pi)),
-        max_abs_h=float(np.abs(h).max()),
-        min_covariance_eigenvalue=float(vals[0]),
-    )
+    return _breakdown(log_abs, phi, s, vals, lo, "dense")
 
 
-def expectation_T(state: GaussianState, shift: ShiftSpec | None = None) -> complex:
+def expectation_T(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
     """<T> for an arbitrary valid Gaussian state (dense closed form)."""
     return complex(polarization(state, shift).expectation)

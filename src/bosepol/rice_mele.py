@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GapClosureError
-from .states import GaussianState, LatticeSpec, thermal_state
+from .states import BlochState, LatticeSpec, thermal_state
 from .winding import _integer_winding, _unwrap
 
 DEFAULT_PUMP_STEPS = 10_000
@@ -291,6 +291,14 @@ def rmm_thermal_state(
     lattice: LatticeSpec,
     beta: float,
     mu: float,
-) -> GaussianState:
-    """Grand-canonical thermal state of the Rice-Mele chain."""
-    return thermal_state(rmm_hopping_matrix(params, lattice), beta, mu, lattice)
+) -> BlochState:
+    """Grand-canonical thermal state of the Rice-Mele chain, held as its Bloch blocks.
+
+    The blocks come from the Bloch Hamiltonians h(2 pi k / L) of
+    :func:`_bloch_hamiltonians`, the Bloch blocks of :func:`rmm_hopping_matrix`.
+    """
+    if lattice.sites_per_cell != 2:
+        raise ValueError("Rice-Mele model needs two sites per cell")
+    kappas = 2.0 * np.pi * np.arange(lattice.cells) / lattice.cells
+    h = _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), kappas)
+    return thermal_state(h, beta, mu, lattice)

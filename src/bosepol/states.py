@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +131,78 @@ class GaussianState:
         return self.lattice.modes
 
 
+def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
+    """Inverse Fourier transform of Bloch blocks v_k back to dense real-symmetric matrices.
+
+    Blocks (..., L, 2n, 2n) give matrices (..., 2nL, 2nL), one per leading index.
+    """
+    *stack, L, tn, _ = v_blocks.shape
+    C = np.fft.fft(v_blocks, axis=-3) / L
+    idx = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
+    V = C[..., idx, :, :].swapaxes(-3, -2).reshape(*stack, L * tn, L * tn)
+    scale = np.maximum(1.0, np.abs(V.real).max(axis=(-2, -1)))
+    if (np.abs(V.imag).max(axis=(-2, -1)) > 1e-10 * scale).any():
+        raise ValueError("Bloch blocks violate the realness constraint v_{L-k} = conj(v_k)")
+    return (V.real + V.real.swapaxes(-1, -2)) / 2.0
+
+
+@dataclass(frozen=True)
+class BlochState:
+    """Translation-invariant Gaussian state, held as the Bloch blocks of its covariance.
+
+    ``v_blocks`` (L, 2n, 2n) are v_k = sum_d C_d exp(+2 pi i k d / L), with
+    C_d the first block row of the block-circulant V; ``cell_mean`` (2n,) is
+    the mean of every cell. The blocks must be finite and Hermitian, and obey
+    v_{L-k} = conj(v_k), which makes V real; both must hold within
+    SYMMETRY_RTOL of max(1, max |v_k|). Positive definiteness is not
+    enforced, as for :class:`GaussianState`.
+
+    ``V`` and ``mean`` are assembled on first read, for dense consumers such
+    as :func:`validate`; the reduced evaluation of
+    :func:`bosepol.polarization.polarization` never reads them.
+    """
+
+    lattice: LatticeSpec
+    v_blocks: np.ndarray
+    cell_mean: np.ndarray
+
+    def __post_init__(self):
+        L, tn = self.lattice.cells, 2 * self.lattice.sites_per_cell
+        v = np.array(self.v_blocks, dtype=complex)  # copies: the caller's arrays stay writable
+        cell_mean = np.array(self.cell_mean, dtype=float)
+        if v.shape != (L, tn, tn):
+            raise ValueError(f"Bloch blocks must be {(L, tn, tn)}, got {v.shape}")
+        if cell_mean.shape != (tn,):
+            raise ValueError(f"cell mean must have length {tn}, got {cell_mean.shape}")
+        scale = np.abs(v).max()  # nan or inf unless v is finite
+        if not (np.isfinite(scale) and np.isfinite(cell_mean).all()):
+            raise ValueError("Bloch blocks and cell mean must be finite")
+        tol = SYMMETRY_RTOL * max(1.0, scale)
+        defect = np.abs(v - v.conj().swapaxes(-1, -2)).max()
+        if defect > tol:
+            raise ValueError(f"Bloch block hermiticity defect {defect:.3e} exceeds tolerance")
+        defect = np.abs(v - v[-np.arange(L) % L].conj()).max()
+        if defect > tol:
+            raise ValueError(
+                f"Bloch blocks violate v_(L-k) = conj(v_k) by {defect:.3e}, "
+                "so the covariance would not be real"
+            )
+        object.__setattr__(self, "v_blocks", _as_readonly(v))
+        object.__setattr__(self, "cell_mean", _as_readonly(cell_mean))
+
+    @property
+    def modes(self) -> int:
+        return self.lattice.modes
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return _as_readonly(reassemble_covariance(self.v_blocks))
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return _as_readonly(np.tile(self.cell_mean, self.lattice.cells))
+
+
 @dataclass(frozen=True)
 class ModeOccupation:
     """Eigenmode data of stacked hopping matrices (..., N, N) at thermal equilibrium."""
@@ -204,27 +277,60 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
     return ModeOccupation(energies=energies, occupations=occ, eigenvectors=vectors)
 
 
+def _occupation_matrices(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """N = sum_j nbar_j v_j v_j^dag for each hopping matrix of the stack (..., N, N)."""
+    modes = bose_occupations(hopping, beta, mu)
+    U = modes.eigenvectors
+    return (U * modes.occupations[..., None, :]) @ U.conj().swapaxes(-1, -2)
+
+
+def _quadrature_covariances(re_n: np.ndarray, im_n: np.ndarray) -> np.ndarray:
+    """1 + 2 Re N on the (q, q) and (p, p) entries, +-2 Im N on (q, p) and (p, q).
+
+    ``re_n`` and ``im_n`` are Re N and Im N of stacked (..., N, N) matrices,
+    or their Fourier blocks, which are complex.
+    """
+    dim = 2 * re_n.shape[-1]
+    V = np.empty((*re_n.shape[:-2], dim, dim), dtype=np.result_type(re_n, im_n))
+    V[..., 0::2, 0::2] = V[..., 1::2, 1::2] = 2.0 * re_n
+    V[..., 0::2, 1::2] = 2.0 * im_n
+    V[..., 1::2, 0::2] = -2.0 * im_n
+    V += np.eye(dim)
+    return V
+
+
 def thermal_covariances(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
     """Covariances (..., 2N, 2N) of the grand-canonical thermal states of hopping
     matrices (..., N, N): with N = sum_j nbar_j v_j v_j^dag in the site basis and
     nbar_j = 1/(exp(beta (eps_j - mu)) - 1), V[q_i q_j] = V[p_i p_j] = delta_ij +
     2 Re N_ij and V[q_i p_j] = -V[p_i q_j] = 2 Im N_ij. Strictly classical
     (V > 1) at any finite temperature."""
-    modes = bose_occupations(hopping, beta, mu)
-    U = modes.eigenvectors
-    N = (U * modes.occupations[..., None, :]) @ U.conj().swapaxes(-1, -2)
-    dim = 2 * N.shape[-1]
-    V = np.empty((*N.shape[:-2], dim, dim))
-    V[..., 0::2, 0::2] = V[..., 1::2, 1::2] = 2.0 * N.real
-    V[..., 0::2, 1::2] = 2.0 * N.imag
-    V[..., 1::2, 0::2] = -2.0 * N.imag
-    V += np.eye(dim)
+    N = _occupation_matrices(hopping, beta, mu)
+    V = _quadrature_covariances(N.real, N.imag)
     return (V + V.swapaxes(-1, -2)) / 2.0
 
 
-def thermal_state(hopping: np.ndarray, beta: float, mu: float, lattice: LatticeSpec) -> GaussianState:
-    """Grand-canonical thermal state of one hopping matrix: :func:`thermal_covariances`
-    with zero mean."""
+def thermal_state(
+    hopping: np.ndarray, beta: float, mu: float, lattice: LatticeSpec
+) -> GaussianState | BlochState:
+    """Grand-canonical thermal state of a hopping matrix.
+
+    A matrix (nL, nL) gives :func:`thermal_covariances` with zero mean. A
+    translation-invariant hopping given as its Bloch Hamiltonians (L, n, n),
+    h_k = sum_d H[0, d] exp(2 pi i k d / L), gives a :class:`BlochState`: one
+    stacked ``eigh`` yields the occupation blocks N_k of the same transform,
+    and since N_k and conj(N_{L-k}) are the blocks of N and conj(N),
+    (N_k + conj(N_{L-k})) / 2 and (N_k - conj(N_{L-k})) / 2i are those of
+    Re N and Im N, placed as in :func:`thermal_covariances`.
+    """
+    if np.ndim(hopping) == 3:
+        L, n = lattice.cells, lattice.sites_per_cell
+        if np.shape(hopping) != (L, n, n):
+            raise ValueError(f"need {(L, n, n)} Bloch Hamiltonians, got {np.shape(hopping)}")
+        N = _occupation_matrices(hopping, beta, mu)
+        mirror = N[-np.arange(L) % L].conj()
+        v = _quadrature_covariances((N + mirror) / 2.0, (N - mirror) * -0.5j)
+        return BlochState(lattice, v, np.zeros(2 * n))
     V = thermal_covariances(hopping, beta, mu)
     if V.shape[-1] != lattice.dim:
         raise ValueError(
@@ -296,7 +402,7 @@ def random_gaussian_state(
     return GaussianState(lattice, V, mean)
 
 
-def validate(state: GaussianState) -> ValidationReport:
+def validate(state: GaussianState | BlochState) -> ValidationReport:
     """Report spectral floor, classicality, purity and physicality.
 
     ``valid`` only asks V > 0. ``physical`` asks the uncertainty relation
@@ -331,11 +437,16 @@ def check_min_eigenvalue(lo: float) -> None:
         raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")
 
 
-def require_valid(state: GaussianState) -> np.ndarray:
+def require_valid(state: GaussianState | BlochState) -> np.ndarray:
     """V's ascending eigenvalues, after :func:`check_min_eigenvalue`.
 
-    Cheaper than :func:`validate`: no symplectic spectrum.
+    Cheaper than :func:`validate`: no symplectic spectrum. A :class:`BlochState`'s
+    spectrum is the sorted union of its block spectra, from one stacked
+    ``eigvalsh`` of its 2n x 2n blocks.
     """
-    vals = np.linalg.eigvalsh(state.V)
+    if isinstance(state, BlochState):
+        vals = np.sort(np.linalg.eigvalsh(state.v_blocks), axis=None)
+    else:
+        vals = np.linalg.eigvalsh(state.V)
     check_min_eigenvalue(float(vals[0]))
     return vals

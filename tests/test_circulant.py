@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bosepol import (
+    BlochState,
     GaussianState,
     cell_bloch_blocks,
     decay_bound,
@@ -22,10 +23,10 @@ from bosepol.circulant import (
     check_translation_invariance,
     gauge_block,
     random_bloch_blocks,
-    reassemble_covariance,
 )
 from bosepol.errors import NotTranslationInvariantError
 from bosepol.rice_mele import RiceMeleParams, rmm_hopping_matrix, rmm_thermal_state
+from bosepol.states import reassemble_covariance
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -85,6 +86,24 @@ def test_complex_hopping_bloch_blocks_match_direct_construction():
     got = cell_bloch_blocks(st).v_blocks
     want = direct_bloch_covariance(h, L, beta, mu)
     assert np.abs(got - want).max() < 1e-10
+
+
+def test_thermal_state_from_complex_bloch_hamiltonians_matches_dense():
+    """Bloch Hamiltonians (L, n, n) give a BlochState whose V is the dense thermal
+    state's, here with a complex hopping, so Im N enters."""
+    from bosepol.loops import chain_hopping_at_ky
+
+    L, n, beta, mu = 5, 2, 1.0, -6.0
+    lat = make_lattice(L, n)
+    h = chain_hopping_at_ky(1.3, lat, mass=1.0)
+    hk = np.fft.ifft(h.reshape(L, n, L, n)[0].transpose(1, 0, 2), axis=0) * L
+    st = thermal_state(hk, beta, mu, lat)
+    dense = thermal_state(h, beta, mu, lat)
+    assert isinstance(st, BlochState) and np.abs(dense.V[0::2, 1::2]).max() > 1e-3
+    assert np.abs(st.V - dense.V).max() <= 1e-13
+    assert np.abs(st.v_blocks - direct_bloch_covariance(h, L, beta, mu)).max() <= 1e-13
+    with pytest.raises(ValueError, match="Bloch Hamiltonians"):
+        thermal_state(hk[:4], beta, mu, lat)
 
 
 def test_non_circulant_covariance_rejected():

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, CSV shape, determinism, error mapping."""
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -151,10 +152,12 @@ def test_scaling_bound_columns(tmp_path):
     code = cli.main(["scaling", "--L", "4,6,8", "--output", str(out)])
     assert code == 0
     _, header, rows = read_csv(out)
-    assert header == ["L", "abs_T", "det_term_phase", "epsilon_bound", "classical_bound"]
+    assert header == ["L", "abs_T", "det_term_phase", "epsilon_bound", "classical_bound",
+                      "log_abs_T"]
     for row in rows:
         assert abs(float(row[2])) <= float(row[3])
         assert 0.0 < float(row[1]) < float(row[4])
+        assert math.exp(float(row[5])) == pytest.approx(float(row[1]), rel=1e-14)
     amplitudes = [float(row[1]) for row in rows]
     assert amplitudes == sorted(amplitudes, reverse=True)  # localization decays with L
 
@@ -261,6 +264,11 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
     assert cli.main(["winding", "--config", str(cfg)]) == 2
+
+
+def test_config_without_a_value_exits_config(capsys):
+    assert cli.main(["winding", "--config"]) == 2
+    assert "usage: bosepol" in capsys.readouterr().err
 
 
 def test_config_file_rejects_bad_syntax(tmp_path):

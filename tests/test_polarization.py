@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bosepol import (
     GaussianState,
@@ -36,7 +38,6 @@ from bosepol.loops import band_chern_number, random_classical_loop
 from bosepol.polarization import (
     mean_matrix,
     principal_polarization,
-    quadrature_cotangents,
     quadrature_phase_factors,
 )
 from bosepol.winding import ParameterLoop, track_polarization
@@ -229,11 +230,12 @@ def test_branch_is_periodic_in_the_shift_phases():
 FACTORIZATIONS = ("eigh", "eigvals", "eigvalsh", "solve", "slogdet", "det", "inv", "cholesky")
 
 
-def count_factorizations(monkeypatch, matrices=None) -> collections.Counter:
+def count_factorizations(monkeypatch, matrices=None, shapes=None) -> collections.Counter:
     """Count the np.linalg factorization calls made while the patch is active.
 
     A ``matrices`` counter, if given, counts the matrices they factorize, so
-    one call on a stack of 17 counts 17 there.
+    one call on a stack of 17 counts 17 there. A ``shapes`` set, if given,
+    collects the shape of each factorized matrix.
     """
     calls = collections.Counter()
     for name in FACTORIZATIONS:
@@ -241,6 +243,8 @@ def count_factorizations(monkeypatch, matrices=None) -> collections.Counter:
             calls[_name] += 1
             if matrices is not None:
                 matrices[_name] += math.prod(np.shape(args[0])[:-2])
+            if shapes is not None:
+                shapes.add(np.shape(args[0])[-2:])
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -274,6 +278,73 @@ def test_factorizations_per_evaluation(monkeypatch):
             want["solve"] = samples
         assert matrices == want
         assert calls == {name: 2 if name == "eigh" else 1 for name in want}
+
+
+@pytest.mark.parametrize("mean_scale", [0.0, 0.6])
+def test_bloch_evaluation_factorizes_only_cell_blocks(monkeypatch, mean_scale):
+    """One stacked eigh of the L blocks, one eigvals of P and, with a mean, one
+    solve: no matrix beyond 2n x 2n, and the dense V is never assembled."""
+    L, n = 48, 3
+    st = random_circulant_state(make_lattice(L, n), 4, mean_scale=mean_scale)
+    matrices, shapes = collections.Counter(), set()
+    calls = count_factorizations(monkeypatch, matrices, shapes)
+    b = polarization(st)
+    assert b.path == "bloch"
+    want = {"eigh": L, "eigvals": 1}
+    if mean_scale:
+        want["solve"] = 1
+    assert matrices == want
+    assert calls == {name: 1 for name in want}
+    assert shapes == {(2 * n, 2 * n)}
+    assert "V" not in vars(st) and "mean" not in vars(st)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    L=hst.integers(1, 64),
+    n=hst.integers(1, 3),
+    offset=hst.floats(0.02, 0.98),
+    seed=hst.integers(0, 2 ** 32 - 1),
+    eig_high=hst.sampled_from([1.5, 4.0, 20.0, 200.0]),
+    mean_scale=hst.sampled_from([0.0, 0.8]),
+)
+def test_bloch_path_equals_dense_path(L, n, offset, seed, eig_high, mean_scale):
+    lat = make_lattice(L, n, offset)
+    bloch_state = random_circulant_state(lat, seed, eig_high=eig_high, mean_scale=mean_scale)
+    bloch = polarization(bloch_state)
+    dense = polarization(GaussianState(lat, bloch_state.V, bloch_state.mean))
+    assert (bloch.path, dense.path) == ("bloch", "dense")
+    assert abs(bloch.log_abs_T - dense.log_abs_T) <= 1e-10
+    assert abs(bloch.det_term_phase - dense.det_term_phase) <= 1e-10
+    assert abs(bloch.mean_term - dense.mean_term) <= 1e-10
+    assert bloch.branch_turns == dense.branch_turns
+    assert bloch.abs_T <= 1.0
+    assert bloch.cayley_norm == pytest.approx(dense.cayley_norm, rel=1e-12)
+    assert bloch.min_covariance_eigenvalue == pytest.approx(
+        dense.min_covariance_eigenvalue, rel=1e-12)
+
+
+def test_bloch_branch_one_turn_from_the_principal_phase():
+    """L = 1, n = 3, offset 0.98: two hot modes at phases near 4.15 and 6.24 put
+    the homotopy branch one turn from the principal phase on the Bloch path too."""
+    lat = make_lattice(1, 3, 0.98)
+    h = np.diag([10.0, 1e-3, 1e-3])
+    b = polarization(thermal_state(h[None], 1.0, 0.0, lat))
+    dense = polarization(thermal_state(h, 1.0, 0.0, lat))
+    assert (b.path, dense.path) == ("bloch", "dense")
+    assert b.branch_turns == dense.branch_turns == 1
+    assert abs(b.p_unwrapped - dense.p_unwrapped) <= 1e-12
+    want = number_conserving_oracle(h, 1.0, 0.0, shift_phases(lat).phases)
+    assert abs(b.expectation - want) <= 1e-12 * abs(want)
+
+
+def test_bloch_state_under_another_shift_takes_the_dense_path():
+    lat = make_lattice(6, 2)
+    bloch_state = random_circulant_state(lat, 2, mean_scale=0.5)
+    shift = ShiftSpec(lat, shift_phases(lat).phases[::-1])
+    b = polarization(bloch_state, shift)
+    want = polarization(GaussianState(lat, bloch_state.V, bloch_state.mean), shift)
+    assert b == want and b.path == "dense"
 
 
 def test_one_eigh_per_band_invariant(monkeypatch):
@@ -347,8 +418,7 @@ def test_breakdown_diagnostics():
     b = polarization(coherent_state(lat, np.tile([0.6, 0.8j], 4)))
     assert b.cayley_norm == 0.0
     assert b.branch_turns == 0
-    # V = 1 gives H = K exactly.
-    assert b.max_abs_h == np.abs(1.0 / np.tan(shift_phases(lat).phases / 2.0)).max()
+    assert b.path == "dense"
 
     lat = make_lattice(6, 1)
     st = thermal_state(np.zeros((6, 6)), 1.0, -math.log1p(1e-4), lat)
@@ -362,8 +432,6 @@ def test_breakdown_diagnostics():
     st = GaussianState(lat, 101.0 * np.eye(4), np.zeros(4))
     b = polarization(st, sh)
     assert b.branch_turns == 1
-    # V = c 1 gives H = K / c.
-    assert b.max_abs_h == np.abs(quadrature_cotangents(sh)).max() / 101.0
     want = thermal_product(50.0, sh.phases)
     assert abs(b.expectation - want) <= 1e-10 * abs(want)
 

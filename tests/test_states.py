@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bosepol import (
+    BlochState,
     GaussianState,
     bose_occupations,
     coherent_state,
@@ -19,7 +20,13 @@ from bosepol import (
     validate,
 )
 from bosepol.errors import ChemicalPotentialError, InvalidStateError
-from bosepol.states import require_valid, symplectic_form, thermal_covariances
+from bosepol.circulant import random_bloch_blocks
+from bosepol.states import (
+    reassemble_covariance,
+    require_valid,
+    symplectic_form,
+    thermal_covariances,
+)
 
 SILVER = 1.0 + np.sqrt(2.0)  # exp(r) for sinh(r) = 1
 
@@ -313,3 +320,36 @@ def test_constructor_outputs_pass_validation():
         report = validate(st)
         assert report.valid
         assert np.array_equal(st.V, st.V.T)
+
+
+def test_bloch_state_assembles_its_blocks():
+    lat = make_lattice(5, 2)
+    v = random_bloch_blocks(lat, np.random.default_rng(3), 1.1, 3.0)
+    st = BlochState(lat, v, [0.1, -0.2, 0.3, 0.4])
+    assert np.array_equal(st.v_blocks, v)
+    assert np.array_equal(st.V, reassemble_covariance(v))
+    assert np.array_equal(st.mean, np.tile([0.1, -0.2, 0.3, 0.4], 5))
+    assert not st.V.flags.writeable and not st.v_blocks.flags.writeable
+    assert np.array_equal(require_valid(st), np.sort(np.linalg.eigvalsh(v), axis=None))
+    assert np.abs(require_valid(st) - np.linalg.eigvalsh(st.V)).max() <= 1e-13
+
+
+def test_bloch_state_rejects_broken_blocks():
+    lat = make_lattice(4, 1)
+    v = random_bloch_blocks(lat, np.random.default_rng(0), 1.1, 3.0)
+    broken = v.copy()
+    broken[1] += 0.1 * np.eye(2)  # Hermitian, but v_3 = conj(v_1) no longer holds
+    with pytest.raises(ValueError, match="conj"):
+        BlochState(lat, broken, np.zeros(2))
+    broken = v.copy()
+    broken[2, 0, 1] += 0.1  # the self-conjugate block k = L/2 loses hermiticity
+    with pytest.raises(ValueError, match="hermiticity"):
+        BlochState(lat, broken, np.zeros(2))
+    broken = v.copy()
+    broken[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        BlochState(lat, broken, np.zeros(2))
+    with pytest.raises(ValueError, match="Bloch blocks must be"):
+        BlochState(make_lattice(5, 1), v, np.zeros(2))
+    with pytest.raises(ValueError, match="cell mean"):
+        BlochState(lat, v, np.zeros(4))

@@ -27,7 +27,8 @@ from bosepol.polarization import (
     quadrature_cotangents,
     shift_phases,
 )
-from bosepol.circulant import random_bloch_blocks, reassemble_covariance
+from bosepol.circulant import random_bloch_blocks
+from bosepol.states import reassemble_covariance
 from bosepol.rice_mele import evolve_pump, rmm_thermal_state
 from bosepol.states import GaussianState, coherent_state, thermal_state, vacuum_state, validate
 from bosepol.winding import (

@@ -202,7 +202,7 @@ def band_chern_number(mass: float = 1.0, grid: int = 32) -> int:
     """Chern number of the lower Bloch band, as the k_y winding of a Zak phase.
 
     The chain's lower-band Zak phase at k_y = 2 pi j / grid, j = 0 .. grid,
-    each from ``grid`` chain momenta (one stacked ``eigh`` for all of them),
+    each from ``grid`` chain momenta (closed-form band vectors, no eigensolver),
     winds by -C: the chain momentum is kappa = -kx. Raises
     :class:`GapClosureError` where the gap closes on the grid.
     """

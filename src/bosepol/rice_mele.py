@@ -9,12 +9,14 @@ with
 
     Q(kappa) = (w1 + w2 cos kappa, w2 sin kappa, Delta)
 
-that gives the Zak phase and the pump's start vector.
+that gives the Zak phase and the pump's start vector. The Zak phase is a
+Wilson loop over closed-form two-band vectors, with no eigensolver.
 
 A translation-invariant coherent state populates only the k = 0 mode, so
 the pump dynamics reduces to a driven two-level problem for the per-cell
 amplitudes (alpha, beta), propagated with exact SU(2) steps of a
-fourth-order commutator-free Magnus scheme. The integrated particle flux
+fourth-order commutator-free Magnus scheme; a blocked scan forms their
+running products in work linear in the step count. The integrated particle flux
 over one cycle is geometric but not quantized; for the reference protocol
 
     w1 = A cos^2(pi t / T),  w2 = A sin^2(pi t / T),  Delta = A sin(2 pi t / T)
@@ -164,16 +166,28 @@ def _bloch_hamiltonians(onsite, hop, kappas) -> np.ndarray:
 
 
 def _zak_phases(onsite, hop, band: str = "lower", samples: int = 64) -> np.ndarray:
-    """Wilson-loop Zak phases of two-band chains with stacked cell blocks (..., 2, 2)."""
+    """Wilson-loop Zak phases of two-band chains with stacked cell blocks (..., 2, 2).
+
+    The band vectors are closed forms. With h = d_0 + d . sigma, d_z = (h_00 - h_11) / 2
+    and d_x - i d_y = h_01, the band of energy d_0 + s|d| (s = -1 for the lower band)
+    is spanned by (h_01, s|d| - d_z) and by (s|d| + d_z, h_01*). The first is taken
+    where s d_z <= 0 and the second elsewhere, so the vector is never shorter than |d|.
+    """
     if samples < 16:
         raise ValueError("need at least 16 momentum samples")
     if band not in ("lower", "upper"):
         raise ValueError("band must be 'lower' or 'upper'")
     kappas = 2.0 * np.pi * np.arange(samples) / samples
-    vals, vecs = np.linalg.eigh(_bloch_hamiltonians(onsite, hop, kappas))
-    if (vals[..., 1] - vals[..., 0]).min() < 2e-12:
+    h = _bloch_hamiltonians(onsite, hop, kappas)
+    dz, off = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0, h[..., 0, 1]
+    norm_d = np.hypot(dz, np.abs(off))
+    if 2.0 * norm_d.min() < 2e-12:
         raise GapClosureError("gap closure: band gap < 2e-12 at a sampled momentum")
-    u = vecs[..., 0] if band == "lower" else vecs[..., 1]
+    s = -1.0 if band == "lower" else 1.0
+    first = s * dz <= 0.0
+    u = np.stack([np.where(first, off, s * norm_d + dz),
+                  np.where(first, s * norm_d - dz, off.conj())], axis=-1)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     overlaps = np.sum(u.conj() * np.roll(u, -1, axis=-2), axis=-1)
     return -np.angle(np.prod(overlaps, axis=-1))
 
@@ -191,8 +205,8 @@ def zak_winding(protocol: PumpProtocol) -> int:
     """Integer winding of the Zak phase over one pump period.
 
     The lower-band Zak phase is taken at 257 equally spaced times of the
-    period, each from 64 momenta; all Bloch Hamiltonians are diagonalized in
-    one stacked ``eigh``.
+    period, each from 64 momenta, with the closed-form band vectors of
+    :func:`_zak_phases` at every time and momentum at once.
     """
     times = protocol.period * np.arange(257) / 256
     phis = _zak_phases(*rmm_cell_blocks(protocol.drive(times)))
@@ -214,33 +228,55 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
     Magnus propagator exp(-ih(a1 H- + a2 H+)) exp(-ih(a2 H- + a1 H+)) with
     H+- = h_0(t + c+- h), c+- = 1/2 +- sqrt(3)/6, a1,2 = (3 -+ 2 sqrt 3)/12.
     Both factors are exact SU(2) exponentials, so the propagation is unitary
-    to rounding; the error falls as h^4. Log-depth doubling forms the running
-    products of the steps.
+    to rounding; the error falls as h^4.
+
+    A two-level scan (Blelloch 1990) forms the running products of the steps
+    in linear work. The steps fall into blocks of ceil(sqrt(steps)), the last
+    one padded with identities. The running products inside all blocks are
+    formed together, one block position at a time; then the block totals
+    carry (alpha, beta) from the start of one block to the next.
     """
     if steps < 100:
         raise ValueError("need at least 100 steps per period")
     h = protocol.period / steps
     h0 = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(0.0)), [0.0])[0].real
-    a, b = np.linalg.eigh(h0)[1][:, 0].astype(complex)
+    a, b = map(complex, np.linalg.eigh(h0)[1][:, 0])
 
+    size = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)) steps per block
+    blocks = -(-steps // size)
     times = np.arange(steps + 1) * h
     w1, w2, delta = protocol.drive(times[:-1, None] + h * _GAUSS_NODES)
     # exp(-i(x sigma_x + z sigma_z)) for the earlier and the later factor (columns).
     # (x, z) = (w1 + w2, Delta) is Q(kappa = 0) of rmm_cell_blocks, kept as two
     # scalars per node: 2x2 Bloch matrices at every node cost time and memory.
-    x, z = h * (w1 + w2) @ _CF4_WEIGHTS, h * delta @ _CF4_WEIGHTS
+    # The padding steps keep x = z = 0, the identity.
+    x, z = np.zeros((2, blocks * size, 2))
+    np.matmul(h * (w1 + w2), _CF4_WEIGHTS, out=x[:steps])
+    np.matmul(h * delta, _CF4_WEIGHTS, out=z[:steps])
+    del w1, w2, delta  # the node arrays are long: each goes once used
     r = np.hypot(x, z)
-    sinc = np.sinc(r / np.pi)  # sin(r) / r, finite at r = 0
-    p, q = np.cos(r) - 1j * sinc * z, -1j * sinc * x
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)  # 1 at r = 0
+    p, q = np.empty((2, *r.shape), dtype=complex)
+    np.cos(r, out=p.real)
+    p.imag, q.real, q.imag = -sinc * z, 0.0, -sinc * x
+    del x, z, r, sinc
     p, q = _su2_product((p[:, 1], q[:, 1]), (p[:, 0], q[:, 0]))
-    span = 1  # p, q[i] hold U_i ... U_{i-span+1}; doubling gives U_i ... U_0
-    while span < steps:
-        p[span:], q[span:] = _su2_product((p[span:], q[span:]), (p[:-span], q[:-span]))
-        span *= 2
 
-    alpha = np.concatenate(([a], p * a + q * b))
-    beta = np.concatenate(([b], p.conj() * b - q.conj() * a))
-    return PumpTrajectory(times=times, alpha=alpha, beta=beta)
+    # Row k, column j of P, Q becomes U_{k size + j} ... U_{k size}.
+    P, Q = p.reshape(blocks, size), q.reshape(blocks, size)
+    for j in range(1, size):
+        P[:, j], Q[:, j] = _su2_product((P[:, j], Q[:, j]), (P[:, j - 1], Q[:, j - 1]))
+    starts = np.empty((2, blocks, 1), dtype=complex)  # (alpha, beta) before each block
+    for k, (pk, qk) in enumerate(zip(P[:, -1].tolist(), Q[:, -1].tolist())):
+        starts[:, k, 0] = a, b
+        a, b = pk * a + qk * b, pk.conjugate() * b - qk.conjugate() * a
+
+    a, b = starts
+    alpha, beta = np.empty((2, 1 + blocks * size), dtype=complex)
+    alpha[0], beta[0] = a[0, 0], b[0, 0]
+    np.add(P * a, Q * b, out=alpha[1:].reshape(blocks, size))
+    np.subtract(P.conj() * b, Q.conj() * a, out=beta[1:].reshape(blocks, size))
+    return PumpTrajectory(times=times, alpha=alpha[:steps + 1], beta=beta[:steps + 1])
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:

@@ -124,7 +124,8 @@ class GaussianState:
     def __post_init__(self):
         V, mean = checked_moments(self.lattice.dim, self.V, self.mean)
         object.__setattr__(self, "V", _as_readonly(V))
-        object.__setattr__(self, "mean", _as_readonly(mean))
+        # checked_moments may return the caller's own mean array: freeze a copy.
+        object.__setattr__(self, "mean", _as_readonly(mean.copy()))
 
     @property
     def modes(self) -> int:

@@ -101,6 +101,8 @@ def test_zak_phase_band_sum_and_convergence():
 def test_zak_phase_gap_closure():
     with pytest.raises(GapClosureError):
         zak_phase(RiceMeleParams(1.0, 1.0, 0.0), samples=64)
+    with pytest.raises(GapClosureError):  # gap 1.8e-12; the near-gap case below has 3e-12
+        zak_phase(RiceMeleParams(1.0, 1.0, 0.9e-12), samples=64)
     with pytest.raises(ValueError):
         zak_phase(RiceMeleParams(1.0, 0.5, 0.0), samples=8)
 
@@ -114,6 +116,43 @@ def test_zak_phases_gap_rule_ignores_an_energy_offset():
     assert np.abs(_zak_phases(shifted[:1], hop[:1]) - gapped).max() < 1e-12
     with pytest.raises(GapClosureError):
         _zak_phases(shifted[1:], hop[1:])
+
+
+def eigh_zak_phases(onsite, hop, band, samples=64):
+    """Wilson-loop Zak phases with the band vectors from np.linalg.eigh."""
+    kappas = 2 * np.pi * np.arange(samples) / samples
+    u = np.linalg.eigh(_bloch_hamiltonians(onsite, hop, kappas))[1][..., int(band == "upper")]
+    return -np.angle(np.prod(np.sum(u.conj() * np.roll(u, -1, axis=-2), axis=-1), axis=-1))
+
+
+def closed_form_cases():
+    """Seeded Hermitian cell blocks with an energy offset; Rice-Mele blocks whose
+    d lies along +z or -z, at every momentum (w1 = w2 = 0) or within 1e-9 of it
+    at kappa = pi; and one with |d| = 1.5e-12 at kappa = pi."""
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+    onsite = a + a.conj().swapaxes(-1, -2) + 3.0 * np.eye(2)
+    hop = rng.normal(size=(16, 2, 2)) + 1j * rng.normal(size=(16, 2, 2))
+    yield pytest.param("seeded", onsite, hop, id="seeded")
+    along_z = rmm_cell_blocks(np.array([[0.0, 0.0, 0.8 + 1e-9, 0.7],
+                                        [0.0, 0.0, 0.8, 0.7 + 1e-9],
+                                        [0.9, -0.9, 1.1, -0.6]]))
+    yield pytest.param("along-z", *along_z, id="along-z")
+    yield pytest.param("near-gap", *rmm_cell_blocks((1.0, 1.0, 1.5e-12)), id="near-gap")
+
+
+@pytest.mark.parametrize("band", ["lower", "upper"])
+@pytest.mark.parametrize("name, onsite, hop", list(closed_form_cases()))
+def test_closed_form_zak_phases_match_eigh(name, onsite, hop, band):
+    """The closed-form band vectors give the Wilson loop of eigh's vectors,
+    on both sides of the gauge switch at d_z = 0."""
+    h = _bloch_hamiltonians(onsite, hop, 2 * np.pi * np.arange(64) / 64)
+    dz = (h[..., 0, 0] - h[..., 1, 1]).real
+    if name == "seeded":
+        assert (dz > 0).any() and (dz < 0).any()  # both gauges occur
+    got = _zak_phases(onsite, hop, band)
+    want = eigh_zak_phases(onsite, hop, band)
+    assert np.abs(np.angle(np.exp(1j * (got - want)))).max() <= 1e-12
 
 
 def test_zak_winding_reference_loop():
@@ -143,7 +182,7 @@ def test_zak_winding_constant_protocol():
     ],
 )
 def test_stacked_zak_phases_match_pointwise(protocol):
-    """The one-eigh phases of zak_winding equal zak_phase step by step."""
+    """The stacked phases of zak_winding equal zak_phase step by step."""
     times = protocol.period * np.arange(257) / 256
     stacked = _zak_phases(*rmm_cell_blocks(protocol.drive(times)))
     pointwise = np.array([zak_phase(protocol.params_at(t)) for t in times])
@@ -171,7 +210,7 @@ def test_norm_conserved_when_undersampled():
 
 
 def test_trajectory_equals_sequential_magnus_steps():
-    """The doubling scan equals a step-by-step product of expm'd Magnus factors."""
+    """The blocked scan equals a step-by-step product of expm'd Magnus factors."""
     protocol, steps = reference(7.0), 101
     traj = evolve_pump(protocol, steps=steps)
     h = protocol.period / steps
@@ -188,6 +227,42 @@ def test_trajectory_equals_sequential_magnus_steps():
         hm, hp = (h0(i * h + c * h) for c in nodes)
         psi = expm(-1j * h * (a1 * hm + a2 * hp)) @ expm(-1j * h * (a2 * hm + a1 * hp)) @ psi
         assert np.abs(psi - [traj.alpha[i + 1], traj.beta[i + 1]]).max() < 1e-13
+
+
+def sequential_cf4(protocol, steps, a, b):
+    """(alpha, beta) from (a, b) after every step, the CF4 factors applied one at a time.
+
+    Each step applies exp(-i(x0 sx + z0 sz)) and then exp(-i(x1 sx + z1 sz)),
+    each [[c - i s z, -i s x], [-i s x, c + i s z]] with c = cos r, s = sin(r) / r.
+    """
+    h = protocol.period / steps
+    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    w1, w2, delta = protocol.drive((np.arange(steps)[:, None] + nodes) * h)
+    weights = np.array([[a2, a1], [a1, a2]])
+    x, z = h * (w1 + w2) @ weights, h * delta @ weights
+    r = np.hypot(x, z)
+    c, s = np.cos(r), np.sin(r) / r
+    diag, off = (c - 1j * s * z).tolist(), (-1j * s * x).tolist()
+    alpha, beta = [a], [b]
+    for d_step, o_step in zip(diag, off):
+        for d, o in zip(d_step, o_step):
+            a, b = d * a + o * b, o * a + d.conjugate() * b
+        alpha.append(a)
+        beta.append(b)
+    return np.array(alpha), np.array(beta)
+
+
+# 4099 is prime, so the last block of the scan is ragged.
+@pytest.mark.parametrize("steps", [100, 101, 4099, 7501, 2 ** 14])
+def test_blocked_scan_equals_sequential_product(steps):
+    protocol = reference(25.0)
+    traj = evolve_pump(protocol, steps=steps)
+    alpha, beta = sequential_cf4(protocol, steps, complex(traj.alpha[0]), complex(traj.beta[0]))
+    assert len(traj.times) == len(traj.alpha) == len(traj.beta) == steps + 1
+    assert np.abs(traj.alpha - alpha).max() <= 1e-13
+    assert np.abs(traj.beta - beta).max() <= 1e-13
+    assert np.abs(traj.norm - 1.0).max() <= 1e-12
 
 
 def test_flux_fourth_order_convergence():

@@ -236,6 +236,15 @@ def test_state_rejects_gross_asymmetry_and_bad_shapes():
         GaussianState(lat, np.eye(4), np.zeros(3))
 
 
+def test_state_leaves_the_callers_mean_writable():
+    """The state freezes its own copy of the mean, not the array it was given."""
+    mean = np.zeros(4)
+    st = GaussianState(make_lattice(1, 2), np.eye(4), mean)
+    mean[0] = 1.0
+    assert mean.flags.writeable and not st.mean.flags.writeable
+    assert np.array_equal(st.mean, np.zeros(4))
+
+
 def test_bose_occupations_structure():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(4, 4))

@@ -7,8 +7,12 @@ Built-ins exposed to the CLI:
 * ``random-classical`` seeded circulant interpolations with min eig(V) >= 1;
 * ``random-squeezed``  seeded nonclassical loops with a rotating squeezing axis.
 
-Also provides the two-band chain with a topologically non-trivial
-single-particle band structure used for the Chern-number null test.
+The first three, and the thermal k_y family of the two-band chain used for
+the Chern-number null test, are translation invariant: their samplers
+return stacked Bloch blocks (len(lams), L, 2n, 2n) and cell means
+(len(lams), 2n), which :func:`bosepol.winding.track_polarization` evaluates
+in O(L n^3) per sample. ``random-squeezed`` squeezes every mode
+differently, so it samples dense covariances (len(lams), 2nL, 2nL).
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .circulant import random_bloch_blocks
-from .rice_mele import PumpProtocol, _ring_hamiltonian, _zak_phases, evolve_pump, rmm_cell_blocks
-from .states import LatticeSpec, reassemble_covariance, thermal_covariances
+from .rice_mele import PumpProtocol, _bloch_hamiltonians, _zak_phases, evolve_pump, rmm_cell_blocks
+from .states import LatticeSpec, thermal_bloch_blocks
 from .winding import ParameterLoop, _integer_winding, _unwrap, check_initial_samples
 
 LOOP_NAMES = ("rmm-thermal", "rmm-coherent", "random-classical", "random-squeezed")
@@ -37,22 +41,24 @@ def rmm_thermal_loop(
     mu: float | None = None,
     initial_samples: int = 16,
 ) -> ParameterLoop:
-    """Thermal Rice-Mele states around one pump cycle.
+    """Thermal Rice-Mele states around one pump cycle, as Bloch blocks.
 
     The chemical potential defaults to -3A, safely below the band minimum
     -sqrt(2) A reached along the reference protocol, so the Bose occupations
-    stay finite on the whole loop. Each sampler call builds its lambdas in one stack.
+    stay finite on the whole loop. Each sampler call builds the blocks of
+    its lambdas in one stack, from one stacked ``eigh`` of their Bloch
+    Hamiltonians.
     """
     protocol = protocol or reference_protocol()
     if mu is None:
         mu = -3.0 * protocol.amplitude
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele model needs two sites per cell")
+    kappas = 2.0 * np.pi * np.arange(lattice.cells) / lattice.cells
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        blocks = rmm_cell_blocks(protocol.drive(lams * protocol.period))
-        V = thermal_covariances(_ring_hamiltonian(*blocks, lattice.cells), beta, mu)
-        return V, np.zeros((len(lams), lattice.dim))
+        h = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(lams * protocol.period)), kappas)
+        return thermal_bloch_blocks(h, beta, mu), np.zeros((len(lams), 4))
 
     return ParameterLoop(lattice, sampler, initial_samples)
 
@@ -62,7 +68,8 @@ def rmm_coherent_loop(
     protocol: PumpProtocol | None = None,
     initial_samples: int = 16,
 ) -> ParameterLoop:
-    """Evolved coherent state of the pump; covariance stays the identity.
+    """Evolved coherent state of the pump: identity Bloch blocks and the cell mean
+    of the trajectory.
 
     The trajectory is integrated once, on the first initial_samples * 2^j
     steps that reach 2^14 (2^14 itself for a power-of-two sample count).
@@ -77,16 +84,16 @@ def rmm_coherent_loop(
     while steps < 2 ** 14:
         steps *= 2
     traj = evolve_pump(protocol, steps=steps)
-    eye = np.eye(lattice.dim)
+    eye = np.eye(4)
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.rint rounds half to even, as round() does.
         i = np.rint(lams * steps).astype(int)
-        amps = np.tile(np.stack([traj.alpha[i], traj.beta[i]], axis=-1), lattice.cells)
-        mean = np.empty((len(lams), lattice.dim))
+        amps = np.stack([traj.alpha[i], traj.beta[i]], axis=-1)
+        mean = np.empty((len(lams), 4))
         mean[:, 0::2] = 2.0 * amps.real
         mean[:, 1::2] = 2.0 * amps.imag
-        return np.broadcast_to(eye, (len(lams), *eye.shape)), mean
+        return np.broadcast_to(eye, (len(lams), lattice.cells, 4, 4)), mean
 
     return ParameterLoop(lattice, sampler, initial_samples)
 
@@ -97,25 +104,24 @@ def random_classical_loop(
     mean_scale: float = 0.5,
     initial_samples: int = 16,
 ) -> ParameterLoop:
-    """Smooth closed loop of classical circulant states with a driven mean.
+    """Smooth closed loop of classical circulant states with a driven mean, as Bloch blocks.
 
-    V(lambda) = Vbar + cos(2 pi lambda) X + sin(2 pi lambda) Y with
-    ||X||, ||Y|| <= 0.25 and min eig(Vbar) >= 1.6, so the state stays
-    classical on the whole loop. Vbar, X and Y are drawn in this order from
-    one generator by :func:`random_bloch_blocks`, with Bloch eigenvalues in
-    [1.6, 3.5), [-0.25, 0.25) and [-0.25, 0.25), and assembled in one call.
+    v_k(lambda) = vbar_k + cos(2 pi lambda) x_k + sin(2 pi lambda) y_k with
+    ||x_k||, ||y_k|| <= 0.25 and min eig(vbar_k) >= 1.6, so the state stays
+    classical on the whole loop. vbar, x and y are drawn in this order from
+    one generator by :func:`random_bloch_blocks`, with eigenvalues in
+    [1.6, 3.5), [-0.25, 0.25) and [-0.25, 0.25); the three cell means of
+    m0 + cos(2 pi lambda) ma + sin(2 pi lambda) mb follow.
     """
     rng = np.random.default_rng(seed)
-    blocks = [random_bloch_blocks(lattice, rng, lo, hi)
-              for lo, hi in ((1.6, 3.5), (-0.25, 0.25), (-0.25, 0.25))]
-    Vbar, X, Y = reassemble_covariance(np.array(blocks))
-    cell = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
-    m0, ma, mb = (np.tile(c, lattice.cells) for c in cell)
+    vbar, x, y = (random_bloch_blocks(lattice, rng, lo, hi)
+                  for lo, hi in ((1.6, 3.5), (-0.25, 0.25), (-0.25, 0.25)))
+    m0, ma, mb = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, s = np.cos(2.0 * np.pi * lams)[:, None], np.sin(2.0 * np.pi * lams)[:, None]
-        V = Vbar + c[..., None] * X + s[..., None] * Y
-        return V, m0 + c * ma + s * mb
+        v = vbar + c[..., None, None] * x + s[..., None, None] * y
+        return v, m0 + c * ma + s * mb
 
     return ParameterLoop(lattice, sampler, initial_samples)
 
@@ -211,26 +217,21 @@ def band_chern_number(mass: float = 1.0, grid: int = 32) -> int:
     return -_integer_winding(float(_unwrap(0.0, phis)[-1]), "band Chern number")
 
 
-def chain_hopping_at_ky(ky, lattice: LatticeSpec, mass: float = 1.0) -> np.ndarray:
-    """1D hopping matrices (*ky.shape, 2L, 2L) of the two-band model at fixed
-    transverse momenta ``ky``."""
-    if lattice.sites_per_cell != 2:
-        raise ValueError("the two-band chain needs two sites per cell")
-    return _ring_hamiltonian(*chern_cell_blocks(ky, mass), lattice.cells)
-
-
 def thermal_chern_family(
     lattice: LatticeSpec,
     mass: float = 1.0,
     beta: float = 1.0,
     mu: float = -6.0,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``family(kys) -> (V, mean)``: thermal 1D Gaussian states of the two-band chain
-    at transverse momenta ``kys`` (periodic in k_y), built in one stack as
-    covariances (len(kys), 2nL, 2nL) and zero means (len(kys), 2nL)."""
+    """``family(kys) -> (v, cell_mean)``: thermal 1D Gaussian states of the two-band
+    chain at transverse momenta ``kys`` (periodic in k_y), built in one stack as
+    Bloch blocks (len(kys), L, 4, 4) and zero cell means (len(kys), 4)."""
+    if lattice.sites_per_cell != 2:
+        raise ValueError("the two-band chain needs two sites per cell")
+    kappas = 2.0 * np.pi * np.arange(lattice.cells) / lattice.cells
 
     def family(kys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        V = thermal_covariances(chain_hopping_at_ky(kys, lattice, mass), beta, mu)
-        return V, np.zeros(V.shape[:-1])
+        h = _bloch_hamiltonians(*chern_cell_blocks(kys, mass), kappas)
+        return thermal_bloch_blocks(h, beta, mu), np.zeros((len(kys), 4))
 
     return family

@@ -44,7 +44,10 @@ over the 2n eigenvalues nu_j of P: scaling G -> t G gives
 det(1 - t W) = det(1 - t^L P), and both sums are continuous logarithms of
 it that start from 0 at t = 0. A cell-periodic mean a gives
 s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
-R = A_{L-1} ... A_1.
+R = A_{L-1} ... A_1. This path is written once for a stack of states: a
+single state takes it with the diagnostics of one ``eigh`` of its blocks,
+and the samples of a Bloch loop in :func:`bosepol.winding.track_polarization`
+take it with a Cholesky factorization and an inverse of v_k + 1 instead.
 """
 
 from __future__ import annotations
@@ -157,15 +160,17 @@ def mean_matrix(state: GaussianState, shift: ShiftSpec) -> np.ndarray:
     return state.V + 1j * np.diag(quadrature_cotangents(shift))
 
 
-def _mean_terms(M: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
-    """s = -1/2 alpha0^T M^{-1} alpha0 for each matrix of the stack M, 0 for a zero mean.
+def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """s = -1/2 w^T M^{-1} b for each matrix of the stack M, with w = b unless given;
+    0 where b = 0.
 
-    One solve covers the nonzero means; each residual must stay within MEAN_SOLVE_RTOL.
+    One solve covers the nonzero b; each residual must stay within MEAN_SOLVE_RTOL.
     """
     s = np.zeros(len(M), dtype=complex)
-    has_mean = np.any(alpha0, axis=1)
+    has_mean = np.any(b, axis=1)
     if has_mean.any():
-        M, b = M[has_mean], alpha0[has_mean, :, None]
+        M, b = M[has_mean], b[has_mean, :, None]
+        w = b if w is None else w[has_mean, :, None]
         y = np.linalg.solve(M, b)
         residual = np.linalg.norm(M @ y - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
         bad = residual[residual > MEAN_SOLVE_RTOL]
@@ -173,7 +178,7 @@ def _mean_terms(M: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
             raise NumericalError(
                 f"mean-term linear solve residual {bad[0]:.3e} exceeds {MEAN_SOLVE_RTOL}"
             )
-        s[has_mean] = -0.5 * (b.transpose(0, 2, 1) @ y)[:, 0, 0]
+        s[has_mean] = -0.5 * (w.transpose(0, 2, 1) @ y)[:, 0, 0]
     return s
 
 
@@ -183,13 +188,13 @@ def mean_term(state: GaussianState | BlochState, shift: ShiftSpec | None = None)
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """m_{L-1} ... m_1 m_0 of a stack (L, d, d), the identity for L = 0.
+    """m_{L-1} ... m_1 m_0 of a stack (L, ..., d, d), the identity for L = 0.
 
     Adjacent pairs are multiplied in one stacked matmul per level, so the
-    product takes log2 L levels.
+    product takes log2 L levels; axes between L and (d, d) are carried along.
     """
     if len(mats) == 0:
-        return np.eye(mats.shape[-1])
+        return np.broadcast_to(np.eye(mats.shape[-1]), mats.shape[1:])
     while len(mats) > 1:
         even = len(mats) - len(mats) % 2
         mats = np.concatenate((mats[1:even:2] @ mats[0:even:2], mats[even:]))
@@ -217,31 +222,85 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, lo: flo
     )
 
 
+def _dense_loop_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Principal phases of det(M), mean terms s and log|<T>| of S states with
+    positive definite covariances V (S, 2nL, 2nL) and means (S, 2nL).
+
+    det(1 - W) = det(M) det(1 - U) / det(V + 1) changes its phase only through
+    M = V + iK under a fixed shift: one ``slogdet`` of the stacked M gives the
+    phases and magnitudes, one residual-checked solve the mean terms.
+    """
+    k = quadrature_cotangents(shift)
+    M = V + 1j * np.diag(k)
+    sign, logabs = np.linalg.slogdet(M)
+    s = _mean_terms(M, mean)
+    return np.angle(sign), s, 0.25 * float(np.sum(np.log1p(k * k))) - 0.5 * logabs + s.real
+
+
+def _reduced_path(G: np.ndarray, d: np.ndarray, a: np.ndarray, c: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """P and the mean terms s of the reduced path for S states, from their Cayley
+    blocks G (L, S, 2n, 2n), the diagonal d of D, the cell means a (S, 2n) and
+    c = (v_0 + 1)^{-1} a (S, 2n): one log-depth product and one residual-checked
+    solve of the stacked 1 - P."""
+    A = d[:, None] * G
+    R = ordered_product(A[1:])
+    P = R @ A[0]
+    if not a.any():
+        return P, np.zeros(len(P), dtype=complex)
+    b = a - (R @ (d * a)[..., None])[..., 0]
+    return P, _mean_terms(np.eye(len(d)) - P, b, len(G) * c)
+
+
+def _reduced_branch(P: np.ndarray) -> np.ndarray:
+    """log(1 - nu_j) over the eigenvalues nu_j of P: Im sums to the homotopy branch."""
+    return np.log(1.0 - np.linalg.eigvals(P))
+
+
 def _bloch_polarization(state: BlochState, shift: ShiftSpec) -> PolarizationBreakdown:
     """The reduced path of the module docstring: one stacked ``eigh`` of the
-    2n x 2n blocks, one ``eigvals`` of P and, with a mean, one 2n x 2n solve."""
-    L, tn = state.lattice.cells, 2 * state.lattice.sites_per_cell
+    2n x 2n blocks, which also gives the diagnostics, one ``eigvals`` of P and,
+    with a mean, one 2n x 2n solve."""
+    tn = 2 * state.lattice.sites_per_cell
     vals, Q = np.linalg.eigh(state.v_blocks)
     lo = float(vals.min())
     check_min_eigenvalue(lo)
     d = quadrature_phase_factors(shift)[:tn]
     G = (Q * ((vals - 1.0) / (vals + 1.0))[:, None, :]) @ Q.conj().swapaxes(-1, -2)
-    A = d[:, None] * G
-    R = ordered_product(A[1:])
-    P = R @ A[0]
-    log_det = np.log(1.0 - np.linalg.eigvals(P))
-    s = 0j
     a = state.cell_mean
-    if a.any():
-        y0 = np.linalg.solve(np.eye(tn) - P, a - R @ (d * a))
-        c = (Q[0] / (vals[0] + 1.0)) @ (Q[0].conj().T @ a)  # (v_0 + 1)^{-1} a
-        s = complex(-0.5 * L * (c @ y0))
+    c = (Q[0] / (vals[0] + 1.0)) @ (Q[0].conj().T @ a) if a.any() else a  # (v_0 + 1)^{-1} a
+    P, s = _reduced_path(G[:, None], d, a[None], c[None])
+    log_det = _reduced_branch(P[0])
+    s = complex(s[0])
     # nL ln 2 - 1/2 log det(V + 1), summed as -1/2 sum log((1 + v_j) / 2) over
     # all 2nL eigenvalues, so the vacuum gives exactly 0.
     log_abs = float(
         -0.5 * np.sum(np.log1p((vals - 1.0) / 2.0)) - 0.5 * np.sum(log_det.real)
     ) + s.real
     return _breakdown(log_abs, float(np.sum(log_det.imag)), s, vals, lo, "bloch")
+
+
+def _bloch_loop_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Principal phases of det(1 - W), mean terms s, log|<T>| and products P of S
+    translation-invariant states, from their positive definite Bloch blocks
+    v (S, L, 2n, 2n) and cell means a (S, 2n), under the lattice's own shift.
+
+    The reduced path without an eigendecomposition: the Cholesky diagonal of
+    (v_k + 1) / 2 gives nL ln 2 - 1/2 log det(V + 1), one inverse
+    G_k = 1 - 2 (v_k + 1)^{-1}, and one ``slogdet`` of the stacked 1 - P the
+    phases and magnitudes. The vacuum gives exactly 0 for each.
+    """
+    eye = np.eye(v.shape[-1])
+    w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
+    chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real
+    inv = np.linalg.inv(w)
+    c = (inv[0] @ a[..., None])[..., 0]  # (v_0 + 1)^{-1} a
+    P, s = _reduced_path(eye - 2.0 * inv, quadrature_phase_factors(shift)[:len(eye)], a, c)
+    sign, log_abs_det = np.linalg.slogdet(eye - P)
+    log_abs = -np.sum(np.log(chol_diag), axis=(0, 2)) - 0.5 * log_abs_det + s.real
+    return np.angle(sign), s, log_abs, P
 
 
 def polarization(

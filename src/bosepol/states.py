@@ -147,6 +147,42 @@ def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
     return (V.real + V.real.swapaxes(-1, -2)) / 2.0
 
 
+def checked_bloch_moments(
+    lattice: LatticeSpec, v, cell_mean, stack: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch blocks of shape (*stack, L, 2n, 2n) and cell means of shape (*stack, 2n), checked.
+
+    Both must be finite, and each state's blocks Hermitian with
+    v_{L-k} = conj(v_k) within SYMMETRY_RTOL of max(1, max_k |v_k|).
+    Returns the blocks as a complex and the means as a float array.
+    :class:`BlochState` checks one state here (``stack = ()``),
+    :func:`bosepol.winding.track_polarization` a Bloch loop's whole sample stack.
+    """
+    L, tn = lattice.cells, 2 * lattice.sites_per_cell
+    v = np.asarray(v, dtype=complex)
+    cell_mean = np.asarray(cell_mean, dtype=float)
+    if v.shape != (*stack, L, tn, tn):
+        raise ValueError(f"Bloch blocks must be {(L, tn, tn)}, got {v.shape}")
+    if cell_mean.shape != (*stack, tn):
+        raise ValueError(f"cell mean must have length {tn}, got {cell_mean.shape}")
+    scale = np.abs(v).max(axis=(-3, -2, -1))  # nan or inf unless v is finite
+    if not (np.isfinite(scale).all() and np.isfinite(cell_mean).all()):
+        raise ValueError("Bloch blocks and cell mean must be finite")
+    tol = SYMMETRY_RTOL * np.maximum(1.0, scale)
+    defect = np.abs(v - v.conj().swapaxes(-1, -2)).max(axis=(-3, -2, -1))
+    if (defect > tol).any():
+        raise ValueError(
+            f"Bloch block hermiticity defect {defect[defect > tol].flat[0]:.3e} exceeds tolerance"
+        )
+    defect = np.abs(v - v[..., -np.arange(L) % L, :, :].conj()).max(axis=(-3, -2, -1))
+    if (defect > tol).any():
+        raise ValueError(
+            f"Bloch blocks violate v_(L-k) = conj(v_k) by {defect[defect > tol].flat[0]:.3e}, "
+            "so the covariance would not be real"
+        )
+    return v, cell_mean
+
+
 @dataclass(frozen=True)
 class BlochState:
     """Translation-invariant Gaussian state, held as the Bloch blocks of its covariance.
@@ -168,26 +204,11 @@ class BlochState:
     cell_mean: np.ndarray
 
     def __post_init__(self):
-        L, tn = self.lattice.cells, 2 * self.lattice.sites_per_cell
-        v = np.array(self.v_blocks, dtype=complex)  # copies: the caller's arrays stay writable
-        cell_mean = np.array(self.cell_mean, dtype=float)
-        if v.shape != (L, tn, tn):
-            raise ValueError(f"Bloch blocks must be {(L, tn, tn)}, got {v.shape}")
-        if cell_mean.shape != (tn,):
-            raise ValueError(f"cell mean must have length {tn}, got {cell_mean.shape}")
-        scale = np.abs(v).max()  # nan or inf unless v is finite
-        if not (np.isfinite(scale) and np.isfinite(cell_mean).all()):
-            raise ValueError("Bloch blocks and cell mean must be finite")
-        tol = SYMMETRY_RTOL * max(1.0, scale)
-        defect = np.abs(v - v.conj().swapaxes(-1, -2)).max()
-        if defect > tol:
-            raise ValueError(f"Bloch block hermiticity defect {defect:.3e} exceeds tolerance")
-        defect = np.abs(v - v[-np.arange(L) % L].conj()).max()
-        if defect > tol:
-            raise ValueError(
-                f"Bloch blocks violate v_(L-k) = conj(v_k) by {defect:.3e}, "
-                "so the covariance would not be real"
-            )
+        # Copies: the caller's arrays stay writable.
+        v = np.array(self.v_blocks, dtype=complex)
+        v, cell_mean = checked_bloch_moments(
+            self.lattice, v, np.array(self.cell_mean, dtype=float)
+        )
         object.__setattr__(self, "v_blocks", _as_readonly(v))
         object.__setattr__(self, "cell_mean", _as_readonly(cell_mean))
 
@@ -311,6 +332,20 @@ def thermal_covariances(hopping: np.ndarray, beta: float, mu: float) -> np.ndarr
     return (V + V.swapaxes(-1, -2)) / 2.0
 
 
+def thermal_bloch_blocks(h_k: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """Covariance Bloch blocks (..., L, 2n, 2n) of the thermal states of Bloch
+    Hamiltonians (..., L, n, n), h_k = sum_d H[0, d] exp(2 pi i k d / L).
+
+    One stacked ``eigh`` yields the occupation blocks N_k of the same
+    transform. Since N_k and conj(N_{L-k}) are the blocks of N and conj(N),
+    (N_k + conj(N_{L-k})) / 2 and (N_k - conj(N_{L-k})) / 2i are those of
+    Re N and Im N, placed as in :func:`thermal_covariances`.
+    """
+    N = _occupation_matrices(h_k, beta, mu)
+    mirror = N[..., -np.arange(N.shape[-3]) % N.shape[-3], :, :].conj()
+    return _quadrature_covariances((N + mirror) / 2.0, (N - mirror) * -0.5j)
+
+
 def thermal_state(
     hopping: np.ndarray, beta: float, mu: float, lattice: LatticeSpec
 ) -> GaussianState | BlochState:
@@ -318,20 +353,14 @@ def thermal_state(
 
     A matrix (nL, nL) gives :func:`thermal_covariances` with zero mean. A
     translation-invariant hopping given as its Bloch Hamiltonians (L, n, n),
-    h_k = sum_d H[0, d] exp(2 pi i k d / L), gives a :class:`BlochState`: one
-    stacked ``eigh`` yields the occupation blocks N_k of the same transform,
-    and since N_k and conj(N_{L-k}) are the blocks of N and conj(N),
-    (N_k + conj(N_{L-k})) / 2 and (N_k - conj(N_{L-k})) / 2i are those of
-    Re N and Im N, placed as in :func:`thermal_covariances`.
+    h_k = sum_d H[0, d] exp(2 pi i k d / L), gives a :class:`BlochState` with
+    the blocks of :func:`thermal_bloch_blocks`.
     """
     if np.ndim(hopping) == 3:
         L, n = lattice.cells, lattice.sites_per_cell
         if np.shape(hopping) != (L, n, n):
             raise ValueError(f"need {(L, n, n)} Bloch Hamiltonians, got {np.shape(hopping)}")
-        N = _occupation_matrices(hopping, beta, mu)
-        mirror = N[-np.arange(L) % L].conj()
-        v = _quadrature_covariances((N + mirror) / 2.0, (N - mirror) * -0.5j)
-        return BlochState(lattice, v, np.zeros(2 * n))
+        return BlochState(lattice, thermal_bloch_blocks(hopping, beta, mu), np.zeros(2 * n))
     V = thermal_covariances(hopping, beta, mu)
     if V.shape[-1] != lattice.dim:
         raise ValueError(

@@ -26,13 +26,14 @@ import numpy as np
 
 from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaustedError
 from .polarization import (
+    _bloch_loop_terms,
     _check_abs_T,
-    _mean_terms,
+    _dense_loop_terms,
+    _reduced_branch,
     polarization,
-    quadrature_cotangents,
     shift_phases,
 )
-from .states import GaussianState, LatticeSpec, checked_moments
+from .states import GaussianState, LatticeSpec, checked_bloch_moments, checked_moments
 
 CLOSURE_TOL = 1e-12
 WINDING_RESIDUAL_TOL = 1e-3
@@ -54,13 +55,20 @@ class ParameterLoop:
     """Closed path of Gaussian states on ``lattice``, sampled a lambda array at a time.
 
     ``sampler(lams)`` takes a 1-D float array of lambdas in [0, 1] and
-    returns the covariances and means of those states, shaped
-    (len(lams), 2nL, 2nL) and (len(lams), 2nL). The path must close,
-    state(1) = state(0) (the covariance closure is checked to 1e-12).
-    ``initial_samples`` uniform segments, sampled in one call, are bisected
-    until no phase step reaches PHASE_STEP_TOL; each midpoint is one more
-    call. This is the one loop contract: every built-in loop, and the k_y
-    family of :func:`chern_via_polarization`, samples its lambdas as a stack.
+    returns the states there in one of two shapes:
+
+    * dense: covariances (len(lams), 2nL, 2nL) and means (len(lams), 2nL),
+      evaluated on the 2nL-dimensional matrices;
+    * Bloch: the Bloch blocks (len(lams), L, 2n, 2n) of translation-invariant
+      states, as :class:`~bosepol.states.BlochState` holds them, and their
+      cell means (len(lams), 2n), evaluated on the reduced 2n x 2n path.
+
+    The path must close, state(1) = state(0) (the covariance or block
+    closure is checked to 1e-12). ``initial_samples`` uniform segments,
+    sampled in one call, are bisected until no phase step reaches
+    PHASE_STEP_TOL; each midpoint is one more call. Every built-in loop,
+    and the k_y family of :func:`chern_via_polarization`, samples its
+    lambdas as a stack.
     """
 
     lattice: LatticeSpec
@@ -151,39 +159,45 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """Sample the loop adaptively and accumulate a continuous polarization.
 
     The uniform grid is one sampler call and each bisection midpoint one
-    more, so no lambda is sampled twice. Every call's stack is checked as
-    :class:`GaussianState` checks one state (shape, finite, symmetric). The
-    grid holds lambda = 0 and 1, whose covariances give the closure check
-    before anything is factorized. The shift is fixed along the loop, so
-    det(1 - W) = det(M) det(1 - U) / det(V + 1) changes its phase only
-    through M = V + iK. Each call's stack is evaluated in one pass: a
-    Cholesky factorization of the stacked V checks positive definiteness,
-    one slogdet of the stacked M gives the principal phases and magnitudes,
-    and one residual-checked solve the mean terms. Consecutive phase
-    differences are reduced to [-pi, pi) and summed cumulatively from the
-    anchor. The anchor is the pointwise branch of
-    :func:`bosepol.polarization.polarization` at lambda = 0, where every
-    factor 1 + i h_j has real part 1, so the reported values agree with the
-    pointwise polarization there and the phase unwrapped along the loop is
-    not produced by that branch rule. A sample with |<T>| > 1 violates
-    V + i Omega >= 0 and raises :class:`InvalidStateError`.
+    more, so no lambda is sampled twice. The first call's shape picks the
+    kernel: Bloch blocks (4-D) the reduced one, covariances (3-D) the dense
+    one. Every call's stack is checked as :class:`BlochState` or
+    :class:`GaussianState` checks one state, and the grid's lambda = 0 and 1
+    give the closure check before anything is factorized. A stacked Cholesky
+    factorization of the covariances or blocks then checks positive
+    definiteness, naming the first failing lambda.
+
+    The shift is fixed along the loop. The dense kernel
+    (:func:`bosepol.polarization._dense_loop_terms`) takes one slogdet of the
+    stacked M = V + iK and one residual-checked solve for the mean terms. The
+    reduced kernel (:func:`bosepol.polarization._bloch_loop_terms`) evaluates
+    det(1 - P) = det(1 - W) on the 2n x 2n blocks, so each sample costs
+    O(L n^3) and no 2nL-dimensional matrix is formed.
+
+    Consecutive phase differences are reduced to [-pi, pi) and summed
+    cumulatively from the anchor, the homotopy branch at lambda = 0: the
+    pointwise :func:`bosepol.polarization.polarization` on the dense kernel,
+    sum_j Arg(1 - nu_j) over the eigenvalues of P on the reduced one. So the
+    reported values agree with the pointwise polarization there, and the
+    phase unwrapped along the loop is not produced by that branch rule. A
+    sample with |<T>| > 1 violates V + i Omega >= 0 and raises
+    :class:`InvalidStateError`.
     """
     lattice = loop.lattice
     shift = shift_phases(lattice)
-    k = quadrature_cotangents(shift)
-    ik = 1j * np.diag(k)
-    log_abs_shift = 0.25 * float(np.sum(np.log1p(k * k)))
-    first = []  # covariance and mean at lambda = 0, for the anchor
+    first = {}  # the kernel the grid call picked, and its state at lambda = 0
 
     def evaluate(lams: list[float]) -> list[tuple]:
-        V, mean = checked_moments(
-            lattice.dim, *loop.sampler(np.array(lams, dtype=float)), (len(lams),)
-        )
-        if not first:  # the uniform grid, from lambda = 0 to 1
+        V, mean = loop.sampler(np.array(lams, dtype=float))
+        bloch = first.setdefault("bloch", np.ndim(V) == 4)
+        if bloch:
+            V, mean = checked_bloch_moments(lattice, V, mean, (len(lams),))
+        else:
+            V, mean = checked_moments(lattice.dim, V, mean, (len(lams),))
+        if "zero" not in first:  # the uniform grid, from lambda = 0 to 1
             closure = float(np.abs(V[-1] - V[0]).max())
             if closure > CLOSURE_TOL * max(1.0, float(np.abs(V[0]).max())):
                 raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
-            first.extend((V[0], mean[0]))
         try:
             np.linalg.cholesky(V)
         except np.linalg.LinAlgError:
@@ -194,17 +208,22 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                     raise InvalidStateError(
                         f"invalid state at lambda = {lam}: covariance not positive definite"
                     ) from None
-        M = V + ik
-        sign, logabs = np.linalg.slogdet(M)
-        s = _mean_terms(M, mean)
-        log_abs = log_abs_shift - 0.5 * logabs + s.real
-        return list(zip(np.angle(sign).tolist(), s.tolist(), log_abs.tolist()))
+        if bloch:
+            phases, s, log_abs, P = _bloch_loop_terms(V, mean, shift)
+            first.setdefault("zero", P[0])
+        else:
+            phases, s, log_abs = _dense_loop_terms(V, mean, shift)
+            first.setdefault("zero", (V[0], mean[0]))
+        return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)
     phases, means, log_abs = zip(*records)
     worst = int(np.argmax(log_abs))
     _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
-    anchor = -2.0 * polarization(GaussianState(lattice, *first), shift).det_term_phase
+    if first["bloch"]:
+        anchor = float(np.sum(_reduced_branch(first["zero"]).imag))
+    else:
+        anchor = -2.0 * polarization(GaussianState(lattice, *first["zero"]), shift).det_term_phase
     det_term = -0.5 * _unwrap(anchor, np.array(phases))
     means = np.array(means, dtype=complex)
     return PolarizationTrack(
@@ -267,11 +286,13 @@ def chern_via_polarization(
 ) -> int:
     """Winding of the momentum-resolved polarization over a transverse zone.
 
-    ``family(kys)`` maps an array of k_y in [0, 2 pi] to the covariances
-    (len(kys), 2nL, 2nL) and means (len(kys), 2nL) of translation-invariant
-    1D Gaussian states on ``lattice`` (periodic in k_y); it is sampled as the
-    loop lambda -> 2 pi lambda. The winding of P(k_y) is the Chern number of
-    the construction; it vanishes for every bosonic Gaussian family.
+    ``family(kys)`` maps an array of k_y in [0, 2 pi] to translation-invariant
+    1D Gaussian states on ``lattice`` (periodic in k_y), in either sampler
+    shape of :class:`ParameterLoop`: Bloch blocks (len(kys), L, 2n, 2n) and
+    cell means (len(kys), 2n), or covariances (len(kys), 2nL, 2nL) and means
+    (len(kys), 2nL). It is sampled as the loop lambda -> 2 pi lambda. The
+    winding of P(k_y) is the Chern number of the construction; it vanishes
+    for every bosonic Gaussian family.
     """
     loop = ParameterLoop(lattice, lambda lams: family(2.0 * math.pi * lams), samples)
     return polarization_winding(track_polarization(loop))

@@ -10,12 +10,14 @@ import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bosebench" / "tracing.py"
-# Hooked names whose functions left the package before this check existed:
-# the Cayley spectrum and the tracked branch gave way to M = V + iK.
+# Hooked names whose functions left the package: the Cayley spectrum and the
+# tracked branch gave way to M = V + iK, and the dense Chern-chain hopping to
+# the Bloch blocks of the thermal k_y family.
 REMOVED = {
     ("bosepol.polarization", "cayley_spectrum"),
     ("bosepol.polarization", "tracked_det_branch"),
     ("bosepol.polarization", "branch_phase_eigenvalues"),
+    ("bosepol.loops", "chain_hopping_at_ky"),
 }
 
 

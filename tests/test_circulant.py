@@ -25,6 +25,7 @@ from bosepol.circulant import (
     random_bloch_blocks,
 )
 from bosepol.errors import NotTranslationInvariantError
+from bosepol.polarization import ordered_product
 from bosepol.rice_mele import RiceMeleParams, rmm_hopping_matrix, rmm_thermal_state
 from bosepol.states import reassemble_covariance
 
@@ -76,12 +77,13 @@ def test_thermal_rice_mele_bloch_blocks_match_direct_construction():
 
 
 def test_complex_hopping_bloch_blocks_match_direct_construction():
-    from bosepol.loops import chain_hopping_at_ky
+    from bosepol.loops import chern_cell_blocks
+    from bosepol.rice_mele import _ring_hamiltonian
     from bosepol.states import thermal_state
 
     L, beta, mu = 5, 1.0, -6.0
     lat = make_lattice(L, 2)
-    h = chain_hopping_at_ky(1.3, lat, mass=1.0)
+    h = _ring_hamiltonian(*chern_cell_blocks(1.3, mass=1.0), L)
     st = thermal_state(h, beta, mu, lat)
     got = cell_bloch_blocks(st).v_blocks
     want = direct_bloch_covariance(h, L, beta, mu)
@@ -91,11 +93,12 @@ def test_complex_hopping_bloch_blocks_match_direct_construction():
 def test_thermal_state_from_complex_bloch_hamiltonians_matches_dense():
     """Bloch Hamiltonians (L, n, n) give a BlochState whose V is the dense thermal
     state's, here with a complex hopping, so Im N enters."""
-    from bosepol.loops import chain_hopping_at_ky
+    from bosepol.loops import chern_cell_blocks
+    from bosepol.rice_mele import _ring_hamiltonian
 
     L, n, beta, mu = 5, 2, 1.0, -6.0
     lat = make_lattice(L, n)
-    h = chain_hopping_at_ky(1.3, lat, mass=1.0)
+    h = _ring_hamiltonian(*chern_cell_blocks(1.3, mass=1.0), L)
     hk = np.fft.ifft(h.reshape(L, n, L, n)[0].transpose(1, 0, 2), axis=0) * L
     st = thermal_state(hk, beta, mu, lat)
     dense = thermal_state(h, beta, mu, lat)
@@ -271,3 +274,19 @@ def test_benchmark_row_consistency():
     row = benchmark_determinants(lat, seed=1, repeats=2)
     assert row["relative_det_error"] <= 1e-10
     assert row["dense_seconds"] > 0 and row["reduced_seconds"] > 0
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 5, 8, 13])
+def test_stacked_ordered_product_equals_sequential_product(L):
+    """Axes between the factor axis and the matrices are carried along: each
+    stack entry is m_{L-1} ... m_0."""
+    rng = np.random.default_rng(L)
+    mats = rng.normal(size=(L, 3, 2, 3, 3)) + 1j * rng.normal(size=(L, 3, 2, 3, 3))
+    got = ordered_product(mats)
+    assert got.shape == (3, 2, 3, 3)
+    for i in np.ndindex(3, 2):
+        want = np.eye(3)
+        for m in mats[:, i[0], i[1]]:
+            want = m @ want
+        assert np.abs(got[i] - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), i
+        assert np.array_equal(ordered_product(mats[:, i[0], i[1]]), got[i]), i

@@ -13,6 +13,7 @@ import pytest
 import bosepol
 from bosepol import GaussianState, cli, fock_oracle, loops, make_lattice, rice_mele, winding
 from bosepol.polarization import polarization
+from bosepol.states import reassemble_covariance
 
 
 def read_csv(path):
@@ -386,6 +387,8 @@ def test_winding_csv_matches_pointwise_polarization(tmp_path, name):
     _, _, rows = read_csv(out)
     loop = loops.named_loop(name, make_lattice(4, 2), seed=1)
     V, mean = loop.sampler(np.array([0.0]))
+    if V.ndim == 4:  # Bloch blocks and a cell mean: the dense state is the oracle
+        V, mean = reassemble_covariance(V), np.tile(mean, 4)
     b = polarization(GaussianState(loop.lattice, V[0], mean[0]))
     expected = [0.0, b.p_unwrapped, b.abs_T, b.det_term_phase, b.mean_term.imag]
     # the loop closes with no winding, so lambda = 1 repeats lambda = 0
@@ -401,8 +404,9 @@ def test_chern_csv_matches_pointwise_polarization(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["lambda", "ky", "P_unwrapped"]
     family = loops.thermal_chern_family(make_lattice(4, 2), 1.0, 1.0, -6.0)
-    V, mean = family(np.array([0.0]))
-    p0 = polarization(GaussianState(make_lattice(4, 2), V[0], mean[0])).p_unwrapped
+    v, _ = family(np.array([0.0]))
+    dense = GaussianState(make_lattice(4, 2), reassemble_covariance(v[0]), np.zeros(16))
+    p0 = polarization(dense).p_unwrapped
     assert [float(x) for x in rows[0][:2]] == [0.0, 0.0]
     assert abs(float(rows[0][2]) - p0) <= 1e-12
     assert abs(float(rows[-1][2]) - p0) <= 1e-12

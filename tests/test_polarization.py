@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from bosepol.polarization import (
     principal_polarization,
     quadrature_phase_factors,
 )
+from bosepol.states import reassemble_covariance
 from bosepol.winding import ParameterLoop, track_polarization
 
 
@@ -251,33 +253,59 @@ def count_factorizations(monkeypatch, matrices=None, shapes=None) -> collections
     return calls
 
 
+def dense_sampler(lattice, sampler):
+    """A Bloch loop's sampler as dense covariances and means."""
+    def dense(lams):
+        v, cell_mean = sampler(lams)
+        return reassemble_covariance(v), np.tile(cell_mean, lattice.cells)
+
+    return dense
+
+
 def test_factorizations_per_evaluation(monkeypatch):
     lat = make_lattice(4, 2)
     st = random_gaussian_state(lat, 2, mean_scale=0.7)
     mean_scales = (0.5, 0.0)
-    loops = [random_classical_loop(lat, 3, mean_scale=m) for m in mean_scales]
-    tracks = [track_polarization(loop) for loop in loops]
-    matrices = collections.Counter()
-    calls = count_factorizations(monkeypatch, matrices)
+    bloch_loops = [random_classical_loop(lat, 3, mean_scale=m) for m in mean_scales]
+    dense_loops = [dataclasses.replace(loop, sampler=dense_sampler(lat, loop.sampler))
+                   for loop in bloch_loops]
+    tracks = [track_polarization(loop) for loop in bloch_loops]
+    matrices, shapes = collections.Counter(), set()
+    calls = count_factorizations(monkeypatch, matrices, shapes)
 
     polarization(st)
     assert calls == matrices == {"eigh": 2}
 
-    for mean_scale, loop, track in zip(mean_scales, loops, tracks):
-        calls.clear()
-        matrices.clear()
-        # The stacked sampler itself factorizes nothing.
-        again = track_polarization(loop)
-        assert again.lambdas.tolist() == track.lambdas.tolist()
+    for mean_scale, dense_loop, bloch_loop, track in zip(
+            mean_scales, dense_loops, bloch_loops, tracks):
         samples = len(track.lambdas)
-        assert samples == loop.initial_samples + 1  # no bisection
-        # Two eigh for the lambda = 0 anchor, then one Cholesky, one slogdet
-        # and, with a mean, one solve per sample, each in one call per grid.
-        want = {"eigh": 2, "cholesky": samples, "slogdet": samples}
-        if mean_scale:
-            want["solve"] = samples
-        assert matrices == want
-        assert calls == {name: 2 if name == "eigh" else 1 for name in want}
+        assert samples == bloch_loop.initial_samples + 1  # no bisection
+        for loop in (dense_loop, bloch_loop):
+            calls.clear()
+            matrices.clear()
+            shapes.clear()
+            # The stacked sampler itself factorizes nothing.
+            again = track_polarization(loop)
+            assert again.lambdas.tolist() == track.lambdas.tolist()
+            if loop is dense_loop:
+                # Two eigh for the lambda = 0 anchor, then one Cholesky, one
+                # slogdet and, with a mean, one solve per sample, each in one
+                # call per grid.
+                want = {"eigh": 2, "cholesky": samples, "slogdet": samples}
+                want_calls = {name: 2 if name == "eigh" else 1 for name in want}
+            else:
+                # Per sample, one Cholesky of each block v_k and of (v_k + 1) / 2,
+                # one inverse of each v_k + 1, one slogdet of 1 - P and, with a
+                # mean, one solve; one eigvals of P at lambda = 0 anchors the
+                # branch. All of them are 2n x 2n.
+                want = {"cholesky": 2 * samples * lat.cells, "inv": samples * lat.cells,
+                        "slogdet": samples, "eigvals": 1}
+                want_calls = {name: 2 if name == "cholesky" else 1 for name in want}
+                assert shapes == {(4, 4)}
+            if mean_scale:
+                want["solve"], want_calls["solve"] = samples, 1
+            assert matrices == want
+            assert calls == want_calls
 
 
 @pytest.mark.parametrize("mean_scale", [0.0, 0.6])

@@ -11,7 +11,7 @@ from scipy.special import gamma
 
 from bosepol import make_lattice, polarization, coherent_state
 from bosepol.errors import GapClosureError
-from bosepol.loops import chain_hopping_at_ky, chern_cell_blocks
+from bosepol.loops import chern_cell_blocks
 from bosepol.rice_mele import (
     PumpProtocol,
     RiceMeleParams,
@@ -439,7 +439,7 @@ def test_ring_builders_match_per_cell_loop(L):
     ky, mass = 1.3, 0.8
     onsite = np.sin(ky) * sy + (mass + np.cos(ky)) * sz
     want = per_cell_ring(onsite, (sz - 1j * sx) / 2.0, L)
-    assert np.array_equal(chain_hopping_at_ky(ky, lat, mass), want)
+    assert np.array_equal(_ring_hamiltonian(*chern_cell_blocks(ky, mass), L), want)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 8])

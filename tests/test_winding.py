@@ -5,13 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bosepol import loops, make_lattice, winding
-from bosepol.errors import GapClosureError, InvalidStateError, RefinementExhaustedError
+from bosepol.errors import (
+    GapClosureError,
+    InvalidStateError,
+    NumericalError,
+    RefinementExhaustedError,
+)
 from bosepol.loops import (
     LOOP_NAMES,
     band_chern_number,
-    chain_hopping_at_ky,
+    chern_cell_blocks,
     named_loop,
     random_classical_loop,
     random_squeezed_loop,
@@ -28,9 +35,16 @@ from bosepol.polarization import (
     shift_phases,
 )
 from bosepol.circulant import random_bloch_blocks
-from bosepol.states import reassemble_covariance
-from bosepol.rice_mele import evolve_pump, rmm_thermal_state
-from bosepol.states import GaussianState, coherent_state, thermal_state, vacuum_state, validate
+from bosepol.rice_mele import _bloch_hamiltonians, _ring_hamiltonian, evolve_pump, rmm_thermal_state
+from bosepol.states import (
+    BlochState,
+    GaussianState,
+    coherent_state,
+    reassemble_covariance,
+    thermal_state,
+    vacuum_state,
+    validate,
+)
 from bosepol.winding import (
     ParameterLoop,
     chern_via_polarization,
@@ -43,9 +57,24 @@ from bosepol.winding import (
 WINDING_TOL = 1e-6
 
 
+def dense_moments(lattice, V, mean):
+    """A sampler's covariances and means, dense: Bloch blocks are reassembled and
+    cell means tiled."""
+    if np.ndim(V) == 4:
+        return reassemble_covariance(V), np.tile(mean, lattice.cells)
+    return V, mean
+
+
+def dense_twin(loop):
+    """The same loop with a dense sampler, built from the loop's own samples."""
+    return dataclasses.replace(
+        loop, sampler=lambda lams: dense_moments(loop.lattice, *loop.sampler(lams))
+    )
+
+
 def state_at(loop, lam):
-    """The loop's state at one lambda, from a one-element sampler call."""
-    V, mean = loop.sampler(np.array([lam]))
+    """The loop's dense state at one lambda, from a one-element sampler call."""
+    V, mean = dense_moments(loop.lattice, *loop.sampler(np.array([lam])))
     return GaussianState(loop.lattice, V[0], mean[0])
 
 
@@ -109,7 +138,7 @@ def test_track_follows_pointwise_spectral_branch():
     for loop in (random_classical_loop(make_lattice(3, 2), 3),
                  random_squeezed_loop(make_lattice(3, 2), 4)):
         track = track_polarization(loop)
-        V, mean = loop.sampler(track.lambdas)
+        V, mean = dense_moments(loop.lattice, *loop.sampler(track.lambdas))
         pointwise = [polarization(GaussianState(loop.lattice, v, m)).p_unwrapped
                      for v, m in zip(V, mean)]
         assert np.abs(track.p_unwrapped - pointwise).max() <= 1e-10
@@ -248,8 +277,10 @@ def test_squeezed_sampler_matches_per_mode_blocks(L):
 
 
 def per_lambda_state(name, lattice, seed):
-    """lambda -> GaussianState of a named loop, one state per call, from the loop's own
-    draws: the reference for its stacked sampler."""
+    """lambda -> state of a named loop, one state per call, from the loop's own
+    draws: the reference for its stacked sampler. The translation-invariant
+    loops give a BlochState, random-squeezed a GaussianState."""
+    L = lattice.cells
     if name == "rmm-thermal":
         protocol = reference_protocol()
         return lambda lam: rmm_thermal_state(
@@ -261,19 +292,19 @@ def per_lambda_state(name, lattice, seed):
 
         def coherent(lam):
             i = int(round(lam * steps))
-            return coherent_state(lattice, np.tile([traj.alpha[i], traj.beta[i]], lattice.cells))
+            cell = coherent_state(make_lattice(1, 2), [traj.alpha[i], traj.beta[i]])
+            return BlochState(lattice, np.broadcast_to(cell.V, (L, 4, 4)), cell.mean)
 
         return coherent
     rng = np.random.default_rng(seed)
     if name == "random-classical":
-        Vbar, X, Y = (reassemble_covariance(random_bloch_blocks(lattice, rng, lo, hi))
+        vbar, x, y = (random_bloch_blocks(lattice, rng, lo, hi)
                       for lo, hi in ((1.6, 3.5), (-0.25, 0.25), (-0.25, 0.25)))
-        m0, ma, mb = (np.tile(c, lattice.cells)
-                      for c in 0.5 * rng.normal(size=(3, 2 * lattice.sites_per_cell)))
+        m0, ma, mb = 0.5 * rng.normal(size=(3, 2 * lattice.sites_per_cell))
 
         def classical(lam):
             c, s = math.cos(2.0 * math.pi * lam), math.sin(2.0 * math.pi * lam)
-            return GaussianState(lattice, Vbar + c * X + s * Y, m0 + c * ma + s * mb)
+            return BlochState(lattice, vbar + c * x + s * y, m0 + c * ma + s * mb)
 
         return classical
     rng.uniform(size=3 * lattice.modes)  # r0, rho and phi0 of per_mode_squeezed_covariance
@@ -287,6 +318,13 @@ def per_lambda_state(name, lattice, seed):
     return squeezed
 
 
+def moments(state):
+    """(v_blocks, cell_mean) of a BlochState, (V, mean) of a GaussianState."""
+    if isinstance(state, BlochState):
+        return state.v_blocks, state.cell_mean
+    return state.V, state.mean
+
+
 @pytest.mark.parametrize("name", LOOP_NAMES)
 def test_stacked_sampler_equals_per_lambda_states(name):
     lat = make_lattice(4, 2)
@@ -296,24 +334,31 @@ def test_stacked_sampler_equals_per_lambda_states(name):
         (np.linspace(0.0, 1.0, 33), [0.3, 1 / 3], np.array([0.5, 1.5, 2.5]) / 2 ** 14)
     )
     V, mean = named_loop(name, lat, seed=1).sampler(lams)
-    assert V.shape == (len(lams), lat.dim, lat.dim) and mean.shape == (len(lams), lat.dim)
     state = per_lambda_state(name, lat, 1)
+    want_V, want_mean = moments(state(0.0))
+    assert V.shape == (len(lams), *want_V.shape) and mean.shape == (len(lams), *want_mean.shape)
+    assert (V.ndim == 4) == (name != "random-squeezed")
     for lam, v, m in zip(lams, V, mean):
-        want = state(lam)
-        assert np.abs(v - want.V).max() <= 1e-15 * np.abs(want.V).max(), (name, lam)
-        assert np.abs(m - want.mean).max() <= 1e-15 * max(1.0, np.abs(want.mean).max()), lam
+        want_V, want_mean = moments(state(lam))
+        assert np.abs(v - want_V).max() <= 1e-15 * np.abs(want_V).max(), (name, lam)
+        assert np.abs(m - want_mean).max() <= 1e-15 * max(1.0, np.abs(want_mean).max()), lam
 
 
 @pytest.mark.parametrize("mass", [1.0, -1.0, 0.7])
 def test_chern_family_equals_per_ky_states(mass):
     lat = make_lattice(4, 2)
+    kappas = 2.0 * np.pi * np.arange(4) / 4
     kys = np.array([0.0, 0.4, np.pi / 2, np.pi, 4.0, 2.0 * np.pi])
-    V, mean = thermal_chern_family(lat, mass, beta=1.0, mu=-6.0)(kys)
-    assert V.shape == (len(kys), lat.dim, lat.dim) and mean.shape == (len(kys), lat.dim)
+    v, mean = thermal_chern_family(lat, mass, beta=1.0, mu=-6.0)(kys)
+    assert v.shape == (len(kys), 4, 4, 4) and mean.shape == (len(kys), 4)
     assert not mean.any()
-    for ky, v in zip(kys, V):
-        want = thermal_state(chain_hopping_at_ky(ky, lat, mass), 1.0, -6.0, lat)
-        assert np.abs(v - want.V).max() <= 1e-15 * np.abs(want.V).max(), ky
+    for ky, blocks in zip(kys, v):
+        cell = chern_cell_blocks(ky, mass)
+        want = thermal_state(_bloch_hamiltonians(*cell, kappas), 1.0, -6.0, lat)
+        assert np.abs(blocks - want.v_blocks).max() <= 1e-15 * np.abs(want.v_blocks).max(), ky
+        # The dense thermal state of the chain's ring is an independent oracle.
+        dense = thermal_state(_ring_hamiltonian(*cell, lat.cells), 1.0, -6.0, lat)
+        assert np.abs(reassemble_covariance(blocks) - dense.V).max() <= 1e-13, ky
 
 
 def spoiled_vacuum_loop(spoil):
@@ -371,6 +416,130 @@ def test_stack_checks_then_closure_then_factorization():
         track_polarization(non_finite)
 
 
+BLOCH_LOOPS = ("random-classical", "rmm-thermal", "rmm-coherent", "chern")
+
+
+def bloch_loop(name, lattice, seed, beta, mass):
+    """A translation-invariant loop: a named one, or the thermal Chern family over k_y."""
+    if name == "chern":
+        family = thermal_chern_family(lattice, mass, beta)
+        return ParameterLoop(lattice, lambda lams: family(2.0 * math.pi * lams), 16)
+    if name == "random-classical":
+        return random_classical_loop(lattice, seed, mean_scale=0.8)
+    return named_loop(name, lattice, seed=seed, beta=beta)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    name=hst.sampled_from(BLOCH_LOOPS),
+    L=hst.integers(1, 6),
+    n=hst.integers(1, 3),
+    offset=hst.floats(0.05, 0.95),
+    seed=hst.integers(0, 2 ** 32 - 1),
+    beta=hst.floats(0.5, 2.0),
+    mass=hst.sampled_from([-1.4, -0.7, 0.6, 1.0, 2.5]),
+)
+def test_bloch_track_equals_dense_track(name, L, n, offset, seed, beta, mass):
+    """The reduced kernel on a loop's Bloch blocks and the dense kernel on the same
+    blocks reassembled give the same grid and the same track."""
+    lat = make_lattice(L, n if name == "random-classical" else 2, offset)
+    loop = bloch_loop(name, lat, seed, beta, mass)
+    bloch = track_polarization(loop)
+    dense = track_polarization(dense_twin(loop))
+    assert bloch.lambdas.tolist() == dense.lambdas.tolist()
+    for got, want in ((bloch.p_unwrapped, dense.p_unwrapped),
+                      (bloch.det_term_phase, dense.det_term_phase),
+                      (bloch.mean_term, dense.mean_term)):
+        assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(bloch.abs_T / dense.abs_T - 1.0).max() <= 1e-12
+    if name == "random-classical":
+        assert np.abs(bloch.mean_term).max() > 1e-3
+
+
+def bloch_vacuum_loop(spoil, L=3):
+    """Vacuum Bloch loop on L one-site cells whose sampler returns
+    ``spoil(lams, v, cell_mean)``."""
+    lat = make_lattice(L, 1)
+
+    def sampler(lams):
+        v = np.tile(np.eye(2, dtype=complex), (len(lams), L, 1, 1))
+        return spoil(lams, v, np.zeros((len(lams), 2)))
+
+    return ParameterLoop(lat, sampler, 8)
+
+
+def _scaled_k0(lams, v, m):
+    """v_0 scaled by 1 - 1.5 sin^2(pi lambda): not positive definite past 0.304."""
+    v[:, 0] *= (1.0 - 1.5 * np.sin(np.pi * lams) ** 2)[:, None, None]
+    return v, m
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        # The first grid sample past lambda = 0.304 is 3/8.
+        (_scaled_k0, InvalidStateError,
+         r"invalid state at lambda = 0\.375: covariance not positive definite"),
+        (lambda lams, v, m: ((1.0 + lams)[:, None, None, None] * v, m), ValueError,
+         r"loop does not close: \|\|V\(1\) - V\(0\)\|\| = "),
+    ],
+)
+def test_bloch_loop_errors_carry_the_dense_messages(spoil, error, message):
+    loop = bloch_vacuum_loop(spoil)
+    for kernel in (loop, dense_twin(loop)):
+        with pytest.raises(error, match=message):
+            track_polarization(kernel)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda lams, v, m: (_set(v, (3, 0, 0, 1), 1e-3), m),
+         "Bloch block hermiticity defect 1.000e-03 exceeds"),
+        (lambda lams, v, m: (_set(v, (5, 1, 0, 0), 1.001), m),
+         r"Bloch blocks violate v_\(L-k\) = conj\(v_k\) by 1.000e-03"),
+        (lambda lams, v, m: (_set(v, (3, 2, 1, 1), np.nan), m),
+         "Bloch blocks and cell mean must be finite"),
+        (lambda lams, v, m: (v, _set(m, (2, 1), np.inf)),
+         "Bloch blocks and cell mean must be finite"),
+        (lambda lams, v, m: (v[:, :2], m), r"Bloch blocks must be \(3, 2, 2\), got \("),
+        (lambda lams, v, m: (v, m[:, :1]), r"cell mean must have length 2, got \("),
+    ],
+)
+def test_bad_bloch_sample_stacks_raise_the_state_messages(spoil, message):
+    loop = bloch_vacuum_loop(spoil)
+    with pytest.raises(ValueError, match=message):
+        track_polarization(loop)
+    v, cell_mean = loop.sampler(np.linspace(0.0, 1.0, 9))
+    with pytest.raises(ValueError, match=message):  # each bad sample alone
+        for blocks, m in zip(v, cell_mean):
+            BlochState(loop.lattice, blocks, m)
+
+
+def test_mean_solve_residual_raises_on_both_kernels(monkeypatch):
+    loop = random_classical_loop(make_lattice(3, 2), 4)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda M, b: solve(M, b) * (1.0 + 1e-6))
+    for kernel in (loop, dense_twin(loop)):
+        with pytest.raises(NumericalError, match="linear solve residual .* exceeds 1e-08"):
+            track_polarization(kernel)
+
+
+def test_bloch_grid_then_dense_midpoint_is_rejected():
+    """The grid call picks the kernel; a later call in the other shape is an error."""
+    loop = bisecting_thermal_loop()  # V = scale 1 on 4 one-site cells; it bisects
+    cells = loop.lattice.cells
+
+    def sampler(lams):
+        V, mean = loop.sampler(lams)
+        if len(lams) > 1:  # the grid, as the Bloch blocks scale 1 of the same states
+            return np.repeat(V[:, None, :2, :2], cells, axis=1), mean[:, :2]
+        return V, mean
+
+    with pytest.raises(ValueError, match=r"Bloch blocks must be \(4, 2, 2\), got \(1, 8, 8\)"):
+        track_polarization(dataclasses.replace(loop, sampler=sampler))
+
+
 def test_replaced_sampler_sees_grid_and_each_midpoint():
     """dataclasses.replace(loop, sampler=wrapper) routes every sample through the
     wrapper: the grid in one call, then one call per bisection midpoint."""
@@ -407,7 +576,7 @@ def test_coherent_loop_samples_grid_off_powers_of_two():
     lat = make_lattice(3, 2)
     loop = rmm_coherent_loop(lat, initial_samples=12)
     traj = evolve_pump(reference_protocol(), steps=12 * 1024)
-    _, means = loop.sampler(np.arange(13) / 12)
+    _, means = dense_moments(lat, *loop.sampler(np.arange(13) / 12))
     for k in range(13):
         cell = [traj.alpha[1024 * k], traj.beta[1024 * k]]
         want = coherent_state(lat, np.tile(cell, lat.cells)).mean
@@ -607,7 +776,7 @@ def test_band_chern_raises_where_the_gap_closes(mass):
 def test_chern_family_hopping_is_hermitian_and_gapped():
     lat = make_lattice(6, 2)
     for ky in (0.0, 1.1, 2.0 * np.pi - 0.3):
-        h = chain_hopping_at_ky(ky, lat)
+        h = _ring_hamiltonian(*chern_cell_blocks(ky), lat.cells)
         assert np.abs(h - h.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(h).min() > -6.0
 

@@ -17,19 +17,15 @@ from .states import (
     squeezed_vacuum_state,
     thermal_state,
     two_mode_squeezed_state,
-    vacuum_state,
     validate,
 )
 from .polarization import (
     PolarizationBreakdown,
     ShiftSpec,
-    expectation_T,
-    mean_term,
     polarization,
     shift_phases,
 )
 from .circulant import (
-    BlochBlocks,
     cell_bloch_blocks,
     decay_bound,
     dense_determinant,
@@ -46,7 +42,6 @@ from .rice_mele import (
     integrated_flux,
     rmm_hopping_matrix,
     rmm_thermal_state,
-    zak_phase,
     zak_winding,
 )
 from .winding import (
@@ -57,11 +52,9 @@ from .winding import (
     track_polarization,
     winding_number,
     winding_of_values,
-    zero_count,
 )
 
 __all__ = [
-    "BlochBlocks",
     "BlochState",
     "GaussianState",
     "LatticeSpec",
@@ -83,11 +76,9 @@ __all__ = [
     "decay_bound",
     "dense_determinant",
     "evolve_pump",
-    "expectation_T",
     "integrated_flux",
     "lambda_max",
     "make_lattice",
-    "mean_term",
     "polarization",
     "random_circulant_state",
     "random_gaussian_state",
@@ -99,11 +90,8 @@ __all__ = [
     "thermal_state",
     "track_polarization",
     "two_mode_squeezed_state",
-    "vacuum_state",
     "validate",
     "winding_number",
     "winding_of_values",
-    "zak_phase",
     "zak_winding",
-    "zero_count",
 ]

@@ -7,18 +7,18 @@ unitary turns into a cyclic block shift, and iterating Schur's identity
 collapses the 2nL-dimensional determinant to
 
     det(1 - W) = det(1_{2n} - m_{L-1} ... m_1 m_0),
-    m_k = (v_k - 1)(v_k + 1)^{-1} D,
+    m_k = (v_k + 1)^{-1}(v_k - 1) D,
 
-where D carries the intra-cell gauge phases. Every |eig(m_k)| < 1 for a
-valid state, which gives the decay bound eps = 4 lambda_max^L on the
-determinant phase. The dense determinant is the arbiter of correctness for
-any gauge; the product order above is pinned by that equality.
+where D carries the intra-cell gauge phases and v_k are the blocks of a
+:class:`~bosepol.states.BlochState`. Every |eig(m_k)| < 1 for a valid state,
+which gives the decay bound eps = 4 lambda_max^L on the determinant phase.
+The dense determinant is the arbiter of correctness for any gauge; the
+product order above is pinned by that equality.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,6 @@ from .polarization import ShiftSpec, ordered_product, quadrature_phase_factors, 
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class BlochBlocks:
-    """Fourier data of a cell-circulant covariance: v_k and m_k."""
-
-    lattice: LatticeSpec
-    v_blocks: np.ndarray
-    m_blocks: np.ndarray
 
 
 def check_translation_invariance(state: GaussianState) -> None:
@@ -64,33 +55,23 @@ def gauge_block(lattice: LatticeSpec) -> np.ndarray:
     return quadrature_phase_factors(shift_phases(lattice))[: 2 * lattice.sites_per_cell]
 
 
-def cell_bloch_blocks(state: GaussianState | BlochState) -> BlochBlocks:
-    """Bloch blocks v_k and m_k of a translation-invariant state.
+def cell_bloch_blocks(state: GaussianState | BlochState) -> BlochState:
+    """The :class:`BlochState` of a translation-invariant state.
 
-    A :class:`BlochState` gives its own blocks. A dense state is checked for
+    A :class:`BlochState` is returned as it is. A dense state is checked for
     translation invariance, then Fourier-transformed in the convention
-    v_k = sum_d C_d exp(+2 pi i k d / L), C_d the first block row of V.
-    m_k = (v_k - 1)(v_k + 1)^{-1} D with D from :func:`gauge_block`.
-    Positive definiteness of V is equivalent to positive definiteness of
-    every v_k and is asserted blockwise. That alone gives |eig(m_k)| < 1, so
-    m_k needs no check of its own: the Cayley factor (v_k - 1)(v_k + 1)^{-1}
-    of a positive definite v_k has norm below 1, and the gauge block D is
-    unitary.
+    v_k = sum_d C_d exp(+2 pi i k d / L), C_d the first block row of V; its
+    cell mean is the mean of the first cell.
     """
+    if isinstance(state, BlochState):
+        return state
+    check_translation_invariance(state)
     lat = state.lattice
     L, tn = lat.cells, 2 * lat.sites_per_cell
-    if isinstance(state, BlochState):
-        v = state.v_blocks
-    else:
-        check_translation_invariance(state)
-        C = state.V.reshape(L, tn, L, tn)[0].transpose(1, 0, 2)
-        v = np.fft.ifft(C, axis=0) * L
-        v = (v + v.conj().transpose(0, 2, 1)) / 2.0
-    if np.linalg.eigvalsh(v).min() <= 0.0:
-        raise InvalidStateError("a Bloch block v_k is not positive definite")
-    eye = np.eye(tn)
-    m = np.linalg.solve(v + eye, v - eye) * gauge_block(lat)
-    return BlochBlocks(lattice=lat, v_blocks=v, m_blocks=m)
+    C = state.V.reshape(L, tn, L, tn)[0].transpose(1, 0, 2)
+    v = np.fft.ifft(C, axis=0) * L
+    v = (v + v.conj().transpose(0, 2, 1)) / 2.0
+    return BlochState(lat, v, state.mean[:tn])
 
 
 def random_bloch_blocks(
@@ -125,10 +106,22 @@ def random_bloch_blocks(
     return blocks
 
 
-def reduced_determinant(blocks: BlochBlocks) -> complex:
-    """det(1_{2n} - m_{L-1} ... m_1 m_0), equal to the dense det(1 - W)."""
-    prod = ordered_product(blocks.m_blocks)
-    return complex(np.linalg.det(np.eye(len(prod)) - prod))
+def reduced_determinant(state: BlochState) -> complex:
+    """det(1_{2n} - m_{L-1} ... m_1 m_0), equal to the dense det(1 - W).
+
+    m_k = (v_k + 1)^{-1}(v_k - 1) D with D from :func:`gauge_block`.
+    Positive definiteness of V is equivalent to positive definiteness of
+    every v_k and is asserted blockwise. That alone gives |eig(m_k)| < 1, so
+    m_k needs no check of its own: the Cayley factor (v_k + 1)^{-1}(v_k - 1)
+    of a positive definite v_k has norm below 1, and the gauge block D is
+    unitary.
+    """
+    v = state.v_blocks
+    if np.linalg.eigvalsh(v).min() <= 0.0:
+        raise InvalidStateError("a Bloch block v_k is not positive definite")
+    eye = np.eye(v.shape[-1])
+    m = np.linalg.solve(v + eye, v - eye) * gauge_block(state.lattice)
+    return complex(np.linalg.det(eye - ordered_product(m)))
 
 
 def dense_determinant(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
@@ -215,7 +208,7 @@ def benchmark_determinants(
         return value, best
 
     dense_val, dense_t = best_of(lambda: _dense_det_kernel(V, u))
-    reduced_val, reduced_t = best_of(lambda: reduced_determinant(cell_bloch_blocks(state)))
+    reduced_val, reduced_t = best_of(lambda: reduced_determinant(state))
 
     rel_err = abs(dense_val - reduced_val) / abs(dense_val)
     return {

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import circulant, fock_oracle, loops, rice_mele, winding
 from .errors import NumericalError
-from .polarization import expectation_T, polarization, shift_phases
+from .polarization import polarization, shift_phases
 from .states import make_lattice
 
 EXIT_OK = 0
@@ -328,7 +328,7 @@ def run_oracle_check(args) -> int:
     for case in cases:
         state = case.state
         truncated = fock_oracle.oracle_fock_truncated(case)
-        gauss = expectation_T(state, case.shift)
+        gauss = polarization(state, case.shift).expectation
         dev_closed = abs(gauss - case.closed) / abs(case.closed)
         dev_trunc = abs(gauss - truncated) / abs(truncated)
         dev_circ = 0.0

@@ -88,6 +88,8 @@ class ShiftSpec:
             raise ValueError(
                 f"need {self.lattice.modes} phases, got {phases.shape}"
             )
+        if not np.isfinite(phases).all():
+            raise ValueError("shift phases must be finite")
         residue = np.abs(np.exp(1j * phases) - 1.0)
         if np.any(residue < 1e-12):
             raise ValueError("shift phase congruent to 0 mod 2pi: gauge origin on a site")
@@ -155,11 +157,6 @@ def quadrature_cotangents(shift: ShiftSpec) -> np.ndarray:
     return np.repeat(1.0 / np.tan(shift.phases / 2.0), 2)
 
 
-def mean_matrix(state: GaussianState, shift: ShiftSpec) -> np.ndarray:
-    """M = V - 1 + 2 (1 - U)^{-1} = V + iK; complex symmetric with hermitian part V."""
-    return state.V + 1j * np.diag(quadrature_cotangents(shift))
-
-
 def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """s = -1/2 w^T M^{-1} b for each matrix of the stack M, with w = b unless given;
     0 where b = 0.
@@ -180,11 +177,6 @@ def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> np
             )
         s[has_mean] = -0.5 * (w.transpose(0, 2, 1) @ y)[:, 0, 0]
     return s
-
-
-def mean_term(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
-    """s = -1/2 alpha0^T M^{-1} alpha0; Re(s) <= 0 since herm(M) = V > 0."""
-    return polarization(state, shift).mean_term
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -341,7 +333,3 @@ def polarization(
     ) + s.real
     return _breakdown(log_abs, phi, s, vals, lo, "dense")
 
-
-def expectation_T(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
-    """<T> for an arbitrary valid Gaussian state (dense closed form)."""
-    return complex(polarization(state, shift).expectation)

@@ -192,15 +192,6 @@ def _zak_phases(onsite, hop, band: str = "lower", samples: int = 64) -> np.ndarr
     return -np.angle(np.prod(overlaps, axis=-1))
 
 
-def zak_phase(params: RiceMeleParams, band: str = "lower", samples: int = 64) -> float:
-    """Discrete Wilson-loop Zak phase of one band over the Brillouin zone.
-
-    phi = -Im ln prod_j <u(k_j)|u(k_{j+1})> with k_j increasing across the
-    zone and the loop closed periodically; gauge-invariant by construction.
-    """
-    return float(_zak_phases(*rmm_cell_blocks(astuple(params)), band, samples))
-
-
 def zak_winding(protocol: PumpProtocol) -> int:
     """Integer winding of the Zak phase over one pump period.
 

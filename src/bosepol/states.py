@@ -267,10 +267,6 @@ def coherent_state(lattice: LatticeSpec, amplitudes) -> GaussianState:
     return GaussianState(lattice, np.eye(lattice.dim), mean)
 
 
-def vacuum_state(lattice: LatticeSpec) -> GaussianState:
-    return coherent_state(lattice, np.zeros(lattice.modes))
-
-
 def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupation:
     """Diagonalize hermitian hopping matrices (..., N, N) in one stacked ``eigh`` and
     attach Bose-Einstein occupations. Every eigenvalue of every matrix must satisfy

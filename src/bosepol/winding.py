@@ -18,6 +18,7 @@ planted windings, so the null result on physical states is not an artifact.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -255,20 +256,19 @@ def polarization_winding(track: PolarizationTrack) -> int:
     return _integer_winding(2.0 * math.pi * delta_p, "polarization winding")
 
 
-def zero_count(loop: ParameterLoop) -> int:
-    """Argument-principle winding of det(1 - W(lambda)) around zero."""
-    return winding_number(track_polarization(loop)).zero_count
-
-
 def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16) -> int:
     """Winding number of a closed complex-valued path fn(lambda), lambda in [0, 1].
 
     Synthetic-detector entry point: used to validate the zero-count machinery
-    on functions with planted windings.
+    on functions with planted windings. A non-finite value raises
+    ``ValueError`` naming its lambda.
     """
 
     def evaluate(lams: list[float]) -> list[tuple]:
         zs = [complex(fn(lam)) for lam in lams]
+        for lam, z in zip(lams, zs):
+            if not cmath.isfinite(z):
+                raise ValueError(f"path value {z} at lambda = {lam} is not finite")
         if 0 in zs:
             raise RefinementExhaustedError("path passes exactly through zero")
         return [(math.atan2(z.imag, z.real),) for z in zs]

@@ -12,7 +12,6 @@ from bosepol import (
     cell_bloch_blocks,
     coherent_state,
     dense_determinant,
-    expectation_T,
     make_lattice,
     polarization,
     random_circulant_state,
@@ -33,7 +32,7 @@ from bosepol.loops import (
     rmm_thermal_loop,
     thermal_chern_family,
 )
-from bosepol.polarization import mean_term, shift_phases
+from bosepol.polarization import shift_phases
 from bosepol.rice_mele import (
     RiceMeleParams,
     adiabatic_flux,
@@ -88,7 +87,7 @@ def test_criterion_1_oracle_gate():
         worst = 0.0
         cases = standard_cases(cutoff=160, points=16)
         for case in cases:
-            gauss = expectation_T(case.state, case.shift)
+            gauss = polarization(case.state, case.shift).expectation
             trunc = oracle_fock_truncated(case)
             worst = max(
                 worst,
@@ -231,7 +230,7 @@ def test_criterion_8_amplitude_bounds():
         b = polarization(st)
         ok = ok and b.abs_T > 0.0
         if np.any(st.mean):
-            ok = ok and abs(np.exp(mean_term(st))) < 1.0
+            ok = ok and abs(np.exp(polarization(st).mean_term)) < 1.0
         report_v = validate(st)
         if report_v.min_eigenvalue > 1.0:
             bound = ((1.0 + report_v.min_eigenvalue) / 2.0) ** (-st.lattice.modes)

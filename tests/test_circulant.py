@@ -7,6 +7,7 @@ from bosepol import (
     BlochState,
     GaussianState,
     cell_bloch_blocks,
+    coherent_state,
     decay_bound,
     dense_determinant,
     lambda_max,
@@ -16,7 +17,6 @@ from bosepol import (
     squeezed_vacuum_state,
     thermal_state,
     two_mode_squeezed_state,
-    vacuum_state,
 )
 from bosepol.circulant import (
     benchmark_determinants,
@@ -24,12 +24,19 @@ from bosepol.circulant import (
     gauge_block,
     random_bloch_blocks,
 )
-from bosepol.errors import NotTranslationInvariantError
+from bosepol.errors import InvalidStateError, NotTranslationInvariantError
 from bosepol.polarization import ordered_product
 from bosepol.rice_mele import RiceMeleParams, rmm_hopping_matrix, rmm_thermal_state
 from bosepol.states import reassemble_covariance
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def m_blocks(state: BlochState) -> np.ndarray:
+    """m_k = (v_k + 1)^{-1}(v_k - 1) D, the factors of the reduced determinant."""
+    v = state.v_blocks
+    eye = np.eye(v.shape[-1])
+    return np.linalg.solve(v + eye, v - eye) * gauge_block(state.lattice)
 
 
 def test_scaled_identity_blocks():
@@ -170,10 +177,27 @@ def test_uniform_thermal_scalar_reduction():
 
 def test_vacuum_determinant_is_one():
     lat = make_lattice(4, 2)
-    st = vacuum_state(lat)
+    st = coherent_state(lat, np.zeros(lat.modes))
     blocks = cell_bloch_blocks(st)
-    assert np.abs(blocks.m_blocks).max() == 0.0
+    assert np.abs(m_blocks(blocks)).max() == 0.0
     assert reduced_determinant(blocks) == pytest.approx(1.0)
+
+
+def test_bloch_state_is_its_own_bloch_blocks():
+    st = random_circulant_state(make_lattice(5, 2), 4, mean_scale=1.0)
+    assert cell_bloch_blocks(st) is st
+    dense = cell_bloch_blocks(GaussianState(st.lattice, st.V, st.mean))
+    assert np.abs(dense.v_blocks - st.v_blocks).max() < 1e-12
+    assert np.array_equal(dense.cell_mean, st.cell_mean)
+
+
+def test_reduced_determinant_rejects_non_positive_definite_blocks():
+    """A BlochState does not enforce V > 0; the reduced determinant does."""
+    lat = make_lattice(4, 2)
+    v = np.array(random_circulant_state(lat, 2).v_blocks)
+    v[0] -= (np.linalg.eigvalsh(v[0]).min() + 0.5) * np.eye(4)
+    with pytest.raises(InvalidStateError, match="a Bloch block v_k is not positive definite"):
+        reduced_determinant(BlochState(lat, v, np.zeros(4)))
 
 
 @pytest.mark.parametrize("classical", [True, False])
@@ -208,7 +232,7 @@ def test_lambda_max_values():
     lat = make_lattice(1, 1)
     st = GaussianState(lat, 3.0 * np.eye(2), np.zeros(2))
     assert lambda_max(st) == pytest.approx(0.5)
-    assert lambda_max(vacuum_state(lat)) == 0.0
+    assert lambda_max(coherent_state(lat, np.zeros(lat.modes))) == 0.0
     r = 0.7
     st = squeezed_vacuum_state(lat, r)
     assert lambda_max(st) == pytest.approx(np.tanh(r))
@@ -219,7 +243,7 @@ def test_decay_bound_arithmetic():
     st = thermal_state(np.zeros((10, 10)), beta=np.log(2.0), mu=-1.0, lattice=lat)
     assert lambda_max(st) == pytest.approx(0.5)
     assert decay_bound(st) == pytest.approx(4.0 / 1024.0)
-    vac = vacuum_state(lat)
+    vac = coherent_state(lat, np.zeros(lat.modes))
     assert decay_bound(vac) == 0.0
     assert np.angle(dense_determinant(vac)) == 0.0
 
@@ -243,7 +267,7 @@ def test_cyclic_rotation_invariance():
     blocks = cell_bloch_blocks(st)
     base = reduced_determinant(blocks)
     for shift in (1, 3):
-        rolled = np.roll(blocks.m_blocks, shift, axis=0)
+        rolled = np.roll(m_blocks(blocks), shift, axis=0)
         prod = np.eye(4, dtype=complex)
         for mk in rolled:
             prod = mk @ prod
@@ -256,7 +280,7 @@ def test_block_eigenvalues_inside_unit_disk():
     for seed in range(3):
         st = random_circulant_state(lat, seed, classical=(seed != 1))
         blocks = cell_bloch_blocks(st)
-        mu = np.abs(np.linalg.eigvals(blocks.m_blocks))
+        mu = np.abs(np.linalg.eigvals(m_blocks(blocks)))
         assert mu.max() < 1.0
 
 

@@ -17,9 +17,7 @@ from bosepol import (
     ShiftSpec,
     cell_bloch_blocks,
     coherent_state,
-    expectation_T,
     make_lattice,
-    mean_term,
     polarization,
     random_circulant_state,
     random_gaussian_state,
@@ -30,15 +28,14 @@ from bosepol import (
     squeezed_vacuum_state,
     thermal_state,
     two_mode_squeezed_state,
-    vacuum_state,
     validate,
     zak_winding,
 )
 from bosepol.errors import InvalidStateError
 from bosepol.loops import band_chern_number, random_classical_loop
 from bosepol.polarization import (
-    mean_matrix,
     principal_polarization,
+    quadrature_cotangents,
     quadrature_phase_factors,
 )
 from bosepol.states import reassemble_covariance
@@ -53,7 +50,7 @@ def thermal_mode_state(nbar: float, theta: float) -> tuple[GaussianState, ShiftS
 
 def test_vacuum_expectation_is_one():
     lat = make_lattice(3, 2)
-    b = polarization(vacuum_state(lat))
+    b = polarization(coherent_state(lat, np.zeros(lat.modes)))
     assert b.expectation == pytest.approx(1.0, rel=1e-14)
     assert b.p == 0.0
     assert b.det_term_phase == 0.0
@@ -71,19 +68,19 @@ def test_coherent_lattice_state_exact(L):
 
 def test_thermal_single_mode_geometric_series():
     st, sh = thermal_mode_state(1.0, np.pi)
-    assert expectation_T(st, sh) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert polarization(st, sh).expectation == pytest.approx(1.0 / 3.0, rel=1e-12)
     q = 0.5
     for theta in (0.3, 1.7, np.pi / 2, 5.0):
         st, sh = thermal_mode_state(1.0, theta)
         want = (1 - q) / (1 - q * np.exp(1j * theta))
-        assert expectation_T(st, sh) == pytest.approx(want, rel=1e-12)
+        assert polarization(st, sh).expectation == pytest.approx(want, rel=1e-12)
 
 
 def test_squeezed_single_mode_closed_form():
     r = np.arcsinh(1.0)
     lat = make_lattice(1, 1, 0.25)  # theta = pi/2
     st = squeezed_vacuum_state(lat, r)
-    assert expectation_T(st) == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+    assert polarization(st).expectation == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
 
 
 def test_two_mode_site_dependent_thermal():
@@ -103,28 +100,29 @@ def test_tmsv_against_closed_form():
     for t1, t2p in [(0.7, 2.9), (np.pi / 3, np.pi / 5), (4.0, 4.2)]:
         sh = ShiftSpec(st.lattice, np.array([t1, t2p]))
         want = (1 - t2) / (1 - t2 * np.exp(1j * (t1 + t2p)))
-        assert expectation_T(st, sh) == pytest.approx(want, rel=1e-11)
+        assert polarization(st, sh).expectation == pytest.approx(want, rel=1e-11)
 
 
 def test_mean_term_zero_mean():
     lat = make_lattice(2, 2)
     st = thermal_state(np.diag([0.1, 0.2, 0.3, 0.4]), 1.0, -1.0, lat)
-    assert mean_term(st) == 0.0
+    assert polarization(st).mean_term == 0.0
 
 
 @pytest.mark.parametrize("L", [2, 4])
 def test_mean_term_full_lattice_coherent(L):
     lat = make_lattice(L, 2)
     st = coherent_state(lat, np.tile([1.0 / np.sqrt(2), 1j / np.sqrt(2)], L))
-    s = mean_term(st)
+    s = polarization(st).mean_term
     assert s == pytest.approx(-L, abs=1e-12)
 
 
 def test_mean_matrix_hermitian_part_is_covariance():
+    """M = V - 1 + 2 (1 - U)^{-1} = V + iK is complex symmetric with hermitian part V."""
     lat = make_lattice(2, 2)
     for seed in range(3):
         st = random_gaussian_state(lat, seed)
-        M = mean_matrix(st, shift_phases(lat))
+        M = st.V + 1j * np.diag(quadrature_cotangents(shift_phases(lat)))
         assert np.abs((M + M.conj().T) / 2.0 - st.V).max() < 1e-12 * np.abs(st.V).max()
 
 
@@ -132,7 +130,7 @@ def test_mean_term_is_contractive():
     lat = make_lattice(2, 2)
     for seed in range(6):
         st = random_gaussian_state(lat, seed, classical=(seed % 2 == 0), mean_scale=1.5)
-        s = mean_term(st)
+        s = polarization(st).mean_term
         assert s.real <= 0.0
         assert abs(np.exp(s)) < 1.0
 
@@ -352,6 +350,34 @@ def test_bloch_path_equals_dense_path(L, n, offset, seed, eig_high, mean_scale):
         dense.min_covariance_eigenvalue, rel=1e-12)
 
 
+part_strategy = hst.tuples(
+    hst.integers(1, 4), hst.integers(1, 3), hst.integers(0, 2 ** 32 - 1),
+    hst.sampled_from([0.0, 0.7]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=part_strategy, b=part_strategy)
+def test_expectation_factorizes_over_direct_sums(a, b):
+    """<T>(A (+) B) = <T>(A) <T>(B) with each block under its own shift phases,
+    and the polarizations on the homotopy branch add."""
+    parts = [random_gaussian_state(make_lattice(L, n), seed, mean_scale=scale)
+             for L, n, seed, scale in (a, b)]
+    lat = make_lattice(1, sum(p.lattice.modes for p in parts))
+    V = np.zeros((lat.dim, lat.dim))
+    split = parts[0].lattice.dim
+    V[:split, :split], V[split:, split:] = parts[0].V, parts[1].V
+    whole = polarization(
+        GaussianState(lat, V, np.concatenate([p.mean for p in parts])),
+        ShiftSpec(lat, np.concatenate([shift_phases(p.lattice).phases for p in parts])),
+    )
+    pa, pb = (polarization(p) for p in parts)
+    product = pa.expectation * pb.expectation
+    assert abs(whole.expectation - product) <= 1e-10 * abs(product)
+    assert abs(whole.p_unwrapped - pa.p_unwrapped - pb.p_unwrapped) <= 1e-9
+    assert abs(whole.expectation) <= 1.0
+
+
 def test_bloch_branch_one_turn_from_the_principal_phase():
     """L = 1, n = 3, offset 0.98: two hot modes at phases near 4.15 and 6.24 put
     the homotopy branch one turn from the principal phase on the Bloch path too."""
@@ -392,8 +418,8 @@ def test_branch_tracking_on_hot_state():
     nbar = 20.0
     st = GaussianState(lat, (2 * nbar + 1) * np.eye(12), np.zeros(12))
     sh = shift_phases(lat)
-    assert expectation_T(st, sh) == pytest.approx(thermal_product(nbar, sh.phases), rel=1e-10)
     b = polarization(st, sh)
+    assert b.expectation == pytest.approx(thermal_product(nbar, sh.phases), rel=1e-10)
     assert -2.0 * b.det_term_phase == pytest.approx(
         homotopy_branch(cayley_matrix(st), sh), abs=1e-9
     )
@@ -414,7 +440,7 @@ def test_hot_thermal_state_large_lattice():
     nbar = 20.0
     st = GaussianState(lat, (2 * nbar + 1) * np.eye(128), np.zeros(128))
     want = thermal_product(nbar, shift_phases(lat).phases)
-    assert abs(expectation_T(st) - want) <= 1e-10 * abs(want)
+    assert abs(polarization(st).expectation - want) <= 1e-10 * abs(want)
 
 
 def test_rice_mele_thermal_just_below_band_bottom():
@@ -467,7 +493,7 @@ def test_breakdown_diagnostics():
 def test_det_v_plus_one_floor():
     lat = make_lattice(2, 2)
     states = [
-        vacuum_state(lat),
+        coherent_state(lat, np.zeros(lat.modes)),
         squeezed_vacuum_state(lat, [0.3, -0.5, 0.2, 0.7]),
         thermal_state(np.diag([0.0, 0.1, 0.5, 1.0]), 2.0, -0.5, lat),
         random_gaussian_state(lat, 3),
@@ -476,7 +502,8 @@ def test_det_v_plus_one_floor():
         vals = np.linalg.eigvalsh(st.V)
         logdet = np.sum(np.log1p(vals))
         assert logdet >= 2 * lat.modes * np.log(2.0) - 1e-10
-    vac_logdet = np.sum(np.log1p(np.linalg.eigvalsh(vacuum_state(lat).V)))
+    vacuum = coherent_state(lat, np.zeros(lat.modes))
+    vac_logdet = np.sum(np.log1p(np.linalg.eigvalsh(vacuum.V)))
     assert vac_logdet == pytest.approx(2 * lat.modes * np.log(2.0))
 
 
@@ -503,7 +530,7 @@ def test_invalid_state_raises():
     lat = make_lattice(2, 1)
     st = GaussianState(lat, np.diag([1.0, 1.0, 1.0, -0.5]), np.zeros(4))
     with pytest.raises(InvalidStateError):
-        expectation_T(st)
+        polarization(st).expectation
 
 
 def test_unphysical_positive_definite_state_raises():
@@ -544,7 +571,7 @@ def test_mean_term_against_displaced_thermal_closed_form(modes):
         mean = np.column_stack([2.0 * alpha.real, 2.0 * alpha.imag]).reshape(-1)
         st = GaussianState(lat, np.diag(np.repeat(2.0 * nbar + 1.0, 2)), mean)
         expected = np.prod([displaced_thermal_mode(*args) for args in zip(thetas, nbar, alpha)])
-        got = expectation_T(st, ShiftSpec(lat, thetas))
+        got = polarization(st, ShiftSpec(lat, thetas)).expectation
         assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
@@ -571,6 +598,12 @@ def test_shift_spec_rejects_zero_phase():
         ShiftSpec(lat, np.array([0.0, np.pi]))
     with pytest.raises(ValueError):
         ShiftSpec(lat, np.array([2 * np.pi, np.pi]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shift_spec_rejects_non_finite_phase(bad):
+    with pytest.raises(ValueError, match="shift phases must be finite"):
+        ShiftSpec(make_lattice(2, 1), np.array([bad, np.pi]))
 
 
 def test_principal_window():

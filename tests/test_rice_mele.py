@@ -24,7 +24,6 @@ from bosepol.rice_mele import (
     integrated_flux,
     rmm_cell_blocks,
     rmm_hopping_matrix,
-    zak_phase,
     zak_winding,
 )
 
@@ -92,19 +91,20 @@ def test_band_energies():
 
 def test_zak_phase_band_sum_and_convergence():
     p = RiceMeleParams(0.7, 1.3, 0.4)
-    lo = zak_phase(p, "lower", 2048)
-    hi = zak_phase(p, "upper", 2048)
+    blocks = rmm_cell_blocks(astuple(p))
+    lo = _zak_phases(*blocks, "lower", 2048)
+    hi = _zak_phases(*blocks, "upper", 2048)
     assert (lo + hi) % (2 * np.pi) == pytest.approx(0.0, abs=1e-9)
-    assert abs(zak_phase(p, "lower", 4096) - lo) < 1e-6
+    assert abs(_zak_phases(*blocks, "lower", 4096) - lo) < 1e-6
 
 
 def test_zak_phase_gap_closure():
     with pytest.raises(GapClosureError):
-        zak_phase(RiceMeleParams(1.0, 1.0, 0.0), samples=64)
+        _zak_phases(*rmm_cell_blocks((1.0, 1.0, 0.0)), samples=64)
     with pytest.raises(GapClosureError):  # gap 1.8e-12; the near-gap case below has 3e-12
-        zak_phase(RiceMeleParams(1.0, 1.0, 0.9e-12), samples=64)
+        _zak_phases(*rmm_cell_blocks((1.0, 1.0, 0.9e-12)), samples=64)
     with pytest.raises(ValueError):
-        zak_phase(RiceMeleParams(1.0, 0.5, 0.0), samples=8)
+        _zak_phases(*rmm_cell_blocks((1.0, 0.5, 0.0)), samples=8)
 
 
 def test_zak_phases_gap_rule_ignores_an_energy_offset():
@@ -182,10 +182,11 @@ def test_zak_winding_constant_protocol():
     ],
 )
 def test_stacked_zak_phases_match_pointwise(protocol):
-    """The stacked phases of zak_winding equal zak_phase step by step."""
+    """The stacked phases of zak_winding equal the one-point phases step by step."""
     times = protocol.period * np.arange(257) / 256
     stacked = _zak_phases(*rmm_cell_blocks(protocol.drive(times)))
-    pointwise = np.array([zak_phase(protocol.params_at(t)) for t in times])
+    pointwise = np.array([_zak_phases(*rmm_cell_blocks(astuple(protocol.params_at(t))))
+                          for t in times])
     assert np.abs(stacked - pointwise).max() <= 1e-12
 
 

@@ -16,7 +16,6 @@ from bosepol import (
     squeezed_vacuum_state,
     thermal_state,
     two_mode_squeezed_state,
-    vacuum_state,
     validate,
 )
 from bosepol.errors import ChemicalPotentialError, InvalidStateError
@@ -59,7 +58,7 @@ def test_lattice_rejects_bad_arguments(L, n, delta):
 
 def test_vacuum_state():
     lat = make_lattice(3, 2)
-    vac = vacuum_state(lat)
+    vac = coherent_state(lat, np.zeros(lat.modes))
     assert np.array_equal(vac.V, np.eye(lat.dim))
     assert not vac.mean.any()
     report = validate(vac)
@@ -211,7 +210,7 @@ def test_validate_reports_min_symplectic_eigenvalue():
     # V > 0 but below the vacuum noise: valid as a matrix, not a quantum state
     assert squashed.valid and not squashed.physical
     assert squashed.min_symplectic_eigenvalue == pytest.approx(0.5, abs=1e-14)
-    vacuum = validate(vacuum_state(lat))
+    vacuum = validate(coherent_state(lat, np.zeros(lat.modes)))
     assert vacuum.physical
     assert vacuum.min_symplectic_eigenvalue == pytest.approx(1.0, abs=1e-14)
     hop = np.zeros((1, 1))
@@ -318,7 +317,7 @@ def test_bose_occupations_infinite_beta_is_vacuum():
 def test_constructor_outputs_pass_validation():
     lat = make_lattice(2, 2)
     states = [
-        vacuum_state(lat),
+        coherent_state(lat, np.zeros(lat.modes)),
         coherent_state(lat, [0.1, 0.2j, -0.3, 0.4 + 0.1j]),
         squeezed_vacuum_state(lat, [0.2, -0.4, 0.1, 0.6]),
         thermal_state(np.diag([0.0, 0.3, 0.9, 1.4]), 1.0, -0.5, lat),

@@ -28,8 +28,6 @@ from bosepol.loops import (
     thermal_chern_family,
 )
 from bosepol.polarization import (
-    mean_matrix,
-    mean_term,
     polarization,
     quadrature_cotangents,
     shift_phases,
@@ -42,7 +40,6 @@ from bosepol.states import (
     coherent_state,
     reassemble_covariance,
     thermal_state,
-    vacuum_state,
     validate,
 )
 from bosepol.winding import (
@@ -51,7 +48,6 @@ from bosepol.winding import (
     track_polarization,
     winding_number,
     winding_of_values,
-    zero_count,
 )
 
 WINDING_TOL = 1e-6
@@ -113,7 +109,7 @@ def trace_zero_count(matrix_fn, samples: int = 256) -> float:
 
 def test_constant_loop():
     lat = make_lattice(3, 2)
-    loop = ParameterLoop(lat, constant_sampler(vacuum_state(lat)), 8)
+    loop = ParameterLoop(lat, constant_sampler(coherent_state(lat, np.zeros(lat.modes))), 8)
     track = track_polarization(loop)
     assert np.ptp(track.p_unwrapped) == 0.0
     result = winding_number(track)
@@ -624,9 +620,20 @@ def test_zero_on_path_raises():
         winding_of_values(lambda lam: 1 - np.exp(2j * np.pi * lam))
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 1.0)])
+def test_non_finite_path_value_raises(bad):
+    """A NaN or infinite value raises at the first such sample of the uniform grid."""
+
+    def fn(lam):
+        return bad if 0.4 < lam < 0.6 else 1 - 2 * np.exp(2j * np.pi * lam)
+
+    with pytest.raises(ValueError, match=r"at lambda = 0\.4375 is not finite"):
+        winding_of_values(fn)
+
+
 def test_zero_count_via_loop():
     lat = make_lattice(4, 2)
-    assert zero_count(random_classical_loop(lat, 3)) == 0
+    assert winding_number(track_polarization(random_classical_loop(lat, 3))).zero_count == 0
 
 
 def test_trace_quadrature_cross_check():
@@ -657,7 +664,7 @@ def test_mean_term_single_valued_around_loops():
     for seed in (0, 1, 2):
         loop = random_classical_loop(lat, seed, mean_scale=1.0)
         shift = shift_phases(lat)
-        fn = lambda lam: np.exp(mean_term(state_at(loop, lam), shift))
+        fn = lambda lam: np.exp(polarization(state_at(loop, lam), shift).mean_term)
         assert winding_of_values(fn, initial_samples=32) == 0
 
 
@@ -684,7 +691,7 @@ def test_sampling_robustness():
 def test_loop_validation():
     lat = make_lattice(2, 2)
     with pytest.raises(ValueError):
-        ParameterLoop(lat, constant_sampler(vacuum_state(lat)), 4)
+        ParameterLoop(lat, constant_sampler(coherent_state(lat, np.zeros(lat.modes))), 4)
     # a sampler that does not close
     open_loop = scaled_vacuum_loop(lat, lambda lams: 1.0 + lams, 8)
     with pytest.raises(ValueError, match="loop does not close"):
@@ -718,7 +725,7 @@ def test_chern_constant_family_is_zero():
 
 def test_chern_vacuum_family():
     lat = make_lattice(4, 2)
-    family = constant_sampler(vacuum_state(lat))
+    family = constant_sampler(coherent_state(lat, np.zeros(lat.modes)))
     assert chern_via_polarization(lat, family, samples=16) == 0
     track = track_polarization(ParameterLoop(lat, family, 16))
     assert np.abs(track.p_unwrapped).max() == 0.0
@@ -838,7 +845,8 @@ def test_refinement_matches_breadth_first_on_physical_loop():
     shift = shift_phases(loop.lattice)
 
     def evaluate(lam):
-        sign, _ = np.linalg.slogdet(mean_matrix(state_at(loop, lam), shift))
+        M = state_at(loop, lam).V + 1j * np.diag(quadrature_cotangents(shift))
+        sign, _ = np.linalg.slogdet(M)
         return (float(np.angle(sign)),)
 
     track = track_polarization(loop)

@@ -77,8 +77,8 @@ def cell_bloch_blocks(state: GaussianState | BlochState) -> BlochState:
 def random_bloch_blocks(
     lattice: LatticeSpec,
     rng: np.random.Generator,
-    low: float,
-    high: float,
+    low: float | tuple[float, ...],
+    high: float | tuple[float, ...],
     k0_high: float | None = None,
 ) -> np.ndarray:
     """Random Hermitian Bloch blocks v_k, (L, 2n, 2n), whose assembled matrix is real.
@@ -90,20 +90,27 @@ def random_bloch_blocks(
     from one batched QR of the Gaussian matrices, so it has exactly its drawn
     eigenvalues, and it is real at the self-conjugate momenta. The blocks at
     k > L/2 are then replaced by the mirror v_{L-k} = conj(v_k).
+
+    Sequences ``low`` and ``high`` of one length S give S sets, (S, L, 2n, 2n).
+    Each set draws as a single call would, in turn, and all share one QR.
     """
     L, tn = lattice.cells, 2 * lattice.sites_per_cell
-    real, imag = rng.normal(size=(2, L, tn, tn))
+    lows, highs = np.broadcast_arrays(np.asarray(low, dtype=float), np.asarray(high, dtype=float))
     self_conjugate = (2 * np.arange(L) % L == 0)[:, None, None]
-    Q, _ = np.linalg.qr(real + 1j * np.where(self_conjugate, 0.0, imag))
-    highs = np.full((L, 1), float(high))
-    if k0_high is not None:
-        highs[0] = k0_high
-    eigs = rng.uniform(low, highs, size=(L, tn))
-    B = (Q * eigs[:, None, :]) @ Q.conj().swapaxes(-1, -2)
+    gaussians, eigs = [], []
+    for lo, hi in zip(lows.ravel(), highs.ravel()):
+        real, imag = rng.normal(size=(2, L, tn, tn))
+        gaussians.append(real + 1j * np.where(self_conjugate, 0.0, imag))
+        tops = np.full((L, 1), hi)
+        if k0_high is not None:
+            tops[0] = k0_high
+        eigs.append(rng.uniform(lo, tops, size=(L, tn)))
+    Q, _ = np.linalg.qr(np.stack(gaussians))
+    B = (Q * np.stack(eigs)[..., None, :]) @ Q.conj().swapaxes(-1, -2)
     blocks = (B + B.conj().swapaxes(-1, -2)) / 2.0
     k = np.arange(L // 2 + 1, L)
-    blocks[k] = blocks[L - k].conj()
-    return blocks
+    blocks[:, k] = blocks[:, L - k].conj()
+    return blocks.reshape(*lows.shape, L, tn, tn)
 
 
 def reduced_determinant(state: BlochState) -> complex:

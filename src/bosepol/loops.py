@@ -109,13 +109,12 @@ def random_classical_loop(
     v_k(lambda) = vbar_k + cos(2 pi lambda) x_k + sin(2 pi lambda) y_k with
     ||x_k||, ||y_k|| <= 0.25 and min eig(vbar_k) >= 1.6, so the state stays
     classical on the whole loop. vbar, x and y are drawn in this order from
-    one generator by :func:`random_bloch_blocks`, with eigenvalues in
-    [1.6, 3.5), [-0.25, 0.25) and [-0.25, 0.25); the three cell means of
+    one generator by one call of :func:`random_bloch_blocks`, with eigenvalues
+    in [1.6, 3.5), [-0.25, 0.25) and [-0.25, 0.25); the three cell means of
     m0 + cos(2 pi lambda) ma + sin(2 pi lambda) mb follow.
     """
     rng = np.random.default_rng(seed)
-    vbar, x, y = (random_bloch_blocks(lattice, rng, lo, hi)
-                  for lo, hi in ((1.6, 3.5), (-0.25, 0.25), (-0.25, 0.25)))
+    vbar, x, y = random_bloch_blocks(lattice, rng, (1.6, -0.25, -0.25), (3.5, 0.25, 0.25))
     m0, ma, mb = mean_scale * rng.normal(size=(3, 2 * lattice.sites_per_cell))
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

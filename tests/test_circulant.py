@@ -137,6 +137,21 @@ def test_reassembly_roundtrip():
     assert np.abs(reassemble_covariance(blocks.v_blocks) - st.V).max() < 1e-10
 
 
+@pytest.mark.parametrize("k0_high", [None, 0.9])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 8])
+def test_random_bloch_block_sets_equal_one_call_per_set(L, k0_high):
+    lat = make_lattice(L, 2)
+    bounds = ((0.3, 4.0), (-0.25, 0.25), (0.5, 2.0))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        each = [random_bloch_blocks(lat, rng, lo, hi, k0_high) for lo, hi in bounds]
+        rng_sets = np.random.default_rng(seed)
+        sets = random_bloch_blocks(lat, rng_sets, *zip(*bounds), k0_high)
+        assert sets.shape == (3, L, 4, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(each, sets))
+        assert np.array_equal(rng.normal(size=4), rng_sets.normal(size=4))
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 8, 16])
 def test_random_bloch_blocks_spectra_mirror_and_realness(L):
     lat = make_lattice(L, 2)

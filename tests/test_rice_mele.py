@@ -1,5 +1,6 @@
 """Rice-Mele band data, Zak winding, pump dynamics and particle flux."""
 
+import tracemalloc
 from dataclasses import astuple
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ from bosepol.rice_mele import (
     adiabatic_flux,
     evolve_pump,
     integrated_flux,
+    reference_shape,
     rmm_cell_blocks,
     rmm_hopping_matrix,
     zak_winding,
@@ -197,6 +199,17 @@ def test_constant_protocol_is_stationary():
     assert np.abs(np.abs(traj.beta) - np.abs(traj.beta[0])).max() < 1e-10
 
 
+def test_reference_shape_is_the_tangent_form_of_cos_sin():
+    phases = [np.linspace(0.0, 1.0, 100_001), np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+              np.linspace(-3.7, 5.2, 20_001), np.array([-1000.3, -2.5, 1.25, 10_000.5])]
+    for phase in phases:
+        w1, w2, delta = reference_shape(phase)
+        assert np.abs(w1 - np.cos(np.pi * phase) ** 2).max() <= 4e-16
+        assert np.abs(w2 - np.sin(np.pi * phase) ** 2).max() <= 4e-16
+        assert np.abs(delta - np.sin(2.0 * np.pi * phase)).max() <= 4e-16
+    assert tuple(map(float, reference_shape(0.0))) == (1.0, 0.0, 0.0)
+
+
 def test_norm_conservation_reference_protocol():
     traj = evolve_pump(reference(50.0), steps=10_000)
     assert np.abs(traj.norm - 1.0).max() < 1e-8
@@ -230,18 +243,23 @@ def test_trajectory_equals_sequential_magnus_steps():
         assert np.abs(psi - [traj.alpha[i + 1], traj.beta[i + 1]]).max() < 1e-13
 
 
+def cf4_exponents(protocol, steps):
+    """(x, z), each (steps, 2): the CF4 factors exp(-i(x sx + z sz)) of every step."""
+    h = protocol.period / steps
+    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    w1, w2, delta = protocol.drive((np.arange(steps)[:, None] + nodes) * h)
+    weights = np.array([[a2, a1], [a1, a2]])
+    return h * (w1 + w2) @ weights, h * delta @ weights
+
+
 def sequential_cf4(protocol, steps, a, b):
     """(alpha, beta) from (a, b) after every step, the CF4 factors applied one at a time.
 
     Each step applies exp(-i(x0 sx + z0 sz)) and then exp(-i(x1 sx + z1 sz)),
     each [[c - i s z, -i s x], [-i s x, c + i s z]] with c = cos r, s = sin(r) / r.
     """
-    h = protocol.period / steps
-    nodes = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
-    a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
-    w1, w2, delta = protocol.drive((np.arange(steps)[:, None] + nodes) * h)
-    weights = np.array([[a2, a1], [a1, a2]])
-    x, z = h * (w1 + w2) @ weights, h * delta @ weights
+    x, z = cf4_exponents(protocol, steps)
     r = np.hypot(x, z)
     c, s = np.cos(r), np.sin(r) / r
     diag, off = (c - 1j * s * z).tolist(), (-1j * s * x).tolist()
@@ -264,6 +282,34 @@ def test_blocked_scan_equals_sequential_product(steps):
     assert np.abs(traj.alpha - alpha).max() <= 1e-13
     assert np.abs(traj.beta - beta).max() <= 1e-13
     assert np.abs(traj.norm - 1.0).max() <= 1e-12
+
+
+# At T = 1000 and 100 steps the factor angles r span [5A, 7.07A]: the poles
+# r = pi and r = 3 pi of tan(r / 2) fall inside that span at A = 0.6 and 1.8.
+@pytest.mark.parametrize("amplitude, pole", [(0.6, np.pi), (1.0, None), (1.8, 3.0 * np.pi)])
+def test_undersampled_pump_across_tangent_poles(amplitude, pole):
+    protocol, steps = PumpProtocol(amplitude, 1000.0), 100
+    r = np.hypot(*cf4_exponents(protocol, steps))
+    assert r.max() > np.pi
+    if pole is not None:
+        assert r.min() < pole < r.max()
+    traj = evolve_pump(protocol, steps=steps)
+    alpha, beta = sequential_cf4(protocol, steps, complex(traj.alpha[0]), complex(traj.beta[0]))
+    assert np.abs(traj.alpha - alpha).max() <= 1e-12
+    assert np.abs(traj.beta - beta).max() <= 1e-12
+    assert np.abs(traj.norm - 1.0).max() <= 1e-12
+
+
+def test_pump_memory_budget():
+    """The traced allocation peak of a pump stays within 160 bytes per step."""
+    steps = 120_000
+    tracemalloc.start()
+    try:
+        evolve_pump(reference(400.0), steps=steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * steps
 
 
 def test_flux_fourth_order_convergence():

@@ -40,7 +40,6 @@ from .rice_mele import (
     adiabatic_flux,
     evolve_pump,
     integrated_flux,
-    rmm_hopping_matrix,
     rmm_thermal_state,
     zak_winding,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "random_circulant_state",
     "random_gaussian_state",
     "reduced_determinant",
-    "rmm_hopping_matrix",
     "rmm_thermal_state",
     "shift_phases",
     "squeezed_vacuum_state",

@@ -3,7 +3,7 @@
 Built-ins exposed to the CLI:
 
 * ``rmm-thermal``    thermal Rice-Mele states driven around the reference pump;
-* ``rmm-coherent``   the evolved translation-invariant coherent state;
+* ``rmm-coherent``   the translation-invariant coherent state in the pump's Floquet mode;
 * ``random-classical`` seeded circulant interpolations with min eig(V) >= 1;
 * ``random-squeezed``  seeded nonclassical loops with a rotating squeezing axis.
 
@@ -68,13 +68,19 @@ def rmm_coherent_loop(
     protocol: PumpProtocol | None = None,
     initial_samples: int = 16,
 ) -> ParameterLoop:
-    """Evolved coherent state of the pump: identity Bloch blocks and the cell mean
-    of the trajectory.
+    """Coherent state in the Floquet mode of the pump: identity Bloch blocks and the
+    cell mean of the evolved amplitudes.
 
-    The trajectory is integrated once, on the first initial_samples * 2^j
-    steps that reach 2^14 (2^14 itself for a power-of-two sample count).
-    Loop samples pick the nearest step, which is exact for the grid
-    k / initial_samples and for its first j levels of bisection.
+    The trajectory is integrated once from the lower band vector v0 = (a, b),
+    on the first initial_samples * 2^j steps that reach 2^14 (2^14 itself for
+    a power-of-two sample count). Loop samples pick the nearest step, which is
+    exact for the grid k / initial_samples and for its first j levels of
+    bisection. The propagator U(t) is SU(2), so the trajectory U v0 = (alpha, beta)
+    also gives U v0_perp = (-beta*, alpha*) for v0_perp = (-b*, a*). The loop
+    starts in the eigenvector of the one-period U(T) with the larger weight on
+    v0, phased so that its overlap with v0 is positive, and its quasienergy
+    phase e^{i eps} is removed along the cycle as e^{-i eps lambda}, so the
+    amplitudes return to their start at lambda = 1.
     """
     protocol = protocol or reference_protocol()
     if lattice.sites_per_cell != 2:
@@ -84,12 +90,21 @@ def rmm_coherent_loop(
     while steps < 2 ** 14:
         steps *= 2
     traj = evolve_pump(protocol, steps=steps)
+    # U(T) in the basis (v0, v0_perp) is [[p, -s*], [s, p*]], p = <v0|U v0>, s = <v0_perp|U v0>.
+    (a, b), (end_a, end_b) = (traj.alpha[0], traj.beta[0]), (traj.alpha[-1], traj.beta[-1])
+    p, s = a.conjugate() * end_a + b.conjugate() * end_b, a * end_b - b * end_a
+    eigvals, eigvecs = np.linalg.eig(np.array([[p, -s.conjugate()], [s, p.conjugate()]]))
+    mode = int(np.argmax(np.abs(eigvecs[0])))
+    c0, c1 = eigvecs[:, mode] * (abs(eigvecs[0, mode]) / eigvecs[0, mode])  # <v0|mode> > 0
+    eps = float(np.angle(eigvals[mode]))
     eye = np.eye(4)
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.rint rounds half to even, as round() does.
         i = np.rint(lams * steps).astype(int)
-        amps = np.stack([traj.alpha[i], traj.beta[i]], axis=-1)
+        alpha, beta = traj.alpha[i], traj.beta[i]
+        amps = np.stack([c0 * alpha - c1 * beta.conj(), c0 * beta + c1 * alpha.conj()], axis=-1)
+        amps *= np.exp(-1j * eps * i / steps)[:, None]
         mean = np.empty((len(lams), 4))
         mean[:, 0::2] = 2.0 * amps.real
         mean[:, 1::2] = 2.0 * amps.imag

@@ -17,7 +17,9 @@ the pump dynamics reduces to a driven two-level problem for the per-cell
 amplitudes (alpha, beta), propagated with exact SU(2) steps of a
 fourth-order commutator-free Magnus scheme; a blocked scan forms their
 running products in work linear in the step count. Each SU(2) factor of
-angle r comes from one tangent u = tan(r / 2). The integrated particle flux
+angle r comes from one tangent u = tan(r / 2). The steps are formed in
+chunks of PUMP_CHUNK, into the arrays that then hold the trajectory, so the
+pump allocates little beyond its output. The integrated particle flux
 over one cycle is geometric but not quantized; for the reference protocol
 
     w1 = A cos^2(pi t / T),  w2 = A sin^2(pi t / T),  Delta = A sin(2 pi t / T),
@@ -40,6 +42,9 @@ from .states import BlochState, LatticeSpec, thermal_state
 from .winding import _integer_winding, _unwrap
 
 DEFAULT_PUMP_STEPS = 10_000
+# Steps per chunk of the pump's per-step stages: each of their temporaries
+# holds at most 2 * PUMP_CHUNK complex numbers, a few hundred KB.
+PUMP_CHUNK = 8192
 # Fourth-order commutator-free Magnus scheme (Blanes & Moan 2006): the drive
 # is sampled at the Gauss nodes t + c-+ h of each step, and row j of the
 # weights is the share of sample j in the earlier and the later exponential.
@@ -211,49 +216,32 @@ def zak_winding(protocol: PumpProtocol) -> int:
     return _integer_winding(float(_unwrap(0.0, phis)[-1]), "Zak winding")
 
 
-def _su2_product(later, earlier) -> tuple[np.ndarray, np.ndarray]:
-    """Product ``later @ earlier`` of SU(2) matrices [[p, q], [-q*, p*]] given as (p, q)."""
+def _su2_product(later, earlier, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Product ``later @ earlier`` of SU(2) matrices [[p, q], [-q*, p*]] given as (p, q),
+    into the arrays ``out`` where given."""
     (p1, q1), (p2, q2) = later, earlier
-    return p1 * p2 - q1 * q2.conj(), p1 * q2 + q1 * p2.conj()
+    p = np.multiply(p1, p2, out=out[0])
+    p -= q1 * q2.conj()
+    q = np.multiply(p1, q2, out=out[1])
+    q += q1 * p2.conj()
+    return p, q
 
 
-def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> PumpTrajectory:
-    """Integrate i d/dt (alpha, beta) = h_0(t) (alpha, beta) over one period.
-
-    The amplitudes start in the lower band at t = 0, one particle per cell.
-
-    Each step of length h = T / steps is the fourth-order commutator-free
-    Magnus propagator exp(-ih(a1 H- + a2 H+)) exp(-ih(a2 H- + a1 H+)) with
-    H+- = h_0(t + c+- h), c+- = 1/2 +- sqrt(3)/6, a1,2 = (3 -+ 2 sqrt 3)/12.
-    Both factors are exact SU(2) exponentials, so the propagation is unitary
-    to rounding; the error falls as h^4.
-
-    A two-level scan (Blelloch 1990) forms the running products of the steps
-    in linear work. The steps fall into blocks of ceil(sqrt(steps)), the last
-    one padded with identities. The running products inside all blocks are
-    formed together, one block position at a time; then the block totals
-    carry (alpha, beta) from the start of one block to the next.
-    """
-    if steps < 100:
-        raise ValueError("need at least 100 steps per period")
-    h = protocol.period / steps
-    h0 = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(0.0)), [0.0])[0].real
-    a, b = map(complex, np.linalg.eigh(h0)[1][:, 0])
-
-    size = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)) steps per block
-    blocks = -(-steps // size)
-    times = np.arange(steps + 1) * h
-    w1, w2, delta = protocol.drive(times[:-1, None] + h * _GAUSS_NODES)
+def _cf4_steps(protocol: PumpProtocol, t: np.ndarray, h: float, out) -> None:
+    """(p, q) of the CF4 steps of length h that start at times ``t``, written to ``out``."""
     # exp(-i(x sigma_x + z sigma_z)) = cos r - i sin(r)/r (x sigma_x + z sigma_z),
     # r = |(x, z)|, for the earlier and the later factor (columns).
     # (x, z) = (w1 + w2, Delta) is Q(kappa = 0) of rmm_cell_blocks, kept as two
     # scalars per node: 2x2 Bloch matrices at every node cost time and memory.
     # x and z are stored negated, which gives the -i terms their sign.
-    # The padding steps keep x = z = 0, the identity.
-    x, z = np.zeros((2, blocks * size, 2))
-    np.matmul(-h * (w1 + w2), _CF4_WEIGHTS, out=x[:steps])
-    np.matmul(-h * delta, _CF4_WEIGHTS, out=z[:steps])
-    del w1, w2, delta  # the node arrays are long: each goes once used
+    nodes = np.empty((2, len(t), 2))  # -h (w1 + w2) and -h Delta at each Gauss node
+    for j, c in enumerate(_GAUSS_NODES):  # one node at a time: the drive's arrays stay small
+        w1, w2, delta = protocol.drive(t + h * c)
+        np.multiply(-h, w1 + w2, out=nodes[0, :, j])
+        np.multiply(-h, delta, out=nodes[1, :, j])
+        del w1, w2, delta  # before the next node's drive is formed
+    x, z = nodes @ _CF4_WEIGHTS
+    del nodes
     # With u = tan(r / 2), cos r = (1 - u^2) / (1 + u^2) = 2 / (1 + u^2) - 1 and
     # sin(r) / r = u / ((1 + u^2) r / 2): one tangent per node in place of hypot, sin and
     # cos, each several times slower in numpy. The floor on r / 2 keeps
@@ -274,10 +262,55 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
     del u
     np.divide(2.0, den, out=den)
     den -= 1.0  # cos r
-    p, q = np.empty((2, *den.shape), dtype=complex)
-    p.real, p.imag, q.real, q.imag = den, z, 0.0, x
-    del x, z, den
-    p, q = _su2_product((p[:, 1], q[:, 1]), (p[:, 0], q[:, 0]))
+    p = np.empty(den.shape, dtype=complex)
+    p.real, p.imag = den, z
+    del den, z
+    q = np.empty(x.shape, dtype=complex)
+    q.real, q.imag = 0.0, x
+    del x
+    _su2_product((p[:, 1], q[:, 1]), (p[:, 0], q[:, 0]), out)
+
+
+def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> PumpTrajectory:
+    """Integrate i d/dt (alpha, beta) = h_0(t) (alpha, beta) over one period.
+
+    The amplitudes start in the lower band at t = 0, one particle per cell.
+
+    Each step of length h = T / steps is the fourth-order commutator-free
+    Magnus propagator exp(-ih(a1 H- + a2 H+)) exp(-ih(a2 H- + a1 H+)) with
+    H+- = h_0(t + c+- h), c+- = 1/2 +- sqrt(3)/6, a1,2 = (3 -+ 2 sqrt 3)/12.
+    Both factors are exact SU(2) exponentials, so the propagation is unitary
+    to rounding; the error falls as h^4.
+
+    The steps are formed PUMP_CHUNK at a time: the drive at their Gauss
+    nodes, the two factors and their product, written straight into the
+    arrays that are returned as alpha[1:] and beta[1:]. A two-level scan
+    (Blelloch 1990) then forms the running products in place, in linear
+    work. The steps fall into blocks of ceil(sqrt(steps)), the last one
+    padded with identities. The running products inside all blocks are
+    formed together, one block position at a time; then the block totals
+    carry (alpha, beta) from the start of one block to the next, and the
+    products are overwritten with (alpha, beta), PUMP_CHUNK steps of block
+    rows at a time. So no O(steps) array but the trajectory is allocated,
+    and every stage is elementwise or per row: the result does not depend
+    on PUMP_CHUNK.
+    """
+    if steps < 100:
+        raise ValueError("need at least 100 steps per period")
+    h = protocol.period / steps
+    h0 = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(0.0)), [0.0])[0].real
+    a, b = map(complex, np.linalg.eigh(h0)[1][:, 0])
+
+    size = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)) steps per block
+    blocks = -(-steps // size)
+    times = np.arange(steps + 1) * h
+    alpha, beta = np.empty((2, 1 + blocks * size), dtype=complex)
+    # Entry i of p, q is step i, [[p, q], [-q*, p*]]; the padding steps are the identity.
+    p, q = alpha[1:], beta[1:]
+    p[steps:], q[steps:] = 1.0, 0.0
+    for start in range(0, steps, PUMP_CHUNK):
+        stop = min(start + PUMP_CHUNK, steps)
+        _cf4_steps(protocol, times[start:stop], h, (p[start:stop], q[start:stop]))
 
     # Row k, column j of P, Q becomes U_{k size + j} ... U_{k size}.
     P, Q = p.reshape(blocks, size), q.reshape(blocks, size)
@@ -289,10 +322,13 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
         a, b = pk * a + qk * b, pk.conjugate() * b - qk.conjugate() * a
 
     a, b = starts
-    alpha, beta = np.empty((2, 1 + blocks * size), dtype=complex)
     alpha[0], beta[0] = a[0, 0], b[0, 0]
-    np.add(P * a, Q * b, out=alpha[1:].reshape(blocks, size))
-    np.subtract(P.conj() * b, Q.conj() * a, out=beta[1:].reshape(blocks, size))
+    rows = max(1, PUMP_CHUNK // size)
+    for k in range(0, blocks, rows):
+        Pk, Qk, ak, bk = P[k:k + rows], Q[k:k + rows], a[k:k + rows], b[k:k + rows]
+        alpha_k = np.add(Pk * ak, Qk * bk)
+        np.subtract(Pk.conj() * bk, Qk.conj() * ak, out=Qk)
+        Pk[...] = alpha_k
     return PumpTrajectory(times=times, alpha=alpha[:steps + 1], beta=beta[:steps + 1])
 
 
@@ -312,11 +348,18 @@ def integrated_flux(trajectory: PumpTrajectory, protocol: PumpProtocol) -> float
 
     By translation invariance the flux through every cell boundary is the
     same; the value is linear in the per-cell occupancy of the initial state.
+    The integrand is formed PUMP_CHUNK samples at a time into one array,
+    so the only O(steps) allocation is the integrand itself.
     """
-    w2 = protocol.drive(trajectory.times)[1]
-    a, b = trajectory.alpha, trajectory.beta
-    cross = 2.0 * (a.real * b.imag - a.imag * b.real)  # i (a b* - a* b), in real arithmetic
-    return _simpson(w2 * cross, trajectory.times[1] - trajectory.times[0])
+    times, alpha, beta = trajectory.times, trajectory.alpha, trajectory.beta
+    y = np.empty(len(times))
+    for start in range(0, len(times), PUMP_CHUNK):
+        chunk = slice(start, start + PUMP_CHUNK)
+        w2 = protocol.drive(times[chunk])[1]
+        a, b = alpha[chunk], beta[chunk]
+        # i (a b* - a* b), in real arithmetic
+        y[chunk] = w2 * (2.0 * (a.real * b.imag - a.imag * b.real))
+    return _simpson(y, times[1] - times[0])
 
 
 def adiabatic_flux(protocol: PumpProtocol) -> float:
@@ -324,19 +367,6 @@ def adiabatic_flux(protocol: PumpProtocol) -> float:
     if not protocol.is_reference:
         raise ValueError("adiabatic_flux is defined for the reference protocol shape")
     return math.gamma(0.75) ** 2 / math.sqrt(2.0 * math.pi)
-
-
-def rmm_hopping_matrix(params: RiceMeleParams, lattice: LatticeSpec) -> np.ndarray:
-    """Real-space Rice-Mele hopping matrix with periodic boundary conditions.
-
-    Basis ordering matches the lattice (cell-major, site-next): the blocks
-    of :func:`rmm_cell_blocks` on a ring of ``lattice.cells`` cells. Its
-    Bloch blocks are those of :func:`_bloch_hamiltonians`, with eigenvalues
-    in +/- eps_k pairs.
-    """
-    if lattice.sites_per_cell != 2:
-        raise ValueError("Rice-Mele model needs two sites per cell")
-    return _ring_hamiltonian(*rmm_cell_blocks(astuple(params)), lattice.cells)
 
 
 def rmm_thermal_state(
@@ -348,7 +378,8 @@ def rmm_thermal_state(
     """Grand-canonical thermal state of the Rice-Mele chain, held as its Bloch blocks.
 
     The blocks come from the Bloch Hamiltonians h(2 pi k / L) of
-    :func:`_bloch_hamiltonians`, the Bloch blocks of :func:`rmm_hopping_matrix`.
+    :func:`_bloch_hamiltonians`, the Bloch blocks of the real-space hopping
+    matrix that :func:`_ring_hamiltonian` builds from :func:`rmm_cell_blocks`.
     """
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele model needs two sites per cell")

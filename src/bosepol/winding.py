@@ -64,12 +64,12 @@ class ParameterLoop:
       states, as :class:`~bosepol.states.BlochState` holds them, and their
       cell means (len(lams), 2n), evaluated on the reduced 2n x 2n path.
 
-    The path must close, state(1) = state(0) (the covariance or block
-    closure is checked to 1e-12). ``initial_samples`` uniform segments,
-    sampled in one call, are bisected until no phase step reaches
-    PHASE_STEP_TOL; each midpoint is one more call. Every built-in loop,
-    and the k_y family of :func:`chern_via_polarization`, samples its
-    lambdas as a stack.
+    The path must close, state(1) = state(0): the covariance or blocks and
+    the mean are each checked to 1e-12 relative to their scale.
+    ``initial_samples`` uniform segments, sampled in one call, are bisected
+    until no phase step reaches PHASE_STEP_TOL; each midpoint is one more
+    call. Every built-in loop, and the k_y family of
+    :func:`chern_via_polarization`, samples its lambdas as a stack.
     """
 
     lattice: LatticeSpec
@@ -164,9 +164,10 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     kernel: Bloch blocks (4-D) the reduced one, covariances (3-D) the dense
     one. Every call's stack is checked as :class:`BlochState` or
     :class:`GaussianState` checks one state, and the grid's lambda = 0 and 1
-    give the closure check before anything is factorized. A stacked Cholesky
-    factorization of the covariances or blocks then checks positive
-    definiteness, naming the first failing lambda.
+    give the closure check, of the covariances or blocks and of the means,
+    before anything is factorized. A stacked Cholesky factorization of the
+    covariances or blocks then checks positive definiteness, naming the
+    first failing lambda.
 
     The shift is fixed along the loop. The dense kernel
     (:func:`bosepol.polarization._dense_loop_terms`) takes one slogdet of the
@@ -196,9 +197,11 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
         else:
             V, mean = checked_moments(lattice.dim, V, mean, (len(lams),))
         if "zero" not in first:  # the uniform grid, from lambda = 0 to 1
-            closure = float(np.abs(V[-1] - V[0]).max())
-            if closure > CLOSURE_TOL * max(1.0, float(np.abs(V[0]).max())):
-                raise ValueError(f"loop does not close: ||V(1) - V(0)|| = {closure:.3e}")
+            for name, x in (("V", V), ("mean", mean)):
+                closure = float(np.abs(x[-1] - x[0]).max())
+                if closure > CLOSURE_TOL * max(1.0, float(np.abs(x[0]).max())):
+                    raise ValueError(
+                        f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
         try:
             np.linalg.cholesky(V)
         except np.linalg.LinAlgError:

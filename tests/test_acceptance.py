@@ -38,7 +38,6 @@ from bosepol.rice_mele import (
     adiabatic_flux,
     evolve_pump,
     integrated_flux,
-    rmm_hopping_matrix,
     rmm_thermal_state,
     zak_winding,
 )
@@ -48,6 +47,7 @@ from bosepol.winding import (
     winding_number,
     winding_of_values,
 )
+from dense_reference import rmm_hopping_matrix
 
 ADIABATIC_FLUX = 0.59907
 

@@ -26,8 +26,9 @@ from bosepol.circulant import (
 )
 from bosepol.errors import InvalidStateError, NotTranslationInvariantError
 from bosepol.polarization import ordered_product
-from bosepol.rice_mele import RiceMeleParams, rmm_hopping_matrix, rmm_thermal_state
+from bosepol.rice_mele import RiceMeleParams, rmm_thermal_state
 from bosepol.states import reassemble_covariance
+from dense_reference import rmm_hopping_matrix
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

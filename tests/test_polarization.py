@@ -22,7 +22,6 @@ from bosepol import (
     random_circulant_state,
     random_gaussian_state,
     reduced_determinant,
-    rmm_hopping_matrix,
     rmm_thermal_state,
     shift_phases,
     squeezed_vacuum_state,
@@ -40,6 +39,7 @@ from bosepol.polarization import (
 )
 from bosepol.states import reassemble_covariance
 from bosepol.winding import ParameterLoop, track_polarization
+from dense_reference import rmm_hopping_matrix
 
 
 def thermal_mode_state(nbar: float, theta: float) -> tuple[GaussianState, ShiftSpec]:

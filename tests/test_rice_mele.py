@@ -10,7 +10,7 @@ from scipy.integrate import quad, simpson, solve_ivp
 from scipy.linalg import expm
 from scipy.special import gamma
 
-from bosepol import make_lattice, polarization, coherent_state
+from bosepol import coherent_state, make_lattice, polarization, rice_mele
 from bosepol.errors import GapClosureError
 from bosepol.loops import chern_cell_blocks
 from bosepol.rice_mele import (
@@ -25,9 +25,9 @@ from bosepol.rice_mele import (
     integrated_flux,
     reference_shape,
     rmm_cell_blocks,
-    rmm_hopping_matrix,
     zak_winding,
 )
+from dense_reference import rmm_hopping_matrix
 
 REFERENCE_FLUX = 0.5990701173677961  # frozen from the quadrature below
 
@@ -300,16 +300,57 @@ def test_undersampled_pump_across_tangent_poles(amplitude, pole):
     assert np.abs(traj.norm - 1.0).max() <= 1e-12
 
 
-def test_pump_memory_budget():
-    """The traced allocation peak of a pump stays within 160 bytes per step."""
-    steps = 120_000
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of what ``fn()`` allocates."""
     tracemalloc.start()
     try:
-        evolve_pump(reference(400.0), steps=steps)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 160 * steps
+
+
+def test_pump_memory_budget():
+    """Nothing but the output grows with the step count.
+
+    The pump allocates its trajectory, 40 bytes per step (the times and the
+    complex alpha and beta), and chunk-sized temporaries; the flux allocates
+    its integrand, 8 bytes per step, and chunk-sized temporaries. Within one
+    chunk the pump stays within 160 bytes per step in all."""
+    protocol = reference(400.0)
+    for steps in (120_000, 480_000):
+        assert traced_peak(lambda: evolve_pump(protocol, steps=steps)) <= 40 * steps + 4e6
+        traj = evolve_pump(protocol, steps=steps)
+        assert traced_peak(lambda: integrated_flux(traj, protocol)) <= 8 * steps + 3e6
+    steps = 7500
+    assert steps < rice_mele.PUMP_CHUNK
+    assert traced_peak(lambda: evolve_pump(protocol, steps=steps)) <= 160 * steps
+
+
+def pump_outputs(steps):
+    """alpha, beta and the flux of the period-25 reference pump."""
+    protocol = reference(25.0)
+    traj = evolve_pump(protocol, steps=steps)
+    return traj.alpha, traj.beta, integrated_flux(traj, protocol)
+
+
+default_chunk_outputs = lru_cache(maxsize=None)(pump_outputs)
+
+
+# 1 and 7 divide every block size, 53 divides none of them, and 10^6 exceeds
+# every step count. 4099 is prime, so its last block is ragged, and the last
+# three step counts straddle one default chunk.
+@pytest.mark.parametrize("chunk", [1, 7, 53, 10 ** 6])
+@pytest.mark.parametrize("steps", [100, 4099, rice_mele.PUMP_CHUNK - 1, rice_mele.PUMP_CHUNK,
+                                   rice_mele.PUMP_CHUNK + 1])
+def test_pump_is_independent_of_the_chunk_size(monkeypatch, chunk, steps):
+    """The trajectory and the flux are bit-identical for every chunk size."""
+    want_alpha, want_beta, want_flux = default_chunk_outputs(steps)
+    monkeypatch.setattr(rice_mele, "PUMP_CHUNK", chunk)
+    alpha, beta, flux = pump_outputs(steps)
+    assert np.array_equal(alpha, want_alpha)
+    assert np.array_equal(beta, want_beta)
+    assert flux == want_flux
 
 
 def test_flux_fourth_order_convergence():

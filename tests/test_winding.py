@@ -272,6 +272,29 @@ def test_squeezed_sampler_matches_per_mode_blocks(L):
             assert validate(GaussianState(lat, V, mean)).physical
 
 
+def su2(a, b):
+    """The SU(2) matrix [[a, -b*], [b, a*]], whose first column is (a, b)."""
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+def floquet_amplitudes(traj):
+    """step -> amplitudes at that step of the Floquet mode of the trajectory's
+    one-period propagator, with its quasienergy phase removed: the mode with the
+    larger weight on the start vector, phased so that their overlap is positive.
+
+    The propagator to step i is formed as a 2x2 matrix in the standard basis,
+    U_i = su2(alpha_i, beta_i) su2(alpha_0, beta_0)^dagger."""
+    steps = len(traj.times) - 1
+    start = su2(traj.alpha[0], traj.beta[0])
+    vals, vecs = np.linalg.eig(su2(traj.alpha[-1], traj.beta[-1]) @ start.conj().T)
+    overlaps = start[:, 0].conj() @ vecs
+    mode = int(np.argmax(np.abs(overlaps)))
+    w = vecs[:, mode] * abs(overlaps[mode]) / overlaps[mode]
+    eps = np.angle(vals[mode])
+    return lambda i: np.exp(-1j * eps * i / steps) * (
+        su2(traj.alpha[i], traj.beta[i]) @ (start.conj().T @ w))
+
+
 def per_lambda_state(name, lattice, seed):
     """lambda -> state of a named loop, one state per call, from the loop's own
     draws: the reference for its stacked sampler. The translation-invariant
@@ -284,11 +307,10 @@ def per_lambda_state(name, lattice, seed):
         )
     if name == "rmm-coherent":
         steps = 2 ** 14
-        traj = evolve_pump(reference_protocol(), steps=steps)
+        amplitudes = floquet_amplitudes(evolve_pump(reference_protocol(), steps=steps))
 
         def coherent(lam):
-            i = int(round(lam * steps))
-            cell = coherent_state(make_lattice(1, 2), [traj.alpha[i], traj.beta[i]])
+            cell = coherent_state(make_lattice(1, 2), amplitudes(int(round(lam * steps))))
             return BlochState(lattice, np.broadcast_to(cell.V, (L, 4, 4)), cell.mean)
 
         return coherent
@@ -478,6 +500,8 @@ def _scaled_k0(lams, v, m):
          r"invalid state at lambda = 0\.375: covariance not positive definite"),
         (lambda lams, v, m: ((1.0 + lams)[:, None, None, None] * v, m), ValueError,
          r"loop does not close: \|\|V\(1\) - V\(0\)\|\| = "),
+        (lambda lams, v, m: (v, m + lams[:, None]), ValueError,
+         r"loop does not close: \|\|mean\(1\) - mean\(0\)\|\| = 1\.000e\+00"),
     ],
 )
 def test_bloch_loop_errors_carry_the_dense_messages(spoil, error, message):
@@ -485,6 +509,25 @@ def test_bloch_loop_errors_carry_the_dense_messages(spoil, error, message):
     for kernel in (loop, dense_twin(loop)):
         with pytest.raises(error, match=message):
             track_polarization(kernel)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_mean_closure_is_relative_to_the_mean(scale):
+    """A mean that misses its start by half the tolerance closes, by twice it
+    does not, relative to max(1, max |mean(0)|) on both kernels."""
+    for defect, closes in ((0.5, True), (2.0, False)):
+        shift = defect * winding.CLOSURE_TOL * scale
+
+        def spoil(lams, v, m):
+            return v, scale + shift * np.sin(0.5 * np.pi * lams)[:, None] + m
+
+        loop = bloch_vacuum_loop(spoil)
+        for kernel in (loop, dense_twin(loop)):
+            if closes:
+                assert winding_number(track_polarization(kernel)).zero_count == 0
+            else:
+                with pytest.raises(ValueError, match=r"\|\|mean\(1\) - mean\(0\)\|\|"):
+                    track_polarization(kernel)
 
 
 @pytest.mark.parametrize(
@@ -571,12 +614,34 @@ def test_coherent_loop_samples_grid_off_powers_of_two():
     """On a 12-point grid every lambda = k/12 lands on a step of the trajectory."""
     lat = make_lattice(3, 2)
     loop = rmm_coherent_loop(lat, initial_samples=12)
-    traj = evolve_pump(reference_protocol(), steps=12 * 1024)
+    amplitudes = floquet_amplitudes(evolve_pump(reference_protocol(), steps=12 * 1024))
     _, means = dense_moments(lat, *loop.sampler(np.arange(13) / 12))
     for k in range(13):
-        cell = [traj.alpha[1024 * k], traj.beta[1024 * k]]
-        want = coherent_state(lat, np.tile(cell, lat.cells)).mean
+        want = coherent_state(lat, np.tile(amplitudes(1024 * k), lat.cells)).mean
         assert np.abs(means[k] - want).max() <= 1e-9, k
+
+
+@pytest.mark.parametrize("period", [25.0, 50.0, 200.0])
+def test_coherent_loop_closes_in_the_floquet_mode(period):
+    """The cell mean returns to its start over the cycle, the mode lies mostly in
+    the lower band, and evolving it one period multiplies it by e^{i eps}."""
+    protocol = reference_protocol(period=period)
+    lat = make_lattice(1, 2)
+    _, mean = rmm_coherent_loop(lat, protocol).sampler(np.array([0.0, 0.5, 1.0]))
+    assert np.abs(mean[-1] - mean[0]).max() <= 2e-13
+    amps = mean[:, 0::2] / 2.0 + 1j * mean[:, 1::2] / 2.0
+    traj = evolve_pump(protocol, steps=2 ** 14)
+    v0 = np.array([traj.alpha[0], traj.beta[0]])
+    assert abs(v0.conj() @ amps[0]) ** 2 > 0.99
+    assert abs((v0.conj() @ amps[0]).imag) <= 1e-15
+    assert np.abs(np.linalg.norm(amps, axis=1) - 1.0).max() <= 1e-12
+    # Through the trajectory's propagator: U(T) maps the mode to e^{i eps} times itself.
+    image = su2(traj.alpha[-1], traj.beta[-1]) @ su2(*v0).conj().T @ amps[0]
+    phase = image @ amps[0].conj()
+    assert abs(abs(phase) - 1.0) <= 1e-12
+    assert np.abs(image - phase * amps[0]).max() <= 1e-12
+    result = winding_number(track_polarization(rmm_coherent_loop(lat, protocol)))
+    assert abs(result.delta_p) <= 1e-12 and result.zero_count == 0
 
 
 def test_random_classical_loops():

@@ -28,7 +28,6 @@ from .polarization import (
 from .circulant import (
     cell_bloch_blocks,
     decay_bound,
-    dense_determinant,
     lambda_max,
     random_circulant_state,
     reduced_determinant,
@@ -73,7 +72,6 @@ __all__ = [
     "chern_via_polarization",
     "coherent_state",
     "decay_bound",
-    "dense_determinant",
     "evolve_pump",
     "integrated_flux",
     "lambda_max",

@@ -2,18 +2,14 @@
 
 Periodic boundary conditions make the covariance of a translation-invariant
 state block-circulant in the cell index, so the cell Fourier transform
-block-diagonalizes it into 2n x 2n Bloch blocks v_k. The momentum-shift
-unitary turns into a cyclic block shift, and iterating Schur's identity
-collapses the 2nL-dimensional determinant to
-
-    det(1 - W) = det(1_{2n} - m_{L-1} ... m_1 m_0),
-    m_k = (v_k + 1)^{-1}(v_k - 1) D,
-
-where D carries the intra-cell gauge phases and v_k are the blocks of a
-:class:`~bosepol.states.BlochState`. Every |eig(m_k)| < 1 for a valid state,
-which gives the decay bound eps = 4 lambda_max^L on the determinant phase.
-The dense determinant is the arbiter of correctness for any gauge; the
-product order above is pinned by that equality.
+block-diagonalizes it into the 2n x 2n Bloch blocks v_k of a
+:class:`~bosepol.states.BlochState`. The momentum shift turns into a cyclic
+block shift, and iterating Schur's identity collapses the 2nL-dimensional
+determinant to det(1_{2n} - A_{L-1} ... A_0), A_k = D G_k with
+G_k = (v_k - 1)(v_k + 1)^{-1} and D the intra-cell gauge phases: the Bloch
+path of :func:`~bosepol.polarization.polarization`, whose dense path is the
+reference for it in any gauge. Every |eig(G_k)| < 1 for a valid state, which
+gives the decay bound eps = 4 lambda_max^L on the determinant phase.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ import time
 
 import numpy as np
 
-from .errors import InvalidStateError, NotTranslationInvariantError
-from .polarization import ShiftSpec, ordered_product, quadrature_phase_factors, shift_phases
+from .errors import NotTranslationInvariantError
+from .polarization import _reduced_path, polarization, quadrature_phase_factors, shift_phases
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
@@ -48,11 +44,6 @@ def check_translation_invariance(state: GaussianState) -> None:
             f"not translation invariant: mean is not cell-periodic "
             f"(defect {mean_defect:.3e})"
         )
-
-
-def gauge_block(lattice: LatticeSpec) -> np.ndarray:
-    """Diagonal of the intra-cell phase block D: the first 2n quadrature phase factors."""
-    return quadrature_phase_factors(shift_phases(lattice))[: 2 * lattice.sites_per_cell]
 
 
 def cell_bloch_blocks(state: GaussianState | BlochState) -> BlochState:
@@ -114,39 +105,19 @@ def random_bloch_blocks(
 
 
 def reduced_determinant(state: BlochState) -> complex:
-    """det(1_{2n} - m_{L-1} ... m_1 m_0), equal to the dense det(1 - W).
+    """det(1_{2n} - A_{L-1} ... A_0) on the product of the Bloch path of
+    :func:`~bosepol.polarization.polarization`, equal to the dense det(1 - W).
 
-    m_k = (v_k + 1)^{-1}(v_k - 1) D with D from :func:`gauge_block`.
-    Positive definiteness of V is equivalent to positive definiteness of
-    every v_k and is asserted blockwise. That alone gives |eig(m_k)| < 1, so
-    m_k needs no check of its own: the Cayley factor (v_k + 1)^{-1}(v_k - 1)
-    of a positive definite v_k has norm below 1, and the gauge block D is
-    unitary.
+    :func:`~bosepol.states.require_valid` checks every v_k positive definite
+    first; that alone gives |eig(A_k)| < 1.
     """
-    v = state.v_blocks
-    if np.linalg.eigvalsh(v).min() <= 0.0:
-        raise InvalidStateError("a Bloch block v_k is not positive definite")
-    eye = np.eye(v.shape[-1])
-    m = np.linalg.solve(v + eye, v - eye) * gauge_block(state.lattice)
-    return complex(np.linalg.det(eye - ordered_product(m)))
-
-
-def dense_determinant(state: GaussianState | BlochState, shift: ShiftSpec | None = None) -> complex:
-    """Dense det(1 - W) evaluated directly on the 2nL-dimensional matrix."""
     require_valid(state)
-    if shift is None:
-        shift = shift_phases(state.lattice)
-    return _dense_det_kernel(state.V, quadrature_phase_factors(shift))
-
-
-def _dense_det_kernel(V: np.ndarray, u: np.ndarray) -> complex:
-    dim = V.shape[0]
-    eye = np.eye(dim)
-    G = np.linalg.solve(V + eye, V - eye)
-    sign, logabs = np.linalg.slogdet(eye.astype(complex) - G * u)
-    if logabs > 700.0:
-        raise OverflowError("dense determinant exceeds double range; compare in log space")
-    return complex(sign * np.exp(logabs))
+    v = state.v_blocks
+    eye = np.eye(v.shape[-1])
+    d = quadrature_phase_factors(shift_phases(state.lattice))[: len(eye)]
+    zero = np.zeros((1, len(eye)))  # no mean: the path returns before it reads c
+    P, _ = _reduced_path(np.linalg.solve(v + eye, v - eye)[:, None], d, zero, zero)
+    return complex(np.linalg.det(eye - P[0]))
 
 
 def lambda_max(state: GaussianState | BlochState) -> float:
@@ -190,38 +161,32 @@ def benchmark_determinants(
     seed: int = 0,
     repeats: int = 3,
 ) -> dict:
-    """Time the dense versus reduced determinant on one random circulant state.
+    """Time the dense versus Bloch path of :func:`polarization` on one random circulant state.
 
-    Both timers cover determinant evaluation only: the state is validated
-    (positive definite) and its dense V assembled once outside the timed
-    regions, mirroring a production sweep that validates a family up front
-    and evaluates many parameter points. The reduced timer starts from the
-    state's own Bloch blocks. Returns a row with best-of-``repeats`` timings
-    and the relative error between the two values.
+    The dense twin of the state, a :class:`GaussianState` with the same V and
+    mean, is assembled once outside the timed regions, so both timers cover
+    the evaluation of <T> only. Returns a row with best-of-``repeats`` timings
+    and the relative error of the Bloch <T> against the dense one.
     """
     if repeats < 1:
         raise ValueError(f"need at least one timing repeat, got {repeats}")
     state = random_circulant_state(lattice, seed, classical=True)
-    require_valid(state)
-    V = state.V
-    u = quadrature_phase_factors(shift_phases(lattice))
+    dense_state = GaussianState(lattice, state.V, state.mean)
 
     def best_of(evaluate):
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            value = evaluate()
+            value = evaluate().expectation
             best = min(best, time.perf_counter() - t0)
         return value, best
 
-    dense_val, dense_t = best_of(lambda: _dense_det_kernel(V, u))
-    reduced_val, reduced_t = best_of(lambda: reduced_determinant(state))
-
-    rel_err = abs(dense_val - reduced_val) / abs(dense_val)
+    dense_val, dense_t = best_of(lambda: polarization(dense_state))
+    reduced_val, reduced_t = best_of(lambda: polarization(state))
     return {
         "L": lattice.cells,
         "n": lattice.sites_per_cell,
         "dense_seconds": dense_t,
         "reduced_seconds": reduced_t,
-        "relative_det_error": rel_err,
+        "relative_T_error": abs(dense_val - reduced_val) / abs(dense_val),
     }

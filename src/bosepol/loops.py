@@ -78,9 +78,10 @@ def rmm_coherent_loop(
     bisection. The propagator U(t) is SU(2), so the trajectory U v0 = (alpha, beta)
     also gives U v0_perp = (-beta*, alpha*) for v0_perp = (-b*, a*). The loop
     starts in the eigenvector of the one-period U(T) with the larger weight on
-    v0, phased so that its overlap with v0 is positive, and its quasienergy
-    phase e^{i eps} is removed along the cycle as e^{-i eps lambda}, so the
-    amplitudes return to their start at lambda = 1.
+    v0, phased so that its overlap with v0 is positive, and its eigenvalue w is
+    removed along the cycle as w^{-lambda}, so the amplitudes return to their
+    start at lambda = 1. All of w goes, not only its phase: |w| - 1 is the
+    pump's rounding drift, about 1e-12.
     """
     protocol = protocol or reference_protocol()
     if lattice.sites_per_cell != 2:
@@ -96,7 +97,7 @@ def rmm_coherent_loop(
     eigvals, eigvecs = np.linalg.eig(np.array([[p, -s.conjugate()], [s, p.conjugate()]]))
     mode = int(np.argmax(np.abs(eigvecs[0])))
     c0, c1 = eigvecs[:, mode] * (abs(eigvecs[0, mode]) / eigvecs[0, mode])  # <v0|mode> > 0
-    eps = float(np.angle(eigvals[mode]))
+    log_w = complex(np.log(eigvals[mode]))
     eye = np.eye(4)
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +105,7 @@ def rmm_coherent_loop(
         i = np.rint(lams * steps).astype(int)
         alpha, beta = traj.alpha[i], traj.beta[i]
         amps = np.stack([c0 * alpha - c1 * beta.conj(), c0 * beta + c1 * alpha.conj()], axis=-1)
-        amps *= np.exp(-1j * eps * i / steps)[:, None]
+        amps *= np.exp(-log_w * i / steps)[:, None]
         mean = np.empty((len(lams), 4))
         mean[:, 0::2] = 2.0 * amps.real
         mean[:, 1::2] = 2.0 * amps.imag

@@ -333,14 +333,20 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson rule on a uniform grid of at least three samples.
+    """Composite Simpson rule on a uniform grid of at least three samples,
+    summed in place: y[2j+1] becomes y[2j] + 4 y[2j+1] + y[2j+2], so y is overwritten.
 
-    An odd number of intervals integrates the last one with Cartwright's
+    An odd number of intervals integrates the last one first, with Cartwright's
     correction h (5 y[-1] + 8 y[-2] - y[-3]) / 12, as scipy.integrate.simpson does.
     """
     if len(y) % 2 == 0:
-        return _simpson(y[:-1], dx) + dx * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
-    return float(dx / 3.0 * np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
+        tail = dx * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+        return float(_simpson(y[:-1], dx) + tail)
+    mid = y[1:-1:2]
+    mid *= 4.0
+    mid += y[:-2:2]
+    mid += y[2::2]
+    return float(dx / 3.0 * np.sum(mid))
 
 
 def integrated_flux(trajectory: PumpTrajectory, protocol: PumpProtocol) -> float:
@@ -348,8 +354,9 @@ def integrated_flux(trajectory: PumpTrajectory, protocol: PumpProtocol) -> float
 
     By translation invariance the flux through every cell boundary is the
     same; the value is linear in the per-cell occupancy of the initial state.
-    The integrand is formed PUMP_CHUNK samples at a time into one array,
-    so the only O(steps) allocation is the integrand itself.
+    The integrand is formed PUMP_CHUNK samples at a time into one array, and
+    Simpson's sum is taken in place on it, so the only O(steps) allocation is
+    the integrand itself.
     """
     times, alpha, beta = trajectory.times, trajectory.alpha, trajectory.beta
     y = np.empty(len(times))

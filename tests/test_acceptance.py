@@ -9,14 +9,12 @@ import time
 import numpy as np
 
 from bosepol import (
-    cell_bloch_blocks,
+    GaussianState,
     coherent_state,
-    dense_determinant,
     make_lattice,
     polarization,
     random_circulant_state,
     random_gaussian_state,
-    reduced_determinant,
     squeezed_vacuum_state,
     thermal_state,
     two_mode_squeezed_state,
@@ -114,30 +112,42 @@ def test_criterion_2_coherent_exactness():
 
 
 def test_criterion_3_circulant_reduction_and_speedup():
-    worst = 0.0
+    # Each state on both paths of polarization: its Bloch blocks and its dense
+    # twin. The phase and the log-magnitude of det(1 - W) are compared apart.
+    # The same draws with a cell mean (the blocks are drawn first, so they are
+    # the same blocks) compare the mean term as well.
+    worst = {"phase": 0.0, "log": 0.0, "mean": 0.0}
     count = 0
     for seed in range(25):
         for classical in (True, False):
             L = 4 + (seed % 13)  # sizes 4..16
             lat = make_lattice(L, 2)
-            st = random_circulant_state(lat, seed + (0 if classical else 1000),
-                                        classical=classical)
-            dense = dense_determinant(st)
-            reduced = reduced_determinant(cell_bloch_blocks(st))
-            worst = max(worst, abs(dense - reduced) / abs(dense))
-            count += 1
+            for mean_scale in (0.0, 0.5):
+                st = random_circulant_state(lat, seed + (0 if classical else 1000),
+                                            classical=classical, mean_scale=mean_scale)
+                bloch = polarization(st)
+                dense = polarization(GaussianState(lat, st.V, st.mean))
+                assert (bloch.path, dense.path) == ("bloch", "dense")
+                worst["phase"] = max(worst["phase"],
+                                     abs(bloch.det_term_phase - dense.det_term_phase))
+                worst["log"] = max(worst["log"], abs(bloch.log_abs_T - dense.log_abs_T))
+                worst["mean"] = max(worst["mean"], abs(bloch.mean_term - dense.mean_term)
+                                    / max(1.0, abs(dense.mean_term)))
+                count += mean_scale == 0.0
     row = benchmark_determinants(make_lattice(256, 2), seed=0, repeats=3)
     speedup = row["dense_seconds"] / row["reduced_seconds"]
-    ok = worst <= 1e-10 and speedup >= 10.0 and row["relative_det_error"] <= 1e-10
+    ok = (max(worst.values()) <= 1e-10 and speedup >= 10.0
+          and row["relative_T_error"] <= 1e-10)
     report(3, "circulant reduction", ok,
-           f"{count} states, max rel err {worst:.2e}; "
-           f"L=256 speedup {speedup:.1f}x")
+           f"{count} states and their {count} draws with a mean, max err "
+           f"{worst['phase']:.2e} (phase), {worst['log']:.2e} (log|T|), "
+           f"{worst['mean']:.2e} (mean term); L=256 speedup {speedup:.1f}x")
 
 
 def test_criterion_4_decay_bound():
-    # The determinant phase is measured on the block-circulant reduction:
-    # below ~1e-14 a dense LU cannot resolve the phase against rounding
-    # noise, while the reduced form keeps the tiny imaginary part exact.
+    # The determinant phase -2 det_term_phase is read off the Bloch path: below
+    # ~1e-14 a dense factorization cannot resolve the phase against rounding
+    # noise, while the 2n x 2n reduced product keeps the tiny imaginary part exact.
     with Stopwatch() as sw:
         protocol = reference_protocol()
         params = protocol.params_at(0.125 * protocol.period)
@@ -146,10 +156,11 @@ def test_criterion_4_decay_bound():
         for L in (4, 8, 16, 32):
             lat = make_lattice(L, 2)
             st = rmm_thermal_state(params, lat, beta=1.0, mu=-3.0)
-            phase = abs(np.angle(reduced_determinant(cell_bloch_blocks(st))))
+            breakdown = polarization(st)
+            phase = 2.0 * abs(breakdown.det_term_phase)
             eps = decay_bound(st)
             rows.append((L, phase, eps))
-            ok = ok and phase <= eps
+            ok = ok and breakdown.path == "bloch" and phase <= eps
     ok = ok and sw.seconds < 30.0
     detail = ", ".join(f"L={L}: {p:.2e}<={e:.2e}" for L, p, e in rows)
     report(4, "decay bound", ok, f"{detail} in {sw.seconds:.1f}s")

@@ -1,4 +1,4 @@
-"""Block-circulant reduction against the dense determinant oracle."""
+"""Block-circulant reduction: the Bloch path of polarization against its dense path."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from bosepol import (
     cell_bloch_blocks,
     coherent_state,
     decay_bound,
-    dense_determinant,
     lambda_max,
     make_lattice,
+    polarization,
     random_circulant_state,
     reduced_determinant,
     squeezed_vacuum_state,
@@ -21,16 +21,38 @@ from bosepol import (
 from bosepol.circulant import (
     benchmark_determinants,
     check_translation_invariance,
-    gauge_block,
     random_bloch_blocks,
 )
 from bosepol.errors import InvalidStateError, NotTranslationInvariantError
-from bosepol.polarization import ordered_product
+from bosepol.polarization import ordered_product, quadrature_phase_factors, shift_phases
 from bosepol.rice_mele import RiceMeleParams, rmm_thermal_state
 from bosepol.states import reassemble_covariance
 from dense_reference import rmm_hopping_matrix
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def gauge_block(lattice) -> np.ndarray:
+    """Diagonal of the intra-cell phase block D: the first 2n quadrature phase factors."""
+    return quadrature_phase_factors(shift_phases(lattice))[: 2 * lattice.sites_per_cell]
+
+
+def assert_paths_agree(state: GaussianState | BlochState, tol: float) -> None:
+    """polarization of the state's Bloch blocks against its dense twin, the
+    phase and the log-magnitude of det(1 - W) each within tol; and
+    reduced_determinant against det(1 - W) read off the dense breakdown,
+    log|<T>| = nL ln 2 - 1/2 log det(V + 1) - 1/2 log|det(1 - W)| + Re s,
+    within tol relative."""
+    bloch = polarization(cell_bloch_blocks(state))
+    dense = polarization(GaussianState(state.lattice, state.V, state.mean))
+    assert (bloch.path, dense.path) == ("bloch", "dense")
+    assert abs(bloch.det_term_phase - dense.det_term_phase) <= tol
+    assert abs(bloch.log_abs_T - dense.log_abs_T) <= tol
+    _, logdet_vp1 = np.linalg.slogdet(state.V + np.eye(state.lattice.dim))
+    log_abs = 2.0 * (state.lattice.modes * np.log(2.0) - dense.log_abs_T
+                     + dense.mean_term.real) - logdet_vp1
+    want = np.exp(log_abs - 2j * dense.det_term_phase)
+    assert abs(reduced_determinant(cell_bloch_blocks(state)) - want) <= tol * abs(want)
 
 
 def m_blocks(state: BlochState) -> np.ndarray:
@@ -188,7 +210,7 @@ def test_uniform_thermal_scalar_reduction():
     st = thermal_state(np.zeros((3, 3)), beta=np.log(2.0), mu=-1.0, lattice=lat)
     det = reduced_determinant(cell_bloch_blocks(st))
     assert det == pytest.approx(81.0 / 64.0, rel=1e-12)
-    assert dense_determinant(st) == pytest.approx(det, rel=1e-12)
+    assert_paths_agree(st, 1e-12)
 
 
 def test_vacuum_determinant_is_one():
@@ -208,11 +230,12 @@ def test_bloch_state_is_its_own_bloch_blocks():
 
 
 def test_reduced_determinant_rejects_non_positive_definite_blocks():
-    """A BlochState does not enforce V > 0; the reduced determinant does."""
+    """A BlochState does not enforce V > 0; the reduced determinant checks it
+    through require_valid."""
     lat = make_lattice(4, 2)
     v = np.array(random_circulant_state(lat, 2).v_blocks)
     v[0] -= (np.linalg.eigvalsh(v[0]).min() + 0.5) * np.eye(4)
-    with pytest.raises(InvalidStateError, match="a Bloch block v_k is not positive definite"):
+    with pytest.raises(InvalidStateError, match="min covariance eigenvalue .* <= 0"):
         reduced_determinant(BlochState(lat, v, np.zeros(4)))
 
 
@@ -221,27 +244,20 @@ def test_reduced_matches_dense_on_random_states(classical):
     for seed, L in [(0, 4), (1, 6), (2, 9), (3, 12), (4, 16)]:
         lat = make_lattice(L, 2)
         st = random_circulant_state(lat, seed, classical=classical)
-        dense = dense_determinant(st)
-        reduced = reduced_determinant(cell_bloch_blocks(st))
-        assert abs(dense - reduced) <= 1e-10 * abs(dense)
+        assert_paths_agree(st, 1e-10)
 
 
 def test_reduced_matches_dense_beyond_two_bands():
     # The reduction is written for arbitrary sites per cell (and survives
-    # the single-cell edge case); the dense determinant is the arbiter.
+    # the single-cell edge case); the dense path is the reference.
     for n, L in [(1, 7), (2, 1), (3, 4), (4, 3)]:
         lat = make_lattice(L, n)
         st = random_circulant_state(lat, seed=20 + n, classical=(n % 2 == 0))
-        dense = dense_determinant(st)
-        reduced = reduced_determinant(cell_bloch_blocks(st))
-        assert abs(dense - reduced) <= 1e-10 * abs(dense)
+        assert_paths_agree(st, 1e-10)
 
 
 def test_tmsv_is_circulant_on_two_cells():
-    st = two_mode_squeezed_state(0.9)
-    dense = dense_determinant(st)
-    reduced = reduced_determinant(cell_bloch_blocks(st))
-    assert abs(dense - reduced) <= 1e-12 * abs(dense)
+    assert_paths_agree(two_mode_squeezed_state(0.9), 1e-12)
 
 
 def test_lambda_max_values():
@@ -261,7 +277,8 @@ def test_decay_bound_arithmetic():
     assert decay_bound(st) == pytest.approx(4.0 / 1024.0)
     vac = coherent_state(lat, np.zeros(lat.modes))
     assert decay_bound(vac) == 0.0
-    assert np.angle(dense_determinant(vac)) == 0.0
+    assert polarization(vac).det_term_phase == 0.0
+    assert polarization(cell_bloch_blocks(vac)).det_term_phase == 0.0
 
 
 def test_thermal_family_phase_below_bound_and_decaying():
@@ -312,7 +329,7 @@ def test_gauge_block_phases_default_offset():
 def test_benchmark_row_consistency():
     lat = make_lattice(32, 2)
     row = benchmark_determinants(lat, seed=1, repeats=2)
-    assert row["relative_det_error"] <= 1e-10
+    assert row["relative_T_error"] <= 1e-10
     assert row["dense_seconds"] > 0 and row["reduced_seconds"] > 0
 
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import bosepol
-from bosepol import GaussianState, cli, fock_oracle, loops, make_lattice, rice_mele, winding
+from bosepol import (
+    BlochState, GaussianState, cli, fock_oracle, loops, make_lattice, rice_mele, winding,
+)
 from bosepol.polarization import polarization
 from bosepol.states import reassemble_covariance
 
@@ -223,10 +225,14 @@ def test_oracle_check_detects_corruption(monkeypatch):
 
 
 def test_oracle_check_detects_reduction_mismatch(monkeypatch):
-    """The dense-versus-reduced column runs on the multi-cell (two-mode) cases."""
-    real = cli.circulant.reduced_determinant
-    monkeypatch.setattr(cli.circulant, "reduced_determinant",
-                        lambda blocks: real(blocks) * (1.0 + 1e-6))
+    """The dense-versus-Bloch column runs on the multi-cell (two-mode) cases."""
+    real = cli.circulant.cell_bloch_blocks
+
+    def perturbed(state):
+        blocks = real(state)
+        return BlochState(blocks.lattice, blocks.v_blocks * (1.0 + 1e-6), blocks.cell_mean)
+
+    monkeypatch.setattr(cli.circulant, "cell_bloch_blocks", perturbed)
     assert cli.main(["oracle-check", "--cutoff", "160"]) == 5
 
 
@@ -235,7 +241,7 @@ def test_bench_csv(tmp_path):
     code = cli.main(["bench", "--L", "2,4,8", "--repeats", "1", "--output", str(out)])
     assert code == 0
     _, header, rows = read_csv(out)
-    assert header == ["L", "n", "dense_seconds", "reduced_seconds", "relative_det_error"]
+    assert header == ["L", "n", "dense_seconds", "reduced_seconds", "relative_T_error"]
     assert all(float(row[4]) <= 1e-10 for row in rows)
 
 

@@ -279,8 +279,9 @@ def su2(a, b):
 
 def floquet_amplitudes(traj):
     """step -> amplitudes at that step of the Floquet mode of the trajectory's
-    one-period propagator, with its quasienergy phase removed: the mode with the
-    larger weight on the start vector, phased so that their overlap is positive.
+    one-period propagator, with its eigenvalue w removed as w^{-step/steps}: the
+    mode with the larger weight on the start vector, phased so that their
+    overlap is positive.
 
     The propagator to step i is formed as a 2x2 matrix in the standard basis,
     U_i = su2(alpha_i, beta_i) su2(alpha_0, beta_0)^dagger."""
@@ -290,8 +291,8 @@ def floquet_amplitudes(traj):
     overlaps = start[:, 0].conj() @ vecs
     mode = int(np.argmax(np.abs(overlaps)))
     w = vecs[:, mode] * abs(overlaps[mode]) / overlaps[mode]
-    eps = np.angle(vals[mode])
-    return lambda i: np.exp(-1j * eps * i / steps) * (
+    log_w = np.log(vals[mode])
+    return lambda i: np.exp(-log_w * i / steps) * (
         su2(traj.alpha[i], traj.beta[i]) @ (start.conj().T @ w))
 
 
@@ -642,6 +643,19 @@ def test_coherent_loop_closes_in_the_floquet_mode(period):
     assert np.abs(image - phase * amps[0]).max() <= 1e-12
     result = winding_number(track_polarization(rmm_coherent_loop(lat, protocol)))
     assert abs(result.delta_p) <= 1e-12 and result.zero_count == 0
+
+
+# Periods far from adiabatic: there the integrated U(T) drifts from unitary by
+# about 1e-12, so the loop must remove |w| as well as the phase of w.
+@pytest.mark.parametrize("period", [1e-3, 0.3, 3.0, 7.0, 1e4])
+def test_coherent_loop_closes_at_every_period(period):
+    """The whole Floquet eigenvalue is removed, so the mean closes to rounding."""
+    protocol = reference_protocol(period=period)
+    lat = make_lattice(1, 2)
+    _, mean = rmm_coherent_loop(lat, protocol).sampler(np.array([0.0, 1.0]))
+    assert np.abs(mean[-1] - mean[0]).max() <= 1e-14
+    result = winding_number(track_polarization(rmm_coherent_loop(lat, protocol)))
+    assert abs(result.delta_p) <= WINDING_TOL and result.zero_count == 0
 
 
 def test_random_classical_loops():

@@ -16,17 +16,20 @@ As V +- 1 commute, 1 - W = (V + 1)^{-1} M (1 - U), and det(V + 1) cancels:
 
     <T> = [det V det(1 + iH) / det(1 + iK)]^{-1/2} exp(s),
 
-where V = Q Lambda Q^T, H = Lambda^{-1/2} Q^T K Q Lambda^{-1/2} = P diag(h) P^T
-is real symmetric, b = P^T Lambda^{-1/2} Q^T alpha0 and s = -1/2 sum_j
-b_j^2 / (1 + i h_j). Every factor 1 + i h_j and 1 + i k_j has real part 1
-for every lam, so its principal argument arctan never jumps, which is the
-no-winding theorem restated. The two sums tend to +-pi/2 per entry as
-lam -> 0+ and cancel there, so
+where V = Q Lambda Q^T, A = Q Lambda^{-1/2}, the real symmetric H = A^T K A
+has eigenvalues h_j, and s = -1/2 c^T y with c = A^T alpha0 and
+y = (1 + iH)^{-1} c. As c^T Re y = ||y||^2, s = -1/2 ||y||^2 - i/2 c^T Im y
+and Re s <= 0. Every singular value of 1 + iH is at least 1, since
+|x^dagger (1 + iH) x| >= 1 for a unit x, so the solve needs no check. Every
+factor 1 + i h_j and 1 + i k_j has real part 1 for every lam, so its
+principal argument arctan never jumps, which is the no-winding theorem
+restated. The two sums tend to +-pi/2 per entry as lam -> 0+ and cancel
+there, so
 
     Im ln det(1 - W) = sum_j arctan h_j - sum_j arctan k_j
 
-is the homotopy branch, from two real symmetric eigendecompositions and no
-path to sample.
+is the homotopy branch, with no path to sample: one ``eigh`` of V, the
+eigenvalues alone of H and, with a mean, one solve.
 
 The polarization is P = Im log <T> / (2 pi) on that branch.
 
@@ -193,10 +196,10 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, lo: float, path: str
+def _breakdown(log_abs: float, phi: float, s: complex, lo: float, hi: float, path: str
                ) -> PolarizationBreakdown:
-    """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the eigenvalues of V
-    and their minimum."""
+    """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the smallest and
+    largest eigenvalues of V."""
     _check_abs_T(log_abs)
     det_term_phase = -0.5 * phi
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
@@ -207,7 +210,9 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, lo: flo
         mean_term=s,
         p_unwrapped=p_unwrapped,
         p=principal_polarization(p_unwrapped),
-        cayley_norm=float(np.abs((vals - 1.0) / (vals + 1.0)).max()),
+        # |v - 1| / (v + 1) falls on (0, 1] and rises past 1: its maximum over
+        # the spectrum sits at one end.
+        cayley_norm=max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0)),
         branch_turns=round(phi / (2.0 * math.pi)),
         min_covariance_eigenvalue=lo,
         path=path,
@@ -270,7 +275,7 @@ def _bloch_polarization(state: BlochState, shift: ShiftSpec) -> PolarizationBrea
     log_abs = float(
         -0.5 * np.sum(np.log1p((vals - 1.0) / 2.0)) - 0.5 * np.sum(log_det.real)
     ) + s.real
-    return _breakdown(log_abs, float(np.sum(log_det.imag)), s, vals, lo, "bloch")
+    return _breakdown(log_abs, float(np.sum(log_det.imag)), s, lo, float(vals.max()), "bloch")
 
 
 def _bloch_loop_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
@@ -319,17 +324,15 @@ def polarization(
     check_min_eigenvalue(lo)
     k = quadrature_cotangents(shift)
     A = Q / np.sqrt(vals)
-    h, P = np.linalg.eigh(A.T @ (k[:, None] * A))
-    b = P.T @ (A.T @ state.mean)
-    s = complex(-0.5 * np.sum(b * b / (1.0 + 1j * h)))
-    # Sorted k meets the ascending h term by term, so the vacuum (H = K)
-    # gives a phase and a log-magnitude of exactly 0.
-    k = np.sort(k)
-    phi = float(np.sum(np.arctan(h)) - np.sum(np.arctan(k)))
-    log_abs = float(
-        0.25 * np.sum(np.log1p(k * k))
-        - 0.25 * np.sum(np.log1p(h * h))
-        - 0.5 * np.sum(np.log(vals))
-    ) + s.real
-    return _breakdown(log_abs, phi, s, vals, lo, "dense")
-
+    H = A.T @ (k[:, None] * A)
+    h = np.linalg.eigvalsh(H)
+    s = 0j
+    if state.mean.any():
+        c = A.T @ state.mean
+        y = np.linalg.solve(np.eye(len(h)) + 1j * H, c)
+        s = complex(-0.5 * (y.real @ y.real + y.imag @ y.imag), -0.5 * (c @ y.imag))
+    # Sorted k equals the ascending h entry for entry in the vacuum (H = K),
+    # so its phase and log-magnitude are exactly 0.
+    log_det = np.sum(np.log(1.0 + 1j * h)) - np.sum(np.log(1.0 + 1j * np.sort(k)))
+    log_abs = float(-0.5 * log_det.real - 0.5 * np.sum(np.log(vals))) + s.real
+    return _breakdown(log_abs, float(log_det.imag), s, lo, float(vals[-1]), "dense")

@@ -1,0 +1,140 @@
+"""Mutation gate: every named mutant of the kernels must fail a test.
+
+Each mutant names a file under ``src/``, an exact source snippet that must
+occur there once, its replacement, and the tests that must catch it. For
+each mutant the gate copies ``src/`` to a temporary directory, applies the
+mutant and runs its tests there in a fresh interpreter. The gate fails when a
+mutant passes its tests (survives) or when its snippet no longer occurs
+exactly once (stale), so a refactor of a kernel has to update its mutants.
+Before the mutants, the unmutated copy must pass every selected test.
+
+Run from anywhere with the test extra installed (stdlib only otherwise):
+
+    python tests/mutation_gate.py
+
+It exits 0 when every mutant is caught, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root, under src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+POLARIZATION = "src/bosepol/polarization.py"
+RICE_MELE = "src/bosepol/rice_mele.py"
+STATES = "src/bosepol/states.py"
+POLARIZATION_TESTS = ("tests/test_polarization.py",)
+
+MUTANTS = (
+    # The dense path of polarization.
+    Mutant("dense: k unsorted against the ascending h", POLARIZATION,
+           "np.log(1.0 + 1j * np.sort(k))", "np.log(1.0 + 1j * k)", POLARIZATION_TESTS),
+    Mutant("dense: Im s dropped", POLARIZATION,
+           "-0.5 * (c @ y.imag))", "0.0)", POLARIZATION_TESTS),
+    Mutant("dense: Re s with the wrong sign", POLARIZATION,
+           "complex(-0.5 * (y.real @ y.real", "complex(0.5 * (y.real @ y.real",
+           POLARIZATION_TESTS),
+    Mutant("dense: log det V dropped", POLARIZATION,
+           "-0.5 * log_det.real - 0.5 * np.sum(np.log(vals))", "-0.5 * log_det.real",
+           POLARIZATION_TESTS),
+    Mutant("dense: cayley_norm from the smallest eigenvalue only", POLARIZATION,
+           "max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))",
+           "abs((lo - 1.0) / (lo + 1.0))", POLARIZATION_TESTS),
+    # The reduced (Bloch) path.
+    Mutant("bloch: principal branch of det(1 - P)", POLARIZATION,
+           "float(np.sum(log_det.imag))", "float(np.angle(np.exp(np.sum(log_det))))",
+           POLARIZATION_TESTS),
+    Mutant("bloch: P = A_0 R", POLARIZATION,
+           "P = R @ A[0]", "P = A[0] @ R", POLARIZATION_TESTS),
+    Mutant("bloch: L dropped from the mean term", POLARIZATION,
+           "_mean_terms(np.eye(len(d)) - P, b, len(G) * c)", "_mean_terms(np.eye(len(d)) - P, b, c)",
+           POLARIZATION_TESTS),
+    Mutant("bloch: sign of Im N flipped in the thermal blocks", STATES,
+           "(N - mirror) * -0.5j", "(N - mirror) * 0.5j", ("tests/test_circulant.py",)),
+    # The pump.
+    Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
+           "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",
+           ("tests/test_rice_mele.py",)),
+    Mutant("pump: cos r from the tangent off by one", RICE_MELE,
+           "np.divide(2.0, den, out=den)", "np.divide(1.0, den, out=den)",
+           ("tests/test_rice_mele.py",)),
+)
+
+
+def pytest_run(src: str, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """Run ``tests`` against the package in ``src``, stopping at the first failure.
+
+    The run starts in the parent of ``src``, so that hypothesis keeps the
+    examples a mutant fails in its own database there, not in the repository's.
+    """
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            *(os.path.join(ROOT, t) for t in tests)]
+    return subprocess.run(argv, cwd=os.path.dirname(src), env=env, capture_output=True, text=True)
+
+
+def imported_from(src: str) -> str:
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-c", "import bosepol; print(bosepol.__file__)"]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def main() -> int:
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="mutation-gate-") as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(ROOT, "src"), src)
+        where = imported_from(src)
+        if not where.startswith(src + os.sep):
+            print(f"bosepol imports from {where}, not from the copy in {src}")
+            return 1
+        selected = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        baseline = pytest_run(src, selected)
+        if baseline.returncode != 0:
+            print(f"the unmutated package fails {' '.join(selected)}:\n{baseline.stdout[-2000:]}")
+            return 1
+        for mutant in MUTANTS:
+            target = os.path.join(tmp, mutant.path)
+            with open(os.path.join(ROOT, mutant.path), encoding="utf-8") as f:
+                original = f.read()
+            count = original.count(mutant.snippet)
+            if count != 1:
+                print(f"STALE     {mutant.name}: snippet occurs {count} times in {mutant.path}")
+                failures.append(mutant.name)
+                continue
+            with open(target, "w", encoding="utf-8") as f:
+                f.write(original.replace(mutant.snippet, mutant.replacement))
+            t0 = time.perf_counter()
+            result = pytest_run(src, mutant.tests)
+            seconds = time.perf_counter() - t0
+            with open(target, "w", encoding="utf-8") as f:
+                f.write(original)
+            # pytest exits 1 when tests failed; any other code (an import or
+            # collection error, an interrupt) does not show that a test caught it.
+            if result.returncode == 1:
+                print(f"KILLED    {mutant.name} ({seconds:.1f} s)")
+            else:
+                print(f"SURVIVED  {mutant.name} (pytest exit {result.returncode}, {seconds:.1f} s)")
+                failures.append(mutant.name)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants caught")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -33,6 +33,7 @@ from bosepol import (
 from bosepol.errors import InvalidStateError
 from bosepol.loops import band_chern_number, random_classical_loop
 from bosepol.polarization import (
+    LOG_ABS_T_MARGIN,
     principal_polarization,
     quadrature_cotangents,
     quadrature_phase_factors,
@@ -133,6 +134,78 @@ def test_mean_term_is_contractive():
         s = polarization(st).mean_term
         assert s.real <= 0.0
         assert abs(np.exp(s)) < 1.0
+
+
+def eigenvector_form(state: GaussianState, shift: ShiftSpec) -> tuple[float, complex, float]:
+    """Im ln det(1 - W), s and log|<T>| of the dense closed form from a second
+    eigh with vectors, H = P diag(h) P^T: b = P^T A^T alpha0 and
+    s = -1/2 sum_j b_j^2 / (1 + i h_j)."""
+    vals, Q = np.linalg.eigh(state.V)
+    k = quadrature_cotangents(shift)
+    A = Q / np.sqrt(vals)
+    h, P = np.linalg.eigh(A.T @ (k[:, None] * A))
+    b = P.T @ (A.T @ state.mean)
+    s = complex(-0.5 * np.sum(b * b / (1.0 + 1j * h)))
+    k = np.sort(k)
+    phi = float(np.sum(np.arctan(h)) - np.sum(np.arctan(k)))
+    log_abs = float(0.25 * np.sum(np.log1p(k * k)) - 0.25 * np.sum(np.log1p(h * h))
+                    - 0.5 * np.sum(np.log(vals))) + s.real
+    return phi, s, log_abs
+
+
+def assert_matches_eigenvector_form(state: GaussianState, shift: ShiftSpec) -> float:
+    """The solve of 1 + iH and the values-only branch agree with the eigenvector
+    form to 1e-12, relative to the value or, for the phase and log-magnitude,
+    which sum terms of order 1 per quadrature, to 1 where they are smaller;
+    Re s <= 0 holds exactly. Returns log|<T>|."""
+    b = polarization(state, shift)
+    phi, s, log_abs = eigenvector_form(state, shift)
+    assert abs(b.mean_term - s) <= 1e-12 * abs(s)
+    assert abs(-2.0 * b.det_term_phase - phi) <= 1e-12 * max(1.0, abs(phi))
+    assert abs(b.log_abs_T - log_abs) <= 1e-12 * max(1.0, abs(log_abs))
+    assert b.mean_term.real <= 0.0
+    return b.log_abs_T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    L=hst.integers(1, 4),
+    n=hst.integers(1, 3),
+    seed=hst.integers(0, 2 ** 32 - 1),
+    classical=hst.booleans(),
+    mean_scale=hst.sampled_from([0.0, 0.7, 5.0]),
+)
+def test_dense_terms_match_eigenvector_form(L, n, seed, classical, mean_scale):
+    lat = make_lattice(L, n)
+    st = random_gaussian_state(lat, seed, classical=classical, mean_scale=mean_scale)
+    phases = np.random.default_rng(seed).uniform(0.05, 2.0 * np.pi - 0.05, lat.modes)
+    for shift in (shift_phases(lat), ShiftSpec(lat, phases)):
+        assert assert_matches_eigenvector_form(st, shift) <= 0.0  # |<T>| <= 1 exactly
+
+
+def extreme_dense_cases():
+    one, two, six = make_lattice(1, 1), make_lattice(1, 2), make_lattice(6, 1)
+    tmsv = two_mode_squeezed_state(8.0)
+    hot = 2e14 + 1.0
+    return [
+        # k = cot(theta / 2) near +-2e9 and |<T>| = 1 - O(1e-18): log|<T>| sums
+        # terms of about 21 per quadrature that cancel, so its rounding, a few
+        # 1e-14, can put it above 0; the package's rounding margin bounds it.
+        pytest.param(random_gaussian_state(two, 3, mean_scale=0.8),
+                     ShiftSpec(two, [1e-9, 2.0 * np.pi - 1e-9]), LOG_ABS_T_MARGIN,
+                     id="phases 1e-9, 2pi - 1e-9"),
+        pytest.param(GaussianState(one, squeezed_vacuum_state(one, 8.0).V, [0.7, -0.4]),
+                     ShiftSpec(one, [2.0]), 0.0, id="squeezed r = 8"),
+        pytest.param(GaussianState(tmsv.lattice, tmsv.V, [0.3, 0.1, -0.2, 0.5]),
+                     shift_phases(tmsv.lattice), 0.0, id="two-mode squeezed r = 8"),
+        pytest.param(GaussianState(six, hot * np.eye(12), np.linspace(-1.0, 1.0, 12) * 1e8),
+                     shift_phases(six), 0.0, id="thermal nbar = 1e14"),
+    ]
+
+
+@pytest.mark.parametrize("state, shift, log_abs_bound", extreme_dense_cases())
+def test_extreme_dense_terms_match_eigenvector_form(state, shift, log_abs_bound):
+    assert assert_matches_eigenvector_form(state, shift) <= log_abs_bound
 
 
 def cayley_matrix(state: GaussianState) -> np.ndarray:
@@ -262,8 +335,8 @@ def dense_sampler(lattice, sampler):
 
 def test_factorizations_per_evaluation(monkeypatch):
     lat = make_lattice(4, 2)
-    st = random_gaussian_state(lat, 2, mean_scale=0.7)
     mean_scales = (0.5, 0.0)
+    states = [random_gaussian_state(lat, 2, mean_scale=m) for m in mean_scales]
     bloch_loops = [random_classical_loop(lat, 3, mean_scale=m) for m in mean_scales]
     dense_loops = [dataclasses.replace(loop, sampler=dense_sampler(lat, loop.sampler))
                    for loop in bloch_loops]
@@ -271,8 +344,16 @@ def test_factorizations_per_evaluation(monkeypatch):
     matrices, shapes = collections.Counter(), set()
     calls = count_factorizations(monkeypatch, matrices, shapes)
 
-    polarization(st)
-    assert calls == matrices == {"eigh": 2}
+    # One eigh of V, the eigenvalues alone of H and, with a mean, one solve of
+    # 1 + iH, each of the 2nL x 2nL matrix.
+    for mean_scale, st in zip(mean_scales, states):
+        calls.clear()
+        matrices.clear()
+        shapes.clear()
+        polarization(st)
+        want = {"eigh": 1, "eigvalsh": 1, **({"solve": 1} if mean_scale else {})}
+        assert calls == matrices == want
+        assert shapes == {(lat.dim, lat.dim)}
 
     for mean_scale, dense_loop, bloch_loop, track in zip(
             mean_scales, dense_loops, bloch_loops, tracks):
@@ -286,11 +367,14 @@ def test_factorizations_per_evaluation(monkeypatch):
             again = track_polarization(loop)
             assert again.lambdas.tolist() == track.lambdas.tolist()
             if loop is dense_loop:
-                # Two eigh for the lambda = 0 anchor, then one Cholesky, one
-                # slogdet and, with a mean, one solve per sample, each in one
-                # call per grid.
-                want = {"eigh": 2, "cholesky": samples, "slogdet": samples}
-                want_calls = {name: 2 if name == "eigh" else 1 for name in want}
+                # One Cholesky, one slogdet and, with a mean, one solve per
+                # sample, each in one call per grid; the lambda = 0 anchor
+                # makes the calls of one pointwise evaluation.
+                want = {"cholesky": samples, "slogdet": samples, "eigh": 1, "eigvalsh": 1}
+                want_calls = {name: 1 for name in want}
+                if mean_scale:
+                    want["solve"], want_calls["solve"] = samples + 1, 2
+                assert shapes == {(lat.dim, lat.dim)}
             else:
                 # Per sample, one Cholesky of each block v_k and of (v_k + 1) / 2,
                 # one inverse of each v_k + 1, one slogdet of 1 - P and, with a
@@ -300,8 +384,8 @@ def test_factorizations_per_evaluation(monkeypatch):
                         "slogdet": samples, "eigvals": 1}
                 want_calls = {name: 2 if name == "cholesky" else 1 for name in want}
                 assert shapes == {(4, 4)}
-            if mean_scale:
-                want["solve"], want_calls["solve"] = samples, 1
+                if mean_scale:
+                    want["solve"], want_calls["solve"] = samples, 1
             assert matrices == want
             assert calls == want_calls
 
@@ -488,6 +572,38 @@ def test_breakdown_diagnostics():
     assert b.branch_turns == 1
     want = thermal_product(50.0, sh.phases)
     assert abs(b.expectation - want) <= 1e-10 * abs(want)
+
+
+def test_cayley_norm_is_the_largest_over_the_spectrum():
+    """cayley_norm = max_j |v_j - 1| / (v_j + 1) over the whole spectrum of V, on
+    both paths: the largest eigenvalue sets it in a thermal mode beside a vacuum
+    mode, the smallest in a math-only draw with V > 0 and no V + i Omega >= 0."""
+    pair = make_lattice(1, 2)
+    states = [GaussianState(pair, np.diag([3.0, 3.0, 1.0, 1.0]), np.zeros(4)),
+              random_circulant_state(make_lattice(8, 2), 0, classical=False, eig_high=2.0)]
+    ends = []
+    for st in states:
+        v = np.linalg.eigvalsh(st.V)
+        norms = np.abs((v - 1.0) / (v + 1.0))
+        ends.append(norms[0] > norms[-1])
+        dense = GaussianState(st.lattice, st.V, st.mean)
+        for b in (polarization(st), polarization(dense)):
+            assert b.cayley_norm == pytest.approx(norms.max(), rel=1e-12)
+    assert ends == [False, True]
+
+
+def test_phase_of_a_unit_covariance_is_exactly_zero_under_any_phases():
+    """Sorted k equals the ascending h of H = K entry for entry, so V = 1 gives a
+    determinant phase of exactly 0 under phases in no particular order."""
+    lat = make_lattice(16, 4)
+    shift = ShiftSpec(lat, np.random.default_rng(0).uniform(0.1, 2.0 * np.pi - 0.1, lat.modes))
+    amps = np.linspace(-1.0, 1.0, lat.modes) * (1.0 + 0.5j)
+    vacuum = polarization(GaussianState(lat, np.eye(lat.dim), np.zeros(lat.dim)), shift)
+    assert vacuum.det_term_phase == 0.0 and vacuum.log_abs_T == 0.0
+    coherent = polarization(coherent_state(lat, amps), shift)
+    assert coherent.det_term_phase == 0.0
+    want = np.exp(np.sum((np.exp(1j * shift.phases) - 1.0) * np.abs(amps) ** 2))
+    assert coherent.expectation == pytest.approx(want, rel=1e-12)
 
 
 def test_det_v_plus_one_floor():

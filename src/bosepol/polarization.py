@@ -47,10 +47,13 @@ over the 2n eigenvalues nu_j of P: scaling G -> t G gives
 det(1 - t W) = det(1 - t^L P), and both sums are continuous logarithms of
 it that start from 0 at t = 0. A cell-periodic mean a gives
 s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
-R = A_{L-1} ... A_1. This path is written once for a stack of states: a
-single state takes it with the diagnostics of one ``eigh`` of its blocks,
-and the samples of a Bloch loop in :func:`bosepol.winding.track_polarization`
-take it with a Cholesky factorization and an inverse of v_k + 1 instead.
+R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
+states: one state, or one sampler call of a loop in
+:func:`bosepol.winding.track_polarization`. The dense kernel gives every
+state's homotopy branch. The reduced one takes a Cholesky factorization and
+an inverse of v_k + 1 and one ``slogdet`` of 1 - P; it gives the branch,
+from the eigenvalues of P, for the first state only, as a loop's track
+unwraps from there.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
-from .states import BlochState, GaussianState, LatticeSpec, check_min_eigenvalue
+from .states import BlochState, GaussianState, LatticeSpec, check_min_eigenvalue, require_valid
 
 MEAN_SOLVE_RTOL = 1e-8
 # Rounding margin of the post-condition log|<T>| <= 0: T is unitary, so
@@ -118,6 +121,9 @@ class PolarizationBreakdown:
     value reduced to (-1/2, 1/2]. The branch needs no rule of its own: each
     factor 1 + i h_j has real part 1, so its argument stays in (-pi/2, pi/2).
 
+    ``abs_T`` may exceed 1 by rounding, as far as ``exp(LOG_ABS_T_MARGIN)``;
+    a larger value raises :class:`InvalidStateError`.
+
     Diagnostics: ``cayley_norm`` is ||W|| = max_j |(v_j - 1)/(v_j + 1)| over
     the eigenvalues v_j of V; ``branch_turns`` is the integer k with
     Im ln det(1 - W) = principal phase + 2 pi k;
@@ -160,17 +166,15 @@ def quadrature_cotangents(shift: ShiftSpec) -> np.ndarray:
     return np.repeat(1.0 / np.tan(shift.phases / 2.0), 2)
 
 
-def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """s = -1/2 w^T M^{-1} b for each matrix of the stack M, with w = b unless given;
-    0 where b = 0.
+def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """s = -1/2 w^T M^{-1} b for each matrix of the stack M; 0 where b = 0.
 
     One solve covers the nonzero b; each residual must stay within MEAN_SOLVE_RTOL.
     """
     s = np.zeros(len(M), dtype=complex)
     has_mean = np.any(b, axis=1)
     if has_mean.any():
-        M, b = M[has_mean], b[has_mean, :, None]
-        w = b if w is None else w[has_mean, :, None]
+        M, b, w = M[has_mean], b[has_mean, :, None], w[has_mean, :, None]
         y = np.linalg.solve(M, b)
         residual = np.linalg.norm(M @ y - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
         bad = residual[residual > MEAN_SOLVE_RTOL]
@@ -196,11 +200,12 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _breakdown(log_abs: float, phi: float, s: complex, lo: float, hi: float, path: str
+def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: str
                ) -> PolarizationBreakdown:
-    """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the smallest and
-    largest eigenvalues of V."""
+    """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the ascending
+    eigenvalues of V."""
     _check_abs_T(log_abs)
+    lo, hi = float(vals[0]), float(vals[-1])
     det_term_phase = -0.5 * phi
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
     return PolarizationBreakdown(
@@ -219,20 +224,35 @@ def _breakdown(log_abs: float, phi: float, s: complex, lo: float, hi: float, pat
     )
 
 
-def _dense_loop_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Principal phases of det(M), mean terms s and log|<T>| of S states with
-    positive definite covariances V (S, 2nL, 2nL) and means (S, 2nL).
+def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Homotopy phases Im ln det(1 - W), mean terms s, log|<T>| and the ascending
+    eigenvalues of V, for covariances V (..., 2nL, 2nL) and means (..., 2nL).
 
-    det(1 - W) = det(M) det(1 - U) / det(V + 1) changes its phase only through
-    M = V + iK under a fixed shift: one ``slogdet`` of the stacked M gives the
-    phases and magnitudes, one residual-checked solve the mean terms.
+    The closed form of the module docstring over the leading axes: one ``eigh``
+    of V, the eigenvalues alone of H and, when any mean is nonzero, one solve of
+    1 + iH, which gives y = 0 where the mean is 0. Raises
+    :class:`InvalidStateError` unless every V is positive definite.
     """
+    vals, Q = np.linalg.eigh(V)
+    check_min_eigenvalue(float(vals.min()))
     k = quadrature_cotangents(shift)
-    M = V + 1j * np.diag(k)
-    sign, logabs = np.linalg.slogdet(M)
-    s = _mean_terms(M, mean)
-    return np.angle(sign), s, 0.25 * float(np.sum(np.log1p(k * k))) - 0.5 * logabs + s.real
+    A = Q / np.sqrt(vals)[..., None, :]
+    H = A.swapaxes(-1, -2) @ (k[:, None] * A)
+    h = np.linalg.eigvalsh(H)
+    s = np.zeros(h.shape[:-1], dtype=complex)
+    if mean.any():
+        c = mean[..., None, :] @ A  # the row c^T
+        y = np.linalg.solve(np.eye(len(k)) + 1j * H, c.swapaxes(-1, -2))
+        yt = y.swapaxes(-1, -2)
+        s = -0.5 * (yt.real @ y.real + yt.imag @ y.imag + 1j * (c @ y.imag))[..., 0, 0]
+    # Sorted k against the ascending h, one quotient (1 + i h_j) / (1 + i k_j) per
+    # term: its argument arctan h_j - arctan k_j lies in (-pi, pi), so the sum is
+    # the homotopy branch, and the vacuum (H = K) gives exactly 0.
+    ks = np.sort(k)
+    log_det = np.log1p(1j * (h - ks) / (1.0 + 1j * ks)).sum(-1)
+    log_abs = -0.5 * (log_det.real + np.log(vals).sum(-1)) + s.real
+    return log_det.imag, s, log_abs, vals
 
 
 def _reduced_path(G: np.ndarray, d: np.ndarray, a: np.ndarray, c: np.ndarray
@@ -250,44 +270,18 @@ def _reduced_path(G: np.ndarray, d: np.ndarray, a: np.ndarray, c: np.ndarray
     return P, _mean_terms(np.eye(len(d)) - P, b, len(G) * c)
 
 
-def _reduced_branch(P: np.ndarray) -> np.ndarray:
-    """log(1 - nu_j) over the eigenvalues nu_j of P: Im sums to the homotopy branch."""
-    return np.log(1.0 - np.linalg.eigvals(P))
+def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phases of det(1 - W), mean terms s and log|<T>| of S translation-invariant
+    states, from their positive definite Bloch blocks v (S, L, 2n, 2n) and cell
+    means a (S, 2n), under the lattice's own shift.
 
-
-def _bloch_polarization(state: BlochState, shift: ShiftSpec) -> PolarizationBreakdown:
-    """The reduced path of the module docstring: one stacked ``eigh`` of the
-    2n x 2n blocks, which also gives the diagnostics, one ``eigvals`` of P and,
-    with a mean, one 2n x 2n solve."""
-    tn = 2 * state.lattice.sites_per_cell
-    vals, Q = np.linalg.eigh(state.v_blocks)
-    lo = float(vals.min())
-    check_min_eigenvalue(lo)
-    d = quadrature_phase_factors(shift)[:tn]
-    G = (Q * ((vals - 1.0) / (vals + 1.0))[:, None, :]) @ Q.conj().swapaxes(-1, -2)
-    a = state.cell_mean
-    c = (Q[0] / (vals[0] + 1.0)) @ (Q[0].conj().T @ a) if a.any() else a  # (v_0 + 1)^{-1} a
-    P, s = _reduced_path(G[:, None], d, a[None], c[None])
-    log_det = _reduced_branch(P[0])
-    s = complex(s[0])
-    # nL ln 2 - 1/2 log det(V + 1), summed as -1/2 sum log((1 + v_j) / 2) over
-    # all 2nL eigenvalues, so the vacuum gives exactly 0.
-    log_abs = float(
-        -0.5 * np.sum(np.log1p((vals - 1.0) / 2.0)) - 0.5 * np.sum(log_det.real)
-    ) + s.real
-    return _breakdown(log_abs, float(np.sum(log_det.imag)), s, lo, float(vals.max()), "bloch")
-
-
-def _bloch_loop_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Principal phases of det(1 - W), mean terms s, log|<T>| and products P of S
-    translation-invariant states, from their positive definite Bloch blocks
-    v (S, L, 2n, 2n) and cell means a (S, 2n), under the lattice's own shift.
-
-    The reduced path without an eigendecomposition: the Cholesky diagonal of
+    The reduced path of the module docstring: the Cholesky diagonal of
     (v_k + 1) / 2 gives nL ln 2 - 1/2 log det(V + 1), one inverse
     G_k = 1 - 2 (v_k + 1)^{-1}, and one ``slogdet`` of the stacked 1 - P the
-    phases and magnitudes. The vacuum gives exactly 0 for each.
+    principal phases and the magnitudes; the vacuum gives exactly 0 for each.
+    The first state's phase is the homotopy branch sum_j Arg(1 - nu_j), from one
+    ``eigvals`` of its P.
     """
     eye = np.eye(v.shape[-1])
     w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
@@ -296,8 +290,10 @@ def _bloch_loop_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
     c = (inv[0] @ a[..., None])[..., 0]  # (v_0 + 1)^{-1} a
     P, s = _reduced_path(eye - 2.0 * inv, quadrature_phase_factors(shift)[:len(eye)], a, c)
     sign, log_abs_det = np.linalg.slogdet(eye - P)
-    log_abs = -np.sum(np.log(chol_diag), axis=(0, 2)) - 0.5 * log_abs_det + s.real
-    return np.angle(sign), s, log_abs, P
+    phases = np.angle(sign)
+    phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()
+    log_abs = -np.log(chol_diag).sum(axis=(0, 2)) - 0.5 * log_abs_det + s.real
+    return phases, s, log_abs
 
 
 def polarization(
@@ -318,21 +314,10 @@ def polarization(
     if shift.lattice.modes != state.lattice.modes:
         raise ValueError("shift spec and state have different mode counts")
     if bloch:
-        return _bloch_polarization(state, shift)
-    vals, Q = np.linalg.eigh(state.V)
-    lo = float(vals[0])
-    check_min_eigenvalue(lo)
-    k = quadrature_cotangents(shift)
-    A = Q / np.sqrt(vals)
-    H = A.T @ (k[:, None] * A)
-    h = np.linalg.eigvalsh(H)
-    s = 0j
-    if state.mean.any():
-        c = A.T @ state.mean
-        y = np.linalg.solve(np.eye(len(h)) + 1j * H, c)
-        s = complex(-0.5 * (y.real @ y.real + y.imag @ y.imag), -0.5 * (c @ y.imag))
-    # Sorted k equals the ascending h entry for entry in the vacuum (H = K),
-    # so its phase and log-magnitude are exactly 0.
-    log_det = np.sum(np.log(1.0 + 1j * h)) - np.sum(np.log(1.0 + 1j * np.sort(k)))
-    log_abs = float(-0.5 * log_det.real - 0.5 * np.sum(np.log(vals))) + s.real
-    return _breakdown(log_abs, float(log_det.imag), s, lo, float(vals[-1]), "dense")
+        vals = require_valid(state)
+        phi, s, log_abs = (x[0] for x in _bloch_terms(
+            state.v_blocks[None], state.cell_mean[None], shift))
+    else:
+        phi, s, log_abs, vals = _dense_terms(state.V, state.mean, shift)
+    return _breakdown(float(log_abs), float(phi), complex(s), vals,
+                      "bloch" if bloch else "dense")

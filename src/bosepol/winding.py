@@ -26,15 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaustedError
-from .polarization import (
-    _bloch_loop_terms,
-    _check_abs_T,
-    _dense_loop_terms,
-    _reduced_branch,
-    polarization,
-    shift_phases,
-)
-from .states import GaussianState, LatticeSpec, checked_bloch_moments, checked_moments
+from .polarization import _bloch_terms, _check_abs_T, _dense_terms, shift_phases
+from .states import LatticeSpec, checked_bloch_moments, checked_moments
 
 CLOSURE_TOL = 1e-12
 WINDING_RESIDUAL_TOL = 1e-3
@@ -169,34 +162,34 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     covariances or blocks then checks positive definiteness, naming the
     first failing lambda.
 
-    The shift is fixed along the loop. The dense kernel
-    (:func:`bosepol.polarization._dense_loop_terms`) takes one slogdet of the
-    stacked M = V + iK and one residual-checked solve for the mean terms. The
-    reduced kernel (:func:`bosepol.polarization._bloch_loop_terms`) evaluates
-    det(1 - P) = det(1 - W) on the 2n x 2n blocks, so each sample costs
-    O(L n^3) and no 2nL-dimensional matrix is formed.
+    The shift is fixed along the loop, and each call's stack goes through
+    the kernel that :func:`bosepol.polarization.polarization` takes for one
+    state: the dense one or the reduced one, which evaluates det(1 - P) =
+    det(1 - W) on the 2n x 2n blocks, so each sample costs O(L n^3) and no
+    2nL-dimensional matrix is formed.
 
     Consecutive phase differences are reduced to [-pi, pi) and summed
-    cumulatively from the anchor, the homotopy branch at lambda = 0: the
-    pointwise :func:`bosepol.polarization.polarization` on the dense kernel,
-    sum_j Arg(1 - nu_j) over the eigenvalues of P on the reduced one. So the
-    reported values agree with the pointwise polarization there, and the
-    phase unwrapped along the loop is not produced by that branch rule. A
-    sample with |<T>| > 1 violates V + i Omega >= 0 and raises
+    cumulatively from phases[0], which either kernel gives on the homotopy
+    branch at lambda = 0. So the reported values agree with the pointwise
+    polarization there, and the phase unwrapped along the loop, from which
+    :func:`winding_number` counts zeros, is not produced by that branch rule.
+    A sample with |<T>| > 1 violates V + i Omega >= 0 and raises
     :class:`InvalidStateError`.
     """
     lattice = loop.lattice
     shift = shift_phases(lattice)
-    first = {}  # the kernel the grid call picked, and its state at lambda = 0
+    kernels = []  # the kernel the grid call picked
 
     def evaluate(lams: list[float]) -> list[tuple]:
         V, mean = loop.sampler(np.array(lams, dtype=float))
-        bloch = first.setdefault("bloch", np.ndim(V) == 4)
-        if bloch:
+        grid = not kernels  # the uniform grid, from lambda = 0 to 1
+        if grid:
+            kernels.append(_bloch_terms if np.ndim(V) == 4 else _dense_terms)
+        if kernels[0] is _bloch_terms:
             V, mean = checked_bloch_moments(lattice, V, mean, (len(lams),))
         else:
             V, mean = checked_moments(lattice.dim, V, mean, (len(lams),))
-        if "zero" not in first:  # the uniform grid, from lambda = 0 to 1
+        if grid:
             for name, x in (("V", V), ("mean", mean)):
                 closure = float(np.abs(x[-1] - x[0]).max())
                 if closure > CLOSURE_TOL * max(1.0, float(np.abs(x[0]).max())):
@@ -212,23 +205,14 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                     raise InvalidStateError(
                         f"invalid state at lambda = {lam}: covariance not positive definite"
                     ) from None
-        if bloch:
-            phases, s, log_abs, P = _bloch_loop_terms(V, mean, shift)
-            first.setdefault("zero", P[0])
-        else:
-            phases, s, log_abs = _dense_loop_terms(V, mean, shift)
-            first.setdefault("zero", (V[0], mean[0]))
+        phases, s, log_abs = kernels[0](V, mean, shift)[:3]
         return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)
     phases, means, log_abs = zip(*records)
     worst = int(np.argmax(log_abs))
     _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
-    if first["bloch"]:
-        anchor = float(np.sum(_reduced_branch(first["zero"]).imag))
-    else:
-        anchor = -2.0 * polarization(GaussianState(lattice, *first["zero"]), shift).det_term_phase
-    det_term = -0.5 * _unwrap(anchor, np.array(phases))
+    det_term = -0.5 * _unwrap(phases[0], np.array(phases))
     means = np.array(means, dtype=complex)
     return PolarizationTrack(
         lambdas=np.array(lams),

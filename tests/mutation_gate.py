@@ -39,34 +39,47 @@ class Mutant(NamedTuple):
 POLARIZATION = "src/bosepol/polarization.py"
 RICE_MELE = "src/bosepol/rice_mele.py"
 STATES = "src/bosepol/states.py"
+WINDING = "src/bosepol/winding.py"
 POLARIZATION_TESTS = ("tests/test_polarization.py",)
+WINDING_TESTS = ("tests/test_winding.py",)
 
 MUTANTS = (
-    # The dense path of polarization.
+    # The dense kernel.
     Mutant("dense: k unsorted against the ascending h", POLARIZATION,
-           "np.log(1.0 + 1j * np.sort(k))", "np.log(1.0 + 1j * k)", POLARIZATION_TESTS),
+           "ks = np.sort(k)", "ks = k", POLARIZATION_TESTS),
+    Mutant("dense: log|1 + i h| and log|1 + i k| summed apart", POLARIZATION,
+           "np.log1p(1j * (h - ks) / (1.0 + 1j * ks))",
+           "(np.log(1.0 + 1j * h) - np.log(1.0 + 1j * ks))", POLARIZATION_TESTS),
     Mutant("dense: Im s dropped", POLARIZATION,
-           "-0.5 * (c @ y.imag))", "0.0)", POLARIZATION_TESTS),
+           "yt.imag @ y.imag + 1j * (c @ y.imag))", "yt.imag @ y.imag)", POLARIZATION_TESTS),
     Mutant("dense: Re s with the wrong sign", POLARIZATION,
-           "complex(-0.5 * (y.real @ y.real", "complex(0.5 * (y.real @ y.real",
-           POLARIZATION_TESTS),
+           "-0.5 * (yt.real @ y.real + yt.imag @ y.imag + 1j",
+           "-0.5 * (-yt.real @ y.real - yt.imag @ y.imag + 1j", POLARIZATION_TESTS),
     Mutant("dense: log det V dropped", POLARIZATION,
-           "-0.5 * log_det.real - 0.5 * np.sum(np.log(vals))", "-0.5 * log_det.real",
+           "-0.5 * (log_det.real + np.log(vals).sum(-1))", "-0.5 * log_det.real",
            POLARIZATION_TESTS),
     Mutant("dense: cayley_norm from the smallest eigenvalue only", POLARIZATION,
            "max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))",
            "abs((lo - 1.0) / (lo + 1.0))", POLARIZATION_TESTS),
-    # The reduced (Bloch) path.
-    Mutant("bloch: principal branch of det(1 - P)", POLARIZATION,
-           "float(np.sum(log_det.imag))", "float(np.angle(np.exp(np.sum(log_det))))",
+    # The reduced (Bloch) kernel.
+    Mutant("bloch: the first sample's phase left principal", POLARIZATION,
+           "    phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()\n", "",
            POLARIZATION_TESTS),
     Mutant("bloch: P = A_0 R", POLARIZATION,
            "P = R @ A[0]", "P = A[0] @ R", POLARIZATION_TESTS),
     Mutant("bloch: L dropped from the mean term", POLARIZATION,
            "_mean_terms(np.eye(len(d)) - P, b, len(G) * c)", "_mean_terms(np.eye(len(d)) - P, b, c)",
            POLARIZATION_TESTS),
+    Mutant("bloch: R dropped from the mean term", POLARIZATION,
+           "b = a - (R @ (d * a)[..., None])[..., 0]", "b = a - d * a", POLARIZATION_TESTS),
     Mutant("bloch: sign of Im N flipped in the thermal blocks", STATES,
            "(N - mirror) * -0.5j", "(N - mirror) * 0.5j", ("tests/test_circulant.py",)),
+    # The loop track.
+    Mutant("track: unwrapped from 0 instead of phases[0]", WINDING,
+           "_unwrap(phases[0], np.array(phases))", "_unwrap(0.0, np.array(phases))",
+           WINDING_TESTS),
+    Mutant("track: the mean's closure unchecked", WINDING,
+           '(("V", V), ("mean", mean))', '(("V", V),)', WINDING_TESTS),
     # The pump.
     Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
            "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",

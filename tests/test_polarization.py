@@ -188,9 +188,8 @@ def extreme_dense_cases():
     tmsv = two_mode_squeezed_state(8.0)
     hot = 2e14 + 1.0
     return [
-        # k = cot(theta / 2) near +-2e9 and |<T>| = 1 - O(1e-18): log|<T>| sums
-        # terms of about 21 per quadrature that cancel, so its rounding, a few
-        # 1e-14, can put it above 0; the package's rounding margin bounds it.
+        # k = cot(theta / 2) near +-2e9 and |<T>| = 1 - O(1e-18): rounding can
+        # put log|<T>| above 0; the package's rounding margin bounds it.
         pytest.param(random_gaussian_state(two, 3, mean_scale=0.8),
                      ShiftSpec(two, [1e-9, 2.0 * np.pi - 1e-9]), LOG_ABS_T_MARGIN,
                      id="phases 1e-9, 2pi - 1e-9"),
@@ -206,6 +205,20 @@ def extreme_dense_cases():
 @pytest.mark.parametrize("state, shift, log_abs_bound", extreme_dense_cases())
 def test_extreme_dense_terms_match_eigenvector_form(state, shift, log_abs_bound):
     assert assert_matches_eigenvector_form(state, shift) <= log_abs_bound
+
+
+def test_log_abs_T_at_phases_near_zero_stays_within_rounding():
+    """At phases near 0, k_j = cot(theta_j / 2) is near +-2e9 and |<T>| is
+    1 - O(1e-18). Each ascending h_j against the sorted k_j in one quotient
+    (1 + i h_j) / (1 + i k_j) keeps log|<T>| within a few 1e-15 of it, where
+    summing log|1 + i h_j| and log|1 + i k_j|, each near 21, apart reached 1e-14."""
+    two = make_lattice(1, 2)
+    worst = max(
+        polarization(random_gaussian_state(two, seed, mean_scale=0.8),
+                     ShiftSpec(two, [theta, theta])).log_abs_T
+        for seed in range(200) for theta in (1e-9, 2.0 * np.pi - 1e-9, 1e-6)
+    )
+    assert worst <= 5e-15
 
 
 def cayley_matrix(state: GaussianState) -> np.ndarray:
@@ -367,18 +380,20 @@ def test_factorizations_per_evaluation(monkeypatch):
             again = track_polarization(loop)
             assert again.lambdas.tolist() == track.lambdas.tolist()
             if loop is dense_loop:
-                # One Cholesky, one slogdet and, with a mean, one solve per
-                # sample, each in one call per grid; the lambda = 0 anchor
-                # makes the calls of one pointwise evaluation.
-                want = {"cholesky": samples, "slogdet": samples, "eigh": 1, "eigvalsh": 1}
-                want_calls = {name: 1 for name in want}
+                # One Cholesky, one eigh of V, the eigenvalues alone of H and,
+                # with a mean, one solve per sample, each in one call per grid:
+                # the track's phase at lambda = 0 is the kernel's own, so no
+                # pointwise anchor and no slogdet.
+                want = {"cholesky": samples, "eigh": samples, "eigvalsh": samples}
                 if mean_scale:
-                    want["solve"], want_calls["solve"] = samples + 1, 2
+                    want["solve"] = samples
+                want_calls = {name: 1 for name in want}
                 assert shapes == {(lat.dim, lat.dim)}
+                assert "slogdet" not in calls
             else:
                 # Per sample, one Cholesky of each block v_k and of (v_k + 1) / 2,
                 # one inverse of each v_k + 1, one slogdet of 1 - P and, with a
-                # mean, one solve; one eigvals of P at lambda = 0 anchors the
+                # mean, one solve; one eigvals of P at lambda = 0 gives the
                 # branch. All of them are 2n x 2n.
                 want = {"cholesky": 2 * samples * lat.cells, "inv": samples * lat.cells,
                         "slogdet": samples, "eigvals": 1}
@@ -392,15 +407,17 @@ def test_factorizations_per_evaluation(monkeypatch):
 
 @pytest.mark.parametrize("mean_scale", [0.0, 0.6])
 def test_bloch_evaluation_factorizes_only_cell_blocks(monkeypatch, mean_scale):
-    """One stacked eigh of the L blocks, one eigvals of P and, with a mean, one
-    solve: no matrix beyond 2n x 2n, and the dense V is never assembled."""
+    """The loop kernel on a stack of one: one stacked eigvalsh of the L blocks
+    for the diagnostics, one Cholesky and one inverse of the v_k + 1, one
+    slogdet and one eigvals of P and, with a mean, one solve. No matrix is
+    beyond 2n x 2n, and the dense V is never assembled."""
     L, n = 48, 3
     st = random_circulant_state(make_lattice(L, n), 4, mean_scale=mean_scale)
     matrices, shapes = collections.Counter(), set()
     calls = count_factorizations(monkeypatch, matrices, shapes)
     b = polarization(st)
     assert b.path == "bloch"
-    want = {"eigh": L, "eigvals": 1}
+    want = {"eigvalsh": L, "cholesky": L, "inv": L, "slogdet": 1, "eigvals": 1}
     if mean_scale:
         want["solve"] = 1
     assert matrices == want

@@ -130,14 +130,24 @@ def test_thermal_rice_mele_pump_loop():
 
 def test_track_follows_pointwise_spectral_branch():
     # The spectral branch is continuous along any path of valid states, so
-    # the tracked polarization equals the pointwise one at every sample.
-    for loop in (random_classical_loop(make_lattice(3, 2), 3),
-                 random_squeezed_loop(make_lattice(3, 2), 4)):
+    # the tracked polarization equals the pointwise one at every sample, on
+    # the Bloch blocks and on their dense twin alike.
+    lat = make_lattice(3, 2)
+    chern_lattice = make_lattice(4, 2)
+    family = thermal_chern_family(chern_lattice)
+    for loop in (rmm_thermal_loop(lat), rmm_coherent_loop(lat),
+                 random_classical_loop(lat, 3), random_squeezed_loop(lat, 4),
+                 ParameterLoop(chern_lattice, lambda lams: family(2.0 * math.pi * lams))):
         track = track_polarization(loop)
-        V, mean = dense_moments(loop.lattice, *loop.sampler(track.lambdas))
-        pointwise = [polarization(GaussianState(loop.lattice, v, m)).p_unwrapped
-                     for v, m in zip(V, mean)]
-        assert np.abs(track.p_unwrapped - pointwise).max() <= 1e-10
+        V, mean = loop.sampler(track.lambdas)
+        if np.ndim(V) == 4:
+            bloch = [BlochState(loop.lattice, v, m) for v, m in zip(V, mean)]
+            twins = [bloch, [GaussianState(loop.lattice, b.V, b.mean) for b in bloch]]
+        else:
+            twins = [[GaussianState(loop.lattice, v, m) for v, m in zip(V, mean)]]
+        for states in twins:
+            pointwise = [polarization(st).p_unwrapped for st in states]
+            assert np.abs(track.p_unwrapped - pointwise).max() <= 1e-10
 
 
 def test_each_sample_evaluated_once(monkeypatch):
@@ -556,13 +566,14 @@ def test_bad_bloch_sample_stacks_raise_the_state_messages(spoil, message):
             BlochState(loop.lattice, blocks, m)
 
 
-def test_mean_solve_residual_raises_on_both_kernels(monkeypatch):
+def test_mean_solve_residual_raises_on_the_bloch_kernel(monkeypatch):
+    # The dense kernel solves 1 + iH, whose singular values are all >= 1, so
+    # only the reduced one checks its residual.
     loop = random_classical_loop(make_lattice(3, 2), 4)
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda M, b: solve(M, b) * (1.0 + 1e-6))
-    for kernel in (loop, dense_twin(loop)):
-        with pytest.raises(NumericalError, match="linear solve residual .* exceeds 1e-08"):
-            track_polarization(kernel)
+    with pytest.raises(NumericalError, match="linear solve residual .* exceeds 1e-08"):
+        track_polarization(loop)
 
 
 def test_bloch_grid_then_dense_midpoint_is_rejected():

@@ -87,17 +87,18 @@ def random_bloch_blocks(
     """
     L, tn = lattice.cells, 2 * lattice.sites_per_cell
     lows, highs = np.broadcast_arrays(np.asarray(low, dtype=float), np.asarray(high, dtype=float))
-    self_conjugate = (2 * np.arange(L) % L == 0)[:, None, None]
-    gaussians, eigs = [], []
-    for lo, hi in zip(lows.ravel(), highs.ravel()):
-        real, imag = rng.normal(size=(2, L, tn, tn))
-        gaussians.append(real + 1j * np.where(self_conjugate, 0.0, imag))
-        tops = np.full((L, 1), hi)
+    gaussians = np.empty((lows.size, 2, L, tn, tn))  # real and imaginary parts per set
+    eigs = np.empty((lows.size, L, tn))
+    for g, e, lo, hi in zip(gaussians, eigs, lows.flat, highs.flat):
+        rng.standard_normal(out=g)
+        top = hi  # a scalar bound draws the same numbers faster than a broadcast one
         if k0_high is not None:
-            tops[0] = k0_high
-        eigs.append(rng.uniform(lo, tops, size=(L, tn)))
-    Q, _ = np.linalg.qr(np.stack(gaussians))
-    B = (Q * np.stack(eigs)[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+            top = np.full((L, 1), hi)
+            top[0] = k0_high
+        e[...] = rng.uniform(lo, top, size=(L, tn))
+    gaussians[:, 1, 2 * np.arange(L) % L == 0] = 0.0  # real at the self-conjugate momenta
+    Q, _ = np.linalg.qr(gaussians[:, 0] + 1j * gaussians[:, 1])
+    B = (Q * eigs[..., None, :]) @ Q.conj().swapaxes(-1, -2)
     blocks = (B + B.conj().swapaxes(-1, -2)) / 2.0
     k = np.arange(L // 2 + 1, L)
     blocks[:, k] = blocks[:, L - k].conj()

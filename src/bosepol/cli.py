@@ -163,7 +163,11 @@ def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list
     Later flags win in argparse, so flags on the command line override the
     file. The parser itself is never changed, so it can serve every call.
     The lookup skips ``--config`` and its value: a file may share a subcommand's name.
+    Argparse's prefix matching reads ``--config`` only from a token ``--c...``
+    or ``--=...``, so without one the probe is skipped.
     """
+    if not any(a.startswith(("--c", "--=")) for a in argv):
+        return argv
     known, rest = _config_probe().parse_known_args(argv)
     if not known.config:
         return argv
@@ -201,6 +205,8 @@ def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 
 def _format_value(v) -> str:
+    if type(v) is float:  # most values, so tested first
+        return repr(v)
     if isinstance(v, bool):
         return str(v)
     if isinstance(v, (float, np.floating)):
@@ -220,7 +226,7 @@ def _config_comment(args: argparse.Namespace) -> str:
 
 def _emit_csv(args, header: list[str], rows: list[list]) -> None:
     lines = [_config_comment(args), ",".join(header)]
-    lines += [",".join(_format_value(v) for v in row) for row in rows]
+    lines += [",".join(map(_format_value, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -299,10 +305,10 @@ def run_winding(args) -> int:
     )
     track = winding.track_polarization(loop)
     result = winding.winding_number(track)
-    rows = np.column_stack((
+    rows = list(zip(*(x.tolist() for x in (
         track.lambdas, track.p_unwrapped, track.abs_T,
         track.det_term_phase, track.mean_term.imag,
-    )).tolist()
+    ))))
     _emit_csv(
         args,
         ["lambda", "P_unwrapped", "abs_T", "det_term_phase", "mean_term_im"],

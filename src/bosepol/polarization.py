@@ -89,7 +89,7 @@ class ShiftSpec:
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float).reshape(-1)
+        phases = np.array(self.phases, dtype=float).reshape(-1)  # a copy, frozen below
         if phases.shape != (self.lattice.modes,):
             raise ValueError(
                 f"need {self.lattice.modes} phases, got {phases.shape}"
@@ -99,7 +99,6 @@ class ShiftSpec:
         residue = np.abs(np.exp(1j * phases) - 1.0)
         if np.any(residue < 1e-12):
             raise ValueError("shift phase congruent to 0 mod 2pi: gauge origin on a site")
-        phases = phases.copy()
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
 
@@ -169,20 +168,24 @@ def quadrature_cotangents(shift: ShiftSpec) -> np.ndarray:
 def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """s = -1/2 w^T M^{-1} b for each matrix of the stack M; 0 where b = 0.
 
-    One solve covers the nonzero b; each residual must stay within MEAN_SOLVE_RTOL.
+    One solve covers the nonzero b, the stack as it is when every b is nonzero;
+    each residual must stay within MEAN_SOLVE_RTOL.
     """
     s = np.zeros(len(M), dtype=complex)
     has_mean = np.any(b, axis=1)
-    if has_mean.any():
-        M, b, w = M[has_mean], b[has_mean, :, None], w[has_mean, :, None]
-        y = np.linalg.solve(M, b)
-        residual = np.linalg.norm(M @ y - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
-        bad = residual[residual > MEAN_SOLVE_RTOL]
-        if bad.size:
-            raise NumericalError(
-                f"mean-term linear solve residual {bad[0]:.3e} exceeds {MEAN_SOLVE_RTOL}"
-            )
-        s[has_mean] = -0.5 * (w.transpose(0, 2, 1) @ y)[:, 0, 0]
+    if has_mean.all():
+        has_mean = slice(None)  # views, not masked copies
+    elif not has_mean.any():
+        return s
+    M, b, w = M[has_mean], b[has_mean, :, None], w[has_mean, :, None]
+    y = np.linalg.solve(M, b)
+    residual = np.linalg.norm(M @ y - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
+    bad = residual[residual > MEAN_SOLVE_RTOL]
+    if bad.size:
+        raise NumericalError(
+            f"mean-term linear solve residual {bad[0]:.3e} exceeds {MEAN_SOLVE_RTOL}"
+        )
+    s[has_mean] = -0.5 * (w.transpose(0, 2, 1) @ y)[:, 0, 0]
     return s
 
 
@@ -224,7 +227,7 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: s
     )
 
 
-def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec
+def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec, lams: list | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Homotopy phases Im ln det(1 - W), mean terms s, log|<T>| and the ascending
     eigenvalues of V, for covariances V (..., 2nL, 2nL) and means (..., 2nL).
@@ -232,10 +235,18 @@ def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec
     The closed form of the module docstring over the leading axes: one ``eigh``
     of V, the eigenvalues alone of H and, when any mean is nonzero, one solve of
     1 + iH, which gives y = 0 where the mean is 0. Raises
-    :class:`InvalidStateError` unless every V is positive definite.
+    :class:`InvalidStateError` unless every V is positive definite, before any
+    square root of its eigenvalues; given the ``lams`` of a loop's stack
+    (S, 2nL, 2nL), the error names the first failing one.
     """
     vals, Q = np.linalg.eigh(V)
-    check_min_eigenvalue(float(vals.min()))
+    if lams is None:
+        check_min_eigenvalue(float(vals.min()))
+    else:
+        bad = np.flatnonzero(~(vals[:, 0] > 0.0))
+        if bad.size:
+            raise InvalidStateError(
+                f"invalid state at lambda = {lams[bad[0]]}: covariance not positive definite")
     k = quadrature_cotangents(shift)
     A = Q / np.sqrt(vals)[..., None, :]
     H = A.swapaxes(-1, -2) @ (k[:, None] * A)
@@ -288,7 +299,8 @@ def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
     chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real
     inv = np.linalg.inv(w)
     c = (inv[0] @ a[..., None])[..., 0]  # (v_0 + 1)^{-1} a
-    P, s = _reduced_path(eye - 2.0 * inv, quadrature_phase_factors(shift)[:len(eye)], a, c)
+    d = np.repeat(np.exp(1j * shift.phases[: len(eye) // 2]), 2)  # the first cell's phases
+    P, s = _reduced_path(eye - 2.0 * inv, d, a, c)
     sign, log_abs_det = np.linalg.slogdet(eye - P)
     phases = np.angle(sign)
     phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()

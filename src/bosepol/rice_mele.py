@@ -81,7 +81,10 @@ def reference_shape(phase):
 def _shape_values(shape: Callable, phase) -> np.ndarray:
     """(3, *phase.shape) array of the shape's components at cycle fractions ``phase``."""
     phase = np.asarray(phase, dtype=float)
-    return np.array([np.broadcast_to(c, phase.shape) for c in shape(phase)], dtype=float)
+    components = shape(phase)  # before the output, which would add to their peak
+    values = np.empty((3, *phase.shape))
+    values[0], values[1], values[2] = components  # a constant component is broadcast
+    return values
 
 
 @dataclass(frozen=True)

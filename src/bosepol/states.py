@@ -64,9 +64,9 @@ class LatticeSpec:
 
     def site_positions(self) -> np.ndarray:
         """Positions ``x_{r,s} = r + (s + delta)/n`` in cell-major order."""
-        r = np.repeat(np.arange(self.cells), self.sites_per_cell)
-        s = np.tile(np.arange(self.sites_per_cell), self.cells)
-        return r + (s + self.gauge_offset) / self.sites_per_cell
+        r = np.arange(self.cells)[:, None]
+        s = np.arange(self.sites_per_cell)
+        return (r + (s + self.gauge_offset) / self.sites_per_cell).ravel()
 
 
 def make_lattice(cells: int, sites_per_cell: int, gauge_offset: float = 0.5) -> LatticeSpec:

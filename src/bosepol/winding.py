@@ -158,9 +158,10 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     one. Every call's stack is checked as :class:`BlochState` or
     :class:`GaussianState` checks one state, and the grid's lambda = 0 and 1
     give the closure check, of the covariances or blocks and of the means,
-    before anything is factorized. A stacked Cholesky factorization of the
-    covariances or blocks then checks positive definiteness, naming the
-    first failing lambda.
+    before anything is factorized. Positive definiteness is checked next,
+    naming the first failing lambda: on Bloch blocks by a stacked Cholesky
+    factorization, on covariances by the ascending eigenvalues of the dense
+    kernel's own ``eigh``, so a dense sample is factorized once.
 
     The shift is fixed along the loop, and each call's stack goes through
     the kernel that :func:`bosepol.polarization.polarization` takes for one
@@ -178,14 +179,15 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """
     lattice = loop.lattice
     shift = shift_phases(lattice)
-    kernels = []  # the kernel the grid call picked
+    paths = []  # whether the grid call picked the Bloch kernel
 
     def evaluate(lams: list[float]) -> list[tuple]:
         V, mean = loop.sampler(np.array(lams, dtype=float))
-        grid = not kernels  # the uniform grid, from lambda = 0 to 1
+        grid = not paths  # the uniform grid, from lambda = 0 to 1
         if grid:
-            kernels.append(_bloch_terms if np.ndim(V) == 4 else _dense_terms)
-        if kernels[0] is _bloch_terms:
+            paths.append(np.ndim(V) == 4)
+        bloch = paths[0]
+        if bloch:
             V, mean = checked_bloch_moments(lattice, V, mean, (len(lams),))
         else:
             V, mean = checked_moments(lattice.dim, V, mean, (len(lams),))
@@ -195,29 +197,33 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                 if closure > CLOSURE_TOL * max(1.0, float(np.abs(x[0]).max())):
                     raise ValueError(
                         f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
-        try:
-            np.linalg.cholesky(V)
-        except np.linalg.LinAlgError:
-            for lam, v in zip(lams, V):  # name the first failing sample
-                try:
-                    np.linalg.cholesky(v)
-                except np.linalg.LinAlgError:
-                    raise InvalidStateError(
-                        f"invalid state at lambda = {lam}: covariance not positive definite"
-                    ) from None
-        phases, s, log_abs = kernels[0](V, mean, shift)[:3]
+        if bloch:
+            try:
+                np.linalg.cholesky(V)
+            except np.linalg.LinAlgError:
+                for lam, v in zip(lams, V):  # name the first failing sample
+                    try:
+                        np.linalg.cholesky(v)
+                    except np.linalg.LinAlgError:
+                        raise InvalidStateError(
+                            f"invalid state at lambda = {lam}: covariance not positive definite"
+                        ) from None
+            phases, s, log_abs = _bloch_terms(V, mean, shift)
+        else:
+            phases, s, log_abs, _ = _dense_terms(V, mean, shift, lams)
         return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)
     phases, means, log_abs = zip(*records)
-    worst = int(np.argmax(log_abs))
+    log_abs = np.array(log_abs)
+    worst = int(log_abs.argmax())
     _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
     det_term = -0.5 * _unwrap(phases[0], np.array(phases))
-    means = np.array(means, dtype=complex)
+    means = np.array(means)
     return PolarizationTrack(
         lambdas=np.array(lams),
         p_unwrapped=(det_term + means.imag) / (2.0 * math.pi),
-        abs_T=np.exp(np.array(log_abs)),
+        abs_T=np.exp(log_abs),
         det_term_phase=det_term,
         mean_term=means,
     )

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+CIRCULANT = "src/bosepol/circulant.py"
 POLARIZATION = "src/bosepol/polarization.py"
 RICE_MELE = "src/bosepol/rice_mele.py"
 STATES = "src/bosepol/states.py"
@@ -74,12 +75,24 @@ MUTANTS = (
            "b = a - (R @ (d * a)[..., None])[..., 0]", "b = a - d * a", POLARIZATION_TESTS),
     Mutant("bloch: sign of Im N flipped in the thermal blocks", STATES,
            "(N - mirror) * -0.5j", "(N - mirror) * 0.5j", ("tests/test_circulant.py",)),
+    Mutant("bloch: the mirror check v_(L-k) = conj(v_k) disabled", STATES,
+           "    if (defect > tol).any():\n        raise ValueError(\n            f\"Bloch blocks violate",
+           "    if False:\n        raise ValueError(\n            f\"Bloch blocks violate",
+           WINDING_TESTS),
+    Mutant("draw: imaginary parts left at the self-conjugate momenta", CIRCULANT,
+           "    gaussians[:, 1, 2 * np.arange(L) % L == 0] = 0.0", "",
+           ("tests/test_circulant.py",)),
     # The loop track.
     Mutant("track: unwrapped from 0 instead of phases[0]", WINDING,
            "_unwrap(phases[0], np.array(phases))", "_unwrap(0.0, np.array(phases))",
            WINDING_TESTS),
     Mutant("track: the mean's closure unchecked", WINDING,
            '(("V", V), ("mean", mean))', '(("V", V),)', WINDING_TESTS),
+    Mutant("track: the closure of V unchecked", WINDING,
+           '(("V", V), ("mean", mean))', '(("mean", mean),)', WINDING_TESTS),
+    Mutant("track: a dense stack's positive definiteness unchecked", POLARIZATION,
+           "bad = np.flatnonzero(~(vals[:, 0] > 0.0))", "bad = np.flatnonzero(vals[:, 0] != vals[:, 0])",
+           WINDING_TESTS),
     # The pump.
     Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
            "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",

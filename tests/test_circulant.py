@@ -175,6 +175,60 @@ def test_random_bloch_block_sets_equal_one_call_per_set(L, k0_high):
         assert np.array_equal(rng.normal(size=4), rng_sets.normal(size=4))
 
 
+def per_set_bloch_blocks(lattice, rng, low, high, k0_high=None):
+    """The draw of random_bloch_blocks one set at a time, with a list per
+    draw, np.where for the self-conjugate momenta and a broadcast upper bound,
+    kept as the reference for its bit-identical preallocated form."""
+    L, tn = lattice.cells, 2 * lattice.sites_per_cell
+    lows, highs = np.broadcast_arrays(np.asarray(low, dtype=float), np.asarray(high, dtype=float))
+    self_conjugate = (2 * np.arange(L) % L == 0)[:, None, None]
+    gaussians, eigs = [], []
+    for lo, hi in zip(lows.ravel(), highs.ravel()):
+        real, imag = rng.normal(size=(2, L, tn, tn))
+        gaussians.append(real + 1j * np.where(self_conjugate, 0.0, imag))
+        tops = np.full((L, 1), hi)
+        if k0_high is not None:
+            tops[0] = k0_high
+        eigs.append(rng.uniform(lo, tops, size=(L, tn)))
+    Q, _ = np.linalg.qr(np.stack(gaussians))
+    B = (Q * np.stack(eigs)[..., None, :]) @ Q.conj().swapaxes(-1, -2)
+    blocks = (B + B.conj().swapaxes(-1, -2)) / 2.0
+    k = np.arange(L // 2 + 1, L)
+    blocks[:, k] = blocks[:, L - k].conj()
+    return blocks.reshape(*lows.shape, L, tn, tn)
+
+
+@pytest.mark.parametrize("k0_high", [None, 0.9])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 7])
+def test_random_bloch_blocks_equal_the_per_set_draw(L, k0_high):
+    """Bit for bit, and leaving the generator in the same state, for one set
+    given as scalars, one as a sequence and three."""
+    lat = make_lattice(L, 2)
+    bounds = ((0.3, 3.5), (-0.25, 0.25), (0.5, 4.0))
+    for seed in range(10):
+        for low, high in ((0.3, 3.5), ((0.3,), (3.5,)), tuple(zip(*bounds))):
+            rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_bloch_blocks(lat, rng, low, high, k0_high)
+            want = per_set_bloch_blocks(lat, want_rng, low, high, k0_high)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(rng.normal(size=4), want_rng.normal(size=4))
+
+
+@pytest.mark.parametrize("classical", [True, False])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 7])
+def test_random_circulant_state_blocks_equal_the_per_set_draw(L, classical):
+    lat = make_lattice(L, 2)
+    for seed in range(10):
+        for mean_scale in (0.0, 0.5):
+            state = random_circulant_state(lat, seed, classical, mean_scale=mean_scale)
+            rng = np.random.default_rng(seed)
+            low, k0_high = (1.1, None) if classical else (0.3, 0.9)
+            assert np.array_equal(state.v_blocks, per_set_bloch_blocks(lat, rng, low, 4.0, k0_high))
+            mean = mean_scale * rng.normal(size=4) if mean_scale else np.zeros(4)
+            assert np.array_equal(state.cell_mean, mean)
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 8, 16])
 def test_random_bloch_blocks_spectra_mirror_and_realness(L):
     lat = make_lattice(L, 2)

@@ -335,6 +335,54 @@ def test_config_before_or_after_subcommand(tmp_path, before):
     assert {"L=3", "samples=8", "no_color=False"} <= set(comment.split())
 
 
+@pytest.mark.parametrize("before", [True, False])
+@pytest.mark.parametrize("flag", [["--config", "{}"], ["--conf={}"], ["--c", "{}"], ["--={}"]])
+def test_config_flag_forms_read_the_file(tmp_path, flag, before):
+    """Every token argparse reads as --config, abbreviated or with '=', before
+    or after the subcommand; '--=' is the empty prefix of every long option."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 3\nsamples = 8\n")
+    out = tmp_path / "t.csv"
+    flag = [token.format(cfg) for token in flag]
+    args = ["winding", "--loop", "random-classical", "--output", str(out)]
+    args = flag + args if before else args + flag
+    assert cli.main(args) == 0
+    comment, _, _ = read_csv(out)
+    assert {"L=3", "samples=8", "loop=random-classical"} <= set(comment.split())
+
+
+def test_argv_without_a_config_token_skips_the_probe(tmp_path, monkeypatch):
+    def never():
+        pytest.fail("the --config probe ran on an argv that cannot name --config")
+
+    monkeypatch.setattr(cli, "_config_probe", never)
+    out = tmp_path / "t.csv"
+    argv = ["--no-color", "winding", "--L", "3", "--samples", "8", "--mu", "-2.5",
+            "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert {"L=3", "samples=8", "mu=-2.5"} <= set(read_csv(out)[0].split())
+
+
+@pytest.mark.parametrize("flag", [["--cutoff", "50"], ["--cutoff=50"], ["--cut", "50"]])
+def test_a_c_option_other_than_config_still_parses(flag):
+    parser = cli._build_parser()
+    argv = ["oracle-check", *flag]
+    assert cli._config_file_flags(parser, argv) == argv
+    assert parser.parse_args(argv).cutoff == 50
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.1"), (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
+    (1e-300, "1e-300"), (-0.0, "-0.0"), (np.float64(-0.0), "-0.0"),
+    (math.nan, "nan"), (np.float64(math.nan), "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (np.float64(-math.inf), "-inf"), (3, "3"), (np.int64(-3), "-3"), (True, "True"),
+    (False, "False"), (np.True_, "True"), (None, "None"), ("rmm-thermal", "rmm-thermal"),
+    ([4, 8], "[4, 8]"),
+])
+def test_format_value_strings(value, text):
+    assert cli._format_value(value) == text
+
+
 def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch, capsys):
     (tmp_path / "bench").write_text("L = 4,6,8\n")
     monkeypatch.chdir(tmp_path)

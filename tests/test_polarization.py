@@ -380,11 +380,12 @@ def test_factorizations_per_evaluation(monkeypatch):
             again = track_polarization(loop)
             assert again.lambdas.tolist() == track.lambdas.tolist()
             if loop is dense_loop:
-                # One Cholesky, one eigh of V, the eigenvalues alone of H and,
-                # with a mean, one solve per sample, each in one call per grid:
-                # the track's phase at lambda = 0 is the kernel's own, so no
-                # pointwise anchor and no slogdet.
-                want = {"cholesky": samples, "eigh": samples, "eigvalsh": samples}
+                # One eigh of V, whose eigenvalues also check V > 0, so no
+                # Cholesky; the eigenvalues alone of H and, with a mean, one
+                # solve per sample, each in one call per grid: the track's
+                # phase at lambda = 0 is the kernel's own, so no pointwise
+                # anchor and no slogdet.
+                want = {"eigh": samples, "eigvalsh": samples}
                 if mean_scale:
                     want["solve"] = samples
                 want_calls = {name: 1 for name in want}

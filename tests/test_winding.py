@@ -522,6 +522,17 @@ def test_bloch_loop_errors_carry_the_dense_messages(spoil, error, message):
             track_polarization(kernel)
 
 
+def test_dense_stack_is_checked_before_any_square_root():
+    """A dense loop's positive definiteness comes from the kernel's own eigh:
+    the first failing lambda is named before a negative eigenvalue reaches
+    the square root, so no NaN is formed on the way."""
+    loop = dense_twin(bloch_vacuum_loop(_scaled_k0))
+    with np.errstate(all="raise"):
+        with pytest.raises(InvalidStateError,
+                           match=r"lambda = 0\.375: covariance not positive definite"):
+            track_polarization(loop)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e3])
 def test_mean_closure_is_relative_to_the_mean(scale):
     """A mean that misses its start by half the tolerance closes, by twice it

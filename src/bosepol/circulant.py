@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .errors import NotTranslationInvariantError
-from .polarization import _reduced_path, polarization, quadrature_phase_factors, shift_phases
+from .polarization import _cayley_product, polarization, quadrature_phase_factors, shift_phases
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
@@ -116,9 +116,8 @@ def reduced_determinant(state: BlochState) -> complex:
     v = state.v_blocks
     eye = np.eye(v.shape[-1])
     d = quadrature_phase_factors(shift_phases(state.lattice))[: len(eye)]
-    zero = np.zeros((1, len(eye)))  # no mean: the path returns before it reads c
-    P, _ = _reduced_path(np.linalg.solve(v + eye, v - eye)[:, None], d, zero, zero)
-    return complex(np.linalg.det(eye - P[0]))
+    P, _ = _cayley_product(np.linalg.solve(v + eye, v - eye), d)
+    return complex(np.linalg.det(eye - P))
 
 
 def lambda_max(state: GaussianState | BlochState) -> float:

@@ -375,10 +375,7 @@ def run_chern(args) -> int:
     lattice = make_lattice(args.L, 2)
     band_c = loops.band_chern_number(args.mass)
     family = loops.thermal_chern_family(lattice, args.mass, args.beta, args.mu)
-    loop = winding.ParameterLoop(
-        lattice, lambda lams: family(2.0 * math.pi * lams), args.samples
-    )
-    track = winding.track_polarization(loop)
+    track = winding._chern_track(lattice, family, args.samples)
     c = winding.polarization_winding(track)
     rows = np.column_stack(
         (track.lambdas, 2.0 * math.pi * track.lambdas, track.p_unwrapped)

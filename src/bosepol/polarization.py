@@ -49,11 +49,15 @@ it that start from 0 at t = 0. A cell-periodic mean a gives
 s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
 R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
 states: one state, or one sampler call of a loop in
-:func:`bosepol.winding.track_polarization`. The dense kernel gives every
+:func:`bosepol.winding.track_polarization`. Given a loop's lambdas, each
+kernel checks its stack positive definite and names the first failing one:
+the dense kernel from the eigenvalues of its ``eigh``, the reduced one by a
+stacked Cholesky factorization of the blocks. The dense kernel gives every
 state's homotopy branch. The reduced one takes a Cholesky factorization and
-an inverse of v_k + 1 and one ``slogdet`` of 1 - P; it gives the branch,
-from the eigenvalues of P, for the first state only, as a loop's track
-unwraps from there.
+an inverse of v_k + 1, one ``slogdet`` of 1 - P and, with a mean, one
+residual-checked solve of the stacked 1 - P; it gives the branch, from the
+eigenvalues of P, for the first state only, as a loop's track unwraps from
+there.
 """
 
 from __future__ import annotations
@@ -165,30 +169,6 @@ def quadrature_cotangents(shift: ShiftSpec) -> np.ndarray:
     return np.repeat(1.0 / np.tan(shift.phases / 2.0), 2)
 
 
-def _mean_terms(M: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """s = -1/2 w^T M^{-1} b for each matrix of the stack M; 0 where b = 0.
-
-    One solve covers the nonzero b, the stack as it is when every b is nonzero;
-    each residual must stay within MEAN_SOLVE_RTOL.
-    """
-    s = np.zeros(len(M), dtype=complex)
-    has_mean = np.any(b, axis=1)
-    if has_mean.all():
-        has_mean = slice(None)  # views, not masked copies
-    elif not has_mean.any():
-        return s
-    M, b, w = M[has_mean], b[has_mean, :, None], w[has_mean, :, None]
-    y = np.linalg.solve(M, b)
-    residual = np.linalg.norm(M @ y - b, axis=(1, 2)) / np.linalg.norm(b, axis=(1, 2))
-    bad = residual[residual > MEAN_SOLVE_RTOL]
-    if bad.size:
-        raise NumericalError(
-            f"mean-term linear solve residual {bad[0]:.3e} exceeds {MEAN_SOLVE_RTOL}"
-        )
-    s[has_mean] = -0.5 * (w.transpose(0, 2, 1) @ y)[:, 0, 0]
-    return s
-
-
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """m_{L-1} ... m_1 m_0 of a stack (L, ..., d, d), the identity for L = 0.
 
@@ -201,6 +181,15 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
         even = len(mats) - len(mats) % 2
         mats = np.concatenate((mats[1:even:2] @ mats[0:even:2], mats[even:]))
     return mats[0]
+
+
+def _check_positive(lowest: np.ndarray, lams: list) -> None:
+    """Raise :class:`InvalidStateError` naming the first of a loop's ``lams``
+    whose smallest covariance eigenvalue ``lowest`` is not positive."""
+    bad = np.flatnonzero(~(lowest > 0.0))
+    if bad.size:
+        raise InvalidStateError(
+            f"invalid state at lambda = {lams[bad[0]]}: covariance not positive definite")
 
 
 def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: str
@@ -243,10 +232,7 @@ def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec, lams: list |
     if lams is None:
         check_min_eigenvalue(float(vals.min()))
     else:
-        bad = np.flatnonzero(~(vals[:, 0] > 0.0))
-        if bad.size:
-            raise InvalidStateError(
-                f"invalid state at lambda = {lams[bad[0]]}: covariance not positive definite")
+        _check_positive(vals[:, 0], lams)
     k = quadrature_cotangents(shift)
     A = Q / np.sqrt(vals)[..., None, :]
     H = A.swapaxes(-1, -2) @ (k[:, None] * A)
@@ -266,44 +252,61 @@ def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec, lams: list |
     return log_det.imag, s, log_abs, vals
 
 
-def _reduced_path(G: np.ndarray, d: np.ndarray, a: np.ndarray, c: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """P and the mean terms s of the reduced path for S states, from their Cayley
-    blocks G (L, S, 2n, 2n), the diagonal d of D, the cell means a (S, 2n) and
-    c = (v_0 + 1)^{-1} a (S, 2n): one log-depth product and one residual-checked
-    solve of the stacked 1 - P."""
+def _cayley_product(G: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1 of the reduced path, with
+    A_k = D G_k, from the Cayley blocks G (L, ..., 2n, 2n) and the diagonal d
+    of D, in one log-depth product."""
     A = d[:, None] * G
     R = ordered_product(A[1:])
-    P = R @ A[0]
-    if not a.any():
-        return P, np.zeros(len(P), dtype=complex)
-    b = a - (R @ (d * a)[..., None])[..., 0]
-    return P, _mean_terms(np.eye(len(d)) - P, b, len(G) * c)
+    return R @ A[0], R
 
 
-def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec
+def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: list | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phases of det(1 - W), mean terms s and log|<T>| of S translation-invariant
-    states, from their positive definite Bloch blocks v (S, L, 2n, 2n) and cell
-    means a (S, 2n), under the lattice's own shift.
+    states, from their Bloch blocks v (S, L, 2n, 2n) and cell means a (S, 2n),
+    under the lattice's own shift.
 
     The reduced path of the module docstring: the Cholesky diagonal of
     (v_k + 1) / 2 gives nL ln 2 - 1/2 log det(V + 1), one inverse
     G_k = 1 - 2 (v_k + 1)^{-1}, and one ``slogdet`` of the stacked 1 - P the
     principal phases and the magnitudes; the vacuum gives exactly 0 for each.
     The first state's phase is the homotopy branch sum_j Arg(1 - nu_j), from one
-    ``eigvals`` of its P.
+    ``eigvals`` of its P. With any mean nonzero, one solve of the stacked
+    1 - P gives every y_0, 0 for a zero mean; a residual above
+    MEAN_SOLVE_RTOL ||a - R D a|| raises :class:`NumericalError`. Given a
+    loop's ``lams``, one stacked Cholesky factorization first checks the
+    blocks positive definite, and :class:`InvalidStateError` names the first
+    failing lambda; without them the caller has checked the blocks, as
+    :func:`polarization` does.
     """
+    if lams is not None:
+        try:
+            np.linalg.cholesky(v)
+        except np.linalg.LinAlgError:
+            _check_positive(np.linalg.eigvalsh(v).min(axis=(1, 2)), lams)
     eye = np.eye(v.shape[-1])
     w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
     chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real
     inv = np.linalg.inv(w)
-    c = (inv[0] @ a[..., None])[..., 0]  # (v_0 + 1)^{-1} a
     d = np.repeat(np.exp(1j * shift.phases[: len(eye) // 2]), 2)  # the first cell's phases
-    P, s = _reduced_path(eye - 2.0 * inv, d, a, c)
-    sign, log_abs_det = np.linalg.slogdet(eye - P)
+    P, R = _cayley_product(eye - 2.0 * inv, d)
+    M = eye - P
+    sign, log_abs_det = np.linalg.slogdet(M)
     phases = np.angle(sign)
     phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()
+    s = np.zeros(len(P), dtype=complex)
+    if a.any():
+        b = a[..., None] - R @ (d * a)[..., None]
+        y = np.linalg.solve(M, b)
+        residual = np.linalg.norm(M @ y - b, axis=(1, 2))
+        bound = MEAN_SOLVE_RTOL * np.linalg.norm(b, axis=(1, 2))  # 0 passes a zero mean
+        bad = np.flatnonzero(residual > bound)
+        if bad.size:
+            raise NumericalError(f"mean-term linear solve residual {residual[bad[0]]:.3e} "
+                                 f"exceeds {MEAN_SOLVE_RTOL} * ||b|| = {bound[bad[0]]:.3e}")
+        c = inv[0] @ a[..., None]  # (v_0 + 1)^{-1} a
+        s = -0.5 * ((len(w) * c).swapaxes(1, 2) @ y)[:, 0, 0]
     log_abs = -np.log(chol_diag).sum(axis=(0, 2)) - 0.5 * log_abs_det + s.real
     return phases, s, log_abs
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidStateError, NonIntegerWindingError, RefinementExhaustedError
+from .errors import NonIntegerWindingError, RefinementExhaustedError
 from .polarization import _bloch_terms, _check_abs_T, _dense_terms, shift_phases
 from .states import LatticeSpec, checked_bloch_moments, checked_moments
 
@@ -158,16 +158,17 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     one. Every call's stack is checked as :class:`BlochState` or
     :class:`GaussianState` checks one state, and the grid's lambda = 0 and 1
     give the closure check, of the covariances or blocks and of the means,
-    before anything is factorized. Positive definiteness is checked next,
-    naming the first failing lambda: on Bloch blocks by a stacked Cholesky
-    factorization, on covariances by the ascending eigenvalues of the dense
-    kernel's own ``eigh``, so a dense sample is factorized once.
+    before anything is factorized.
 
     The shift is fixed along the loop, and each call's stack goes through
     the kernel that :func:`bosepol.polarization.polarization` takes for one
-    state: the dense one or the reduced one, which evaluates det(1 - P) =
-    det(1 - W) on the 2n x 2n blocks, so each sample costs O(L n^3) and no
-    2nL-dimensional matrix is formed.
+    state, given the call's lambdas. The kernel checks positive definiteness
+    itself, naming the first failing lambda: the reduced one by a stacked
+    Cholesky factorization of the blocks, the dense one from the ascending
+    eigenvalues of its own ``eigh``, so a dense sample is factorized once.
+    The reduced kernel evaluates det(1 - P) = det(1 - W) on the 2n x 2n
+    blocks, and the mean terms from one solve of the stacked 1 - P, so each
+    sample costs O(L n^3) and no 2nL-dimensional matrix is formed.
 
     Consecutive phase differences are reduced to [-pi, pi) and summed
     cumulatively from phases[0], which either kernel gives on the homotopy
@@ -197,20 +198,8 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                 if closure > CLOSURE_TOL * max(1.0, float(np.abs(x[0]).max())):
                     raise ValueError(
                         f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
-        if bloch:
-            try:
-                np.linalg.cholesky(V)
-            except np.linalg.LinAlgError:
-                for lam, v in zip(lams, V):  # name the first failing sample
-                    try:
-                        np.linalg.cholesky(v)
-                    except np.linalg.LinAlgError:
-                        raise InvalidStateError(
-                            f"invalid state at lambda = {lam}: covariance not positive definite"
-                        ) from None
-            phases, s, log_abs = _bloch_terms(V, mean, shift)
-        else:
-            phases, s, log_abs, _ = _dense_terms(V, mean, shift, lams)
+        kernel = _bloch_terms if bloch else _dense_terms
+        phases, s, log_abs = kernel(V, mean, shift, lams)[:3]
         return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)
@@ -287,5 +276,11 @@ def chern_via_polarization(
     winding of P(k_y) is the Chern number of the construction; it vanishes
     for every bosonic Gaussian family.
     """
+    return polarization_winding(_chern_track(lattice, family, samples))
+
+
+def _chern_track(lattice: LatticeSpec, family: Callable, samples: int) -> PolarizationTrack:
+    """The track of :func:`chern_via_polarization`: ``family`` on the loop
+    lambda -> k_y = 2 pi lambda."""
     loop = ParameterLoop(lattice, lambda lams: family(2.0 * math.pi * lams), samples)
-    return polarization_winding(track_polarization(loop))
+    return track_polarization(loop)

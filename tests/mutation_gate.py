@@ -67,12 +67,14 @@ MUTANTS = (
            "    phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()\n", "",
            POLARIZATION_TESTS),
     Mutant("bloch: P = A_0 R", POLARIZATION,
-           "P = R @ A[0]", "P = A[0] @ R", POLARIZATION_TESTS),
+           "return R @ A[0], R", "return A[0] @ R, R", POLARIZATION_TESTS),
     Mutant("bloch: L dropped from the mean term", POLARIZATION,
-           "_mean_terms(np.eye(len(d)) - P, b, len(G) * c)", "_mean_terms(np.eye(len(d)) - P, b, c)",
-           POLARIZATION_TESTS),
+           "(len(w) * c)", "c", POLARIZATION_TESTS),
     Mutant("bloch: R dropped from the mean term", POLARIZATION,
-           "b = a - (R @ (d * a)[..., None])[..., 0]", "b = a - d * a", POLARIZATION_TESTS),
+           "b = a[..., None] - R @ (d * a)[..., None]", "b = a[..., None] - (d * a)[..., None]",
+           POLARIZATION_TESTS),
+    Mutant("bloch: a Bloch stack's positive definiteness unchecked", POLARIZATION,
+           "            np.linalg.cholesky(v)\n", "            pass\n", WINDING_TESTS),
     Mutant("bloch: sign of Im N flipped in the thermal blocks", STATES,
            "(N - mirror) * -0.5j", "(N - mirror) * 0.5j", ("tests/test_circulant.py",)),
     Mutant("bloch: the mirror check v_(L-k) = conj(v_k) disabled", STATES,
@@ -91,8 +93,7 @@ MUTANTS = (
     Mutant("track: the closure of V unchecked", WINDING,
            '(("V", V), ("mean", mean))', '(("mean", mean),)', WINDING_TESTS),
     Mutant("track: a dense stack's positive definiteness unchecked", POLARIZATION,
-           "bad = np.flatnonzero(~(vals[:, 0] > 0.0))", "bad = np.flatnonzero(vals[:, 0] != vals[:, 0])",
-           WINDING_TESTS),
+           "        _check_positive(vals[:, 0], lams)\n", "        pass\n", WINDING_TESTS),
     # The pump.
     Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
            "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",

@@ -587,6 +587,27 @@ def test_mean_solve_residual_raises_on_the_bloch_kernel(monkeypatch):
         track_polarization(loop)
 
 
+def test_bloch_stack_with_zero_and_nonzero_means_matches_pointwise():
+    """One solve of the stacked 1 - P serves a call whose samples have zero
+    cell means next to nonzero ones; its residual test forms no 0/0."""
+    lat = make_lattice(5, 2)
+    base = random_classical_loop(lat, 3)
+
+    def sampler(lams):
+        v, m = base.sampler(lams)
+        return v, np.maximum(0.0, np.sin(2.0 * np.pi * lams))[:, None] * m
+
+    loop = ParameterLoop(lat, sampler, base.initial_samples)
+    with np.errstate(all="raise"):
+        track = track_polarization(loop)
+        v, m = sampler(track.lambdas)
+        assert (~m.any(axis=1)).sum() == 9
+        for i, (blocks, cell_mean) in enumerate(zip(v, m)):
+            b = polarization(BlochState(lat, blocks, cell_mean))
+            assert abs(track.mean_term[i] - b.mean_term) <= 1e-15
+            assert abs(track.abs_T[i] - b.abs_T) <= 1e-15
+
+
 def test_bloch_grid_then_dense_midpoint_is_rejected():
     """The grid call picks the kernel; a later call in the other shape is an error."""
     loop = bisecting_thermal_loop()  # V = scale 1 on 4 one-site cells; it bisects

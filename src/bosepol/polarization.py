@@ -49,15 +49,18 @@ it that start from 0 at t = 0. A cell-periodic mean a gives
 s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
 R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
 states: one state, or one sampler call of a loop in
-:func:`bosepol.winding.track_polarization`. Given a loop's lambdas, each
-kernel checks its stack positive definite and names the first failing one:
-the dense kernel from the eigenvalues of its ``eigh``, the reduced one by a
-stacked Cholesky factorization of the blocks. The dense kernel gives every
-state's homotopy branch. The reduced one takes a Cholesky factorization and
-an inverse of v_k + 1, one ``slogdet`` of 1 - P and, with a mean, one
-residual-checked solve of the stacked 1 - P; it gives the branch, from the
-eigenvalues of P, for the first state only, as a loop's track unwraps from
-there.
+:func:`bosepol.winding.track_polarization`. Positive definiteness has one
+check, :func:`bosepol.states.check_positive`, which names the first failing
+lambda of a loop. The dense kernel calls it on the lowest eigenvalues of its
+own ``eigh``, for one state or a loop's stack. The reduced kernel checks a
+loop's stack by a stacked Cholesky factorization of the blocks, and calls it
+only when that fails; for one state, :func:`polarization` has checked the
+blocks already through :func:`bosepol.states.require_valid`. The dense
+kernel gives every state's homotopy branch. The reduced one takes a Cholesky
+factorization and an inverse of v_k + 1, one ``slogdet`` of 1 - P and, with
+a mean, one residual-checked solve of the stacked 1 - P; it gives the
+branch, from the eigenvalues of P, for the first state only, as a loop's
+track unwraps from there.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
-from .states import BlochState, GaussianState, LatticeSpec, check_min_eigenvalue, require_valid
+from .states import BlochState, GaussianState, LatticeSpec, check_positive, require_valid
 
 MEAN_SOLVE_RTOL = 1e-8
 # Rounding margin of the post-condition log|<T>| <= 0: T is unitary, so
@@ -183,15 +186,6 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _check_positive(lowest: np.ndarray, lams: list) -> None:
-    """Raise :class:`InvalidStateError` naming the first of a loop's ``lams``
-    whose smallest covariance eigenvalue ``lowest`` is not positive."""
-    bad = np.flatnonzero(~(lowest > 0.0))
-    if bad.size:
-        raise InvalidStateError(
-            f"invalid state at lambda = {lams[bad[0]]}: covariance not positive definite")
-
-
 def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: str
                ) -> PolarizationBreakdown:
     """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the ascending
@@ -223,16 +217,14 @@ def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec, lams: list |
 
     The closed form of the module docstring over the leading axes: one ``eigh``
     of V, the eigenvalues alone of H and, when any mean is nonzero, one solve of
-    1 + iH, which gives y = 0 where the mean is 0. Raises
-    :class:`InvalidStateError` unless every V is positive definite, before any
-    square root of its eigenvalues; given the ``lams`` of a loop's stack
-    (S, 2nL, 2nL), the error names the first failing one.
+    1 + iH, which gives y = 0 where the mean is 0. Before any square root of
+    the eigenvalues, :func:`~bosepol.states.check_positive` checks every V
+    positive definite from the lowest eigenvalues of that ``eigh``; given the
+    ``lams`` of a loop's stack (S, 2nL, 2nL), its error names the first
+    failing one.
     """
     vals, Q = np.linalg.eigh(V)
-    if lams is None:
-        check_min_eigenvalue(float(vals.min()))
-    else:
-        _check_positive(vals[:, 0], lams)
+    check_positive(vals[..., 0], lams)
     k = quadrature_cotangents(shift)
     A = Q / np.sqrt(vals)[..., None, :]
     H = A.swapaxes(-1, -2) @ (k[:, None] * A)
@@ -276,15 +268,16 @@ def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: list | No
     1 - P gives every y_0, 0 for a zero mean; a residual above
     MEAN_SOLVE_RTOL ||a - R D a|| raises :class:`NumericalError`. Given a
     loop's ``lams``, one stacked Cholesky factorization first checks the
-    blocks positive definite, and :class:`InvalidStateError` names the first
-    failing lambda; without them the caller has checked the blocks, as
-    :func:`polarization` does.
+    blocks positive definite; if it fails, the blocks' lowest eigenvalues go
+    to :func:`~bosepol.states.check_positive`, which names the first failing
+    lambda. Without ``lams`` the caller has checked the blocks, as
+    :func:`polarization` does through :func:`~bosepol.states.require_valid`.
     """
     if lams is not None:
         try:
             np.linalg.cholesky(v)
         except np.linalg.LinAlgError:
-            _check_positive(np.linalg.eigvalsh(v).min(axis=(1, 2)), lams)
+            check_positive(np.linalg.eigvalsh(v).min(axis=(1, 2)), lams)
     eye = np.eye(v.shape[-1])
     w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
     chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real

@@ -93,7 +93,12 @@ MUTANTS = (
     Mutant("track: the closure of V unchecked", WINDING,
            '(("V", V), ("mean", mean))', '(("mean", mean),)', WINDING_TESTS),
     Mutant("track: a dense stack's positive definiteness unchecked", POLARIZATION,
-           "        _check_positive(vals[:, 0], lams)\n", "        pass\n", WINDING_TESTS),
+           "    check_positive(vals[..., 0], lams)\n", "    pass\n", WINDING_TESTS),
+    # The single positive-definiteness check.
+    Mutant("positivity: a single state's failure passes", STATES,
+           "            raise InvalidStateError(f\"invalid state: min covariance eigenvalue "
+           "{lo:.6g} <= 0\")\n", "            return\n",
+           ("tests/test_polarization.py", "tests/test_circulant.py")),
     # The pump.
     Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
            "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",

@@ -73,6 +73,16 @@ def test_chern_gap_closing_mass_is_a_numerical_failure(capsys, mass):
     assert "numerical failure: gap closure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--n", "3"],
+    ["winding", "--n", "3"],
+    ["winding", "--loop", "rmm-coherent", "--n", "3"],
+])
+def test_three_sites_per_cell_names_the_contract(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "two sites per cell" in capsys.readouterr().err
+
+
 FLOAT_OPTIONS = [
     ("flux-sweep", "--period-list"), ("flux-sweep", "--amplitude"),
     ("scaling", "--offset"), ("scaling", "--amplitude"), ("scaling", "--beta"),

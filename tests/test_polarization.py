@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from bosepol import (
+    BlochState,
     GaussianState,
     PumpProtocol,
     RiceMeleParams,
@@ -663,8 +664,12 @@ def test_abs_t_positive_for_random_states():
 def test_invalid_state_raises():
     lat = make_lattice(2, 1)
     st = GaussianState(lat, np.diag([1.0, 1.0, 1.0, -0.5]), np.zeros(4))
-    with pytest.raises(InvalidStateError):
+    contract = r"invalid state: min covariance eigenvalue -0\.5 <= 0"
+    with pytest.raises(InvalidStateError, match=contract):
         polarization(st).expectation
+    v = np.stack([np.diag([1.0, -0.5]), np.eye(2)])  # real blocks, so v_1 = conj(v_1)
+    with pytest.raises(InvalidStateError, match=contract):
+        polarization(BlochState(lat, v, np.zeros(2)))
 
 
 def test_unphysical_positive_definite_state_raises():

@@ -8,9 +8,12 @@ import pytest
 from bosepol import (
     BlochState,
     GaussianState,
+    ShiftSpec,
     bose_occupations,
     coherent_state,
     make_lattice,
+    polarization,
+    random_circulant_state,
     random_gaussian_state,
     shift_phases,
     squeezed_vacuum_state,
@@ -340,6 +343,23 @@ def test_bloch_state_assembles_its_blocks():
     assert not st.V.flags.writeable and not st.v_blocks.flags.writeable
     assert np.array_equal(require_valid(st), np.sort(np.linalg.eigvalsh(v), axis=None))
     assert np.abs(require_valid(st) - np.linalg.eigvalsh(st.V)).max() <= 1e-13
+
+
+def test_bloch_state_within_the_realness_tolerance_reads_as_dense():
+    """Blocks that pass the mirror check v_(L-k) = conj(v_k) at SYMMETRY_RTOL
+    assemble to a real V: every dense reader takes the state as built."""
+    lat = make_lattice(4, 2)
+    v = np.array(random_circulant_state(lat, 0).v_blocks)
+    v[1, 0, 1] += 5e-9j  # Hermitian, and 5e-9 off the mirror of v_3
+    v[1, 1, 0] -= 5e-9j
+    st = BlochState(lat, v, np.zeros(4))
+    assert np.isrealobj(st.V) and np.array_equal(st.V, st.V.T)
+    assert validate(st).valid
+    reversed_shift = ShiftSpec(lat, shift_phases(lat).phases[::-1].copy())
+    assert polarization(st, reversed_shift).path == "dense"
+    bloch, dense = polarization(st), polarization(GaussianState(lat, st.V, st.mean))
+    assert (bloch.path, dense.path) == ("bloch", "dense")
+    assert abs(dense.p - bloch.p) <= 1e-12
 
 
 def test_bloch_state_rejects_broken_blocks():

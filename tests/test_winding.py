@@ -33,7 +33,9 @@ from bosepol.polarization import (
     shift_phases,
 )
 from bosepol.circulant import random_bloch_blocks
-from bosepol.rice_mele import _bloch_hamiltonians, _ring_hamiltonian, evolve_pump, rmm_thermal_state
+from bosepol.rice_mele import (
+    RiceMeleParams, _bloch_hamiltonians, _ring_hamiltonian, evolve_pump, rmm_thermal_state,
+)
 from bosepol.states import (
     BlochState,
     GaussianState,
@@ -105,6 +107,17 @@ def trace_zero_count(matrix_fn, samples: int = 256) -> float:
         Fm = np.asarray(matrix_fn(0.5 * (a + b)), dtype=complex)
         total += np.trace(np.linalg.solve(Fm, Fb - Fa))
     return float((total / (2.0j * math.pi)).real)
+
+
+@pytest.mark.parametrize("build", [
+    lambda lat: rmm_thermal_state(RiceMeleParams(1.0, 0.5, 0.2), lat, 1.0, -3.0),
+    rmm_thermal_loop,
+    rmm_coherent_loop,
+    thermal_chern_family,
+])
+def test_two_band_builders_need_two_sites_per_cell(build):
+    with pytest.raises(ValueError, match="two sites per cell"):
+        build(make_lattice(4, 3))
 
 
 def test_constant_loop():

@@ -191,7 +191,7 @@ def _config_file_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list
     known_actions = {a.dest: a for a in choices[command]._actions if a.option_strings}
     flags = []
     for key, value in entries.items():
-        if key not in known_actions:
+        if key not in known_actions or key == "config":  # a file names no other file
             raise ValueError(f"unknown config key {key!r} for subcommand {command!r}")
         action = known_actions[key]
         if isinstance(action, argparse._StoreTrueAction):
@@ -273,8 +273,7 @@ def run_scaling(args) -> int:
         # 2n x 2n reduced product, which resolves phases far below the
         # rounding floor of a dense factorization.
         breakdown = polarization(state)
-        # circulant.decay_bound, from the eigenvalues polarization already has.
-        eps = 4.0 * breakdown.cayley_norm ** L
+        eps = circulant.decay_bound(state)
         lam_min = breakdown.min_covariance_eigenvalue
         classical_bound = ((1.0 + lam_min) / 2.0) ** (-args.n * L)
         return [L, breakdown.abs_T, -2.0 * breakdown.det_term_phase, eps, classical_bound,

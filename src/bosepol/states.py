@@ -131,6 +131,11 @@ class GaussianState:
     def modes(self) -> int:
         return self.lattice.modes
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """V's ascending eigenvalues, computed on first read."""
+        return _as_readonly(np.linalg.eigvalsh(self.V))
+
 
 def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
     """Inverse Fourier transform of Bloch blocks v_k back to dense real-symmetric matrices.
@@ -195,8 +200,9 @@ class BlochState:
     enforced, as for :class:`GaussianState`.
 
     ``V`` and ``mean`` are assembled on first read, for dense consumers such
-    as :func:`validate`; the reduced evaluation of
-    :func:`bosepol.polarization.polarization` never reads them.
+    as the symplectic part of :func:`validate`; the reduced evaluation of
+    :func:`bosepol.polarization.polarization` never reads them. ``spectrum``
+    is the sorted union of the block spectra, from one stacked ``eigvalsh``.
     """
 
     lattice: LatticeSpec
@@ -223,6 +229,10 @@ class BlochState:
     @cached_property
     def mean(self) -> np.ndarray:
         return _as_readonly(np.tile(self.cell_mean, self.lattice.cells))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _as_readonly(np.sort(np.linalg.eigvalsh(self.v_blocks), axis=None))
 
 
 @dataclass(frozen=True)
@@ -433,8 +443,9 @@ def validate(state: GaussianState | BlochState) -> ValidationReport:
     eigenvalues are the moduli of eig(i Omega V), read here from the similar
     Hermitian matrix R^T (i Omega) R with V = R R^T. ``GaussianState``
     stores V exactly symmetric, so there is no symmetry defect to report.
+    The floor, classicality and purity read the cached ``spectrum``.
     """
-    eigs = np.linalg.eigvalsh(state.V)
+    eigs = state.spectrum
     lo = float(eigs[0])
     valid = lo > 0.0
     purity = float(np.exp(-0.5 * np.sum(np.log(eigs)))) if valid else float("nan")
@@ -469,15 +480,10 @@ def check_positive(lowest: np.ndarray | float, lams: list | None = None) -> None
 
 
 def require_valid(state: GaussianState | BlochState) -> np.ndarray:
-    """V's ascending eigenvalues, after :func:`check_positive`.
+    """V's ascending eigenvalues, the state's cached ``spectrum``, after :func:`check_positive`.
 
-    Cheaper than :func:`validate`: no symplectic spectrum. A :class:`BlochState`'s
-    spectrum is the sorted union of its block spectra, from one stacked
-    ``eigvalsh`` of its 2n x 2n blocks.
+    Cheaper than :func:`validate`: no symplectic spectrum. Every reader of one
+    state shares the spectrum, so its factorization runs once per state.
     """
-    if isinstance(state, BlochState):
-        vals = np.sort(np.linalg.eigvalsh(state.v_blocks), axis=None)
-    else:
-        vals = np.linalg.eigvalsh(state.V)
-    check_positive(vals[0])
-    return vals
+    check_positive(state.spectrum[0])
+    return state.spectrum

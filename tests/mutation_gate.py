@@ -99,6 +99,11 @@ MUTANTS = (
            "            raise InvalidStateError(f\"invalid state: min covariance eigenvalue "
            "{lo:.6g} <= 0\")\n", "            return\n",
            ("tests/test_polarization.py", "tests/test_circulant.py")),
+    # The cached spectrum of a state.
+    Mutant("spectrum: a BlochState's block spectra left unsorted", STATES,
+           "np.sort(np.linalg.eigvalsh(self.v_blocks), axis=None)",
+           "np.linalg.eigvalsh(self.v_blocks).ravel()",
+           ("tests/test_states.py", "tests/test_circulant.py")),
     # The pump.
     Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
            "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",

@@ -335,6 +335,24 @@ def test_decay_bound_arithmetic():
     assert polarization(cell_bloch_blocks(vac)).det_term_phase == 0.0
 
 
+def test_scaling_op_takes_one_block_spectrum(monkeypatch):
+    """polarization, reduced_determinant and decay_bound of one BlochState read
+    its cached spectrum: one stacked eigvalsh of the L blocks between them."""
+    L = 16
+    st = rmm_thermal_state(RiceMeleParams(0.8, 0.6, 0.35), make_lattice(L, 2), 1.0, -3.0)
+    shapes = []
+
+    def counted(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
+        shapes.append(np.shape(a))
+        return _fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    polarization(st)
+    reduced_determinant(cell_bloch_blocks(st))
+    decay_bound(st)
+    assert shapes == [(L, 4, 4)]
+
+
 def test_thermal_family_phase_below_bound_and_decaying():
     params = RiceMeleParams(0.9, 0.1, 0.3)
     phases = {}

@@ -283,6 +283,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert cli.main(["winding", "--config", str(cfg)]) == 2
 
 
+def test_config_file_may_not_name_another_config_file(tmp_path, capsys):
+    cfg = tmp_path / "c1.cfg"
+    cfg.write_text("L = 3\nconfig = nonexistent.cfg\n")
+    assert cli.main(["winding", "--config", str(cfg)]) == 2
+    assert "unknown config key 'config' for subcommand 'winding'" in capsys.readouterr().err
+
+
 def test_config_without_a_value_exits_config(capsys):
     assert cli.main(["winding", "--config"]) == 2
     assert "usage: bosepol" in capsys.readouterr().err

@@ -345,6 +345,23 @@ def test_bloch_state_assembles_its_blocks():
     assert np.abs(require_valid(st) - np.linalg.eigvalsh(st.V)).max() <= 1e-13
 
 
+def test_bloch_state_spectrum_is_shared_and_validates_as_dense():
+    """require_valid returns the cached, read-only spectrum, and validate of a
+    BlochState, read from its blocks, agrees with validate of its dense twin."""
+    for L in (3, 4, 8, 16):
+        lat = make_lattice(L, 2)
+        for seed in range(5):
+            for classical in (True, False):
+                st = random_circulant_state(lat, seed, classical=classical)
+                assert require_valid(st) is st.spectrum
+                assert not st.spectrum.flags.writeable
+                bloch, dense = validate(st), validate(GaussianState(lat, st.V, st.mean))
+                assert abs(bloch.min_eigenvalue - dense.min_eigenvalue) <= 1e-13
+                assert bloch.purity == pytest.approx(dense.purity, rel=1e-12, abs=0.0)
+                for flag in ("valid", "classical", "physical"):
+                    assert getattr(bloch, flag) == getattr(dense, flag)
+
+
 def test_bloch_state_within_the_realness_tolerance_reads_as_dense():
     """Blocks that pass the mirror check v_(L-k) = conj(v_k) at SYMMETRY_RTOL
     assemble to a real V: every dense reader takes the state as built."""

@@ -16,8 +16,9 @@ As V +- 1 commute, 1 - W = (V + 1)^{-1} M (1 - U), and det(V + 1) cancels:
 
     <T> = [det V det(1 + iH) / det(1 + iK)]^{-1/2} exp(s),
 
-where V = Q Lambda Q^T, A = Q Lambda^{-1/2}, the real symmetric H = A^T K A
-has eigenvalues h_j, and s = -1/2 c^T y with c = A^T alpha0 and
+where A is any whitening of V, A^T V A = 1, so det V = det(A)^{-2}, the
+real symmetric H = A^T K A has eigenvalues h_j, and s = -1/2 c^T y with
+c = A^T alpha0 and
 y = (1 + iH)^{-1} c. As c^T Re y = ||y||^2, s = -1/2 ||y||^2 - i/2 c^T Im y
 and Re s <= 0. Every singular value of 1 + iH is at least 1, since
 |x^dagger (1 + iH) x| >= 1 for a unit x, so the solve needs no check. Every
@@ -28,8 +29,16 @@ there, so
 
     Im ln det(1 - W) = sum_j arctan h_j - sum_j arctan k_j
 
-is the homotopy branch, with no path to sample: one ``eigh`` of V, the
-eigenvalues alone of H and, with a mean, one solve.
+is the homotopy branch, with no path to sample: the eigenvalues alone of
+H and, with a mean, one solve. The whitening and log det V come from one
+of two sources. A state that keeps its symplectic factor V = S diag(d) S^T
+(Williamson; see :meth:`~bosepol.states.GaussianState.from_factor`) has
+A = S^{-T} diag(d)^{-1/2} with S^{-T} = Omega^T S Omega, a signed
+permutation of S's entries, and log det V = sum log d, with no
+factorization; its spectrum, which the diagnostics read, is the state's
+cached ``spectrum``. Every other state, and every loop stack, takes one
+``eigh`` of V = Q Lambda Q^T: A = Q Lambda^{-1/2}, log det V = sum log
+Lambda, and the diagnostics read Lambda.
 
 The polarization is P = Im log <T> / (2 pi) on that branch.
 
@@ -51,8 +60,9 @@ R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
 states: one state, or one sampler call of a loop in
 :func:`bosepol.winding.track_polarization`. Positive definiteness has one
 check, :func:`bosepol.states.check_positive`, which names the first failing
-lambda of a loop. The dense kernel calls it on the lowest eigenvalues of its
-own ``eigh``, for one state or a loop's stack. The reduced kernel checks a
+lambda of a loop. The dense path calls it on the lowest eigenvalues of its
+``eigh`` of V, for one state or a loop's stack; a factored state is
+positive definite by construction. The reduced kernel checks a
 loop's stack by a stacked Cholesky factorization of the blocks, and calls it
 only when that fails; for one state, :func:`polarization` has checked the
 blocks already through :func:`bosepol.states.require_valid`. The dense
@@ -210,23 +220,49 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: s
     )
 
 
-def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec, lams: list | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Homotopy phases Im ln det(1 - W), mean terms s, log|<T>| and the ascending
-    eigenvalues of V, for covariances V (..., 2nL, 2nL) and means (..., 2nL).
+def _eigh_whitening(V: np.ndarray, lams: list | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whitenings A = Q Lambda^{-1/2}, log det V and the ascending eigenvalues of
+    covariances V = Q Lambda Q^T (..., 2nL, 2nL), from one ``eigh``.
 
-    The closed form of the module docstring over the leading axes: one ``eigh``
-    of V, the eigenvalues alone of H and, when any mean is nonzero, one solve of
-    1 + iH, which gives y = 0 where the mean is 0. Before any square root of
-    the eigenvalues, :func:`~bosepol.states.check_positive` checks every V
-    positive definite from the lowest eigenvalues of that ``eigh``; given the
-    ``lams`` of a loop's stack (S, 2nL, 2nL), its error names the first
-    failing one.
+    Before any square root of the eigenvalues,
+    :func:`~bosepol.states.check_positive` checks every V positive definite
+    from the lowest eigenvalues; given the ``lams`` of a loop's stack
+    (S, 2nL, 2nL), its error names the first failing one.
     """
     vals, Q = np.linalg.eigh(V)
     check_positive(vals[..., 0], lams)
+    return Q / np.sqrt(vals)[..., None, :], np.log(vals).sum(-1), vals
+
+
+def _factor_whitening(S: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """The whitening A = S^{-T} diag(d)^{-1/2} and log det V = sum log d of a
+    factored state V = S diag(d) S^T, with no factorization.
+
+    A symplectic S has S^{-T} = Omega^T S Omega, whose entry (i, j) is
+    sign_i sign_j S[i ^ 1, j ^ 1]: the q and p of each mode swapped, with
+    sign = (-1, 1, -1, 1, ...). The factor is physical by construction
+    (:meth:`~bosepol.states.GaussianState.from_factor`), so V > 0 needs no check.
+    """
+    swap = np.arange(len(d)) ^ 1
+    sign = np.tile([-1.0, 1.0], len(d) // 2)
+    A = sign[:, None] * S[swap[:, None], swap] * (sign / np.sqrt(d))
+    return A, float(np.log(d).sum())
+
+
+def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
+                 shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Homotopy phases Im ln det(1 - W), mean terms s and log|<T>|, for
+    covariances V given by whitenings A (..., 2nL, 2nL) with A^T V A = 1 and
+    their log det V, and for means (..., 2nL).
+
+    The closed form of the module docstring over the leading axes: the
+    eigenvalues alone of H = A^T K A and, when any mean is nonzero, one solve
+    of 1 + iH, which gives y = 0 where the mean is 0. Every whitening of V
+    gives the same eigenvalues of H and the same s, so A may come from
+    :func:`_eigh_whitening` or, for a factored state, :func:`_factor_whitening`.
+    """
     k = quadrature_cotangents(shift)
-    A = Q / np.sqrt(vals)[..., None, :]
     H = A.swapaxes(-1, -2) @ (k[:, None] * A)
     h = np.linalg.eigvalsh(H)
     s = np.zeros(h.shape[:-1], dtype=complex)
@@ -240,8 +276,8 @@ def _dense_terms(V: np.ndarray, mean: np.ndarray, shift: ShiftSpec, lams: list |
     # the homotopy branch, and the vacuum (H = K) gives exactly 0.
     ks = np.sort(k)
     log_det = np.log1p(1j * (h - ks) / (1.0 + 1j * ks)).sum(-1)
-    log_abs = -0.5 * (log_det.real + np.log(vals).sum(-1)) + s.real
-    return log_det.imag, s, log_abs, vals
+    log_abs = -0.5 * (log_det.real + log_det_V) + s.real
+    return log_det.imag, s, log_abs
 
 
 def _cayley_product(G: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,9 +346,11 @@ def polarization(
     """Full polarization breakdown of a Gaussian state on the homotopy branch.
 
     A :class:`BlochState` under its lattice's own shift takes the reduced
-    path of the module docstring; every other state or shift the dense one.
-    Raises :class:`InvalidStateError` when V is not positive definite, or
-    when |<T>| exceeds 1, which only a state violating V + i Omega >= 0 gives.
+    path of the module docstring; every other state or shift the dense one,
+    whitened by the state's symplectic factor if it has one, else by one
+    ``eigh`` of V. Raises :class:`InvalidStateError` when V is not positive
+    definite, or when |<T>| exceeds 1, which only a state violating
+    V + i Omega >= 0 gives.
     """
     bloch = isinstance(state, BlochState)
     if shift is None:
@@ -326,6 +364,11 @@ def polarization(
         phi, s, log_abs = (x[0] for x in _bloch_terms(
             state.v_blocks[None], state.cell_mean[None], shift))
     else:
-        phi, s, log_abs, vals = _dense_terms(state.V, state.mean, shift)
+        if state.factor is None:
+            A, log_det_V, vals = _eigh_whitening(state.V)
+        else:
+            A, log_det_V = _factor_whitening(*state.factor)
+            vals = state.spectrum
+        phi, s, log_abs = _dense_terms(A, log_det_V, state.mean, shift)
     return _breakdown(float(log_abs), float(phi), complex(s), vals,
                       "bloch" if bloch else "dense")

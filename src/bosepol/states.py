@@ -15,7 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -115,11 +116,19 @@ class GaussianState:
     ``V`` is stored exactly symmetric; positive definiteness is *not*
     enforced at construction (use :func:`validate`), so deliberately broken
     states can be built in tests.
+
+    A state built by :meth:`from_factor` also keeps its symplectic factor
+    ``factor = (S, d)``, with V = S diag(d) S^T (Williamson); it is None for
+    a state given only by ``V``. The factor is physical by construction, and
+    :func:`bosepol.polarization.polarization`, :func:`validate` and
+    ``spectrum`` read it in place of a factorization of ``V``.
     """
 
     lattice: LatticeSpec
     V: np.ndarray
     mean: np.ndarray
+    factor: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         V, mean = checked_moments(self.lattice.dim, self.V, self.mean)
@@ -127,14 +136,55 @@ class GaussianState:
         # checked_moments may return the caller's own mean array: freeze a copy.
         object.__setattr__(self, "mean", _as_readonly(mean.copy()))
 
+    @classmethod
+    def from_factor(cls, lattice: LatticeSpec, S, d, mean) -> GaussianState:
+        """The state V = S diag(d) S^T, which keeps its symplectic factor (S, d).
+
+        ``d`` is the length-2nL diagonal of the Williamson form: each mode's
+        symplectic eigenvalue, once for its q and once for its p. Both must be
+        finite, every eigenvalue >= 1, which is the uncertainty relation
+        V + i Omega >= 0, and S symplectic, ||S Omega S^T - Omega||_max at most
+        SYMMETRY_RTOL max(1, max |S|^2). Each failure raises ``ValueError``
+        naming its contract.
+        """
+        dim = lattice.dim
+        S, d = np.array(S, dtype=float), np.array(d, dtype=float)
+        if S.shape != (dim, dim) or d.shape != (dim,):
+            raise ValueError(f"symplectic factor must be {dim}x{dim} with a diagonal of "
+                             f"length {dim}, got {S.shape} and {d.shape}")
+        if not (np.isfinite(S).all() and np.isfinite(d).all()):
+            raise ValueError("symplectic factor must be finite")
+        if not np.array_equal(d[0::2], d[1::2]):
+            raise ValueError("Williamson diagonal must repeat each mode's symplectic "
+                             "eigenvalue for its q and its p")
+        if not d.min() >= 1.0:
+            raise ValueError(f"symplectic eigenvalue {d.min():.6g} < 1 violates the "
+                             "uncertainty relation V + i Omega >= 0")
+        omega = symplectic_form(lattice.modes)
+        defect = np.abs(S @ omega @ S.T - omega).max()
+        if defect > SYMMETRY_RTOL * max(1.0, np.abs(S).max() ** 2):
+            raise ValueError(f"factor is not symplectic: ||S Omega S^T - Omega|| = "
+                             f"{defect:.3e} exceeds tolerance")
+        V = (S * d) @ S.T
+        state = cls(lattice, (V + V.T) / 2.0, mean)
+        object.__setattr__(state, "factor", (_as_readonly(S), _as_readonly(d)))
+        return state
+
     @property
     def modes(self) -> int:
         return self.lattice.modes
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """V's ascending eigenvalues, computed on first read."""
-        return _as_readonly(np.linalg.eigvalsh(self.V))
+        """V's ascending eigenvalues, computed on first read: ``eigvalsh`` of V, or
+        for a factored state the squared singular values of S diag(d)^{1/2},
+        since V = (S d^{1/2})(S d^{1/2})^T. Their rounding error scales with the
+        largest singular value, not with its square, the largest eigenvalue,
+        as ``eigvalsh`` of the rounded V does."""
+        if self.factor is None:
+            return _as_readonly(np.linalg.eigvalsh(self.V))
+        S, d = self.factor
+        return _as_readonly(np.linalg.svd(S * np.sqrt(d), compute_uv=False)[::-1] ** 2)
 
 
 def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
@@ -199,15 +249,16 @@ class BlochState:
     SYMMETRY_RTOL of max(1, max |v_k|). Positive definiteness is not
     enforced, as for :class:`GaussianState`.
 
-    ``V`` and ``mean`` are assembled on first read, for dense consumers such
-    as the symplectic part of :func:`validate`; the reduced evaluation of
-    :func:`bosepol.polarization.polarization` never reads them. ``spectrum``
+    ``V`` and ``mean`` are assembled on first read, for dense consumers; the
+    reduced evaluation of :func:`bosepol.polarization.polarization` and
+    :func:`validate` never read them. ``spectrum``
     is the sorted union of the block spectra, from one stacked ``eigvalsh``.
     """
 
     lattice: LatticeSpec
     v_blocks: np.ndarray
     cell_mean: np.ndarray
+    factor = None  # no symplectic factor: dense readers whiten V by eigh
 
     def __post_init__(self):
         # Copies: the caller's arrays stay writable.
@@ -387,12 +438,23 @@ def two_mode_squeezed_state(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with correlated quadratures.
 
     V = [[cosh(2r) 1, sinh(2r) Z], [sinh(2r) Z, cosh(2r) 1]], Z = diag(1, -1),
-    on a two-cell, one-site lattice (the state is cell-circulant there).
+    on a two-cell, one-site lattice (the state is cell-circulant there). The
+    state keeps its squeezer S = [[cosh(r) 1, sinh(r) Z], [sinh(r) Z, cosh(r) 1]]
+    and d = 1 as its symplectic factor, V = S S^T. S's condition number is the
+    square root of V's, so ``spectrum`` and ``<T>``, which read S, stay
+    accurate where the rounded V alone does not; cosh r is rounded so that the
+    stored S S^T is physical at every finite r.
     """
-    c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    if not abs(r) <= 354.0:  # cosh(2r), V's largest entry, overflows from 354.9
+        raise ValueError(f"squeezing parameter must be finite with |r| <= 354, got {r}")
+    c, s = math.cosh(r), math.sinh(r)
+    # Rounded, c^2 - s^2 misses 1 by up to about c ulp(c), and a shortfall
+    # would make the stored S D S^T unphysical; round c up until it does not.
+    while Fraction(c) ** 2 - Fraction(s) ** 2 < 1:
+        c = math.nextafter(c, math.inf)
     Z = np.diag([1.0, -1.0])
-    V = np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
-    return GaussianState(make_lattice(2, 1), V, np.zeros(4))
+    S = np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
+    return GaussianState.from_factor(make_lattice(2, 1), S, np.ones(4), np.zeros(4))
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -412,9 +474,11 @@ def random_gaussian_state(
     generator X = Omega G, G a random symmetric matrix with entries of scale
     0.3 / sqrt(dim). The Cayley transform of a Hamiltonian matrix is exactly
     symplectic, so V is physical with symplectic eigenvalues 2 nbar + 1, the
-    thermal occupations nbar drawn uniformly from [0, 1.5). With
-    ``classical=True`` the covariance is rescaled so its smallest eigenvalue
-    is >= 1. Deterministic for a fixed seed.
+    thermal occupations nbar drawn uniformly from [0, 1.5), and the state
+    keeps (S, D) as its symplectic factor. With ``classical=True`` the
+    covariance is rescaled so its smallest eigenvalue is >= 1, which no
+    symplectic factor of that form gives, so the state keeps only V.
+    Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     dim = lattice.dim
@@ -424,13 +488,14 @@ def random_gaussian_state(
     S = np.linalg.solve(eye - X / 2.0, eye + X / 2.0)
     nbar = rng.uniform(0.0, 1.5, size=lattice.modes)
     D = np.repeat(2.0 * nbar + 1.0, 2)
+    mean = mean_scale * rng.normal(size=dim) if mean_scale else np.zeros(dim)
+    if not classical:
+        return GaussianState.from_factor(lattice, S, D, mean)
     V = (S * D) @ S.T
     V = (V + V.T) / 2.0
-    if classical:
-        lo = np.linalg.eigvalsh(V)[0]
-        if lo < 1.0:
-            V = V * ((1.0 + 1e-9) / lo)
-    mean = mean_scale * rng.normal(size=dim) if mean_scale else np.zeros(dim)
+    lo = np.linalg.eigvalsh(V)[0]
+    if lo < 1.0:
+        V = V * ((1.0 + 1e-9) / lo)
     return GaussianState(lattice, V, mean)
 
 
@@ -439,25 +504,39 @@ def validate(state: GaussianState | BlochState) -> ValidationReport:
 
     ``valid`` only asks V > 0. ``physical`` asks the uncertainty relation
     V + i Omega >= 0, i.e. a smallest symplectic eigenvalue >= 1 (Williamson;
-    Simon, Mukunda and Dutta, PRA 49, 1567 (1994)). The symplectic
-    eigenvalues are the moduli of eig(i Omega V), read here from the similar
-    Hermitian matrix R^T (i Omega) R with V = R R^T. ``GaussianState``
-    stores V exactly symmetric, so there is no symmetry defect to report.
-    The floor, classicality and purity read the cached ``spectrum``.
+    Simon, Mukunda and Dutta, PRA 49, 1567 (1994)). The floor and
+    classicality read the cached ``spectrum``. The rest follows the state's
+    form, and no form assembles or factorizes a V it does not hold:
+
+    * a factored state (:meth:`GaussianState.from_factor`) has the
+      symplectic eigenvalues d and det V = prod d, so purity
+      det(V)^{-1/2} = exp(-1/2 sum log d);
+    * otherwise purity comes from the spectrum, and the symplectic
+      eigenvalues are the moduli of eig(i Omega V), read from the similar
+      Hermitian matrix R^dag (i Omega) R with V = R R^dag. For a
+      :class:`BlochState` R is the stacked Cholesky factor R_k of the blocks
+      v_k and Omega the cell's form: Omega is the same in every cell, so the
+      spectrum of i Omega V is the union of those of i Omega_cell v_k.
+
+    ``GaussianState`` stores V exactly symmetric, so there is no symmetry
+    defect to report.
     """
     eigs = state.spectrum
     lo = float(eigs[0])
     valid = lo > 0.0
-    purity = float(np.exp(-0.5 * np.sum(np.log(eigs)))) if valid else float("nan")
-    nu = float("nan")
-    if valid:
-        R = np.linalg.cholesky(state.V)
-        herm = 1j * (R.T @ symplectic_form(state.modes) @ R)
-        nu = float(np.abs(np.linalg.eigvalsh(herm)).min())
+    if state.factor is not None:
+        d = state.factor[1]
+        log_det, nu = float(np.log(d).sum()), float(d.min())
+    elif valid:
+        R = np.linalg.cholesky(state.v_blocks if isinstance(state, BlochState) else state.V)
+        herm = 1j * (R.conj().swapaxes(-1, -2) @ symplectic_form(R.shape[-1] // 2) @ R)
+        log_det, nu = float(np.log(eigs).sum()), float(np.abs(np.linalg.eigvalsh(herm)).min())
+    else:
+        log_det = nu = float("nan")
     return ValidationReport(
         min_eigenvalue=lo,
         classical=bool(lo >= 1.0),
-        purity=purity,
+        purity=float(np.exp(-0.5 * log_det)),
         valid=valid,
         min_symplectic_eigenvalue=nu,
         physical=bool(nu >= 1.0 - PHYSICAL_TOL),

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonIntegerWindingError, RefinementExhaustedError
-from .polarization import _bloch_terms, _check_abs_T, _dense_terms, shift_phases
+from .polarization import _bloch_terms, _check_abs_T, _dense_terms, _eigh_whitening, shift_phases
 from .states import LatticeSpec, checked_bloch_moments, checked_moments
 
 CLOSURE_TOL = 1e-12
@@ -198,8 +198,11 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                 if closure > CLOSURE_TOL * max(1.0, float(np.abs(x[0]).max())):
                     raise ValueError(
                         f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
-        kernel = _bloch_terms if bloch else _dense_terms
-        phases, s, log_abs = kernel(V, mean, shift, lams)[:3]
+        if bloch:
+            phases, s, log_abs = _bloch_terms(V, mean, shift, lams)
+        else:
+            A, log_det_V, _ = _eigh_whitening(V, lams)
+            phases, s, log_abs = _dense_terms(A, log_det_V, mean, shift)
         return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)

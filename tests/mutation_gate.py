@@ -57,11 +57,23 @@ MUTANTS = (
            "-0.5 * (yt.real @ y.real + yt.imag @ y.imag + 1j",
            "-0.5 * (-yt.real @ y.real - yt.imag @ y.imag + 1j", POLARIZATION_TESTS),
     Mutant("dense: log det V dropped", POLARIZATION,
-           "-0.5 * (log_det.real + np.log(vals).sum(-1))", "-0.5 * log_det.real",
-           POLARIZATION_TESTS),
+           "-0.5 * (log_det.real + log_det_V)", "-0.5 * log_det.real", POLARIZATION_TESTS),
     Mutant("dense: cayley_norm from the smallest eigenvalue only", POLARIZATION,
            "max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))",
            "abs((lo - 1.0) / (lo + 1.0))", POLARIZATION_TESTS),
+    # The symplectic factor of a state.
+    Mutant("factor: a sign dropped from Omega^T S Omega", POLARIZATION,
+           "sign[:, None] * S[swap[:, None], swap]", "S[swap[:, None], swap]",
+           POLARIZATION_TESTS),
+    Mutant("factor: symplecticity unchecked", STATES,
+           "            raise ValueError(f\"factor is not symplectic: ||S Omega S^T - Omega|| = \"\n"
+           "                             f\"{defect:.3e} exceeds tolerance\")\n",
+           "            pass\n", ("tests/test_states.py",)),
+    Mutant("factor: singular values left unsquared in the spectrum", STATES,
+           "compute_uv=False)[::-1] ** 2", "compute_uv=False)[::-1]",
+           ("tests/test_states.py", "tests/test_polarization.py")),
+    Mutant("factor: the squeezer's cosh r left short of cosh^2 - sinh^2 >= 1", STATES,
+           "        c = math.nextafter(c, math.inf)\n", "        break\n", POLARIZATION_TESTS),
     # The reduced (Bloch) kernel.
     Mutant("bloch: the first sample's phase left principal", POLARIZATION,
            "    phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()\n", "",

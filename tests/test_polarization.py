@@ -105,6 +105,30 @@ def test_tmsv_against_closed_form():
         assert polarization(st, sh).expectation == pytest.approx(want, rel=1e-11)
 
 
+@pytest.mark.parametrize("r", [*np.arange(4.0, 9.01, 0.25).tolist(), 10.0, 11.0, 12.0])
+def test_strongly_squeezed_tmsv_from_its_squeezer(r):
+    """The two-mode squeezed vacuum evaluates from its squeezer S, whose
+    condition number is the square root of V's: a rounded V alone gives
+    |<T>| > 1, or an unphysical validate, at many of these r. Under the
+    lattice's own shift, theta_1 + theta_2 = 2 pi and |<T>| = 1 exactly; the
+    state is physical, and its smallest covariance eigenvalue is e^{-2r}.
+    Under another shift <T> is sech^2 r / (1 - tanh^2 r e^{i(theta_1 + theta_2)}).
+    Both errors are pinned at their observed size, cond(S) eps = e^{2r} eps:
+    they read up to 0.64 and 0.81 of it, 5.6e-9 and 1.6e-9 up to r = 9 and
+    2.1e-6 and 4.8e-6 at r = 12."""
+    bound = np.exp(2.0 * r) * np.finfo(float).eps
+    st = two_mode_squeezed_state(r)
+    b = polarization(st)
+    assert abs(b.log_abs_T) <= bound
+    assert validate(st).physical
+    assert b.min_covariance_eigenvalue == pytest.approx(np.exp(-2.0 * r), rel=1e-4)
+    theta = np.array([0.7, 2.9])
+    t2 = np.tanh(r) ** 2
+    want = np.cosh(r) ** -2 / (1.0 - t2 * np.exp(1j * theta.sum()))
+    got = polarization(st, ShiftSpec(st.lattice, theta)).expectation
+    assert abs(got - want) <= bound * abs(want)
+
+
 def test_mean_term_zero_mean():
     lat = make_lattice(2, 2)
     st = thermal_state(np.diag([0.1, 0.2, 0.3, 0.4]), 1.0, -1.0, lat)
@@ -186,7 +210,11 @@ def test_dense_terms_match_eigenvector_form(L, n, seed, classical, mean_scale):
 
 def extreme_dense_cases():
     one, two, six = make_lattice(1, 1), make_lattice(1, 2), make_lattice(6, 1)
-    tmsv = two_mode_squeezed_state(8.0)
+    # The two-mode squeezed vacuum at r = 8 as a V alone, rounded from
+    # cosh 2r and sinh 2r; cond(V) is about 1e14.
+    c, s, Z = np.cosh(16.0), np.sinh(16.0), np.diag([1.0, -1.0])
+    V = np.block([[c * np.eye(2), s * Z], [s * Z, c * np.eye(2)]])
+    tmsv = GaussianState(make_lattice(2, 1), V, [0.3, 0.1, -0.2, 0.5])
     hot = 2e14 + 1.0
     return [
         # k = cot(theta / 2) near +-2e9 and |<T>| = 1 - O(1e-18): rounding can
@@ -196,8 +224,7 @@ def extreme_dense_cases():
                      id="phases 1e-9, 2pi - 1e-9"),
         pytest.param(GaussianState(one, squeezed_vacuum_state(one, 8.0).V, [0.7, -0.4]),
                      ShiftSpec(one, [2.0]), 0.0, id="squeezed r = 8"),
-        pytest.param(GaussianState(tmsv.lattice, tmsv.V, [0.3, 0.1, -0.2, 0.5]),
-                     shift_phases(tmsv.lattice), 0.0, id="two-mode squeezed r = 8"),
+        pytest.param(tmsv, shift_phases(tmsv.lattice), 0.0, id="two-mode squeezed r = 8"),
         pytest.param(GaussianState(six, hot * np.eye(12), np.linspace(-1.0, 1.0, 12) * 1e8),
                      shift_phases(six), 0.0, id="thermal nbar = 1e14"),
     ]
@@ -314,7 +341,8 @@ def test_branch_is_periodic_in_the_shift_phases():
                 assert -2.0 * b.det_term_phase == pytest.approx(want, abs=1e-12)
 
 
-FACTORIZATIONS = ("eigh", "eigvals", "eigvalsh", "solve", "slogdet", "det", "inv", "cholesky")
+FACTORIZATIONS = ("eigh", "eigvals", "eigvalsh", "solve", "slogdet", "det", "inv", "cholesky",
+                  "svd")
 
 
 def count_factorizations(monkeypatch, matrices=None, shapes=None) -> collections.Counter:
@@ -358,16 +386,30 @@ def test_factorizations_per_evaluation(monkeypatch):
     matrices, shapes = collections.Counter(), set()
     calls = count_factorizations(monkeypatch, matrices, shapes)
 
-    # One eigh of V, the eigenvalues alone of H and, with a mean, one solve of
-    # 1 + iH, each of the 2nL x 2nL matrix.
+    # A state given only by V: one eigh of V, the eigenvalues alone of H and,
+    # with a mean, one solve of 1 + iH, each of the 2nL x 2nL matrix.
     for mean_scale, st in zip(mean_scales, states):
+        twin = GaussianState(lat, st.V, st.mean)
         calls.clear()
         matrices.clear()
         shapes.clear()
-        polarization(st)
+        polarization(twin)
         want = {"eigh": 1, "eigvalsh": 1, **({"solve": 1} if mean_scale else {})}
         assert calls == matrices == want
         assert shapes == {(lat.dim, lat.dim)}
+
+    # A factored state: its factor whitens V, so no eigh; one svd of
+    # S diag(d)^{1/2} gives its spectrum on the first read only.
+    for mean_scale, st in zip(mean_scales, states):
+        for first_read in (True, False):
+            calls.clear()
+            matrices.clear()
+            shapes.clear()
+            polarization(st)
+            want = {"eigvalsh": 1, **({"solve": 1} if mean_scale else {}),
+                    **({"svd": 1} if first_read else {})}
+            assert calls == matrices == want
+            assert shapes == {(lat.dim, lat.dim)}
 
     for mean_scale, dense_loop, bloch_loop, track in zip(
             mean_scales, dense_loops, bloch_loops, tracks):
@@ -405,6 +447,26 @@ def test_factorizations_per_evaluation(monkeypatch):
                     want["solve"], want_calls["solve"] = samples, 1
             assert matrices == want
             assert calls == want_calls
+
+
+def test_validate_factorizes_no_dense_matrix(monkeypatch):
+    """validate of an L = 64 BlochState reads its blocks: one stacked eigvalsh
+    for the spectrum, one stacked Cholesky R_k and one stacked eigvalsh of
+    R_k^dag (i Omega) R_k, all 2n x 2n, and V is never assembled. A factored
+    state reads d, and its spectrum from one svd, with no Cholesky of V."""
+    L, n = 64, 2
+    st = random_circulant_state(make_lattice(L, n), 0)
+    factored = random_gaussian_state(make_lattice(4, 2), 0)
+    matrices, shapes = collections.Counter(), set()
+    calls = count_factorizations(monkeypatch, matrices, shapes)
+    validate(st)
+    assert matrices == {"eigvalsh": 2 * L, "cholesky": L}
+    assert calls == {"eigvalsh": 2, "cholesky": 1}
+    assert shapes == {(2 * n, 2 * n)}
+    assert "V" not in vars(st)
+    calls.clear()
+    validate(factored)
+    assert calls == {"svd": 1}
 
 
 @pytest.mark.parametrize("mean_scale", [0.0, 0.6])

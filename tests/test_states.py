@@ -158,6 +158,52 @@ def test_two_mode_squeezed_state():
     report = validate(st)
     assert report.valid and not report.classical
     assert report.purity == pytest.approx(1.0, abs=1e-10)
+    for r in (np.inf, np.nan, -400.0):
+        with pytest.raises(ValueError, match="squeezing parameter must be finite"):
+            two_mode_squeezed_state(r)
+
+
+def test_factored_state_checks_its_contracts():
+    """from_factor rejects a factor that breaks a contract, and names it."""
+    lat = make_lattice(1, 2)
+    S, d, mean = np.eye(4), np.ones(4), np.zeros(4)
+    with pytest.raises(ValueError, match="not symplectic"):
+        GaussianState.from_factor(lat, 2.0 * S, d, mean)
+    near = random_gaussian_state(lat, 0).factor[0]
+    GaussianState.from_factor(lat, near, d, mean)
+    with pytest.raises(ValueError, match="not symplectic"):
+        GaussianState.from_factor(lat, (1.0 + 1e-6) * near, d, mean)
+    with pytest.raises(ValueError, match="uncertainty relation"):
+        GaussianState.from_factor(lat, S, [1.0, 1.0, 0.5, 0.5], mean)
+    with pytest.raises(ValueError, match="for its q and its p"):
+        GaussianState.from_factor(lat, S, [1.0, 2.0, 1.0, 1.0], mean)
+    with pytest.raises(ValueError, match="symplectic factor must be finite"):
+        GaussianState.from_factor(lat, S, [np.inf, np.inf, 1.0, 1.0], mean)
+    with pytest.raises(ValueError, match="symplectic factor must be 4x4"):
+        GaussianState.from_factor(lat, np.eye(2), d, mean)
+
+
+def test_factored_state_reads_its_factor():
+    """A factored state holds V = S diag(d) S^T; its spectrum, the squared
+    singular values of S diag(d)^{1/2}, and its validate, which reads d, agree
+    with those of its twin given only by V, which holds no factor."""
+    for modes, seed in ((2, 0), (8, 1), (32, 2), (64, 3)):
+        lat = make_lattice(modes // 2, 2)
+        st = random_gaussian_state(lat, seed, mean_scale=0.5)
+        S, d = st.factor
+        assert not S.flags.writeable and not d.flags.writeable
+        twin = GaussianState(lat, st.V, st.mean)
+        assert twin.factor is None
+        assert np.abs(st.spectrum - twin.spectrum).max() <= 1e-13 * twin.spectrum[-1]
+        assert not st.spectrum.flags.writeable
+        report, want = validate(st), validate(twin)
+        assert report.min_symplectic_eigenvalue == d.min()
+        assert abs(report.min_symplectic_eigenvalue - want.min_symplectic_eigenvalue) <= 1e-12
+        assert report.purity == pytest.approx(want.purity, rel=1e-12, abs=0.0)
+        assert abs(report.min_eigenvalue - want.min_eigenvalue) <= 1e-13
+        for flag in ("valid", "classical", "physical"):
+            assert getattr(report, flag) == getattr(want, flag)
+    assert random_gaussian_state(lat, 0, classical=True).factor is None
 
 
 def test_random_state_construction_invariants():
@@ -357,6 +403,8 @@ def test_bloch_state_spectrum_is_shared_and_validates_as_dense():
                 assert not st.spectrum.flags.writeable
                 bloch, dense = validate(st), validate(GaussianState(lat, st.V, st.mean))
                 assert abs(bloch.min_eigenvalue - dense.min_eigenvalue) <= 1e-13
+                assert abs(bloch.min_symplectic_eigenvalue
+                           - dense.min_symplectic_eigenvalue) <= 1e-13
                 assert bloch.purity == pytest.approx(dense.purity, rel=1e-12, abs=0.0)
                 for flag in ("valid", "classical", "physical"):
                     assert getattr(bloch, flag) == getattr(dense, flag)

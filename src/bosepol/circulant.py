@@ -19,7 +19,8 @@ import time
 import numpy as np
 
 from .errors import NotTranslationInvariantError
-from .polarization import _cayley_product, polarization, quadrature_phase_factors, shift_phases
+from .polarization import (_cayley_product, cayley_norm, polarization, quadrature_phase_factors,
+                           shift_phases)
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
@@ -122,8 +123,7 @@ def reduced_determinant(state: BlochState) -> complex:
 
 def lambda_max(state: GaussianState | BlochState) -> float:
     """Largest |eigenvalue| of the Cayley transform (V-1)(V+1)^{-1}; always < 1."""
-    vals = require_valid(state)
-    return float(np.abs((vals - 1.0) / (vals + 1.0)).max())
+    return cayley_norm(require_valid(state))
 
 
 def decay_bound(state: GaussianState | BlochState) -> float:

@@ -264,7 +264,7 @@ def run_scaling(args) -> int:
     amplitude = args.amplitude
     mu = -3.0 * amplitude if args.mu is None else args.mu
     protocol = loops.reference_protocol(amplitude, 1.0)
-    params = protocol.params_at(args.cycle_fraction)
+    params = protocol.params_at(args.cycle_fraction * protocol.period)
 
     def point(L: int) -> list:
         lattice = make_lattice(L, args.n, args.offset)

@@ -30,15 +30,12 @@ there, so
     Im ln det(1 - W) = sum_j arctan h_j - sum_j arctan k_j
 
 is the homotopy branch, with no path to sample: the eigenvalues alone of
-H and, with a mean, one solve. The whitening and log det V come from one
-of two sources. A state that keeps its symplectic factor V = S diag(d) S^T
-(Williamson; see :meth:`~bosepol.states.GaussianState.from_factor`) has
-A = S^{-T} diag(d)^{-1/2} with S^{-T} = Omega^T S Omega, a signed
-permutation of S's entries, and log det V = sum log d, with no
-factorization; its spectrum, which the diagnostics read, is the state's
-cached ``spectrum``. Every other state, and every loop stack, takes one
-``eigh`` of V = Q Lambda Q^T: A = Q Lambda^{-1/2}, log det V = sum log
-Lambda, and the diagnostics read Lambda.
+H and, with a mean, one solve. A state owns its whitening and log det V
+(:meth:`~bosepol.states.GaussianState.whitening`): a symplectic factor
+V = S diag(d) S^T gives them with no factorization, and any other V one
+``eigh``, V = Q Lambda Q^T and A = Q Lambda^{-1/2}, that a dense state
+caches and shares with its ``spectrum``. A loop's stack takes one ``eigh``
+of each V.
 
 The polarization is P = Im log <T> / (2 pi) on that branch.
 
@@ -59,13 +56,12 @@ s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
 R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
 states: one state, or one sampler call of a loop in
 :func:`bosepol.winding.track_polarization`. Positive definiteness has one
-check, :func:`bosepol.states.check_positive`, which names the first failing
-lambda of a loop. The dense path calls it on the lowest eigenvalues of its
-``eigh`` of V, for one state or a loop's stack; a factored state is
-positive definite by construction. The reduced kernel checks a
-loop's stack by a stacked Cholesky factorization of the blocks, and calls it
-only when that fails; for one state, :func:`polarization` has checked the
-blocks already through :func:`bosepol.states.require_valid`. The dense
+gate for one state: :func:`polarization` checks every state, whatever its
+form and path, through :func:`bosepol.states.require_valid`, whose spectrum
+the diagnostics read. The kernels check a loop's stack, the dense one from
+the lowest eigenvalues of its ``eigh``, the reduced one by a stacked
+Cholesky factorization of the blocks, and both name the first failing
+lambda through :func:`bosepol.states.check_positive`. The dense
 kernel gives every state's homotopy branch. The reduced one takes a Cholesky
 factorization and an inverse of v_k + 1, one ``slogdet`` of 1 - P and, with
 a mean, one residual-checked solve of the stacked 1 - P; it gives the
@@ -81,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError
-from .states import BlochState, GaussianState, LatticeSpec, check_positive, require_valid
+from .states import BlochState, GaussianState, LatticeSpec, _whiten, check_positive, require_valid
 
 MEAN_SOLVE_RTOL = 1e-8
 # Rounding margin of the post-condition log|<T>| <= 0: T is unitary, so
@@ -196,12 +192,18 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
+def cayley_norm(vals: np.ndarray) -> float:
+    """||W|| = max_j |v_j - 1| / (v_j + 1) over V's ascending eigenvalues v_j: the
+    quotient falls on (0, 1] and rises past 1, so its maximum sits at one end."""
+    lo, hi = float(vals[0]), float(vals[-1])
+    return max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))
+
+
 def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: str
                ) -> PolarizationBreakdown:
     """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the ascending
     eigenvalues of V."""
     _check_abs_T(log_abs)
-    lo, hi = float(vals[0]), float(vals[-1])
     det_term_phase = -0.5 * phi
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
     return PolarizationBreakdown(
@@ -211,43 +213,20 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: s
         mean_term=s,
         p_unwrapped=p_unwrapped,
         p=principal_polarization(p_unwrapped),
-        # |v - 1| / (v + 1) falls on (0, 1] and rises past 1: its maximum over
-        # the spectrum sits at one end.
-        cayley_norm=max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0)),
+        cayley_norm=cayley_norm(vals),
         branch_turns=round(phi / (2.0 * math.pi)),
-        min_covariance_eigenvalue=lo,
+        min_covariance_eigenvalue=float(vals[0]),
         path=path,
     )
 
 
-def _eigh_whitening(V: np.ndarray, lams: list | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whitenings A = Q Lambda^{-1/2}, log det V and the ascending eigenvalues of
-    covariances V = Q Lambda Q^T (..., 2nL, 2nL), from one ``eigh``.
-
-    Before any square root of the eigenvalues,
-    :func:`~bosepol.states.check_positive` checks every V positive definite
-    from the lowest eigenvalues; given the ``lams`` of a loop's stack
-    (S, 2nL, 2nL), its error names the first failing one.
-    """
+def _eigh_whitening(V: np.ndarray, lams: list) -> tuple[np.ndarray, np.ndarray]:
+    """Whitenings A = Q Lambda^{-1/2} and log det V of a loop's stack of
+    covariances V = Q Lambda Q^T (S, 2nL, 2nL), from one ``eigh`` whose lowest
+    eigenvalues :func:`~bosepol.states.check_positive` checks first."""
     vals, Q = np.linalg.eigh(V)
     check_positive(vals[..., 0], lams)
-    return Q / np.sqrt(vals)[..., None, :], np.log(vals).sum(-1), vals
-
-
-def _factor_whitening(S: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """The whitening A = S^{-T} diag(d)^{-1/2} and log det V = sum log d of a
-    factored state V = S diag(d) S^T, with no factorization.
-
-    A symplectic S has S^{-T} = Omega^T S Omega, whose entry (i, j) is
-    sign_i sign_j S[i ^ 1, j ^ 1]: the q and p of each mode swapped, with
-    sign = (-1, 1, -1, 1, ...). The factor is physical by construction
-    (:meth:`~bosepol.states.GaussianState.from_factor`), so V > 0 needs no check.
-    """
-    swap = np.arange(len(d)) ^ 1
-    sign = np.tile([-1.0, 1.0], len(d) // 2)
-    A = sign[:, None] * S[swap[:, None], swap] * (sign / np.sqrt(d))
-    return A, float(np.log(d).sum())
+    return _whiten(vals, Q)
 
 
 def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
@@ -259,8 +238,8 @@ def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
     The closed form of the module docstring over the leading axes: the
     eigenvalues alone of H = A^T K A and, when any mean is nonzero, one solve
     of 1 + iH, which gives y = 0 where the mean is 0. Every whitening of V
-    gives the same eigenvalues of H and the same s, so A may come from
-    :func:`_eigh_whitening` or, for a factored state, :func:`_factor_whitening`.
+    gives the same eigenvalues of H and the same s, so A may come from a
+    state's ``whitening`` or, for a loop's stack, :func:`_eigh_whitening`.
     """
     k = quadrature_cotangents(shift)
     H = A.swapaxes(-1, -2) @ (k[:, None] * A)
@@ -347,8 +326,9 @@ def polarization(
 
     A :class:`BlochState` under its lattice's own shift takes the reduced
     path of the module docstring; every other state or shift the dense one,
-    whitened by the state's symplectic factor if it has one, else by one
-    ``eigh`` of V. Raises :class:`InvalidStateError` when V is not positive
+    whitened by the state's own ``whitening``. Every state is first checked
+    by :func:`~bosepol.states.require_valid`, whose spectrum the diagnostics
+    read. Raises :class:`InvalidStateError` when V is not positive
     definite, or when |<T>| exceeds 1, which only a state violating
     V + i Omega >= 0 gives.
     """
@@ -359,16 +339,11 @@ def polarization(
         bloch = np.array_equal(shift.phases, shift_phases(state.lattice).phases)
     if shift.lattice.modes != state.lattice.modes:
         raise ValueError("shift spec and state have different mode counts")
+    vals = require_valid(state)
     if bloch:
-        vals = require_valid(state)
         phi, s, log_abs = (x[0] for x in _bloch_terms(
             state.v_blocks[None], state.cell_mean[None], shift))
     else:
-        if state.factor is None:
-            A, log_det_V, vals = _eigh_whitening(state.V)
-        else:
-            A, log_det_V = _factor_whitening(*state.factor)
-            vals = state.spectrum
-        phi, s, log_abs = _dense_terms(A, log_det_V, state.mean, shift)
+        phi, s, log_abs = _dense_terms(*state.whitening(), state.mean, shift)
     return _breakdown(float(log_abs), float(phi), complex(s), vals,
                       "bloch" if bloch else "dense")

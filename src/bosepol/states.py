@@ -119,9 +119,9 @@ class GaussianState:
 
     A state built by :meth:`from_factor` also keeps its symplectic factor
     ``factor = (S, d)``, with V = S diag(d) S^T (Williamson); it is None for
-    a state given only by ``V``. The factor is physical by construction, and
-    :func:`bosepol.polarization.polarization`, :func:`validate` and
-    ``spectrum`` read it in place of a factorization of ``V``.
+    a state given only by ``V``. The state owns how its ``V`` is factorized:
+    ``spectrum`` and :meth:`whitening` read the factor, or else one cached
+    ``eigh`` of ``V``, which every reader of the state shares.
     """
 
     lattice: LatticeSpec
@@ -175,16 +175,40 @@ class GaussianState:
         return self.lattice.modes
 
     @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:  # V = Q diag(vals) Q^T, vals ascending
+        vals, Q = np.linalg.eigh(self.V)
+        return _as_readonly(vals), Q
+
+    @cached_property
     def spectrum(self) -> np.ndarray:
-        """V's ascending eigenvalues, computed on first read: ``eigvalsh`` of V, or
-        for a factored state the squared singular values of S diag(d)^{1/2},
-        since V = (S d^{1/2})(S d^{1/2})^T. Their rounding error scales with the
-        largest singular value, not with its square, the largest eigenvalue,
-        as ``eigvalsh`` of the rounded V does."""
+        """V's ascending eigenvalues, computed on first read: those of the cached
+        ``eigh`` of V, or for a factored state the squared singular values of
+        S diag(d)^{1/2}, since V = (S d^{1/2})(S d^{1/2})^T. Their rounding error
+        scales with the largest singular value, not with its square, the
+        largest eigenvalue, as an ``eigh`` of the rounded V does."""
         if self.factor is None:
-            return _as_readonly(np.linalg.eigvalsh(self.V))
+            return self._eigh[0]
         S, d = self.factor
         return _as_readonly(np.linalg.svd(S * np.sqrt(d), compute_uv=False)[::-1] ** 2)
+
+    def whitening(self) -> tuple[np.ndarray, float]:
+        """A whitening A, A^T V A = 1, and log det V of a state that passed
+        :func:`require_valid`, from the cached ``eigh``; a factored state has
+        A = S^{-T} diag(d)^{-1/2} with no factorization, as S^{-T} = Omega^T S Omega
+        has entries sign_i sign_j S[i ^ 1, j ^ 1], sign = (-1, 1, -1, 1, ...)."""
+        if self.factor is None:
+            return _whiten(*self._eigh)
+        S, d = self.factor
+        swap = np.arange(len(d)) ^ 1
+        sign = np.tile([-1.0, 1.0], len(d) // 2)
+        A = sign[:, None] * S[swap[:, None], swap] * (sign / np.sqrt(d))
+        return A, float(np.log(d).sum())
+
+
+def _whiten(vals: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whitenings A = Q Lambda^{-1/2} and log det V of covariances V = Q Lambda Q^T
+    (..., dim, dim), from their positive eigenvalues and eigenvectors."""
+    return Q / np.sqrt(vals)[..., None, :], np.log(vals).sum(-1)
 
 
 def reassemble_covariance(v_blocks: np.ndarray) -> np.ndarray:
@@ -258,7 +282,6 @@ class BlochState:
     lattice: LatticeSpec
     v_blocks: np.ndarray
     cell_mean: np.ndarray
-    factor = None  # no symplectic factor: dense readers whiten V by eigh
 
     def __post_init__(self):
         # Copies: the caller's arrays stay writable.
@@ -284,6 +307,11 @@ class BlochState:
     @cached_property
     def spectrum(self) -> np.ndarray:
         return _as_readonly(np.sort(np.linalg.eigvalsh(self.v_blocks), axis=None))
+
+    def whitening(self) -> tuple[np.ndarray, float]:
+        """A whitening of the assembled V and log det V, from one ``eigh`` of V,
+        for the dense path under a shift other than the lattice's own."""
+        return _whiten(*np.linalg.eigh(self.V))
 
 
 @dataclass(frozen=True)
@@ -524,7 +552,7 @@ def validate(state: GaussianState | BlochState) -> ValidationReport:
     eigs = state.spectrum
     lo = float(eigs[0])
     valid = lo > 0.0
-    if state.factor is not None:
+    if isinstance(state, GaussianState) and state.factor is not None:
         d = state.factor[1]
         log_det, nu = float(np.log(d).sum()), float(d.min())
     elif valid:
@@ -543,15 +571,10 @@ def validate(state: GaussianState | BlochState) -> ValidationReport:
     )
 
 
-def check_positive(lowest: np.ndarray | float, lams: list | None = None) -> None:
-    """Raise :class:`InvalidStateError` unless the smallest covariance
-    eigenvalue ``lowest`` of one state is > 0, or, given the ``lams`` of a
-    loop's stack, each state's; the error then names the first failing lambda."""
-    if lams is None:
-        lo = float(lowest)
-        if not lo > 0.0:
-            raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")
-        return
+def check_positive(lowest: np.ndarray, lams: list) -> None:
+    """Raise :class:`InvalidStateError` unless each state of a loop's stack has
+    its smallest covariance eigenvalue ``lowest`` > 0; the error names the first
+    failing lambda of ``lams``."""
     bad = np.flatnonzero(~(lowest > 0.0))
     if bad.size:
         raise InvalidStateError(
@@ -559,10 +582,12 @@ def check_positive(lowest: np.ndarray | float, lams: list | None = None) -> None
 
 
 def require_valid(state: GaussianState | BlochState) -> np.ndarray:
-    """V's ascending eigenvalues, the state's cached ``spectrum``, after :func:`check_positive`.
+    """V's ascending eigenvalues, the state's cached ``spectrum``, after checking V > 0.
 
     Cheaper than :func:`validate`: no symplectic spectrum. Every reader of one
     state shares the spectrum, so its factorization runs once per state.
     """
-    check_positive(state.spectrum[0])
+    lo = float(state.spectrum[0])
+    if not lo > 0.0:
+        raise InvalidStateError(f"invalid state: min covariance eigenvalue {lo:.6g} <= 0")
     return state.spectrum

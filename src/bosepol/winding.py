@@ -201,8 +201,7 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
         if bloch:
             phases, s, log_abs = _bloch_terms(V, mean, shift, lams)
         else:
-            A, log_det_V, _ = _eigh_whitening(V, lams)
-            phases, s, log_abs = _dense_terms(A, log_det_V, mean, shift)
+            phases, s, log_abs = _dense_terms(*_eigh_whitening(V, lams), mean, shift)
         return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
 
     lams, records = _refine_on_phase(evaluate, loop.initial_samples)

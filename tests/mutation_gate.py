@@ -62,7 +62,7 @@ MUTANTS = (
            "max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))",
            "abs((lo - 1.0) / (lo + 1.0))", POLARIZATION_TESTS),
     # The symplectic factor of a state.
-    Mutant("factor: a sign dropped from Omega^T S Omega", POLARIZATION,
+    Mutant("factor: a sign dropped from Omega^T S Omega", STATES,
            "sign[:, None] * S[swap[:, None], swap]", "S[swap[:, None], swap]",
            POLARIZATION_TESTS),
     Mutant("factor: symplecticity unchecked", STATES,
@@ -108,10 +108,16 @@ MUTANTS = (
            "    check_positive(vals[..., 0], lams)\n", "    pass\n", WINDING_TESTS),
     # The single positive-definiteness check.
     Mutant("positivity: a single state's failure passes", STATES,
-           "            raise InvalidStateError(f\"invalid state: min covariance eigenvalue "
-           "{lo:.6g} <= 0\")\n", "            return\n",
+           "        raise InvalidStateError(f\"invalid state: min covariance eigenvalue "
+           "{lo:.6g} <= 0\")\n", "        pass\n",
            ("tests/test_polarization.py", "tests/test_circulant.py")),
+    Mutant("polarization: a dense state skips require_valid", POLARIZATION,
+           "    vals = require_valid(state)\n",
+           "    vals = require_valid(state) if bloch else state.spectrum\n", POLARIZATION_TESTS),
     # The cached spectrum of a state.
+    Mutant("spectrum: a state given by V takes its own eigvalsh", STATES,
+           "            return self._eigh[0]\n",
+           "            return _as_readonly(np.linalg.eigvalsh(self.V))\n", POLARIZATION_TESTS),
     Mutant("spectrum: a BlochState's block spectra left unsorted", STATES,
            "np.sort(np.linalg.eigvalsh(self.v_blocks), axis=None)",
            "np.linalg.eigvalsh(self.v_blocks).ravel()",

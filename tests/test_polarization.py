@@ -18,6 +18,8 @@ from bosepol import (
     ShiftSpec,
     cell_bloch_blocks,
     coherent_state,
+    decay_bound,
+    lambda_max,
     make_lattice,
     polarization,
     random_circulant_state,
@@ -39,7 +41,7 @@ from bosepol.polarization import (
     quadrature_cotangents,
     quadrature_phase_factors,
 )
-from bosepol.states import reassemble_covariance
+from bosepol.states import reassemble_covariance, require_valid
 from bosepol.winding import ParameterLoop, track_polarization
 from dense_reference import rmm_hopping_matrix
 
@@ -448,6 +450,23 @@ def test_factorizations_per_evaluation(monkeypatch):
             assert matrices == want
             assert calls == want_calls
 
+    # A state given only by V keeps its one eigh: polarization under two
+    # shifts, require_valid, decay_bound and validate factorize V no further.
+    twin = GaussianState(lat, states[0].V, states[0].mean)
+    of_V = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted_V(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            of_V[_name] += np.array_equal(a, twin.V)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted_V)
+    polarization(twin)
+    polarization(twin, ShiftSpec(lat, shift_phases(lat).phases[::-1]))
+    require_valid(twin)
+    decay_bound(twin)
+    validate(twin)
+    assert (of_V["eigh"], of_V["eigvalsh"]) == (1, 0)
+
 
 def test_validate_factorizes_no_dense_matrix(monkeypatch):
     """validate of an L = 64 BlochState reads its blocks: one stacked eigvalsh
@@ -563,7 +582,30 @@ def test_bloch_state_under_another_shift_takes_the_dense_path():
     shift = ShiftSpec(lat, shift_phases(lat).phases[::-1])
     b = polarization(bloch_state, shift)
     want = polarization(GaussianState(lat, bloch_state.V, bloch_state.mean), shift)
-    assert b == want and b.path == "dense"
+    # The diagnostics read the block spectrum, every other field the dense twin's.
+    assert b == dataclasses.replace(want, cayley_norm=lambda_max(bloch_state),
+                                    min_covariance_eigenvalue=bloch_state.spectrum[0])
+    assert b.path == "dense"
+
+
+def test_breakdown_diagnostics_agree_with_the_states_readers():
+    """polarization, validate and lambda_max read one spectrum of each state, so
+    they report the same floor and Cayley norm, exactly: on states given only
+    by V, factored states, and BlochStates under their own shift and another."""
+    lat = make_lattice(4, 2)
+    cases = [(random_gaussian_state(lat, seed, classical=True, mean_scale=0.3 * (seed % 2)),
+              None) for seed in range(24)]
+    cases += [(random_gaussian_state(lat, seed, mean_scale=0.3), None) for seed in range(4)]
+    cases += [(two_mode_squeezed_state(r), None) for r in (0.55, 4.0)]
+    reversed_shift = ShiftSpec(lat, shift_phases(lat).phases[::-1])
+    for seed in range(4):
+        cases += [(random_circulant_state(lat, seed, mean_scale=0.5), shift)
+                  for shift in (None, reversed_shift)]
+    for st, shift in cases:
+        b = polarization(st, shift)
+        assert b.path == ("bloch" if isinstance(st, BlochState) and shift is None else "dense")
+        assert b.min_covariance_eigenvalue == validate(st).min_eigenvalue
+        assert b.cayley_norm == lambda_max(st)
 
 
 def test_one_eigh_per_band_invariant(monkeypatch):
@@ -730,8 +772,9 @@ def test_invalid_state_raises():
     with pytest.raises(InvalidStateError, match=contract):
         polarization(st).expectation
     v = np.stack([np.diag([1.0, -0.5]), np.eye(2)])  # real blocks, so v_1 = conj(v_1)
-    with pytest.raises(InvalidStateError, match=contract):
-        polarization(BlochState(lat, v, np.zeros(2)))
+    for shift in (None, ShiftSpec(lat, shift_phases(lat).phases[::-1])):  # both paths
+        with pytest.raises(InvalidStateError, match=contract):
+            polarization(BlochState(lat, v, np.zeros(2)), shift)
 
 
 def test_unphysical_positive_definite_state_raises():

@@ -14,13 +14,10 @@ gives the decay bound eps = 4 lambda_max^L on the determinant phase.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .errors import NotTranslationInvariantError
-from .polarization import (_cayley_product, cayley_norm, polarization, quadrature_phase_factors,
-                           shift_phases)
+from .polarization import _cayley_product, cayley_norm, quadrature_phase_factors, shift_phases
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
@@ -154,39 +151,3 @@ def random_circulant_state(
     tn = 2 * lattice.sites_per_cell
     cell = mean_scale * rng.normal(size=tn) if mean_scale else np.zeros(tn)
     return BlochState(lattice, blocks, cell)
-
-
-def benchmark_determinants(
-    lattice: LatticeSpec,
-    seed: int = 0,
-    repeats: int = 3,
-) -> dict:
-    """Time the dense versus Bloch path of :func:`polarization` on one random circulant state.
-
-    The dense twin of the state, a :class:`GaussianState` with the same V and
-    mean, is assembled once outside the timed regions, so both timers cover
-    the evaluation of <T> only. Returns a row with best-of-``repeats`` timings
-    and the relative error of the Bloch <T> against the dense one.
-    """
-    if repeats < 1:
-        raise ValueError(f"need at least one timing repeat, got {repeats}")
-    state = random_circulant_state(lattice, seed, classical=True)
-    dense_state = GaussianState(lattice, state.V, state.mean)
-
-    def best_of(evaluate):
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            value = evaluate().expectation
-            best = min(best, time.perf_counter() - t0)
-        return value, best
-
-    dense_val, dense_t = best_of(lambda: polarization(dense_state))
-    reduced_val, reduced_t = best_of(lambda: polarization(state))
-    return {
-        "L": lattice.cells,
-        "n": lattice.sites_per_cell,
-        "dense_seconds": dense_t,
-        "reduced_seconds": reduced_t,
-        "relative_T_error": abs(dense_val - reduced_val) / abs(dense_val),
-    }

@@ -6,7 +6,6 @@ flux-sweep    net pump transport Phi(AT) against the adiabatic value 0.59907
 scaling       |<T>| and determinant phase versus system size with decay bound
 winding       polarization winding Delta P and zero count M on a named loop
 oracle-check  Gaussian closed form versus independent Fock-space oracles
-bench         dense versus Bloch-block polarization timings
 chern         momentum-resolved polarization winding of a topological band family
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
@@ -42,7 +41,6 @@ EXIT_ORACLE = 5
 
 WINDING_TOL = 1e-6
 ORACLE_TOL = 1e-8
-BENCH_T_TOL = 1e-10
 
 
 def _int_list(text: str) -> list[int]:
@@ -126,15 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=160)
     common(p)
     p.set_defaults(func=run_oracle_check)
-
-    p = sub.add_parser("bench", help="dense versus Bloch-block <T> timings")
-    p.add_argument("--L", type=_int_list, default=[16, 64, 256])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--offset", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0, help="seed of the random state")
-    common(p)
-    p.set_defaults(func=run_bench)
 
     p = sub.add_parser("chern", help="Chern-number null test on a thermal family")
     p.add_argument("--L", type=int, default=8)
@@ -350,24 +339,6 @@ def run_oracle_check(args) -> int:
     ok = worst <= ORACLE_TOL
     _status(args, ok, f"max_relative_deviation={worst:.3e} cases={len(cases)}")
     return EXIT_OK if ok else EXIT_ORACLE
-
-
-def run_bench(args) -> int:
-    def point(L: int) -> dict:
-        lattice = make_lattice(L, args.n, args.offset)
-        return circulant.benchmark_determinants(lattice, args.seed, args.repeats)
-
-    # Timed rows run one after another: concurrent rows would time each other's load.
-    data = [point(L) for L in args.L]
-    header = ["L", "n", "dense_seconds", "reduced_seconds", "relative_T_error"]
-    _emit_csv(args, header, [[d[key] for key in header] for d in data])
-    bad = [d for d in data if d["relative_T_error"] > BENCH_T_TOL]
-    if bad:
-        raise NumericalError(
-            f"<T> mismatch at L={[d['L'] for d in bad]}: "
-            f"max {max(d['relative_T_error'] for d in bad):.3e}"
-        )
-    return EXIT_OK
 
 
 def run_chern(args) -> int:

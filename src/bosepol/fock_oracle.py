@@ -73,9 +73,15 @@ def oracle_squeezed(theta: float, r: float) -> complex:
 
 
 def oracle_tmsv(theta1: float, theta2: float, r: float) -> complex:
-    """Two-mode squeezed vacuum: photon numbers locked, depends on theta1+theta2."""
-    t2 = np.tanh(r) ** 2
-    return complex((1.0 - t2) / (1.0 - t2 * np.exp(1j * (theta1 + theta2))))
+    """Two-mode squeezed vacuum: photon numbers locked, depends on theta1+theta2.
+
+    Evaluated as sech^2 r / ((1 - e^{i phi}) + sech^2 r e^{i phi}), phi =
+    theta1 + theta2: the form (1 - t^2) / (1 - t^2 e^{i phi}) forms sech^2 r
+    as 1 - tanh^2 r, which cancels to nothing at large r.
+    """
+    phase = np.exp(1j * (theta1 + theta2))
+    sech2 = np.cosh(r) ** -2
+    return complex(sech2 / ((1.0 - phase) + sech2 * phase))
 
 
 def _number_grid(cutoff: int) -> np.ndarray:

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 
 CIRCULANT = "src/bosepol/circulant.py"
+FOCK_ORACLE = "src/bosepol/fock_oracle.py"
 POLARIZATION = "src/bosepol/polarization.py"
 RICE_MELE = "src/bosepol/rice_mele.py"
 STATES = "src/bosepol/states.py"
@@ -122,6 +123,11 @@ MUTANTS = (
            "np.sort(np.linalg.eigvalsh(self.v_blocks), axis=None)",
            "np.linalg.eigvalsh(self.v_blocks).ravel()",
            ("tests/test_states.py", "tests/test_circulant.py")),
+    # The closed-form oracles.
+    Mutant("oracle: the two-mode squeezed vacuum's sech^2 r as 1 - tanh^2 r", FOCK_ORACLE,
+           "    return complex(sech2 / ((1.0 - phase) + sech2 * phase))\n",
+           "    t2 = np.tanh(r) ** 2\n    return complex((1.0 - t2) / (1.0 - t2 * phase))\n",
+           ("tests/test_fock_oracle.py",)),
     # The pump.
     Mutant("pump: CF4 weights swapped between the factors", RICE_MELE,
            "np.array([[_A2, _A1], [_A1, _A2]])", "np.array([[_A1, _A2], [_A2, _A1]])",

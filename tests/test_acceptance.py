@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from bosepol import (
+    BlochState,
     GaussianState,
     coherent_state,
     make_lattice,
@@ -20,7 +21,7 @@ from bosepol import (
     two_mode_squeezed_state,
     validate,
 )
-from bosepol.circulant import benchmark_determinants, decay_bound
+from bosepol.circulant import decay_bound
 from bosepol.fock_oracle import oracle_fock_truncated, standard_cases
 from bosepol.loops import (
     band_chern_number,
@@ -134,14 +135,27 @@ def test_criterion_3_circulant_reduction_and_speedup():
                 worst["mean"] = max(worst["mean"], abs(bloch.mean_term - dense.mean_term)
                                     / max(1.0, abs(dense.mean_term)))
                 count += mean_scale == 0.0
-    row = benchmark_determinants(make_lattice(256, 2), seed=0, repeats=3)
-    speedup = row["dense_seconds"] / row["reduced_seconds"]
-    ok = (max(worst.values()) <= 1e-10 and speedup >= 10.0
-          and row["relative_T_error"] <= 1e-10)
+    # A state caches its factorization, so each timing repeat evaluates a
+    # fresh Bloch state and a fresh dense twin, built outside the timers.
+    lat = make_lattice(256, 2)
+    st = random_circulant_state(lat, 0)
+    dense_t = bloch_t = float("inf")
+    for _ in range(3):
+        bloch_st = BlochState(lat, st.v_blocks, st.cell_mean)
+        dense_st = GaussianState(lat, st.V, st.mean)
+        with Stopwatch() as sw:
+            bloch_T = polarization(bloch_st).expectation
+        bloch_t = min(bloch_t, sw.seconds)
+        with Stopwatch() as sw:
+            dense_T = polarization(dense_st).expectation
+        dense_t = min(dense_t, sw.seconds)
+    speedup, t_err = dense_t / bloch_t, abs(dense_T - bloch_T) / abs(dense_T)
+    ok = max(worst.values()) <= 1e-10 and speedup >= 10.0 and t_err <= 1e-10
     report(3, "circulant reduction", ok,
            f"{count} states and their {count} draws with a mean, max err "
            f"{worst['phase']:.2e} (phase), {worst['log']:.2e} (log|T|), "
-           f"{worst['mean']:.2e} (mean term); L=256 speedup {speedup:.1f}x")
+           f"{worst['mean']:.2e} (mean term); L=256 speedup {speedup:.1f}x, "
+           f"<T> err {t_err:.1e}")
 
 
 def test_criterion_4_decay_bound():

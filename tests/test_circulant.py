@@ -18,11 +18,7 @@ from bosepol import (
     thermal_state,
     two_mode_squeezed_state,
 )
-from bosepol.circulant import (
-    benchmark_determinants,
-    check_translation_invariance,
-    random_bloch_blocks,
-)
+from bosepol.circulant import check_translation_invariance, random_bloch_blocks
 from bosepol.errors import InvalidStateError, NotTranslationInvariantError
 from bosepol.polarization import ordered_product, quadrature_phase_factors, shift_phases
 from bosepol.rice_mele import RiceMeleParams, rmm_thermal_state
@@ -396,13 +392,6 @@ def test_gauge_block_phases_default_offset():
     lat = make_lattice(L, 2)
     want = np.repeat(np.exp(1j * np.array([np.pi / (2 * L), 3 * np.pi / (2 * L)])), 2)
     assert np.allclose(gauge_block(lat), want, rtol=0.0, atol=1e-15)
-
-
-def test_benchmark_row_consistency():
-    lat = make_lattice(32, 2)
-    row = benchmark_determinants(lat, seed=1, repeats=2)
-    assert row["relative_T_error"] <= 1e-10
-    assert row["dense_seconds"] > 0 and row["reduced_seconds"] > 0
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 5, 8, 13])

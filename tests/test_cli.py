@@ -89,7 +89,7 @@ FLOAT_OPTIONS = [
     ("scaling", "--mu"), ("scaling", "--cycle-fraction"),
     ("winding", "--offset"), ("winding", "--amplitude"), ("winding", "--period"),
     ("winding", "--beta"), ("winding", "--mu"),
-    ("chern", "--mass"), ("chern", "--beta"), ("chern", "--mu"), ("bench", "--offset"),
+    ("chern", "--mass"), ("chern", "--beta"), ("chern", "--mu"),
 ]
 NEGATIVE_VALUES = ["-1e-3", "-3E+0", "-inf", "-nan", "-2.5"]
 
@@ -138,17 +138,13 @@ def test_chemical_potential_error_names_the_grid_minimum(capsys):
     )
 
 
-def test_bench_needs_a_repeat():
-    assert cli.main(["bench", "--repeats", "0"]) == 2
-
-
 def test_seed_only_where_read():
     assert cli.main(["flux-sweep", "--period-list", "5", "--seed", "1"]) == 2
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     seeded = {name for name, p in sub.choices.items()
               if any("--seed" in a.option_strings for a in p._actions)}
-    assert seeded == {"winding", "bench"}
+    assert seeded == {"winding"}
 
 
 def test_flux_sweep_deterministic(tmp_path):
@@ -244,15 +240,6 @@ def test_oracle_check_detects_reduction_mismatch(monkeypatch):
 
     monkeypatch.setattr(cli.circulant, "cell_bloch_blocks", perturbed)
     assert cli.main(["oracle-check", "--cutoff", "160"]) == 5
-
-
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = cli.main(["bench", "--L", "2,4,8", "--repeats", "1", "--output", str(out)])
-    assert code == 0
-    _, header, rows = read_csv(out)
-    assert header == ["L", "n", "dense_seconds", "reduced_seconds", "relative_T_error"]
-    assert all(float(row[4]) <= 1e-10 for row in rows)
 
 
 def test_chern_pass(capsys):
@@ -401,9 +388,9 @@ def test_format_value_strings(value, text):
 
 
 def test_config_file_named_like_a_subcommand(tmp_path, monkeypatch, capsys):
-    (tmp_path / "bench").write_text("L = 4,6,8\n")
+    (tmp_path / "chern").write_text("L = 4,6,8\n")
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["--config", "bench", "scaling"]) == 0
+    assert cli.main(["--config", "chern", "scaling"]) == 0
     assert "L=[4, 6, 8]" in capsys.readouterr().out.splitlines()[0]
 
 

@@ -1,5 +1,8 @@
 """Closed-form and truncated Fock-basis oracles."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, xlogy
@@ -58,6 +61,29 @@ def test_tmsv_oracle():
     a = oracle_tmsv(0.3, 2.2, 0.8)
     b = oracle_tmsv(1.4, 1.1, 0.8)
     assert a == pytest.approx(b)
+
+
+def exact_tmsv(theta1: float, theta2: float, r: float) -> complex:
+    """(1 - t2) / (1 - t2 e^{i phi}) in exact rationals, rounded to floats at the end.
+
+    x = e^{-2r}, cos phi and sin phi are taken as the rationals of their
+    floats, with tanh^2 r = ((1 - x) / (1 + x))^2.
+    """
+    x = Fraction(math.exp(-2.0 * r))
+    phi = theta1 + theta2
+    c, s = Fraction(math.cos(phi)), Fraction(math.sin(phi))
+    t2 = ((1 - x) / (1 + x)) ** 2
+    num, re, im = 1 - t2, 1 - t2 * c, -t2 * s  # den = re + i im
+    norm = re * re + im * im
+    return complex(float(num * re / norm), float(-num * im / norm))
+
+
+@pytest.mark.parametrize("r", [8.0, 12.0, 16.0, 19.0, 25.0])
+def test_tmsv_oracle_strongly_squeezed(r):
+    # 1 - tanh^2 r cancels at large r: that form is off by 2.7e-10 at r = 8
+    # and by 100% at r = 19.
+    want = exact_tmsv(0.7, 1.9, r)
+    assert abs(oracle_tmsv(0.7, 1.9, r) - want) <= 1e-15 * abs(want)
 
 
 def test_truncated_matches_closed_forms():

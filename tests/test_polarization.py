@@ -34,6 +34,7 @@ from bosepol import (
     zak_winding,
 )
 from bosepol.errors import InvalidStateError
+from bosepol.fock_oracle import oracle_tmsv
 from bosepol.loops import band_chern_number, random_classical_loop
 from bosepol.polarization import (
     LOG_ABS_T_MARGIN,
@@ -114,7 +115,7 @@ def test_strongly_squeezed_tmsv_from_its_squeezer(r):
     |<T>| > 1, or an unphysical validate, at many of these r. Under the
     lattice's own shift, theta_1 + theta_2 = 2 pi and |<T>| = 1 exactly; the
     state is physical, and its smallest covariance eigenvalue is e^{-2r}.
-    Under another shift <T> is sech^2 r / (1 - tanh^2 r e^{i(theta_1 + theta_2)}).
+    Under another shift <T> is the closed form of oracle_tmsv.
     Both errors are pinned at their observed size, cond(S) eps = e^{2r} eps:
     they read up to 0.64 and 0.81 of it, 5.6e-9 and 1.6e-9 up to r = 9 and
     2.1e-6 and 4.8e-6 at r = 12."""
@@ -125,8 +126,7 @@ def test_strongly_squeezed_tmsv_from_its_squeezer(r):
     assert validate(st).physical
     assert b.min_covariance_eigenvalue == pytest.approx(np.exp(-2.0 * r), rel=1e-4)
     theta = np.array([0.7, 2.9])
-    t2 = np.tanh(r) ** 2
-    want = np.cosh(r) ** -2 / (1.0 - t2 * np.exp(1j * theta.sum()))
+    want = oracle_tmsv(*theta, r)
     got = polarization(st, ShiftSpec(st.lattice, theta)).expectation
     assert abs(got - want) <= bound * abs(want)
 

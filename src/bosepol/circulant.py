@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotTranslationInvariantError
-from .polarization import _cayley_product, cayley_norm, quadrature_phase_factors, shift_phases
+from .polarization import _reduced_product, cayley_norm, shift_phases
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
@@ -111,11 +111,8 @@ def reduced_determinant(state: BlochState) -> complex:
     first; that alone gives |eig(A_k)| < 1.
     """
     require_valid(state)
-    v = state.v_blocks
-    eye = np.eye(v.shape[-1])
-    d = quadrature_phase_factors(shift_phases(state.lattice))[: len(eye)]
-    P, _ = _cayley_product(np.linalg.solve(v + eye, v - eye), d)
-    return complex(np.linalg.det(eye - P))
+    _, _, _, P, _ = _reduced_product(state.v_blocks[None], shift_phases(state.lattice))
+    return complex(np.linalg.det(np.eye(P.shape[-1]) - P[0]))
 
 
 def lambda_max(state: GaussianState | BlochState) -> float:

@@ -54,10 +54,10 @@ def rmm_thermal_loop(
         mu = -3.0 * protocol.amplitude
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele model needs two sites per cell")
-    kappas = 2.0 * np.pi * np.arange(lattice.cells) / lattice.cells
 
     def sampler(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(lams * protocol.period)), kappas)
+        h = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(lams * protocol.period)),
+                                lattice.cells)
         return thermal_bloch_blocks(h, beta, mu), np.zeros((len(lams), 4))
 
     return ParameterLoop(lattice, sampler, initial_samples)
@@ -243,10 +243,9 @@ def thermal_chern_family(
     Bloch blocks (len(kys), L, 4, 4) and zero cell means (len(kys), 4)."""
     if lattice.sites_per_cell != 2:
         raise ValueError("the two-band chain needs two sites per cell")
-    kappas = 2.0 * np.pi * np.arange(lattice.cells) / lattice.cells
 
     def family(kys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = _bloch_hamiltonians(*chern_cell_blocks(kys, mass), kappas)
+        h = _bloch_hamiltonians(*chern_cell_blocks(kys, mass), lattice.cells)
         return thermal_bloch_blocks(h, beta, mu), np.zeros((len(kys), 4))
 
     return family

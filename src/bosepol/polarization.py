@@ -220,7 +220,7 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: s
     )
 
 
-def _eigh_whitening(V: np.ndarray, lams: list) -> tuple[np.ndarray, np.ndarray]:
+def _eigh_whitening(V: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whitenings A = Q Lambda^{-1/2} and log det V of a loop's stack of
     covariances V = Q Lambda Q^T (S, 2nL, 2nL), from one ``eigh`` whose lowest
     eigenvalues :func:`~bosepol.states.check_positive` checks first."""
@@ -259,16 +259,20 @@ def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
     return log_det.imag, s, log_abs
 
 
-def _cayley_product(G: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1 of the reduced path, with
-    A_k = D G_k, from the Cayley blocks G (L, ..., 2n, 2n) and the diagonal d
-    of D, in one log-depth product."""
-    A = d[:, None] * G
+def _reduced_product(v: np.ndarray, shift: ShiftSpec) -> tuple[np.ndarray, ...]:
+    """w = v_k + 1 and its inverse, momenta first (L, S, 2n, 2n), the diagonal d
+    of D and P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1 (S, 2n, 2n), with
+    A_k = D (1 - 2 w^{-1}), of Bloch blocks v (S, L, 2n, 2n) under ``shift``."""
+    eye = np.eye(v.shape[-1])
+    w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
+    inv = np.linalg.inv(w)
+    d = quadrature_phase_factors(shift)[: len(eye)]
+    A = d[:, None] * (eye - 2.0 * inv)
     R = ordered_product(A[1:])
-    return R @ A[0], R
+    return w, inv, d, R @ A[0], R
 
 
-def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: list | None = None
+def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phases of det(1 - W), mean terms s and log|<T>| of S translation-invariant
     states, from their Bloch blocks v (S, L, 2n, 2n) and cell means a (S, 2n),
@@ -293,13 +297,9 @@ def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: list | No
             np.linalg.cholesky(v)
         except np.linalg.LinAlgError:
             check_positive(np.linalg.eigvalsh(v).min(axis=(1, 2)), lams)
-    eye = np.eye(v.shape[-1])
-    w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
+    w, inv, d, P, R = _reduced_product(v, shift)
     chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real
-    inv = np.linalg.inv(w)
-    d = np.repeat(np.exp(1j * shift.phases[: len(eye) // 2]), 2)  # the first cell's phases
-    P, R = _cayley_product(eye - 2.0 * inv, d)
-    M = eye - P
+    M = np.eye(v.shape[-1]) - P
     sign, log_abs_det = np.linalg.slogdet(M)
     phases = np.angle(sign)
     phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()

@@ -167,14 +167,15 @@ def _ring_hamiltonian(onsite: np.ndarray, hop: np.ndarray, cells: int) -> np.nda
     return h.reshape(*stack, n * cells, n * cells)
 
 
-def _bloch_hamiltonians(onsite, hop, kappas) -> np.ndarray:
-    """h(kappa) = onsite + hop e^{-i kappa} + hop^dagger e^{i kappa} at momenta ``kappas``.
+def _bloch_hamiltonians(onsite, hop, count: int) -> np.ndarray:
+    """h(kappa) = onsite + hop e^{-i kappa} + hop^dagger e^{i kappa} at kappa = 2 pi k / count.
 
     This is sum_d H[0, d] e^{i kappa d} of :func:`_ring_hamiltonian`, the
-    convention of :func:`bosepol.circulant.cell_bloch_blocks`. Blocks
-    stacked as (..., n, n) give shape (..., len(kappas), n, n).
+    convention of :func:`bosepol.circulant.cell_bloch_blocks`, at every
+    momentum k < count of a ring of ``count`` cells. Blocks stacked as
+    (..., n, n) give shape (..., count, n, n).
     """
-    kappas = np.asarray(kappas, dtype=float)[:, None, None]
+    kappas = (2.0 * np.pi * np.arange(count) / count)[:, None, None]
     phase = np.cos(kappas) - 1j * np.sin(kappas)
     onsite, hop = (np.asarray(b)[..., None, :, :] for b in (onsite, hop))
     return onsite + hop * phase + hop.conj().swapaxes(-1, -2) * phase.conj()
@@ -192,8 +193,7 @@ def _zak_phases(onsite, hop, band: str = "lower", samples: int = 64) -> np.ndarr
         raise ValueError("need at least 16 momentum samples")
     if band not in ("lower", "upper"):
         raise ValueError("band must be 'lower' or 'upper'")
-    kappas = 2.0 * np.pi * np.arange(samples) / samples
-    h = _bloch_hamiltonians(onsite, hop, kappas)
+    h = _bloch_hamiltonians(onsite, hop, samples)
     dz, off = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0, h[..., 0, 1]
     norm_d = np.hypot(dz, np.abs(off))
     if 2.0 * norm_d.min() < 2e-12:
@@ -301,7 +301,7 @@ def evolve_pump(protocol: PumpProtocol, steps: int = DEFAULT_PUMP_STEPS) -> Pump
     if steps < 100:
         raise ValueError("need at least 100 steps per period")
     h = protocol.period / steps
-    h0 = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(0.0)), [0.0])[0].real
+    h0 = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(0.0)), 1)[0].real
     a, b = map(complex, np.linalg.eigh(h0)[1][:, 0])
 
     size = math.isqrt(steps - 1) + 1  # ceil(sqrt(steps)) steps per block
@@ -393,6 +393,5 @@ def rmm_thermal_state(
     """
     if lattice.sites_per_cell != 2:
         raise ValueError("Rice-Mele model needs two sites per cell")
-    kappas = 2.0 * np.pi * np.arange(lattice.cells) / lattice.cells
-    h = _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), kappas)
+    h = _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), lattice.cells)
     return thermal_state(h, beta, mu, lattice)

@@ -160,13 +160,12 @@ class GaussianState:
         if not d.min() >= 1.0:
             raise ValueError(f"symplectic eigenvalue {d.min():.6g} < 1 violates the "
                              "uncertainty relation V + i Omega >= 0")
-        omega = symplectic_form(lattice.modes)
-        defect = np.abs(S @ omega @ S.T - omega).max()
+        swap, sign = _signed_swap(dim)  # S Omega S^T - Omega as S (Omega S^T) - Omega 1
+        defect = np.abs(S @ (sign[:, None] * S.T[swap]) - sign[:, None] * np.eye(dim)[swap]).max()
         if defect > SYMMETRY_RTOL * max(1.0, np.abs(S).max() ** 2):
             raise ValueError(f"factor is not symplectic: ||S Omega S^T - Omega|| = "
                              f"{defect:.3e} exceeds tolerance")
-        V = (S * d) @ S.T
-        state = cls(lattice, (V + V.T) / 2.0, mean)
+        state = cls(lattice, (S * d) @ S.T, mean)  # symmetrized by checked_moments
         object.__setattr__(state, "factor", (_as_readonly(S), _as_readonly(d)))
         return state
 
@@ -195,14 +194,21 @@ class GaussianState:
         """A whitening A, A^T V A = 1, and log det V of a state that passed
         :func:`require_valid`, from the cached ``eigh``; a factored state has
         A = S^{-T} diag(d)^{-1/2} with no factorization, as S^{-T} = Omega^T S Omega
-        has entries sign_i sign_j S[i ^ 1, j ^ 1], sign = (-1, 1, -1, 1, ...)."""
+        has entries sign_i sign_j S[i ^ 1, j ^ 1], with the swap and signs of
+        :func:`_signed_swap`."""
         if self.factor is None:
             return _whiten(*self._eigh)
         S, d = self.factor
-        swap = np.arange(len(d)) ^ 1
-        sign = np.tile([-1.0, 1.0], len(d) // 2)
+        swap, sign = _signed_swap(len(d))
         A = sign[:, None] * S[swap[:, None], swap] * (sign / np.sqrt(d))
         return A, float(np.log(d).sum())
+
+
+def _signed_swap(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The swap i ^ 1 and the signs (1, -1, 1, -1, ...) that apply the symplectic
+    form Omega, one block [[0, 1], [-1, 0]] per mode in the (q, p)-innermost
+    ordering, as a signed row swap: (Omega M)[i] = sign_i M[i ^ 1]."""
+    return np.arange(dim) ^ 1, np.tile([1.0, -1.0], dim // 2)
 
 
 def _whiten(vals: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,13 +322,12 @@ class BlochState:
 
 @dataclass(frozen=True)
 class ModeOccupation:
-    """Eigenmode data of stacked hopping matrices (..., N, N) at thermal equilibrium.
+    """Bose occupations and eigenvectors of stacked hopping matrices (..., N, N).
 
     :func:`bose_occupations` builds it: its checks of beta and the gap make the
     occupations nonnegative, and ``eigh`` makes the eigenvectors unitary.
     """
 
-    energies: np.ndarray
     occupations: np.ndarray
     eigenvectors: np.ndarray
 
@@ -377,7 +382,7 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
         )
     with np.errstate(over="ignore"):
         occ = 1.0 / np.expm1(beta * gap)
-    return ModeOccupation(energies=energies, occupations=occ, eigenvectors=vectors)
+    return ModeOccupation(occupations=occ, eigenvectors=vectors)
 
 
 def _occupation_matrices(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
@@ -485,11 +490,6 @@ def two_mode_squeezed_state(r: float) -> GaussianState:
     return GaussianState.from_factor(make_lattice(2, 1), S, np.ones(4), np.zeros(4))
 
 
-def symplectic_form(modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form for the (q, p)-innermost ordering."""
-    return np.kron(np.eye(modes), [[0.0, 1.0], [-1.0, 0.0]])
-
-
 def random_gaussian_state(
     lattice: LatticeSpec,
     seed: int,
@@ -511,7 +511,8 @@ def random_gaussian_state(
     rng = np.random.default_rng(seed)
     dim = lattice.dim
     A = rng.normal(size=(dim, dim))
-    X = symplectic_form(lattice.modes) @ (0.3 * (A + A.T) / np.sqrt(2.0 * dim))
+    swap, sign = _signed_swap(dim)
+    X = sign[:, None] * (0.3 * (A + A.T) / np.sqrt(2.0 * dim))[swap]  # Omega G
     eye = np.eye(dim)
     S = np.linalg.solve(eye - X / 2.0, eye + X / 2.0)
     nbar = rng.uniform(0.0, 1.5, size=lattice.modes)
@@ -557,7 +558,8 @@ def validate(state: GaussianState | BlochState) -> ValidationReport:
         log_det, nu = float(np.log(d).sum()), float(d.min())
     elif valid:
         R = np.linalg.cholesky(state.v_blocks if isinstance(state, BlochState) else state.V)
-        herm = 1j * (R.conj().swapaxes(-1, -2) @ symplectic_form(R.shape[-1] // 2) @ R)
+        swap, sign = _signed_swap(R.shape[-1])
+        herm = 1j * (R.conj().swapaxes(-1, -2) @ (sign[:, None] * R[..., swap, :]))
         log_det, nu = float(np.log(eigs).sum()), float(np.abs(np.linalg.eigvalsh(herm)).min())
     else:
         log_det = nu = float("nan")
@@ -571,7 +573,7 @@ def validate(state: GaussianState | BlochState) -> ValidationReport:
     )
 
 
-def check_positive(lowest: np.ndarray, lams: list) -> None:
+def check_positive(lowest: np.ndarray, lams: np.ndarray) -> None:
     """Raise :class:`InvalidStateError` unless each state of a loop's stack has
     its smallest covariance eigenvalue ``lowest`` > 0; the error names the first
     failing lambda of ``lams``."""

@@ -60,9 +60,10 @@ class ParameterLoop:
     The path must close, state(1) = state(0): the covariance or blocks and
     the mean are each checked to 1e-12 relative to their scale.
     ``initial_samples`` uniform segments, sampled in one call, are bisected
-    until no phase step reaches PHASE_STEP_TOL; each midpoint is one more
-    call. Every built-in loop, and the k_y family of
-    :func:`chern_via_polarization`, samples its lambdas as a stack.
+    until no phase step reaches PHASE_STEP_TOL; each level of bisection is
+    one more call, with its midpoints ascending. Every built-in loop, and
+    the k_y family of :func:`chern_via_polarization`, samples its lambdas
+    as a stack.
     """
 
     lattice: LatticeSpec
@@ -97,36 +98,36 @@ def _wrap(d: float) -> float:
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _refine_on_phase(evaluate: Callable[[list[float]], list[tuple]], initial_samples: int):
+def _refine_on_phase(evaluate: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+                     initial_samples: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Sample [0, 1] until adjacent principal-phase jumps are below PHASE_STEP_TOL.
 
-    ``evaluate`` maps a list of lambdas to records whose first element is the
-    principal phase. It gets the uniform grid in one call, then, one at a
-    time, the midpoint of each segment, left to right, whose own endpoints
-    jump by PHASE_STEP_TOL or more. Returns the sample positions and records.
+    ``evaluate`` maps an ascending lambda array to record arrays, the first
+    the principal phases. It gets the uniform grid in one call, then one call
+    per level of bisection: the midpoints of every segment whose own
+    endpoints jump by PHASE_STEP_TOL or more. Returns the ascending sample
+    positions and their records.
     """
-    grid = np.linspace(0.0, 1.0, initial_samples + 1).tolist()
-    todo = list(zip(grid, evaluate(grid)))[::-1]  # stack: next sample on top
-    done = [todo.pop()]
-    while todo:
-        (a, ra), (b, rb) = done[-1], todo[-1]
-        if abs(_wrap(rb[0] - ra[0])) < PHASE_STEP_TOL:
-            done.append(todo.pop())
-            continue
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+    lams = np.linspace(0.0, 1.0, initial_samples + 1)
+    records = evaluate(lams)
+    while True:
+        jumps = np.flatnonzero(np.abs(_wrap(np.diff(records[0]))) >= PHASE_STEP_TOL)
+        if not jumps.size:
+            return lams, records
+        a, b = lams[jumps], lams[jumps + 1]
+        mids = 0.5 * (a + b)
+        if ((mids <= a) | (mids >= b)).any():
             raise RefinementExhaustedError(
                 "refinement exhausted: phase jump persists at "
                 "floating-point resolution (|det| may be vanishing)"
             )
-        if len(done) + len(todo) >= MAX_SAMPLES:
+        if len(lams) + len(mids) > MAX_SAMPLES:
             raise RefinementExhaustedError(
                 f"refinement exhausted: {MAX_SAMPLES} samples without "
                 f"meeting the phase-jump tolerance {PHASE_STEP_TOL:.3f}"
             )
-        todo.append((mid, evaluate([mid])[0]))
-    lams, records = zip(*done)
-    return list(lams), list(records)
+        lams = np.insert(lams, jumps + 1, mids)
+        records = tuple(np.insert(r, jumps + 1, m) for r, m in zip(records, evaluate(mids)))
 
 
 def _integer_winding(total_phase: float, what: str) -> int:
@@ -152,7 +153,7 @@ def _unwrap(start: float, phases: np.ndarray) -> np.ndarray:
 def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     """Sample the loop adaptively and accumulate a continuous polarization.
 
-    The uniform grid is one sampler call and each bisection midpoint one
+    The uniform grid is one sampler call and each level of bisection one
     more, so no lambda is sampled twice. The first call's shape picks the
     kernel: Bloch blocks (4-D) the reduced one, covariances (3-D) the dense
     one. Every call's stack is checked as :class:`BlochState` or
@@ -182,8 +183,8 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
     shift = shift_phases(lattice)
     paths = []  # whether the grid call picked the Bloch kernel
 
-    def evaluate(lams: list[float]) -> list[tuple]:
-        V, mean = loop.sampler(np.array(lams, dtype=float))
+    def evaluate(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        V, mean = loop.sampler(lams)
         grid = not paths  # the uniform grid, from lambda = 0 to 1
         if grid:
             paths.append(np.ndim(V) == 4)
@@ -199,20 +200,15 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                     raise ValueError(
                         f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
         if bloch:
-            phases, s, log_abs = _bloch_terms(V, mean, shift, lams)
-        else:
-            phases, s, log_abs = _dense_terms(*_eigh_whitening(V, lams), mean, shift)
-        return list(zip(phases.tolist(), s.tolist(), log_abs.tolist()))
+            return _bloch_terms(V, mean, shift, lams)
+        return _dense_terms(*_eigh_whitening(V, lams), mean, shift)
 
-    lams, records = _refine_on_phase(evaluate, loop.initial_samples)
-    phases, means, log_abs = zip(*records)
-    log_abs = np.array(log_abs)
+    lams, (phases, means, log_abs) = _refine_on_phase(evaluate, loop.initial_samples)
     worst = int(log_abs.argmax())
     _check_abs_T(log_abs[worst], f" at lambda = {lams[worst]}")
-    det_term = -0.5 * _unwrap(phases[0], np.array(phases))
-    means = np.array(means)
+    det_term = -0.5 * _unwrap(phases[0], phases)
     return PolarizationTrack(
-        lambdas=np.array(lams),
+        lambdas=lams,
         p_unwrapped=(det_term + means.imag) / (2.0 * math.pi),
         abs_T=np.exp(log_abs),
         det_term_phase=det_term,
@@ -248,18 +244,17 @@ def winding_of_values(fn: Callable[[float], complex], initial_samples: int = 16)
     ``ValueError`` naming its lambda.
     """
 
-    def evaluate(lams: list[float]) -> list[tuple]:
-        zs = [complex(fn(lam)) for lam in lams]
+    def evaluate(lams: np.ndarray) -> tuple[np.ndarray]:
+        zs = [complex(fn(lam)) for lam in lams.tolist()]
         for lam, z in zip(lams, zs):
             if not cmath.isfinite(z):
                 raise ValueError(f"path value {z} at lambda = {lam} is not finite")
         if 0 in zs:
             raise RefinementExhaustedError("path passes exactly through zero")
-        return [(math.atan2(z.imag, z.real),) for z in zs]
+        return (np.array([math.atan2(z.imag, z.real) for z in zs]),)
 
     check_initial_samples(initial_samples)
-    _, records = _refine_on_phase(evaluate, initial_samples)
-    phases = np.array([phase for phase, in records])
+    _, (phases,) = _refine_on_phase(evaluate, initial_samples)
     return _integer_winding(_unwrap(0.0, phases)[-1], "winding")
 
 

@@ -62,7 +62,9 @@ MUTANTS = (
     Mutant("dense: cayley_norm from the smallest eigenvalue only", POLARIZATION,
            "max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))",
            "abs((lo - 1.0) / (lo + 1.0))", POLARIZATION_TESTS),
-    # The symplectic factor of a state.
+    # The symplectic form and the symplectic factor of a state.
+    Mutant("omega: the swap's signs not alternating", STATES,
+           "np.tile([1.0, -1.0], dim // 2)", "np.ones(dim)", ("tests/test_states.py",)),
     Mutant("factor: a sign dropped from Omega^T S Omega", STATES,
            "sign[:, None] * S[swap[:, None], swap]", "S[swap[:, None], swap]",
            POLARIZATION_TESTS),
@@ -80,7 +82,7 @@ MUTANTS = (
            "    phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()\n", "",
            POLARIZATION_TESTS),
     Mutant("bloch: P = A_0 R", POLARIZATION,
-           "return R @ A[0], R", "return A[0] @ R, R", POLARIZATION_TESTS),
+           "R @ A[0]", "A[0] @ R", POLARIZATION_TESTS),
     Mutant("bloch: L dropped from the mean term", POLARIZATION,
            "(len(w) * c)", "c", POLARIZATION_TESTS),
     Mutant("bloch: R dropped from the mean term", POLARIZATION,
@@ -99,7 +101,10 @@ MUTANTS = (
            ("tests/test_circulant.py",)),
     # The loop track.
     Mutant("track: unwrapped from 0 instead of phases[0]", WINDING,
-           "_unwrap(phases[0], np.array(phases))", "_unwrap(0.0, np.array(phases))",
+           "_unwrap(phases[0], phases)", "_unwrap(0.0, phases)", WINDING_TESTS),
+    Mutant("refinement: a level bisects only its first jumping segment", WINDING,
+           "        a, b = lams[jumps], lams[jumps + 1]\n",
+           "        jumps = jumps[:1]\n        a, b = lams[jumps], lams[jumps + 1]\n",
            WINDING_TESTS),
     Mutant("track: the mean's closure unchecked", WINDING,
            '(("V", V), ("mean", mean))', '(("V", V),)', WINDING_TESTS),

@@ -62,7 +62,7 @@ def dop853_flux(AT: float) -> float:
 
 def rmm_bloch(params, k, L):
     """Rice-Mele Bloch Hamiltonian at kappa = 2 pi k / L."""
-    return _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), [2 * np.pi * k / L])[0]
+    return _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), L)[k]
 
 
 def bloch_vector(params, k, L):
@@ -122,8 +122,7 @@ def test_zak_phases_gap_rule_ignores_an_energy_offset():
 
 def eigh_zak_phases(onsite, hop, band, samples=64):
     """Wilson-loop Zak phases with the band vectors from np.linalg.eigh."""
-    kappas = 2 * np.pi * np.arange(samples) / samples
-    u = np.linalg.eigh(_bloch_hamiltonians(onsite, hop, kappas))[1][..., int(band == "upper")]
+    u = np.linalg.eigh(_bloch_hamiltonians(onsite, hop, samples))[1][..., int(band == "upper")]
     return -np.angle(np.prod(np.sum(u.conj() * np.roll(u, -1, axis=-2), axis=-1), axis=-1))
 
 
@@ -148,7 +147,7 @@ def closed_form_cases():
 def test_closed_form_zak_phases_match_eigh(name, onsite, hop, band):
     """The closed-form band vectors give the Wilson loop of eigh's vectors,
     on both sides of the gauge switch at d_z = 0."""
-    h = _bloch_hamiltonians(onsite, hop, 2 * np.pi * np.arange(64) / 64)
+    h = _bloch_hamiltonians(onsite, hop, 64)
     dz = (h[..., 0, 0] - h[..., 1, 1]).real
     if name == "seeded":
         assert (dz > 0).any() and (dz < 0).any()  # both gauges occur
@@ -232,7 +231,7 @@ def test_trajectory_equals_sequential_magnus_steps():
     a1, a2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
     def h0(t):
-        h = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(t)), [0.0])[0]
+        h = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(t)), 1)[0]
         assert not h.imag.any()
         return h.real
 
@@ -400,7 +399,7 @@ def test_flux_equals_scipy_simpson_on_trajectory(steps):
 def test_adiabatic_following_at_slow_drive():
     protocol = reference(200.0)
     traj = evolve_pump(protocol, steps=40_000)
-    end = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(protocol.period)), [0.0])[0]
+    end = _bloch_hamiltonians(*rmm_cell_blocks(protocol.drive(protocol.period)), 1)[0]
     target = np.linalg.eigh(end.real)[1][:, 0]
     psi = np.array([traj.alpha[-1], traj.beta[-1]])
     fidelity = abs(np.vdot(target, psi)) ** 2 / (np.vdot(psi, psi).real)
@@ -470,7 +469,7 @@ def test_bloch_hamiltonians_are_ring_fourier_sums(blocks, L):
     first_row = _ring_hamiltonian(onsite, hop, L).reshape(L, n, L, n)[0].transpose(1, 0, 2)
     kappas = 2 * np.pi * np.arange(L) / L
     want = np.einsum("kd,dij->kij", np.exp(1j * np.outer(kappas, np.arange(L))), first_row)
-    assert np.abs(_bloch_hamiltonians(onsite, hop, kappas) - want).max() <= 1e-14
+    assert np.abs(_bloch_hamiltonians(onsite, hop, L) - want).max() <= 1e-14
 
 
 def test_hopping_matrix_gap_closing_point():

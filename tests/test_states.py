@@ -24,13 +24,28 @@ from bosepol import (
 from bosepol.errors import ChemicalPotentialError, InvalidStateError
 from bosepol.circulant import random_bloch_blocks
 from bosepol.states import (
+    _signed_swap,
     reassemble_covariance,
     require_valid,
-    symplectic_form,
     thermal_covariances,
 )
 
 SILVER = 1.0 + np.sqrt(2.0)  # exp(r) for sinh(r) = 1
+
+
+def symplectic_form(modes):
+    """The dense symplectic form, one block [[0, 1], [-1, 0]] per mode: an oracle
+    built apart from the package's signed swap."""
+    return np.kron(np.eye(modes), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def test_signed_swap_applies_the_symplectic_form():
+    """(Omega M)[i] = sign_i M[i ^ 1] is the dense Omega M exactly, on one matrix
+    and on a stack."""
+    rng = np.random.default_rng(5)
+    swap, sign = _signed_swap(6)
+    for M in (rng.normal(size=(6, 4)), rng.normal(size=(3, 6, 6))):
+        assert np.array_equal(sign[:, None] * M[..., swap, :], symplectic_form(3) @ M)
 
 
 def test_single_site_lattice_phase():
@@ -181,6 +196,19 @@ def test_factored_state_checks_its_contracts():
         GaussianState.from_factor(lat, S, [np.inf, np.inf, 1.0, 1.0], mean)
     with pytest.raises(ValueError, match="symplectic factor must be 4x4"):
         GaussianState.from_factor(lat, np.eye(2), d, mean)
+
+
+def test_factor_defect_is_the_dense_symplectic_defect():
+    """from_factor reports max |S Omega S^T - Omega| with the dense Omega, so its
+    threshold keeps its meaning."""
+    lat = make_lattice(2, 2)
+    noise = 1e-3 * np.random.default_rng(6).normal(size=(8, 8))
+    S = random_gaussian_state(lat, 4).factor[0] + noise
+    omega = symplectic_form(lat.modes)
+    want = np.abs(S @ omega @ S.T - omega).max()
+    with pytest.raises(ValueError, match="not symplectic") as err:
+        GaussianState.from_factor(lat, S, np.ones(8), np.zeros(8))
+    assert f"= {want:.3e} exceeds" in str(err.value)
 
 
 def test_factored_state_reads_its_factor():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,12 @@ def test_each_sample_evaluated_once(monkeypatch):
     assert len(calls) == 1  # the whole grid in one stacked call
 
 
+def stacked(evaluate):
+    """A per-lambda ``evaluate`` in the array form of the refinement: an array of
+    lambdas to one array per record field."""
+    return lambda lams: tuple(np.array(field) for field in zip(*map(evaluate, lams.tolist())))
+
+
 def per_sample_track(loop):
     """The track evaluated one sample at a time, kept as an oracle for the stacked pass.
 
@@ -213,10 +220,9 @@ def per_sample_track(loop):
             s = complex(-0.5 * (state.mean @ y))
         return float(np.angle(sign)), s, log_abs_shift - 0.5 * logabs + s.real
 
-    lams, records = winding._refine_on_phase(
-        lambda lams: [evaluate(lam) for lam in lams], loop.initial_samples
+    lams, (phases, means, log_abs) = winding._refine_on_phase(
+        stacked(evaluate), loop.initial_samples
     )
-    phases, means, log_abs = (np.array(x) for x in zip(*records))
     det_term = -0.5 * winding._unwrap(-2.0 * polarization(state0, shift).det_term_phase, phases)
     return lams, (det_term + means.imag) / (2.0 * math.pi), np.exp(log_abs), det_term, means
 
@@ -246,7 +252,7 @@ def test_stacked_track_equals_per_sample_track(name):
     loop = equivalence_loop(name)
     track = track_polarization(loop)
     lams, p_unwrapped, abs_T, det_term, means = per_sample_track(loop)
-    assert track.lambdas.tolist() == lams
+    assert np.array_equal(track.lambdas, lams)
     for got, want in ((track.p_unwrapped, p_unwrapped), (track.abs_T, abs_T),
                       (track.det_term_phase, det_term), (track.mean_term, means)):
         assert np.abs(got - want).max() <= 1e-12
@@ -389,14 +395,13 @@ def test_stacked_sampler_equals_per_lambda_states(name):
 @pytest.mark.parametrize("mass", [1.0, -1.0, 0.7])
 def test_chern_family_equals_per_ky_states(mass):
     lat = make_lattice(4, 2)
-    kappas = 2.0 * np.pi * np.arange(4) / 4
     kys = np.array([0.0, 0.4, np.pi / 2, np.pi, 4.0, 2.0 * np.pi])
     v, mean = thermal_chern_family(lat, mass, beta=1.0, mu=-6.0)(kys)
     assert v.shape == (len(kys), 4, 4, 4) and mean.shape == (len(kys), 4)
     assert not mean.any()
     for ky, blocks in zip(kys, v):
         cell = chern_cell_blocks(ky, mass)
-        want = thermal_state(_bloch_hamiltonians(*cell, kappas), 1.0, -6.0, lat)
+        want = thermal_state(_bloch_hamiltonians(*cell, lat.cells), 1.0, -6.0, lat)
         assert np.abs(blocks - want.v_blocks).max() <= 1e-15 * np.abs(want.v_blocks).max(), ky
         # The dense thermal state of the chain's ring is an independent oracle.
         dense = thermal_state(_ring_hamiltonian(*cell, lat.cells), 1.0, -6.0, lat)
@@ -625,20 +630,31 @@ def test_bloch_grid_then_dense_midpoint_is_rejected():
     """The grid call picks the kernel; a later call in the other shape is an error."""
     loop = bisecting_thermal_loop()  # V = scale 1 on 4 one-site cells; it bisects
     cells = loop.lattice.cells
+    calls = []
 
     def sampler(lams):
+        calls.append(len(lams))
         V, mean = loop.sampler(lams)
-        if len(lams) > 1:  # the grid, as the Bloch blocks scale 1 of the same states
+        if len(calls) == 1:  # the grid, as the Bloch blocks scale 1 of the same states
             return np.repeat(V[:, None, :2, :2], cells, axis=1), mean[:, :2]
         return V, mean
 
-    with pytest.raises(ValueError, match=r"Bloch blocks must be \(4, 2, 2\), got \(1, 8, 8\)"):
+    # The first level bisects the segments next to lambda = 0 and 1.
+    with pytest.raises(ValueError, match=r"Bloch blocks must be \(4, 2, 2\), got \(2, 8, 8\)"):
         track_polarization(dataclasses.replace(loop, sampler=sampler))
+    assert calls == [loop.initial_samples + 1, 2]
 
 
-def test_replaced_sampler_sees_grid_and_each_midpoint():
+def bisection_level(lam, initial_samples):
+    """0 for a sample of a power-of-two uniform grid, j for a midpoint of the j-th
+    level of bisection, whose denominator is initial_samples 2^j."""
+    return max(0, (Fraction(lam).denominator // initial_samples).bit_length() - 1)
+
+
+def test_replaced_sampler_sees_grid_then_each_level():
     """dataclasses.replace(loop, sampler=wrapper) routes every sample through the
-    wrapper: the grid in one call, then one call per bisection midpoint."""
+    wrapper: the grid in one call, then one call per level of bisection, each
+    with that level's midpoints in ascending lambda."""
     loop = bisecting_thermal_loop()
     calls = []
 
@@ -647,9 +663,13 @@ def test_replaced_sampler_sees_grid_and_each_midpoint():
         return loop.sampler(lams)
 
     track = track_polarization(dataclasses.replace(loop, sampler=sampler))
+    lams = track.lambdas.tolist()
+    levels = [bisection_level(lam, loop.initial_samples) for lam in lams]
     assert calls[0] == np.linspace(0.0, 1.0, loop.initial_samples + 1).tolist()
-    assert len(calls) > 1 and all(len(call) == 1 for call in calls[1:])
-    assert sorted(sum(calls, [])) == track.lambdas.tolist()
+    assert len(calls) == 1 + max(levels) > 2
+    for j, call in enumerate(calls[1:], 1):
+        assert call == [lam for lam, level in zip(lams, levels) if level == j], j
+    assert sorted(sum(calls, [])) == lams
 
 
 def test_unwrap_equals_sequential_loop():
@@ -968,8 +988,8 @@ def path_phase(fn):
 )
 def test_refinement_matches_breadth_first(fn, turns):
     evaluate = path_phase(fn)
-    lams, _ = winding._refine_on_phase(lambda lams: [evaluate(lam) for lam in lams], 16)
-    assert lams == breadth_first_refinement(evaluate, 16)
+    lams, _ = winding._refine_on_phase(stacked(evaluate), 16)
+    assert lams.tolist() == breadth_first_refinement(evaluate, 16)
     assert winding_of_values(fn) == turns
 
 

@@ -8,7 +8,6 @@ from .states import (
     BlochState,
     GaussianState,
     LatticeSpec,
-    ModeOccupation,
     ValidationReport,
     bose_occupations,
     coherent_state,
@@ -56,7 +55,6 @@ __all__ = [
     "BlochState",
     "GaussianState",
     "LatticeSpec",
-    "ModeOccupation",
     "ParameterLoop",
     "PolarizationBreakdown",
     "PolarizationTrack",

@@ -111,7 +111,7 @@ def reduced_determinant(state: BlochState) -> complex:
     first; that alone gives |eig(A_k)| < 1.
     """
     require_valid(state)
-    _, _, _, P, _ = _reduced_product(state.v_blocks[None], shift_phases(state.lattice))
+    _, _, P, _ = _reduced_product(state.v_blocks[None], shift_phases(state.lattice))
     return complex(np.linalg.det(np.eye(P.shape[-1]) - P[0]))
 
 

@@ -55,18 +55,22 @@ it that start from 0 at t = 0. A cell-periodic mean a gives
 s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
 R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
 states: one state, or one sampler call of a loop in
-:func:`bosepol.winding.track_polarization`. Positive definiteness has one
-gate for one state: :func:`polarization` checks every state, whatever its
-form and path, through :func:`bosepol.states.require_valid`, whose spectrum
-the diagnostics read. The kernels check a loop's stack, the dense one from
-the lowest eigenvalues of its ``eigh``, the reduced one by a stacked
-Cholesky factorization of the blocks, and both name the first failing
-lambda through :func:`bosepol.states.check_positive`. The dense
-kernel gives every state's homotopy branch. The reduced one takes a Cholesky
-factorization and an inverse of v_k + 1, one ``slogdet`` of 1 - P and, with
-a mean, one residual-checked solve of the stacked 1 - P; it gives the
-branch, from the eigenvalues of P, for the first state only, as a loop's
-track unwraps from there.
+:func:`bosepol.winding.track_polarization`. Both kernels share one contract:
+the caller checks the stack positive definite and gives the log-determinant
+it already holds, and the kernel only evaluates. For one state
+:func:`polarization` checks every state, whatever its form and path, through
+:func:`bosepol.states.require_valid`, whose spectrum, the eigenvalues v_j
+of V, the diagnostics read, and the reduced path as
+log det((V + 1) / 2) = sum_j log((v_j + 1) / 2); the dense path takes the
+state's ``whitening``. For a loop's stack :func:`_eigh_whitening` checks the
+covariances from the lowest eigenvalues of their ``eigh``, and
+:func:`_cholesky_log_det_half` the blocks by a stacked Cholesky
+factorization, and both name the first failing lambda through
+:func:`bosepol.states.check_positive`. The dense kernel gives
+every state's homotopy branch. The reduced one takes an inverse of v_k + 1,
+one ``slogdet`` of 1 - P and, with a mean, one residual-checked solve of the
+stacked 1 - P; it gives the branch, from the eigenvalues of P, for the first
+state only, as a loop's track unwraps from there.
 """
 
 from __future__ import annotations
@@ -229,6 +233,21 @@ def _eigh_whitening(V: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.nda
     return _whiten(vals, Q)
 
 
+def _cholesky_log_det_half(v: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """log det((V + 1) / 2) of a loop's stack of Bloch blocks v (S, L, 2n, 2n),
+    as 2 sum log diag of the Cholesky factors of (v_k + 1) / 2, after one
+    stacked Cholesky factorization checks the blocks positive definite; if it
+    fails, :func:`~bosepol.states.check_positive` names the first failing
+    lambda from the blocks' lowest eigenvalues."""
+    try:
+        np.linalg.cholesky(v)
+    except np.linalg.LinAlgError:
+        check_positive(np.linalg.eigvalsh(v).min(axis=(1, 2)), lams)
+    w = v.swapaxes(0, 1) + np.eye(v.shape[-1])  # momenta first, as the product takes them
+    chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real
+    return 2.0 * np.log(chol_diag).sum(axis=(0, 2))
+
+
 def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
                  shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Homotopy phases Im ln det(1 - W), mean terms s and log|<T>|, for
@@ -260,45 +279,36 @@ def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
 
 
 def _reduced_product(v: np.ndarray, shift: ShiftSpec) -> tuple[np.ndarray, ...]:
-    """w = v_k + 1 and its inverse, momenta first (L, S, 2n, 2n), the diagonal d
-    of D and P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1 (S, 2n, 2n), with
-    A_k = D (1 - 2 w^{-1}), of Bloch blocks v (S, L, 2n, 2n) under ``shift``."""
+    """The inverses of v_k + 1, momenta first (L, S, 2n, 2n), the diagonal d of D
+    and P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1 (S, 2n, 2n), with
+    A_k = D (1 - 2 (v_k + 1)^{-1}), of Bloch blocks v (S, L, 2n, 2n) under ``shift``."""
     eye = np.eye(v.shape[-1])
-    w = v.swapaxes(0, 1) + eye  # momenta first, as the product takes them
-    inv = np.linalg.inv(w)
+    inv = np.linalg.inv(v.swapaxes(0, 1) + eye)  # momenta first, as the product takes them
     d = quadrature_phase_factors(shift)[: len(eye)]
     A = d[:, None] * (eye - 2.0 * inv)
     R = ordered_product(A[1:])
-    return w, inv, d, R @ A[0], R
+    return inv, d, R @ A[0], R
 
 
-def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bloch_terms(v: np.ndarray, log_det_half: np.ndarray | float, a: np.ndarray,
+                 shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phases of det(1 - W), mean terms s and log|<T>| of S translation-invariant
-    states, from their Bloch blocks v (S, L, 2n, 2n) and cell means a (S, 2n),
-    under the lattice's own shift.
+    states, from their Bloch blocks v (S, L, 2n, 2n), positive definite, their
+    log det((V + 1) / 2) and their cell means a (S, 2n), under the lattice's
+    own shift.
 
-    The reduced path of the module docstring: the Cholesky diagonal of
-    (v_k + 1) / 2 gives nL ln 2 - 1/2 log det(V + 1), one inverse
+    The reduced path of the module docstring: one inverse
     G_k = 1 - 2 (v_k + 1)^{-1}, and one ``slogdet`` of the stacked 1 - P the
     principal phases and the magnitudes; the vacuum gives exactly 0 for each.
     The first state's phase is the homotopy branch sum_j Arg(1 - nu_j), from one
     ``eigvals`` of its P. With any mean nonzero, one solve of the stacked
     1 - P gives every y_0, 0 for a zero mean; a residual above
-    MEAN_SOLVE_RTOL ||a - R D a|| raises :class:`NumericalError`. Given a
-    loop's ``lams``, one stacked Cholesky factorization first checks the
-    blocks positive definite; if it fails, the blocks' lowest eigenvalues go
-    to :func:`~bosepol.states.check_positive`, which names the first failing
-    lambda. Without ``lams`` the caller has checked the blocks, as
-    :func:`polarization` does through :func:`~bosepol.states.require_valid`.
+    MEAN_SOLVE_RTOL ||a - R D a|| raises :class:`NumericalError`. The caller
+    checks the blocks and gives log det((V + 1) / 2): :func:`polarization`
+    from the spectrum of :func:`~bosepol.states.require_valid`, a loop from
+    :func:`_cholesky_log_det_half`.
     """
-    if lams is not None:
-        try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError:
-            check_positive(np.linalg.eigvalsh(v).min(axis=(1, 2)), lams)
-    w, inv, d, P, R = _reduced_product(v, shift)
-    chol_diag = np.linalg.cholesky(w / 2.0).diagonal(axis1=-2, axis2=-1).real
+    inv, d, P, R = _reduced_product(v, shift)
     M = np.eye(v.shape[-1]) - P
     sign, log_abs_det = np.linalg.slogdet(M)
     phases = np.angle(sign)
@@ -314,8 +324,8 @@ def _bloch_terms(v: np.ndarray, a: np.ndarray, shift: ShiftSpec, lams: np.ndarra
             raise NumericalError(f"mean-term linear solve residual {residual[bad[0]]:.3e} "
                                  f"exceeds {MEAN_SOLVE_RTOL} * ||b|| = {bound[bad[0]]:.3e}")
         c = inv[0] @ a[..., None]  # (v_0 + 1)^{-1} a
-        s = -0.5 * ((len(w) * c).swapaxes(1, 2) @ y)[:, 0, 0]
-    log_abs = -np.log(chol_diag).sum(axis=(0, 2)) - 0.5 * log_abs_det + s.real
+        s = -0.5 * ((len(inv) * c).swapaxes(1, 2) @ y)[:, 0, 0]
+    log_abs = -0.5 * (log_det_half + log_abs_det) + s.real
     return phases, s, log_abs
 
 
@@ -328,7 +338,7 @@ def polarization(
     path of the module docstring; every other state or shift the dense one,
     whitened by the state's own ``whitening``. Every state is first checked
     by :func:`~bosepol.states.require_valid`, whose spectrum the diagnostics
-    read. Raises :class:`InvalidStateError` when V is not positive
+    and the reduced path's log det((V + 1) / 2) read. Raises :class:`InvalidStateError` when V is not positive
     definite, or when |<T>| exceeds 1, which only a state violating
     V + i Omega >= 0 gives.
     """
@@ -341,8 +351,9 @@ def polarization(
         raise ValueError("shift spec and state have different mode counts")
     vals = require_valid(state)
     if bloch:
+        log_det_half = np.log1p((vals - 1.0) / 2.0).sum()  # log det((V + 1) / 2)
         phi, s, log_abs = (x[0] for x in _bloch_terms(
-            state.v_blocks[None], state.cell_mean[None], shift))
+            state.v_blocks[None], log_det_half, state.cell_mean[None], shift))
     else:
         phi, s, log_abs = _dense_terms(*state.whitening(), state.mean, shift)
     return _breakdown(float(log_abs), float(phi), complex(s), vals,

@@ -169,10 +169,6 @@ class GaussianState:
         object.__setattr__(state, "factor", (_as_readonly(S), _as_readonly(d)))
         return state
 
-    @property
-    def modes(self) -> int:
-        return self.lattice.modes
-
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:  # V = Q diag(vals) Q^T, vals ascending
         vals, Q = np.linalg.eigh(self.V)
@@ -298,10 +294,6 @@ class BlochState:
         object.__setattr__(self, "v_blocks", _as_readonly(v))
         object.__setattr__(self, "cell_mean", _as_readonly(cell_mean))
 
-    @property
-    def modes(self) -> int:
-        return self.lattice.modes
-
     @cached_property
     def V(self) -> np.ndarray:
         return _as_readonly(reassemble_covariance(self.v_blocks))
@@ -318,18 +310,6 @@ class BlochState:
         """A whitening of the assembled V and log det V, from one ``eigh`` of V,
         for the dense path under a shift other than the lattice's own."""
         return _whiten(*np.linalg.eigh(self.V))
-
-
-@dataclass(frozen=True)
-class ModeOccupation:
-    """Bose occupations and eigenvectors of stacked hopping matrices (..., N, N).
-
-    :func:`bose_occupations` builds it: its checks of beta and the gap make the
-    occupations nonnegative, and ``eigh`` makes the eigenvectors unitary.
-    """
-
-    occupations: np.ndarray
-    eigenvectors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -357,10 +337,13 @@ def coherent_state(lattice: LatticeSpec, amplitudes) -> GaussianState:
     return GaussianState(lattice, np.eye(lattice.dim), mean)
 
 
-def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupation:
-    """Diagonalize hermitian hopping matrices (..., N, N) in one stacked ``eigh`` and
-    attach Bose-Einstein occupations. Every eigenvalue of every matrix must satisfy
-    ``eps - mu > 0``; otherwise the grand-canonical occupation is undefined."""
+def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """Occupation matrices N = U diag(nbar) U^dag (..., N, N) of hermitian hopping
+    matrices (..., N, N) = U diag(eps) U^dag, from one stacked ``eigh``, with the
+    Bose-Einstein occupations nbar_j = 1/(exp(beta (eps_j - mu)) - 1). Every
+    eigenvalue of every matrix must satisfy ``eps - mu > 0``; otherwise the
+    grand-canonical occupation is undefined. N is Hermitian and, by these
+    checks of beta and the gap, positive semidefinite."""
     h = np.asarray(hopping, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("hopping matrix must be square")
@@ -382,14 +365,7 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> ModeOccupat
         )
     with np.errstate(over="ignore"):
         occ = 1.0 / np.expm1(beta * gap)
-    return ModeOccupation(occupations=occ, eigenvectors=vectors)
-
-
-def _occupation_matrices(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
-    """N = sum_j nbar_j v_j v_j^dag for each hopping matrix of the stack (..., N, N)."""
-    modes = bose_occupations(hopping, beta, mu)
-    U = modes.eigenvectors
-    return (U * modes.occupations[..., None, :]) @ U.conj().swapaxes(-1, -2)
+    return (vectors * occ[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def _quadrature_covariances(re_n: np.ndarray, im_n: np.ndarray) -> np.ndarray:
@@ -409,11 +385,11 @@ def _quadrature_covariances(re_n: np.ndarray, im_n: np.ndarray) -> np.ndarray:
 
 def thermal_covariances(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
     """Covariances (..., 2N, 2N) of the grand-canonical thermal states of hopping
-    matrices (..., N, N): with N = sum_j nbar_j v_j v_j^dag in the site basis and
-    nbar_j = 1/(exp(beta (eps_j - mu)) - 1), V[q_i q_j] = V[p_i p_j] = delta_ij +
-    2 Re N_ij and V[q_i p_j] = -V[p_i q_j] = 2 Im N_ij. Strictly classical
-    (V > 1) at any finite temperature."""
-    N = _occupation_matrices(hopping, beta, mu)
+    matrices (..., N, N): with the occupation matrices N of :func:`bose_occupations`
+    in the site basis, V[q_i q_j] = V[p_i p_j] = delta_ij + 2 Re N_ij and
+    V[q_i p_j] = -V[p_i q_j] = 2 Im N_ij. Strictly classical (V > 1) at any
+    finite temperature."""
+    N = bose_occupations(hopping, beta, mu)
     V = _quadrature_covariances(N.real, N.imag)
     return (V + V.swapaxes(-1, -2)) / 2.0
 
@@ -422,12 +398,12 @@ def thermal_bloch_blocks(h_k: np.ndarray, beta: float, mu: float) -> np.ndarray:
     """Covariance Bloch blocks (..., L, 2n, 2n) of the thermal states of Bloch
     Hamiltonians (..., L, n, n), h_k = sum_d H[0, d] exp(2 pi i k d / L).
 
-    One stacked ``eigh`` yields the occupation blocks N_k of the same
-    transform. Since N_k and conj(N_{L-k}) are the blocks of N and conj(N),
+    :func:`bose_occupations` of the h_k gives the occupation blocks N_k of the
+    same transform. Since N_k and conj(N_{L-k}) are the blocks of N and conj(N),
     (N_k + conj(N_{L-k})) / 2 and (N_k - conj(N_{L-k})) / 2i are those of
     Re N and Im N, placed as in :func:`thermal_covariances`.
     """
-    N = _occupation_matrices(h_k, beta, mu)
+    N = bose_occupations(h_k, beta, mu)
     mirror = N[..., -np.arange(N.shape[-3]) % N.shape[-3], :, :].conj()
     return _quadrature_covariances((N + mirror) / 2.0, (N - mirror) * -0.5j)
 

@@ -26,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonIntegerWindingError, RefinementExhaustedError
-from .polarization import _bloch_terms, _check_abs_T, _dense_terms, _eigh_whitening, shift_phases
+from .polarization import (_bloch_terms, _check_abs_T, _cholesky_log_det_half, _dense_terms,
+                           _eigh_whitening, shift_phases)
 from .states import LatticeSpec, checked_bloch_moments, checked_moments
 
 CLOSURE_TOL = 1e-12
@@ -163,13 +164,15 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
 
     The shift is fixed along the loop, and each call's stack goes through
     the kernel that :func:`bosepol.polarization.polarization` takes for one
-    state, given the call's lambdas. The kernel checks positive definiteness
-    itself, naming the first failing lambda: the reduced one by a stacked
-    Cholesky factorization of the blocks, the dense one from the ascending
-    eigenvalues of its own ``eigh``, so a dense sample is factorized once.
-    The reduced kernel evaluates det(1 - P) = det(1 - W) on the 2n x 2n
-    blocks, and the mean terms from one solve of the stacked 1 - P, so each
-    sample costs O(L n^3) and no 2nL-dimensional matrix is formed.
+    state. Beside the kernel the stack is checked positive definite, naming
+    the first failing lambda, and gives the kernel its log-determinant: the
+    blocks by a stacked Cholesky factorization, whose Cholesky factors of
+    (v_k + 1) / 2 give log det((V + 1) / 2), the covariances from the
+    ascending eigenvalues of the ``eigh`` that whitens them, so a dense
+    sample is factorized once. The reduced kernel evaluates
+    det(1 - P) = det(1 - W) on the 2n x 2n blocks, and the mean terms from
+    one solve of the stacked 1 - P, so each sample costs O(L n^3) and no
+    2nL-dimensional matrix is formed.
 
     Consecutive phase differences are reduced to [-pi, pi) and summed
     cumulatively from phases[0], which either kernel gives on the homotopy
@@ -200,7 +203,7 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                     raise ValueError(
                         f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
         if bloch:
-            return _bloch_terms(V, mean, shift, lams)
+            return _bloch_terms(V, _cholesky_log_det_half(V, lams), mean, shift)
         return _dense_terms(*_eigh_whitening(V, lams), mean, shift)
 
     lams, (phases, means, log_abs) = _refine_on_phase(evaluate, loop.initial_samples)

@@ -84,12 +84,18 @@ MUTANTS = (
     Mutant("bloch: P = A_0 R", POLARIZATION,
            "R @ A[0]", "A[0] @ R", POLARIZATION_TESTS),
     Mutant("bloch: L dropped from the mean term", POLARIZATION,
-           "(len(w) * c)", "c", POLARIZATION_TESTS),
+           "(len(inv) * c)", "c", POLARIZATION_TESTS),
     Mutant("bloch: R dropped from the mean term", POLARIZATION,
            "b = a[..., None] - R @ (d * a)[..., None]", "b = a[..., None] - (d * a)[..., None]",
            POLARIZATION_TESTS),
     Mutant("bloch: a Bloch stack's positive definiteness unchecked", POLARIZATION,
-           "            np.linalg.cholesky(v)\n", "            pass\n", WINDING_TESTS),
+           "        np.linalg.cholesky(v)\n", "        pass\n", WINDING_TESTS),
+    Mutant("bloch: a single state's log det((V + 1)/2) dropped", POLARIZATION,
+           "np.log1p((vals - 1.0) / 2.0).sum()", "0.0", ("tests/test_circulant.py",)),
+    Mutant("bloch: a loop's log det((V + 1)/2) taken as log det(V + 1)", POLARIZATION,
+           "np.linalg.cholesky(w / 2.0)", "np.linalg.cholesky(w)", WINDING_TESTS),
+    Mutant("occupations: exp in place of expm1 in the Bose-Einstein factor", STATES,
+           "1.0 / np.expm1(beta * gap)", "1.0 / np.exp(beta * gap)", ("tests/test_states.py",)),
     Mutant("bloch: sign of Im N flipped in the thermal blocks", STATES,
            "(N - mirror) * -0.5j", "(N - mirror) * 0.5j", ("tests/test_circulant.py",)),
     Mutant("bloch: the mirror check v_(L-k) = conj(v_k) disabled", STATES,

@@ -38,6 +38,7 @@ from bosepol.fock_oracle import oracle_tmsv
 from bosepol.loops import band_chern_number, random_classical_loop
 from bosepol.polarization import (
     LOG_ABS_T_MARGIN,
+    _cholesky_log_det_half,
     principal_polarization,
     quadrature_cotangents,
     quadrature_phase_factors,
@@ -490,23 +491,39 @@ def test_validate_factorizes_no_dense_matrix(monkeypatch):
 
 @pytest.mark.parametrize("mean_scale", [0.0, 0.6])
 def test_bloch_evaluation_factorizes_only_cell_blocks(monkeypatch, mean_scale):
-    """The loop kernel on a stack of one: one stacked eigvalsh of the L blocks
-    for the diagnostics, one Cholesky and one inverse of the v_k + 1, one
-    slogdet and one eigvals of P and, with a mean, one solve. No matrix is
-    beyond 2n x 2n, and the dense V is never assembled."""
+    """The loop kernel on a stack of one: one stacked eigvalsh of the L blocks,
+    whose spectrum checks them, gives the diagnostics and log det((V + 1)/2),
+    one inverse of the v_k + 1, one slogdet and one eigvals of P and, with a
+    mean, one solve. No Cholesky, no matrix beyond 2n x 2n, and the dense V
+    is never assembled."""
     L, n = 48, 3
     st = random_circulant_state(make_lattice(L, n), 4, mean_scale=mean_scale)
     matrices, shapes = collections.Counter(), set()
     calls = count_factorizations(monkeypatch, matrices, shapes)
     b = polarization(st)
     assert b.path == "bloch"
-    want = {"eigvalsh": L, "cholesky": L, "inv": L, "slogdet": 1, "eigvals": 1}
+    want = {"eigvalsh": L, "inv": L, "slogdet": 1, "eigvals": 1}
     if mean_scale:
         want["solve"] = 1
     assert matrices == want
     assert calls == {name: 1 for name in want}
     assert shapes == {(2 * n, 2 * n)}
     assert "V" not in vars(st) and "mean" not in vars(st)
+
+
+@pytest.mark.parametrize("L", [1, 5, 64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_loop_log_det_half_equals_the_single_state_spectrum_sum(L, n):
+    """A loop's log det((V + 1)/2), from the Cholesky factors of its blocks,
+    equals the one a single BlochState's polarization reads from its spectrum."""
+    lat = make_lattice(L, n)
+    states = [random_circulant_state(lat, seed, classical=classical, eig_high=eig_high)
+              for seed, (classical, eig_high) in enumerate(
+                  (c, e) for c in (True, False) for e in (1.5, 4.0, 20.0, 200.0))]
+    got = _cholesky_log_det_half(np.stack([st.v_blocks for st in states]),
+                                 np.linspace(0.0, 1.0, len(states)))
+    want = [np.log1p((st.spectrum - 1.0) / 2.0).sum() for st in states]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -292,7 +292,7 @@ def test_validate_reports_min_symplectic_eigenvalue():
     assert vacuum.min_symplectic_eigenvalue == pytest.approx(1.0, abs=1e-14)
     hop = np.zeros((1, 1))
     thermal = thermal_state(hop, beta=0.7, mu=-0.2, lattice=make_lattice(1, 1))
-    nbar = bose_occupations(hop, 0.7, -0.2).occupations[0]
+    nbar = bose_occupations(hop, 0.7, -0.2)[0, 0].real
     assert validate(thermal).physical
     assert validate(thermal).min_symplectic_eigenvalue == pytest.approx(2 * nbar + 1, rel=1e-13)
     squeezed = validate(squeezed_vacuum_state(lat, [0.9, -0.4]))
@@ -322,14 +322,16 @@ def test_state_leaves_the_callers_mean_writable():
 
 
 def test_bose_occupations_structure():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(4, 4))
-    h = (A + A.T) / 2.0
-    mu = np.linalg.eigvalsh(h)[0] - 1.0
-    modes = bose_occupations(h, beta=2.0, mu=mu)
-    assert np.all(modes.occupations > 0)
-    U = modes.eigenvectors
-    assert np.abs(U.conj().T @ U - np.eye(4)).max() < 1e-10
+    """N is Hermitian, and its eigenvalues are the occupations
+    1/(exp(beta (eps - mu)) - 1) of the hopping's eigenvalues eps."""
+    h = random_hoppings(0, (3,), 4)
+    eps = np.linalg.eigvalsh(h)
+    mu = eps.min() - 1.0
+    N = bose_occupations(h, beta=2.0, mu=mu)
+    assert N.shape == (3, 4, 4)
+    assert np.abs(N - N.conj().swapaxes(-1, -2)).max() <= 1e-14 * np.abs(N).max()
+    want = np.sort(1.0 / np.expm1(2.0 * (eps - mu)), axis=-1)
+    assert np.abs(np.linalg.eigvalsh(N) - want).max() <= 1e-14 * want.max()
 
 
 def random_hoppings(seed, stack, n):
@@ -387,8 +389,8 @@ def test_nonfinite_hopping_names_the_contract(bad):
 
 
 def test_bose_occupations_infinite_beta_is_vacuum():
-    modes = bose_occupations(np.diag([0.0, 1.0]), beta=np.inf, mu=-1.0)
-    assert np.array_equal(modes.occupations, [0.0, 0.0])
+    N = bose_occupations(np.diag([0.0, 1.0]), beta=np.inf, mu=-1.0)
+    assert np.array_equal(N, np.zeros((2, 2)))
 
 
 def test_constructor_outputs_pass_validation():

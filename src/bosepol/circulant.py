@@ -8,8 +8,12 @@ block shift, and iterating Schur's identity collapses the 2nL-dimensional
 determinant to det(1_{2n} - A_{L-1} ... A_0), A_k = D G_k with
 G_k = (v_k - 1)(v_k + 1)^{-1} and D the intra-cell gauge phases: the Bloch
 path of :func:`~bosepol.polarization.polarization`, whose dense path is the
-reference for it in any gauge. Every |eig(G_k)| < 1 for a valid state, which
-gives the decay bound eps = 4 lambda_max^L on the determinant phase.
+reference for it in any gauge. The G_k are the state's own: one stacked
+inverse of the v_k + 1, cached, or for a thermal state the lift of its
+Boltzmann blocks exp(-beta (h_k - mu)), set by its builder. Every
+|eig(G_k)| < 1 for a valid state, which gives the decay bound
+eps = 4 lambda_max^L on the determinant phase, lambda_max the state's
+``cayley_norm``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotTranslationInvariantError
-from .polarization import _reduced_product, cayley_norm, shift_phases
+from .polarization import _reduced_product, shift_phases
 from .states import BlochState, GaussianState, LatticeSpec, require_valid
 
 CIRCULANT_RTOL = 1e-10
@@ -108,16 +112,21 @@ def reduced_determinant(state: BlochState) -> complex:
     :func:`~bosepol.polarization.polarization`, equal to the dense det(1 - W).
 
     :func:`~bosepol.states.require_valid` checks every v_k positive definite
-    first; that alone gives |eig(A_k)| < 1.
+    first; that alone gives |eig(A_k)| < 1. The product reads the state's
+    cached Cayley blocks G_k, which the Bloch path of ``polarization`` shares:
+    one stacked inverse of the v_k + 1, or none for a thermal state, whose
+    builder sets them.
     """
     require_valid(state)
-    _, _, P, _ = _reduced_product(state.v_blocks[None], shift_phases(state.lattice))
+    _, P, _ = _reduced_product(state._cayley_blocks[:, None], shift_phases(state.lattice))
     return complex(np.linalg.det(np.eye(P.shape[-1]) - P[0]))
 
 
 def lambda_max(state: GaussianState | BlochState) -> float:
-    """Largest |eigenvalue| of the Cayley transform (V-1)(V+1)^{-1}; always < 1."""
-    return cayley_norm(require_valid(state))
+    """Largest |eigenvalue| of the Cayley transform (V-1)(V+1)^{-1}, the state's
+    ``cayley_norm``; always < 1."""
+    require_valid(state)
+    return state.cayley_norm
 
 
 def decay_bound(state: GaussianState | BlochState) -> float:

@@ -52,25 +52,30 @@ Arg(1 - w) over the eigenvalues w of W, and it equals sum_j Arg(1 - nu_j)
 over the 2n eigenvalues nu_j of P: scaling G -> t G gives
 det(1 - t W) = det(1 - t^L P), and both sums are continuous logarithms of
 it that start from 0 at t = 0. A cell-periodic mean a gives
-s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a) and
-R = A_{L-1} ... A_1. Each path has one kernel, written once for a stack of
-states: one state, or one sampler call of a loop in
-:func:`bosepol.winding.track_polarization`. Both kernels share one contract:
-the caller checks the stack positive definite and gives the log-determinant
-it already holds, and the kernel only evaluates. For one state
+s = -(L/2) a^T (v_0 + 1)^{-1} y_0 with y_0 = (1 - P)^{-1} (a - R D a),
+R = A_{L-1} ... A_1 and (v_0 + 1)^{-1} a = (a - G_0 a) / 2. Each path has
+one kernel, written once for a stack of states: one state, or one sampler
+call of a loop in :func:`bosepol.winding.track_polarization`. Both kernels
+share one contract: the caller checks the stack positive definite and gives
+what it already holds, a whitening and log det V or the Cayley blocks G_k
+and log det((V + 1) / 2), and the kernel only evaluates. For one state
 :func:`polarization` checks every state, whatever its form and path, through
 :func:`bosepol.states.require_valid`, whose spectrum, the eigenvalues v_j
 of V, the diagnostics read, and the reduced path as
 log det((V + 1) / 2) = sum_j log((v_j + 1) / 2); the dense path takes the
-state's ``whitening``. For a loop's stack :func:`_eigh_whitening` checks the
-covariances from the lowest eigenvalues of their ``eigh``, and
-:func:`_cholesky_log_det_half` the blocks by a stacked Cholesky
-factorization, and both name the first failing lambda through
-:func:`bosepol.states.check_positive`. The dense kernel gives
-every state's homotopy branch. The reduced one takes an inverse of v_k + 1,
-one ``slogdet`` of 1 - P and, with a mean, one residual-checked solve of the
-stacked 1 - P; it gives the branch, from the eigenvalues of P, for the first
-state only, as a loop's track unwraps from there.
+state's ``whitening``, the reduced one the state's cached G_k: one stacked
+inverse of the v_k + 1, or for a thermal state none, as its builder sets
+the G_k to the lift of its Boltzmann blocks exp(-beta (h_k - mu)), exact
+where the inverse rounds weights below about 1e-16 away. For a loop's stack
+:func:`_eigh_whitening` checks the covariances from the lowest eigenvalues
+of their ``eigh``, and :func:`_cholesky_log_det_half` the blocks by a
+stacked Cholesky factorization, and both name the first failing lambda
+through :func:`bosepol.states.check_positive`; one stacked inverse gives the
+blocks' G_k. The dense kernel gives every state's homotopy branch. The
+reduced one takes one ``slogdet`` of 1 - P and, with a mean, one
+residual-checked solve of the stacked 1 - P; it gives the branch, from the
+eigenvalues of P, for the first state only, as a loop's track unwraps from
+there.
 """
 
 from __future__ import annotations
@@ -141,8 +146,8 @@ class PolarizationBreakdown:
     a larger value raises :class:`InvalidStateError`.
 
     Diagnostics: ``cayley_norm`` is ||W|| = max_j |(v_j - 1)/(v_j + 1)| over
-    the eigenvalues v_j of V; ``branch_turns`` is the integer k with
-    Im ln det(1 - W) = principal phase + 2 pi k;
+    the eigenvalues v_j of V, the state's ``cayley_norm``; ``branch_turns``
+    is the integer k with Im ln det(1 - W) = principal phase + 2 pi k;
     ``min_covariance_eigenvalue`` is the smallest eigenvalue of V; ``path``
     names the evaluation, ``"dense"`` on the 2nL-dimensional V or
     ``"bloch"`` on the Bloch blocks of a translation-invariant state.
@@ -196,17 +201,10 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def cayley_norm(vals: np.ndarray) -> float:
-    """||W|| = max_j |v_j - 1| / (v_j + 1) over V's ascending eigenvalues v_j: the
-    quotient falls on (0, 1] and rises past 1, so its maximum sits at one end."""
-    lo, hi = float(vals[0]), float(vals[-1])
-    return max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))
-
-
-def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: str
-               ) -> PolarizationBreakdown:
-    """Breakdown from log|<T>|, phi = Im ln det(1 - W), s, and the ascending
-    eigenvalues of V."""
+def _breakdown(log_abs: float, phi: float, s: complex, state: GaussianState | BlochState,
+               path: str) -> PolarizationBreakdown:
+    """Breakdown from log|<T>|, phi = Im ln det(1 - W) and s, with the diagnostics
+    of the state's ``spectrum`` and ``cayley_norm``."""
     _check_abs_T(log_abs)
     det_term_phase = -0.5 * phi
     p_unwrapped = (det_term_phase + s.imag) / (2.0 * math.pi)
@@ -217,9 +215,9 @@ def _breakdown(log_abs: float, phi: float, s: complex, vals: np.ndarray, path: s
         mean_term=s,
         p_unwrapped=p_unwrapped,
         p=principal_polarization(p_unwrapped),
-        cayley_norm=cayley_norm(vals),
+        cayley_norm=state.cayley_norm,
         branch_turns=round(phi / (2.0 * math.pi)),
-        min_covariance_eigenvalue=float(vals[0]),
+        min_covariance_eigenvalue=float(state.spectrum[0]),
         path=path,
     )
 
@@ -278,38 +276,38 @@ def _dense_terms(A: np.ndarray, log_det_V: np.ndarray | float, mean: np.ndarray,
     return log_det.imag, s, log_abs
 
 
-def _reduced_product(v: np.ndarray, shift: ShiftSpec) -> tuple[np.ndarray, ...]:
-    """The inverses of v_k + 1, momenta first (L, S, 2n, 2n), the diagonal d of D
-    and P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1 (S, 2n, 2n), with
-    A_k = D (1 - 2 (v_k + 1)^{-1}), of Bloch blocks v (S, L, 2n, 2n) under ``shift``."""
-    eye = np.eye(v.shape[-1])
-    inv = np.linalg.inv(v.swapaxes(0, 1) + eye)  # momenta first, as the product takes them
-    d = quadrature_phase_factors(shift)[: len(eye)]
-    A = d[:, None] * (eye - 2.0 * inv)
+def _reduced_product(g: np.ndarray, shift: ShiftSpec) -> tuple[np.ndarray, ...]:
+    """The diagonal d of D and P = A_{L-1} ... A_0 and R = A_{L-1} ... A_1
+    (S, 2n, 2n), with A_k = D G_k, of Cayley blocks G_k = (v_k - 1)(v_k + 1)^{-1},
+    momenta first as the product takes them, g (L, S, 2n, 2n), under ``shift``."""
+    d = quadrature_phase_factors(shift)[: g.shape[-1]]
+    A = d[:, None] * g
     R = ordered_product(A[1:])
-    return inv, d, R @ A[0], R
+    return d, R @ A[0], R
 
 
-def _bloch_terms(v: np.ndarray, log_det_half: np.ndarray | float, a: np.ndarray,
+def _bloch_terms(g: np.ndarray, log_det_half: np.ndarray | float, a: np.ndarray,
                  shift: ShiftSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phases of det(1 - W), mean terms s and log|<T>| of S translation-invariant
-    states, from their Bloch blocks v (S, L, 2n, 2n), positive definite, their
+    states, from the Cayley blocks G_k = (v_k - 1)(v_k + 1)^{-1} of their
+    positive-definite Bloch blocks, momenta first, g (L, S, 2n, 2n), their
     log det((V + 1) / 2) and their cell means a (S, 2n), under the lattice's
     own shift.
 
-    The reduced path of the module docstring: one inverse
-    G_k = 1 - 2 (v_k + 1)^{-1}, and one ``slogdet`` of the stacked 1 - P the
-    principal phases and the magnitudes; the vacuum gives exactly 0 for each.
+    The reduced path of the module docstring: one ``slogdet`` of the stacked
+    1 - P gives the principal phases and the magnitudes; the vacuum gives
+    exactly 0 for each.
     The first state's phase is the homotopy branch sum_j Arg(1 - nu_j), from one
     ``eigvals`` of its P. With any mean nonzero, one solve of the stacked
     1 - P gives every y_0, 0 for a zero mean; a residual above
-    MEAN_SOLVE_RTOL ||a - R D a|| raises :class:`NumericalError`. The caller
-    checks the blocks and gives log det((V + 1) / 2): :func:`polarization`
-    from the spectrum of :func:`~bosepol.states.require_valid`, a loop from
-    :func:`_cholesky_log_det_half`.
+    MEAN_SOLVE_RTOL ||a - R D a|| raises :class:`NumericalError`, and
+    (v_0 + 1)^{-1} a = (a - G_0 a) / 2. The caller checks the blocks and gives
+    the G_k and log det((V + 1) / 2): :func:`polarization` the state's cached
+    G_k and the sum over the spectrum of :func:`~bosepol.states.require_valid`,
+    a loop the G_k of one stacked inverse and :func:`_cholesky_log_det_half`.
     """
-    inv, d, P, R = _reduced_product(v, shift)
-    M = np.eye(v.shape[-1]) - P
+    d, P, R = _reduced_product(g, shift)
+    M = np.eye(g.shape[-1]) - P
     sign, log_abs_det = np.linalg.slogdet(M)
     phases = np.angle(sign)
     phases[0] = np.angle(1.0 - np.linalg.eigvals(P[0])).sum()
@@ -323,8 +321,8 @@ def _bloch_terms(v: np.ndarray, log_det_half: np.ndarray | float, a: np.ndarray,
         if bad.size:
             raise NumericalError(f"mean-term linear solve residual {residual[bad[0]]:.3e} "
                                  f"exceeds {MEAN_SOLVE_RTOL} * ||b|| = {bound[bad[0]]:.3e}")
-        c = inv[0] @ a[..., None]  # (v_0 + 1)^{-1} a
-        s = -0.5 * ((len(inv) * c).swapaxes(1, 2) @ y)[:, 0, 0]
+        c = (a[..., None] - g[0] @ a[..., None]) / 2.0  # (v_0 + 1)^{-1} a
+        s = -0.5 * ((len(g) * c).swapaxes(1, 2) @ y)[:, 0, 0]
     log_abs = -0.5 * (log_det_half + log_abs_det) + s.real
     return phases, s, log_abs
 
@@ -335,11 +333,13 @@ def polarization(
     """Full polarization breakdown of a Gaussian state on the homotopy branch.
 
     A :class:`BlochState` under its lattice's own shift takes the reduced
-    path of the module docstring; every other state or shift the dense one,
-    whitened by the state's own ``whitening``. Every state is first checked
-    by :func:`~bosepol.states.require_valid`, whose spectrum the diagnostics
-    and the reduced path's log det((V + 1) / 2) read. Raises :class:`InvalidStateError` when V is not positive
-    definite, or when |<T>| exceeds 1, which only a state violating
+    path of the module docstring, on the state's cached Cayley blocks; every
+    other state or shift the dense one, whitened by the state's own
+    ``whitening``. Every state is first checked by
+    :func:`~bosepol.states.require_valid`, whose spectrum the diagnostics and
+    the reduced path's log det((V + 1) / 2) read, beside the state's
+    ``cayley_norm``. Raises :class:`InvalidStateError` when V is not
+    positive definite, or when |<T>| exceeds 1, which only a state violating
     V + i Omega >= 0 gives.
     """
     bloch = isinstance(state, BlochState)
@@ -353,8 +353,8 @@ def polarization(
     if bloch:
         log_det_half = np.log1p((vals - 1.0) / 2.0).sum()  # log det((V + 1) / 2)
         phi, s, log_abs = (x[0] for x in _bloch_terms(
-            state.v_blocks[None], log_det_half, state.cell_mean[None], shift))
+            state._cayley_blocks[:, None], log_det_half, state.cell_mean[None], shift))
     else:
         phi, s, log_abs = _dense_terms(*state.whitening(), state.mean, shift)
-    return _breakdown(float(log_abs), float(phi), complex(s), vals,
+    return _breakdown(float(log_abs), float(phi), complex(s), state,
                       "bloch" if bloch else "dense")

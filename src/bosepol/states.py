@@ -120,8 +120,8 @@ class GaussianState:
     A state built by :meth:`from_factor` also keeps its symplectic factor
     ``factor = (S, d)``, with V = S diag(d) S^T (Williamson); it is None for
     a state given only by ``V``. The state owns how its ``V`` is factorized:
-    ``spectrum`` and :meth:`whitening` read the factor, or else one cached
-    ``eigh`` of ``V``, which every reader of the state shares.
+    ``spectrum``, ``cayley_norm`` and :meth:`whitening` read the factor, or
+    else one cached ``eigh`` of ``V``, which every reader of the state shares.
     """
 
     lattice: LatticeSpec
@@ -186,6 +186,11 @@ class GaussianState:
         S, d = self.factor
         return _as_readonly(np.linalg.svd(S * np.sqrt(d), compute_uv=False)[::-1] ** 2)
 
+    @cached_property
+    def cayley_norm(self) -> float:
+        """||W|| of the Cayley transform W = (V - 1)(V + 1)^{-1}, from the ``spectrum``."""
+        return _cayley_norm(self.spectrum)
+
     def whitening(self) -> tuple[np.ndarray, float]:
         """A whitening A, A^T V A = 1, and log det V of a state that passed
         :func:`require_valid`, from the cached ``eigh``; a factored state has
@@ -198,6 +203,20 @@ class GaussianState:
         swap, sign = _signed_swap(len(d))
         A = sign[:, None] * S[swap[:, None], swap] * (sign / np.sqrt(d))
         return A, float(np.log(d).sum())
+
+
+def _cayley_norm(vals: np.ndarray) -> float:
+    """max_j |v_j - 1| / (v_j + 1) over V's ascending eigenvalues v_j: the quotient
+    falls on (0, 1] and rises past 1, so its maximum sits at one end."""
+    lo, hi = float(vals[0]), float(vals[-1])
+    return max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))
+
+
+def _cayley_transform(v: np.ndarray) -> np.ndarray:
+    """Cayley transforms G = (v - 1)(v + 1)^{-1} = 1 - 2 (v + 1)^{-1} of stacked
+    positive-definite matrices v (..., d, d), from one stacked inverse."""
+    eye = np.eye(v.shape[-1])
+    return eye - 2.0 * np.linalg.inv(v + eye)
 
 
 def _signed_swap(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +296,13 @@ class BlochState:
 
     ``V`` and ``mean`` are assembled on first read, for dense consumers; the
     reduced evaluation of :func:`bosepol.polarization.polarization` and
-    :func:`validate` never read them. ``spectrum``
-    is the sorted union of the block spectra, from one stacked ``eigvalsh``.
+    :func:`validate` never read them. Each is computed on first read and
+    cached: ``spectrum``, the sorted union of the block spectra, from one
+    stacked ``eigvalsh``; ``cayley_norm`` from its two ends; and the Cayley
+    blocks G_k = 1 - 2 (v_k + 1)^{-1}, from one stacked inverse, which the
+    Bloch path of :func:`~bosepol.polarization.polarization` and
+    :func:`~bosepol.circulant.reduced_determinant` share. A thermal state
+    (:func:`thermal_state`) gets all three from its builder instead.
     """
 
     lattice: LatticeSpec
@@ -305,6 +329,14 @@ class BlochState:
     @cached_property
     def spectrum(self) -> np.ndarray:
         return _as_readonly(np.sort(np.linalg.eigvalsh(self.v_blocks), axis=None))
+
+    @cached_property
+    def cayley_norm(self) -> float:
+        return _cayley_norm(self.spectrum)
+
+    @cached_property
+    def _cayley_blocks(self) -> np.ndarray:  # G_k = (v_k - 1)(v_k + 1)^{-1}, (L, 2n, 2n)
+        return _as_readonly(_cayley_transform(self.v_blocks))
 
     def whitening(self) -> tuple[np.ndarray, float]:
         """A whitening of the assembled V and log det V, from one ``eigh`` of V,
@@ -337,13 +369,12 @@ def coherent_state(lattice: LatticeSpec, amplitudes) -> GaussianState:
     return GaussianState(lattice, np.eye(lattice.dim), mean)
 
 
-def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
-    """Occupation matrices N = U diag(nbar) U^dag (..., N, N) of hermitian hopping
-    matrices (..., N, N) = U diag(eps) U^dag, from one stacked ``eigh``, with the
-    Bose-Einstein occupations nbar_j = 1/(exp(beta (eps_j - mu)) - 1). Every
-    eigenvalue of every matrix must satisfy ``eps - mu > 0``; otherwise the
-    grand-canonical occupation is undefined. N is Hermitian and, by these
-    checks of beta and the gap, positive semidefinite."""
+def _boltzmann_exponents(hopping, beta: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """x = beta (eps - mu) and U of hermitian hopping matrices (..., N, N) =
+    U diag(eps) U^dag, from one stacked ``eigh``, after checking the matrices
+    finite and hermitian, beta > 0 and mu a number. Every eigenvalue of every
+    matrix must satisfy ``eps - mu > 0``; otherwise the grand-canonical state is
+    undefined."""
     h = np.asarray(hopping, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError("hopping matrix must be square")
@@ -363,24 +394,61 @@ def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
         raise ChemicalPotentialError(
             f"chemical potential not below the band minimum: min(eps - mu) = {gap.min():.6g}"
         )
+    return beta * gap, vectors
+
+
+def _bose_einstein(x: np.ndarray) -> np.ndarray:
+    """The Bose-Einstein occupations nbar = 1/(exp(x) - 1) of x = beta (eps - mu) > 0."""
     with np.errstate(over="ignore"):
-        occ = 1.0 / np.expm1(beta * gap)
-    return (vectors * occ[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+        return 1.0 / np.expm1(x)
 
 
-def _quadrature_covariances(re_n: np.ndarray, im_n: np.ndarray) -> np.ndarray:
-    """1 + 2 Re N on the (q, q) and (p, p) entries, +-2 Im N on (q, p) and (p, q).
+def _spectral_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """U diag(w) U^dag of stacked eigenvectors U (..., N, N) and weights w (..., N)."""
+    return (vectors * weights[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
-    ``re_n`` and ``im_n`` are Re N and Im N of stacked (..., N, N) matrices,
-    or their Fourier blocks, which are complex.
+
+def bose_occupations(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """Occupation matrices N = U diag(nbar) U^dag (..., N, N) of hermitian hopping
+    matrices (..., N, N) = U diag(eps) U^dag, from one stacked ``eigh``, with the
+    Bose-Einstein occupations nbar_j = 1/(exp(beta (eps_j - mu)) - 1). Every
+    eigenvalue of every matrix must satisfy ``eps - mu > 0``; otherwise the
+    grand-canonical occupation is undefined. N is Hermitian and, by these
+    checks of beta and the gap, positive semidefinite."""
+    x, vectors = _boltzmann_exponents(hopping, beta, mu)
+    return _spectral_sum(vectors, _bose_einstein(x))
+
+
+def _quadrature_lift(re_x: np.ndarray, im_x: np.ndarray) -> np.ndarray:
+    """Re X on the (q, q) and (p, p) entries, +-Im X on (q, p) and (p, q).
+
+    ``re_x`` and ``im_x`` are Re X and Im X of stacked (..., N, N) matrices,
+    or their Fourier blocks, which are complex. The lift maps products to
+    products, so a function of a hopping matrix lifts to the same function
+    of its lift: the occupations N to (V - 1) / 2, and the Boltzmann operator
+    exp(-beta (h - mu)) = N (1 + N)^{-1} to the Cayley transform
+    (V - 1)(V + 1)^{-1}.
     """
-    dim = 2 * re_n.shape[-1]
-    V = np.empty((*re_n.shape[:-2], dim, dim), dtype=np.result_type(re_n, im_n))
-    V[..., 0::2, 0::2] = V[..., 1::2, 1::2] = 2.0 * re_n
-    V[..., 0::2, 1::2] = 2.0 * im_n
-    V[..., 1::2, 0::2] = -2.0 * im_n
-    V += np.eye(dim)
-    return V
+    dim = 2 * re_x.shape[-1]
+    lift = np.empty((*re_x.shape[:-2], dim, dim), dtype=np.result_type(re_x, im_x))
+    lift[..., 0::2, 0::2] = lift[..., 1::2, 1::2] = re_x
+    lift[..., 0::2, 1::2] = im_x
+    lift[..., 1::2, 0::2] = -im_x
+    return lift
+
+
+def _bloch_lift(x_k: np.ndarray) -> np.ndarray:
+    """Bloch blocks (..., L, 2N, 2N) of the quadrature lift of the matrix X whose
+    Bloch blocks are x_k (..., L, N, N): x_k and conj(x_{L-k}) are the blocks of
+    X and conj(X), so (x_k + conj(x_{L-k})) / 2 and (x_k - conj(x_{L-k})) / 2i
+    are those of Re X and Im X."""
+    mirror = x_k[..., -np.arange(x_k.shape[-3]) % x_k.shape[-3], :, :].conj()
+    return _quadrature_lift((x_k + mirror) / 2.0, (x_k - mirror) * -0.5j)
+
+
+def _occupation_covariance(lift_n: np.ndarray) -> np.ndarray:
+    """V = 1 + 2 lift(N) from the quadrature lift of occupations N."""
+    return np.eye(lift_n.shape[-1]) + 2.0 * lift_n
 
 
 def thermal_covariances(hopping: np.ndarray, beta: float, mu: float) -> np.ndarray:
@@ -390,22 +458,18 @@ def thermal_covariances(hopping: np.ndarray, beta: float, mu: float) -> np.ndarr
     V[q_i p_j] = -V[p_i q_j] = 2 Im N_ij. Strictly classical (V > 1) at any
     finite temperature."""
     N = bose_occupations(hopping, beta, mu)
-    V = _quadrature_covariances(N.real, N.imag)
+    V = _occupation_covariance(_quadrature_lift(N.real, N.imag))
     return (V + V.swapaxes(-1, -2)) / 2.0
 
 
 def thermal_bloch_blocks(h_k: np.ndarray, beta: float, mu: float) -> np.ndarray:
     """Covariance Bloch blocks (..., L, 2n, 2n) of the thermal states of Bloch
-    Hamiltonians (..., L, n, n), h_k = sum_d H[0, d] exp(2 pi i k d / L).
-
-    :func:`bose_occupations` of the h_k gives the occupation blocks N_k of the
-    same transform. Since N_k and conj(N_{L-k}) are the blocks of N and conj(N),
-    (N_k + conj(N_{L-k})) / 2 and (N_k - conj(N_{L-k})) / 2i are those of
-    Re N and Im N, placed as in :func:`thermal_covariances`.
+    Hamiltonians (..., L, n, n), h_k = sum_d H[0, d] exp(2 pi i k d / L): the
+    lift of :func:`_bloch_lift` of the occupation blocks N_k that
+    :func:`bose_occupations` gives for the h_k, placed as in
+    :func:`thermal_covariances`.
     """
-    N = bose_occupations(h_k, beta, mu)
-    mirror = N[..., -np.arange(N.shape[-3]) % N.shape[-3], :, :].conj()
-    return _quadrature_covariances((N + mirror) / 2.0, (N - mirror) * -0.5j)
+    return _occupation_covariance(_bloch_lift(bose_occupations(h_k, beta, mu)))
 
 
 def thermal_state(
@@ -415,14 +479,30 @@ def thermal_state(
 
     A matrix (nL, nL) gives :func:`thermal_covariances` with zero mean. A
     translation-invariant hopping given as its Bloch Hamiltonians (L, n, n),
-    h_k = sum_d H[0, d] exp(2 pi i k d / L), gives a :class:`BlochState` with
-    the blocks of :func:`thermal_bloch_blocks`.
+    h_k = U_k diag(eps) U_k^dag = sum_d H[0, d] exp(2 pi i k d / L), gives a
+    :class:`BlochState` with the blocks of :func:`thermal_bloch_blocks`, which
+    also keeps what the one ``eigh`` of the h_k gives, x = beta (eps - mu):
+
+    * its Cayley blocks G_k, the lift of the Boltzmann blocks
+      U_k diag(exp(-x)) U_k^dag, exact however small the weights, where
+      1 - 2 (v_k + 1)^{-1} loses every weight below the rounding of 1;
+    * its ``spectrum``, each 1 + 2 nbar once at k and once at -k;
+    * its ``cayley_norm`` exp(-min x), which the spectrum's ends give only
+      while 1 + 2 nbar is not rounded to 1.
     """
     if np.ndim(hopping) == 3:
         L, n = lattice.cells, lattice.sites_per_cell
         if np.shape(hopping) != (L, n, n):
             raise ValueError(f"need {(L, n, n)} Bloch Hamiltonians, got {np.shape(hopping)}")
-        return BlochState(lattice, thermal_bloch_blocks(hopping, beta, mu), np.zeros(2 * n))
+        x, vectors = _boltzmann_exponents(hopping, beta, mu)
+        occ = _bose_einstein(x)
+        v = _occupation_covariance(_bloch_lift(_spectral_sum(vectors, occ)))
+        state = BlochState(lattice, v, np.zeros(2 * n))
+        cayley = _bloch_lift(_spectral_sum(vectors, np.exp(-x)))
+        object.__setattr__(state, "_cayley_blocks", _as_readonly(cayley))
+        object.__setattr__(state, "spectrum", _as_readonly(np.sort(np.repeat(1.0 + 2.0 * occ, 2))))
+        object.__setattr__(state, "cayley_norm", float(np.exp(-x.min())))
+        return state
     V = thermal_covariances(hopping, beta, mu)
     if V.shape[-1] != lattice.dim:
         raise ValueError(

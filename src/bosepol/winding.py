@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NonIntegerWindingError, RefinementExhaustedError
 from .polarization import (_bloch_terms, _check_abs_T, _cholesky_log_det_half, _dense_terms,
                            _eigh_whitening, shift_phases)
-from .states import LatticeSpec, checked_bloch_moments, checked_moments
+from .states import LatticeSpec, _cayley_transform, checked_bloch_moments, checked_moments
 
 CLOSURE_TOL = 1e-12
 WINDING_RESIDUAL_TOL = 1e-3
@@ -203,7 +203,8 @@ def track_polarization(loop: ParameterLoop) -> PolarizationTrack:
                     raise ValueError(
                         f"loop does not close: ||{name}(1) - {name}(0)|| = {closure:.3e}")
         if bloch:
-            return _bloch_terms(V, _cholesky_log_det_half(V, lams), mean, shift)
+            log_det_half = _cholesky_log_det_half(V, lams)  # checks the blocks first
+            return _bloch_terms(_cayley_transform(V.swapaxes(0, 1)), log_det_half, mean, shift)
         return _dense_terms(*_eigh_whitening(V, lams), mean, shift)
 
     lams, (phases, means, log_abs) = _refine_on_phase(evaluate, loop.initial_samples)

@@ -59,7 +59,7 @@ MUTANTS = (
            "-0.5 * (-yt.real @ y.real - yt.imag @ y.imag + 1j", POLARIZATION_TESTS),
     Mutant("dense: log det V dropped", POLARIZATION,
            "-0.5 * (log_det.real + log_det_V)", "-0.5 * log_det.real", POLARIZATION_TESTS),
-    Mutant("dense: cayley_norm from the smallest eigenvalue only", POLARIZATION,
+    Mutant("dense: cayley_norm from the smallest eigenvalue only", STATES,
            "max(abs((lo - 1.0) / (lo + 1.0)), (hi - 1.0) / (hi + 1.0))",
            "abs((lo - 1.0) / (lo + 1.0))", POLARIZATION_TESTS),
     # The symplectic form and the symplectic factor of a state.
@@ -84,7 +84,7 @@ MUTANTS = (
     Mutant("bloch: P = A_0 R", POLARIZATION,
            "R @ A[0]", "A[0] @ R", POLARIZATION_TESTS),
     Mutant("bloch: L dropped from the mean term", POLARIZATION,
-           "(len(inv) * c)", "c", POLARIZATION_TESTS),
+           "(len(g) * c)", "c", POLARIZATION_TESTS),
     Mutant("bloch: R dropped from the mean term", POLARIZATION,
            "b = a[..., None] - R @ (d * a)[..., None]", "b = a[..., None] - (d * a)[..., None]",
            POLARIZATION_TESTS),
@@ -95,9 +95,20 @@ MUTANTS = (
     Mutant("bloch: a loop's log det((V + 1)/2) taken as log det(V + 1)", POLARIZATION,
            "np.linalg.cholesky(w / 2.0)", "np.linalg.cholesky(w)", WINDING_TESTS),
     Mutant("occupations: exp in place of expm1 in the Bose-Einstein factor", STATES,
-           "1.0 / np.expm1(beta * gap)", "1.0 / np.exp(beta * gap)", ("tests/test_states.py",)),
+           "1.0 / np.expm1(x)", "1.0 / np.exp(x)", ("tests/test_states.py",)),
     Mutant("bloch: sign of Im N flipped in the thermal blocks", STATES,
-           "(N - mirror) * -0.5j", "(N - mirror) * 0.5j", ("tests/test_circulant.py",)),
+           "(x_k - mirror) * -0.5j", "(x_k - mirror) * 0.5j", ("tests/test_circulant.py",)),
+    # A thermal BlochState's builder.
+    Mutant("thermal: the Boltzmann weight exp(-x) replaced by the occupation 1/expm1(x)",
+           STATES, "np.exp(-x)", "1.0 / np.expm1(x)", ("tests/test_circulant.py",)),
+    Mutant("thermal: the Boltzmann lift adds and then subtracts the identity", STATES,
+           "cayley = _bloch_lift(_spectral_sum(vectors, np.exp(-x)))",
+           "cayley = _bloch_lift(_spectral_sum(vectors, np.exp(-x)))"
+           " + np.eye(2 * n) - np.eye(2 * n)",
+           ("tests/test_circulant.py",)),
+    Mutant("thermal: the spectrum lists each 1 + 2 nbar once", STATES,
+           "np.sort(np.repeat(1.0 + 2.0 * occ, 2))", "np.sort(1.0 + 2.0 * occ, axis=None)",
+           ("tests/test_circulant.py",)),
     Mutant("bloch: the mirror check v_(L-k) = conj(v_k) disabled", STATES,
            "    if (defect > tol).any():\n        raise ValueError(\n            f\"Bloch blocks violate",
            "    if False:\n        raise ValueError(\n            f\"Bloch blocks violate",

@@ -1,7 +1,13 @@
 """Block-circulant reduction: the Bloch path of polarization against its dense path."""
 
+import collections
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import expm
 
 from bosepol import (
     BlochState,
@@ -21,7 +27,8 @@ from bosepol import (
 from bosepol.circulant import check_translation_invariance, random_bloch_blocks
 from bosepol.errors import InvalidStateError, NotTranslationInvariantError
 from bosepol.polarization import ordered_product, quadrature_phase_factors, shift_phases
-from bosepol.rice_mele import RiceMeleParams, rmm_thermal_state
+from bosepol.rice_mele import (PumpProtocol, RiceMeleParams, _bloch_hamiltonians,
+                               rmm_cell_blocks, rmm_thermal_state)
 from bosepol.states import reassemble_covariance
 from dense_reference import rmm_hopping_matrix
 
@@ -331,22 +338,102 @@ def test_decay_bound_arithmetic():
     assert polarization(cell_bloch_blocks(vac)).det_term_phase == 0.0
 
 
-def test_scaling_op_takes_one_block_spectrum(monkeypatch):
-    """polarization, reduced_determinant and decay_bound of one BlochState read
-    its cached spectrum: one stacked eigvalsh of the L blocks between them."""
-    L = 16
-    st = rmm_thermal_state(RiceMeleParams(0.8, 0.6, 0.35), make_lattice(L, 2), 1.0, -3.0)
-    shapes = []
+def count_factorizations(monkeypatch) -> collections.defaultdict:
+    """The shapes that each np.linalg factorization is called on, by name, while
+    the patch is active."""
+    calls = collections.defaultdict(list)
+    for name in ("eigh", "eigvalsh", "eigvals", "inv", "cholesky", "solve", "slogdet", "det",
+                 "svd", "qr"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _fn(a, *args, **kwargs)
 
-    def counted(a, *args, _fn=np.linalg.eigvalsh, **kwargs):
-        shapes.append(np.shape(a))
-        return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+
+def scaling_op(st: BlochState) -> None:
+    """The readers of one state in a row of ``bosepol scaling``."""
     polarization(st)
     reduced_determinant(cell_bloch_blocks(st))
     decay_bound(st)
-    assert shapes == [(L, 4, 4)]
+
+
+# One slogdet and one eigvals of P in polarization, one det in reduced_determinant.
+PRODUCT_CALLS = {"slogdet": [(1, 4, 4)], "eigvals": [(4, 4)], "det": [(4, 4)]}
+
+
+def test_scaling_op_takes_one_block_spectrum(monkeypatch):
+    """A thermal BlochState's builder sets its spectrum, Cayley norm and Cayley
+    blocks from its one eigh of the L Bloch Hamiltonians, so polarization,
+    reduced_determinant and decay_bound of the state run no eigvalsh, no
+    inverse and no Cholesky: beside that eigh, only the 4 x 4 P is factorized."""
+    L = 16
+    calls = count_factorizations(monkeypatch)
+    st = rmm_thermal_state(RiceMeleParams(0.8, 0.6, 0.35), make_lattice(L, 2), 1.0, -3.0)
+    scaling_op(st)
+    assert calls == {"eigh": [(L, 2, 2)], **PRODUCT_CALLS}
+
+
+def test_scaling_op_on_a_drawn_state_takes_one_block_spectrum_and_one_inverse(monkeypatch):
+    """A BlochState given only by its blocks caches its spectrum and its Cayley
+    blocks: one stacked eigvalsh and one stacked inverse of the L blocks
+    between polarization, reduced_determinant and decay_bound."""
+    L = 16
+    st = random_circulant_state(make_lattice(L, 2), 5)
+    calls = count_factorizations(monkeypatch)
+    scaling_op(st)
+    assert calls == {"eigvalsh": [(L, 4, 4)], "inv": [(L, 4, 4)], **PRODUCT_CALLS}
+
+
+def boltzmann_reference_phase(h: np.ndarray, beta: float, mu: float, lattice) -> float:
+    """det_term_phase -1/2 arg det(1 - P) of the thermal state of Bloch
+    Hamiltonians h (L, n, n), with P = D G_{L-1} ... D G_0 and G_k the blocks of
+    the quadrature lift of the Boltzmann operators B_k = expm(-beta (h_k - mu))."""
+    L, n = lattice.cells, lattice.sites_per_cell
+    B = np.array([expm(-beta * (hk - mu * np.eye(n))) for hk in h])
+    P = np.eye(2 * n, dtype=complex)
+    for k in range(L):
+        mirror = B[-k % L].conj()
+        re, im = (B[k] + mirror) / 2.0, (B[k] - mirror) / 2.0j
+        G = np.empty((2 * n, 2 * n), dtype=complex)
+        G[0::2, 0::2] = G[1::2, 1::2] = re
+        G[0::2, 1::2], G[1::2, 0::2] = im, -im
+        P = (gauge_block(lattice)[:, None] * G) @ P
+    return -0.5 * float(np.angle(np.linalg.det(np.eye(2 * n) - P)))
+
+
+@pytest.mark.parametrize("beta", [10.0, 40.0])
+@pytest.mark.parametrize("L", [4, 8, 16])
+def test_cold_thermal_phase_matches_the_boltzmann_reference(beta, L):
+    """At t/T = 1/8 and mu = -3 the weights of a cold chain fall far below the
+    rounding of 1, where 1 - 2 (v_k + 1)^{-1} loses them: from beta = 40 the
+    phase it gave had the wrong sign. The builder's Cayley blocks keep them."""
+    lat = make_lattice(L, 2)
+    params = PumpProtocol(1.0, 1.0).params_at(0.125)
+    h = _bloch_hamiltonians(*rmm_cell_blocks(astuple(params)), L)
+    got = polarization(rmm_thermal_state(params, lat, beta, -3.0)).det_term_phase
+    want = boltzmann_reference_phase(h, beta, -3.0, lat)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(L=hst.integers(1, 64), n=hst.integers(1, 3), beta=hst.floats(0.2, 5.0),
+       gap=hst.floats(0.1, 3.0), seed=hst.integers(0, 2 ** 32 - 1))
+@example(L=4, n=2, beta=1.0, gap=0.5, seed=0)
+def test_thermal_builder_sets_what_the_blocks_give(L, n, beta, gap, seed):
+    """The Cayley blocks, spectrum and Cayley norm that thermal_state sets from the
+    eigh of the Bloch Hamiltonians are those that the covariance blocks give."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(L, n, n)) + 1j * rng.normal(size=(L, n, n))
+    h = (x + x.conj().swapaxes(1, 2)) / 2.0
+    st = thermal_state(h, beta, np.linalg.eigvalsh(h).min() - gap, make_lattice(L, n))
+    eye = np.eye(2 * n)
+    g = eye - 2.0 * np.linalg.inv(st.v_blocks + eye)
+    assert np.abs(st._cayley_blocks - g).max() <= 1e-13 * max(1.0, np.abs(g).max())
+    vals = np.sort(np.linalg.eigvalsh(st.v_blocks), axis=None)
+    assert np.abs(st.spectrum - vals).max() <= 1e-13 * vals[-1]
+    assert abs(st.cayley_norm - (vals[-1] - 1.0) / (vals[-1] + 1.0)) <= 1e-13
 
 
 def test_thermal_family_phase_below_bound_and_decaying():

@@ -186,6 +186,17 @@ def test_scaling_bounds_match_the_dense_eigenvalues(tmp_path):
         assert abs(float(row[4]) - bound) <= 1e-12 * bound
 
 
+def test_cold_scaling_keeps_its_decay_bound(tmp_path):
+    """At beta = 40 every 1 + 2 nbar of the spectrum rounds to 1, where the
+    Cayley norm read from its ends was 0 and the bound failed; the builder's
+    exp(-beta min(eps - mu)) bounds the phase, which keeps its sign."""
+    out = tmp_path / "scaling.csv"
+    assert cli.main(["scaling", "--beta", "40", "--L", "4,8,16", "--output", str(out)]) == 0
+    rows = read_csv(out)[2]
+    assert 0.0 < float(rows[0][2]) <= float(rows[0][3])
+    assert float(rows[0][3]) == pytest.approx(1.7567e-123, rel=1e-4)
+
+
 def test_scaling_needs_three_sizes():
     assert cli.main(["scaling", "--L", "4,8"]) == 2
 
